@@ -10,13 +10,11 @@ here; the CSVs are meant for whatever plotting tool sits downstream.
 import argparse
 from pathlib import Path
 
-from odesr.benchmark import rollout_with_estimate, run_fit, write_rollout_csv
+from odesr.benchmark import METHODS, rollout_with_estimate, run_fit, write_rollout_csv
 from odesr.expressions import parse_expr
 from odesr.feynman import run_pipeline, write_pareto_csv
 from odesr.integrate import make_dataset
 from odesr.systems import SYSTEM_NAMES, get_system
-
-METHODS = ("ga", "sindy", "feynman")
 
 
 def main() -> None:

@@ -22,6 +22,16 @@ BINARY_OPS = ("add", "sub", "mul", "div", "pow")
 _BINARY_SYMBOL = {"add": "+", "sub": "-", "mul": "*", "div": "/", "pow": "^"}
 _SYMBOL_BINARY = {v: k for k, v in _BINARY_SYMBOL.items()}
 
+# the numpy ufunc behind each operator; identity and pow are special-cased
+# in _eval, and results still pass through _contain's nan rule there
+UNARY_UFUNC = {"sin": np.sin, "cos": np.cos, "log": np.log, "exp": np.exp}
+BINARY_UFUNC = {
+    "add": np.add,
+    "sub": np.subtract,
+    "mul": np.multiply,
+    "div": np.true_divide,
+}
+
 # exponents treated as exact integers; larger ones fall back to np.power
 _MAX_INT_POW = 64
 
@@ -133,19 +143,12 @@ def _eval(expr: Expr, ts: np.ndarray, xs: np.ndarray) -> np.ndarray:
         a = _eval(expr.arg, ts, xs)
         if expr.op == "identity":
             return a
-        fn = {"sin": np.sin, "cos": np.cos, "log": np.log, "exp": np.exp}[expr.op]
-        return _contain(fn(a), a)
+        return _contain(UNARY_UFUNC[expr.op](a), a)
     l = _eval(expr.left, ts, xs)
     r = _eval(expr.right, ts, xs)
-    if expr.op == "add":
-        out = l + r
-    elif expr.op == "sub":
-        out = l - r
-    elif expr.op == "mul":
-        out = l * r
-    elif expr.op == "div":
-        out = l / r
-    else:  # pow
+    if expr.op != "pow":
+        out = BINARY_UFUNC[expr.op](l, r)
+    else:
         rc = expr.right
         if (
             isinstance(rc, Const)

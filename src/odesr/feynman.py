@@ -13,13 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import (
-    BINARY_OPS,
+    _BINARY_SYMBOL,
+    BINARY_UFUNC,
+    UNARY_UFUNC,
     Binary,
     Const,
     Expr,
     Unary,
     Var,
-    complexity,
     print_expr,
 )
 from .ga import CandidateSolution, make_candidate
@@ -27,14 +28,12 @@ from .integrate import RegressionDataset
 
 _BRUTE_UNARY = ("sin", "cos", "log", "exp")
 _BRUTE_BINARY = ("add", "sub", "mul", "div")
+_COMMUTATIVE = ("add", "mul")
 
-_UNARY_FN = {"sin": np.sin, "cos": np.cos, "log": np.log, "exp": np.exp}
-_BINARY_FN = {
-    "add": np.add,
-    "sub": np.subtract,
-    "mul": np.multiply,
-    "div": np.true_divide,
-}
+# skeletons evaluated and fitted per numpy call: enough to spread the
+# per-call cost, few enough that each block temporary (_CHUNK_ROWS x n
+# floats) stays small next to the skeleton tables; 4096 raised the peak RSS
+_CHUNK_ROWS = 1024
 
 
 @dataclass
@@ -52,10 +51,10 @@ class FeynmanConfig:
             raise ValueError("max_poly_degree must be >= 1")
         if self.max_brute_nodes < 1:
             raise ValueError("max_brute_nodes must be >= 1")
-        unknown = set(self.unary_set) - set(_BRUTE_UNARY)
+        unknown = set(self.unary_set) - set(UNARY_UFUNC)
         if unknown:
             raise ValueError(f"unsupported unary ops: {sorted(unknown)}")
-        unknown = set(self.binary_set) - set(BINARY_OPS)
+        unknown = set(self.binary_set) - set(BINARY_UFUNC)
         if unknown:
             raise ValueError(f"unsupported binary ops: {sorted(unknown)}")
         if self.time_budget is not None and self.time_budget < 0:
@@ -161,6 +160,11 @@ def brute_force(
     arguments are kept in printed order so each shape appears once, and
     skeletons that evaluate outside the reals anywhere on the data are
     dropped along with everything they would compose into.
+
+    Skeletons are evaluated and fitted in blocks of rows. Each row's fit
+    takes the same dot products as a fit of that skeleton alone, so the
+    constants and RMSEs are bit-identical to a per-skeleton fit, and the
+    candidates come out in enumeration order.
     """
     cfg = config if config is not None else FeynmanConfig()
     states = data.states
@@ -173,61 +177,119 @@ def brute_force(
         deadline = time.monotonic() + cfg.time_budget
     candidates: list[CandidateSolution] = []
 
-    def emit(expr, values):
-        gg = float(values @ values)
-        if not math.isfinite(gg) or gg <= 0.0:
-            return
-        c = float(targets @ values) / gg
-        if not math.isfinite(c):
-            return
-        resid = c * values - targets
-        rmse = math.sqrt(float(resid @ resid) / n)
-        if not math.isfinite(rmse):
-            return
-        full = Binary("mul", Const(c), expr)
-        candidates.append(CandidateSolution(full, rmse, complexity(full)))
+    def emit(size, exprs, block):
+        # np.vecdot reaches the same BLAS dot as `values @ values` for a
+        # single row; einsum and gemv sum in another order
+        gg = np.vecdot(block, block)
+        c = np.vecdot(block, targets) / gg
+        resid = c[:, None] * block - targets
+        rmse = np.sqrt(np.vecdot(resid, resid) / n)
+        ok = np.isfinite(gg) & (gg > 0.0) & np.isfinite(c) & np.isfinite(rmse)
+        rows = np.flatnonzero(ok)
+        for i, ci, ri in zip(rows.tolist(), c[rows].tolist(), rmse[rows].tolist()):
+            full = Binary("mul", Const(ci), exprs[i])
+            candidates.append(CandidateSolution(full, ri, size + 2))
 
-    table: dict[int, list] = {1: []}
+    # size -> (skeletons, printed forms, (skeletons, n) values on the data)
+    table: dict[int, tuple[list, list, np.ndarray]] = {}
     with np.errstate(all="ignore"):
-        for v in vars_:
-            expr = Var(v)
-            values = states[:, v].astype(float)
-            table[1].append((expr, print_expr(expr), values))
-            emit(expr, values)
+        exprs = [Var(v) for v in vars_]
+        values = np.ascontiguousarray(states[:, list(vars_)].T, dtype=float)
+        table[1] = (exprs, [print_expr(e) for e in exprs], values)
+        emit(1, exprs, values)
         for size in range(2, cfg.max_brute_nodes + 1):
             keep = size < cfg.max_brute_nodes
-            entries = []
+            grown_exprs: list = []
+            grown_strs: list = []
+            grown_values = None
+            if keep:
+                # room for every skeleton of this size; the finite ones are
+                # written in place, in order, and pages never written are
+                # never resident (blocks concatenated at the end would leave
+                # their freed memory in the heap and raise the peak RSS)
+                counts = [len(table[s][0]) for s in range(1, size)]
+                most = len(cfg.unary_set) * counts[-1] + len(cfg.binary_set) * sum(
+                    counts[a - 1] * counts[size - 2 - a] for a in range(1, size - 1)
+                )
+                grown_values = np.empty((most, n))
             for op in cfg.unary_set:
                 if deadline is not None and time.monotonic() > deadline:
                     return candidates
-                fn = _UNARY_FN[op]
-                for child, _, child_values in table[size - 1]:
-                    values = fn(child_values)
-                    if not np.isfinite(values).all():
-                        continue
-                    expr = Unary(op, child)
+                fn = UNARY_UFUNC[op]
+                child_exprs, child_strs, child_values = table[size - 1]
+                for lo in range(0, len(child_exprs), _CHUNK_ROWS):
+                    block = fn(child_values[lo : lo + _CHUNK_ROWS])
+                    finite, block = _finite_rows(
+                        block, grown_values, len(grown_exprs)
+                    )
+                    rows = (np.flatnonzero(finite) + lo).tolist()
+                    exprs = [Unary(op, child_exprs[i]) for i in rows]
+                    emit(size, exprs, block)
                     if keep:
-                        entries.append((expr, print_expr(expr), values))
-                    emit(expr, values)
+                        grown_exprs.extend(exprs)
+                        grown_strs.extend(f"{op}({child_strs[i]})" for i in rows)
+            ranks = _printed_ranks(table, size - 2)
             for op in cfg.binary_set:
-                fn = _BINARY_FN[op]
-                commutative = op in ("add", "mul")
+                fn = BINARY_UFUNC[op]
+                symbol = _BINARY_SYMBOL[op]
                 for left_size in range(1, size - 1):
                     if deadline is not None and time.monotonic() > deadline:
                         return candidates
-                    for left, left_str, left_values in table[left_size]:
-                        for right, right_str, right_values in table[size - 1 - left_size]:
-                            if commutative and left_str > right_str:
-                                continue
-                            values = fn(left_values, right_values)
-                            if not np.isfinite(values).all():
-                                continue
-                            expr = Binary(op, left, right)
-                            if keep:
-                                entries.append((expr, print_expr(expr), values))
-                            emit(expr, values)
-            table[size] = entries
+                    right_size = size - 1 - left_size
+                    left_exprs, left_strs, left_values = table[left_size]
+                    right_exprs, right_strs, right_values = table[right_size]
+                    pairs = np.arange(len(left_exprs) * len(right_exprs))
+                    li, ri = np.divmod(pairs, len(right_exprs))
+                    if op in _COMMUTATIVE:
+                        ordered = ranks[left_size][li] <= ranks[right_size][ri]
+                        li, ri = li[ordered], ri[ordered]
+                    for lo in range(0, len(li), _CHUNK_ROWS):
+                        l_rows = li[lo : lo + _CHUNK_ROWS]
+                        r_rows = ri[lo : lo + _CHUNK_ROWS]
+                        block = fn(left_values[l_rows], right_values[r_rows])
+                        finite, block = _finite_rows(
+                            block, grown_values, len(grown_exprs)
+                        )
+                        rows = list(
+                            zip(l_rows[finite].tolist(), r_rows[finite].tolist())
+                        )
+                        exprs = [
+                            Binary(op, left_exprs[a], right_exprs[b]) for a, b in rows
+                        ]
+                        emit(size, exprs, block)
+                        if keep:
+                            grown_exprs.extend(exprs)
+                            grown_strs.extend(
+                                f"({left_strs[a]} {symbol} {right_strs[b]})"
+                                for a, b in rows
+                            )
+            if keep:
+                grown_values = grown_values[: len(grown_exprs)]
+                table[size] = (grown_exprs, grown_strs, grown_values)
     return candidates
+
+
+def _finite_rows(block, out, at):
+    """The mask of block's rows that stay in the reals, and those rows. With
+    a table buffer `out`, the rows are written to it from row `at` (the
+    number of entries kept so far) and returned as that view."""
+    finite = np.isfinite(block).all(axis=1)
+    if out is None:
+        return finite, block[finite]
+    rows = out[at : at + np.count_nonzero(finite)]
+    np.compress(finite, block, axis=0, out=rows)
+    return finite, rows
+
+
+def _printed_ranks(table, max_size: int) -> dict[int, np.ndarray]:
+    """Rank of each printed form among all table entries up to max_size, so
+    the commutative `left <= right` order is an integer comparison."""
+    order = sorted(s for size in range(1, max_size + 1) for s in table[size][1])
+    rank = {s: r for r, s in enumerate(order)}
+    return {
+        size: np.array([rank[s] for s in table[size][1]], dtype=np.intp)
+        for size in range(1, max_size + 1)
+    }
 
 
 def separability_split(data: RegressionDataset, tolerance: float = 1e-2):

@@ -4,7 +4,7 @@ targets, elitist top-fraction selection, one mutant per survivor."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np

@@ -8,7 +8,7 @@ the search strategies try to recover (target_dim).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np

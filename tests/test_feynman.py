@@ -15,6 +15,7 @@ from odesr.expressions import (
     print_expr,
 )
 from odesr.feynman import (
+    _CHUNK_ROWS,
     FeynmanConfig,
     ParetoFront,
     brute_force,
@@ -178,6 +179,100 @@ def test_brute_force_matches_exhaustive_enumeration(planted_sine):
     got = [print_expr(c.expr.right) for c in brute_force(data, cfg)]
     assert len(got) == len(set(got))
     assert set(got) == expected
+
+
+def reference_brute_force(data, cfg, variables=None):
+    """The per-skeleton loop that brute_force's block evaluation replaced:
+    one numpy call and one closed-form fit per candidate. Returns the
+    candidates as (expr, train_rmse) pairs, the number of skeletons dropped
+    for leaving the reals, and the largest number of skeletons built from
+    one (operator, left size) group."""
+    unary_fn = {"sin": np.sin, "cos": np.cos, "log": np.log, "exp": np.exp}
+    binary_fn = {
+        "add": np.add,
+        "sub": np.subtract,
+        "mul": np.multiply,
+        "div": np.true_divide,
+    }
+    targets = np.asarray(data.targets, dtype=float)
+    n = len(targets)
+    vars_ = tuple(range(data.states.shape[1])) if variables is None else variables
+    out = []
+    dropped = 0
+    largest_group = 0
+
+    def emit(expr, values):
+        gg = float(values @ values)
+        if not math.isfinite(gg) or gg <= 0.0:
+            return
+        c = float(targets @ values) / gg
+        if not math.isfinite(c):
+            return
+        resid = c * values - targets
+        rmse = math.sqrt(float(resid @ resid) / n)
+        if not math.isfinite(rmse):
+            return
+        out.append((Binary("mul", Const(c), expr), rmse))
+
+    table = {1: []}
+    with np.errstate(all="ignore"):
+        for v in vars_:
+            values = data.states[:, v].astype(float)
+            table[1].append((Var(v), print_expr(Var(v)), values))
+            emit(Var(v), values)
+        for size in range(2, cfg.max_brute_nodes + 1):
+            entries = []
+            for op in cfg.unary_set:
+                largest_group = max(largest_group, len(table[size - 1]))
+                for child, _, child_values in table[size - 1]:
+                    values = unary_fn[op](child_values)
+                    if not np.isfinite(values).all():
+                        dropped += 1
+                        continue
+                    expr = Unary(op, child)
+                    entries.append((expr, print_expr(expr), values))
+                    emit(expr, values)
+            for op in cfg.binary_set:
+                for left_size in range(1, size - 1):
+                    group = 0
+                    right_table = table[size - 1 - left_size]
+                    for left, left_str, left_values in table[left_size]:
+                        for right, right_str, right_values in right_table:
+                            if op in ("add", "mul") and left_str > right_str:
+                                continue
+                            group += 1
+                            values = binary_fn[op](left_values, right_values)
+                            if not np.isfinite(values).all():
+                                dropped += 1
+                                continue
+                            expr = Binary(op, left, right)
+                            entries.append((expr, print_expr(expr), values))
+                            emit(expr, values)
+                    largest_group = max(largest_group, group)
+            table[size] = entries
+    return out, dropped, largest_group
+
+
+@pytest.mark.parametrize("variables", [None, (0, 2)])
+def test_brute_force_matches_per_candidate_reference(variables):
+    """Block evaluation returns exactly the per-skeleton loop's candidates:
+    the same printed forms in the same order and the same RMSE bits."""
+    rng = np.random.default_rng(12)
+    # x2 and x3 take negative values, so log() of them leaves the reals
+    xs = rng.uniform(-1.5, 2.0, size=(60, 3))
+    xs[:, 0] = np.abs(xs[:, 0]) + 0.1
+    targets = 0.7 * xs[:, 0] * np.sin(xs[:, 1]) - xs[:, 2] ** 2
+    data = dataset_from(xs, targets)
+    cfg = FeynmanConfig(max_brute_nodes=6)
+    want, dropped, largest_group = reference_brute_force(data, cfg, variables)
+    assert dropped > 0
+    assert largest_group > _CHUNK_ROWS
+
+    got = brute_force(data, cfg, variables)
+    assert [print_expr(c.expr) for c in got] == [print_expr(e) for e, _ in want]
+    assert [c.train_rmse for c in got] == [rmse for _, rmse in want]
+    assert all(type(c.train_rmse) is float for c in got)
+    assert [c.complexity for c in got] == [complexity(c.expr) for c in got]
 
 
 def test_brute_force_discards_domain_violations():
@@ -407,6 +502,9 @@ def test_config_validation():
         FeynmanConfig(unary_set=("sinh",))
     with pytest.raises(ValueError):
         FeynmanConfig(binary_set=("pow2",))
+    # an expression operator without a brute-force ufunc
+    with pytest.raises(ValueError):
+        FeynmanConfig(binary_set=("pow",))
 
 
 def test_pareto_csv_round_trip(tmp_path, planted_sine):
