@@ -5,12 +5,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .expressions import Expr, complexity, evaluate_batch
-from .genomes import Genome, Grammar, decode, mutate, random_genome
+from .expressions import Expr, complexity, evaluate_batch, print_expr
+from .genomes import Genome, Grammar, _mutate_decoded, _random_decoded
+
+# public genome operations, reachable as odesr.ga.<name>; perfbench traces
+# them at these names
+from .genomes import decode, mutate, random_genome  # noqa: F401
 from .integrate import RegressionDataset
 
 
@@ -79,6 +83,26 @@ def make_candidate(
     )
 
 
+def _scorer(data: RegressionDataset) -> Callable[[Genome, Expr], CandidateSolution]:
+    """Candidate builder that computes fitness and complexity once per
+    printed form; the memo lives as long as the returned function.
+
+    The key is the printed form, not the tree: dataclass equality makes
+    Const(0.0) == Const(-0.0) and Const(1) == Const(1.0), which print
+    differently. Each call returns a new CandidateSolution, since callers
+    may mutate it."""
+    scores: dict[str, tuple[float, int]] = {}
+
+    def score(genome: Genome, expr: Expr) -> CandidateSolution:
+        key = print_expr(expr)
+        cached = scores.get(key)
+        if cached is None:
+            cached = scores[key] = (fitness(expr, data), complexity(expr))
+        return CandidateSolution(expr, cached[0], cached[1], genome)
+
+    return score
+
+
 def _sorted_by_fitness(pop: Sequence[CandidateSolution]) -> list[CandidateSolution]:
     # ties: lower complexity first, then original position (stable)
     return [
@@ -97,6 +121,16 @@ def step(
     rng: np.random.Generator,
 ) -> list[CandidateSolution]:
     """One generation: survivors pass unchanged, mutants fill back to N."""
+    return _step(pop, config, grammar, rng, _scorer(data))
+
+
+def _step(
+    pop: list[CandidateSolution],
+    config: GAConfig,
+    grammar: Grammar,
+    rng: np.random.Generator,
+    score: Callable[[Genome, Expr], CandidateSolution],
+) -> list[CandidateSolution]:
     n = config.population_size
     if len(pop) != n:
         raise ValueError(f"population size {len(pop)} != configured {n}")
@@ -106,8 +140,9 @@ def step(
     i = 0
     while len(next_pop) < n:
         parent = survivors[i % n_survivors]
-        genome = mutate(parent.genome, grammar, rng, config.mutation_rate)
-        next_pop.append(make_candidate(decode(genome, grammar), data, genome))
+        next_pop.append(
+            score(*_mutate_decoded(parent.genome, grammar, rng, config.mutation_rate))
+        )
         i += 1
     return next_pop
 
@@ -118,17 +153,20 @@ def run_ga(
     """Full GA run from a fresh seeded population.
 
     Returns the best-ever candidate and the per-generation best fitness
-    (non-increasing thanks to elitism).
+    (non-increasing thanks to elitism). Fitness is memoised by printed
+    expression for the length of the run; results and RNG draws are those
+    of evaluating every candidate.
     """
     rng = np.random.default_rng(config.seed)
-    pop = []
-    for _ in range(config.population_size):
-        genome = random_genome(config.bitstring_length, grammar, rng)
-        pop.append(make_candidate(decode(genome, grammar), data, genome))
+    score = _scorer(data)
+    pop = [
+        score(*_random_decoded(config.bitstring_length, grammar, rng))
+        for _ in range(config.population_size)
+    ]
     best = _sorted_by_fitness(pop)[0]
     history: list[float] = []
     for _ in range(config.iterations):
-        pop = step(pop, config, data, grammar, rng)
+        pop = _step(pop, config, grammar, rng, score)
         gen_best = _sorted_by_fitness(pop)[0]
         if (gen_best.train_rmse, gen_best.complexity) < (best.train_rmse, best.complexity):
             best = gen_best

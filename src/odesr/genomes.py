@@ -16,7 +16,7 @@ is no wrap-around.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -42,27 +42,22 @@ def _codon_width(n_rules: int) -> int:
 class Grammar:
     variable_count: int
     constant_pool: tuple[float, ...]
+    # codon widths, derived once here rather than on every codon read; they
+    # take no part in equality, hashing or repr
+    expr_width: int = field(init=False, repr=False, compare=False)
+    op_width: int = field(init=False, repr=False, compare=False)
+    unary_width: int = field(init=False, repr=False, compare=False)
+    var_width: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.variable_count < 1:
             raise ValueError("need at least one variable")
-        object.__setattr__(self, "constant_pool", tuple(self.constant_pool))
-
-    @property
-    def expr_width(self) -> int:
-        return _codon_width(3)
-
-    @property
-    def op_width(self) -> int:
-        return _codon_width(len(BINARY_OPS))
-
-    @property
-    def unary_width(self) -> int:
-        return _codon_width(len(UNARY_OPS))
-
-    @property
-    def var_width(self) -> int:
-        return _codon_width(self.variable_count + len(self.constant_pool))
+        pool = tuple(self.constant_pool)
+        object.__setattr__(self, "constant_pool", pool)
+        object.__setattr__(self, "expr_width", _codon_width(3))
+        object.__setattr__(self, "op_width", _codon_width(len(BINARY_OPS)))
+        object.__setattr__(self, "unary_width", _codon_width(len(UNARY_OPS)))
+        object.__setattr__(self, "var_width", _codon_width(self.variable_count + len(pool)))
 
 
 def grammar_for_system(name: str, constant_pool: Sequence[float] | None = None) -> Grammar:
@@ -78,7 +73,11 @@ class Genome:
     bits: tuple[int, ...]
 
     def __post_init__(self):
-        if any(b not in (0, 1) for b in self.bits):
+        # types first: 1.0 == 1, so a value check alone lets floats through
+        # and decode then fails on `int | float`
+        if not all(issubclass(t, (int, np.integer)) for t in set(map(type, self.bits))):
+            raise ValueError("genome bits must be integers 0 or 1")
+        if not set(self.bits) <= {0, 1}:
             raise ValueError("genome bits must be 0 or 1")
 
     def to_string(self) -> str:
@@ -94,16 +93,18 @@ class Genome:
 def _decode(bits: Sequence[int], grammar: Grammar) -> tuple[Expr | None, int]:
     """Decode returning (expression, bits consumed); (None, pos) on exhaustion."""
     n_leaves = grammar.variable_count + len(grammar.constant_pool)
+    n_bits = len(bits)
     pos = 0
 
     def take(width: int) -> int | None:
         nonlocal pos
-        if pos + width > len(bits):
+        end = pos + width
+        if end > n_bits:
             return None
         value = 0
-        for b in bits[pos : pos + width]:
+        for b in bits[pos:end]:
             value = (value << 1) | b
-        pos += width
+        pos = end
         return value
 
     def expr() -> Expr | None:
@@ -153,10 +154,21 @@ def random_genome(
     max_attempts: int = 10_000,
 ) -> Genome:
     """Sample uniform bitstrings until one decodes; invalid draws are discarded."""
+    return _random_decoded(length, grammar, rng, max_attempts)[0]
+
+
+def _random_decoded(
+    length: int,
+    grammar: Grammar,
+    rng: np.random.Generator,
+    max_attempts: int = 10_000,
+) -> tuple[Genome, Expr]:
+    """random_genome that also returns the expression its validity check built."""
     for _ in range(max_attempts):
-        bits = tuple(int(b) for b in rng.integers(0, 2, size=length))
-        if _decode(bits, grammar)[0] is not None:
-            return Genome(bits)
+        bits = tuple(rng.integers(0, 2, size=length).tolist())
+        expr = _decode(bits, grammar)[0]
+        if expr is not None:
+            return Genome(bits), expr
     raise SamplingError(
         f"no valid genome in {max_attempts} attempts "
         f"(k={grammar.variable_count}, pool size {len(grammar.constant_pool)}, "
@@ -173,12 +185,24 @@ def mutate(
 ) -> Genome:
     """Flip each bit with probability rate; resample flips from the original
     genome until the result decodes."""
+    return _mutate_decoded(genome, grammar, rng, rate, max_attempts)[0]
+
+
+def _mutate_decoded(
+    genome: Genome,
+    grammar: Grammar,
+    rng: np.random.Generator,
+    rate: float = 0.1,
+    max_attempts: int = 10_000,
+) -> tuple[Genome, Expr]:
+    """mutate that also returns the expression its validity check built."""
     original = np.array(genome.bits, dtype=np.int64)
     for _ in range(max_attempts):
         flips = rng.random(len(original)) < rate
-        bits = tuple(int(b) for b in (original ^ flips))
-        if _decode(bits, grammar)[0] is not None:
-            return Genome(bits)
+        bits = tuple((original ^ flips).tolist())
+        expr = _decode(bits, grammar)[0]
+        if expr is not None:
+            return Genome(bits), expr
     raise SamplingError(
         f"no valid mutation in {max_attempts} attempts (rate={rate}, "
         f"length {len(original)})"

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from odesr import ga
 from odesr.expressions import Binary, Const, Unary, Var, print_expr
 from odesr.ga import (
     CandidateSolution,
@@ -13,9 +15,14 @@ from odesr.ga import (
     run_ga,
     step,
 )
-from odesr.genomes import decode, grammar_for_system, random_genome
-from odesr.integrate import RegressionDataset, finite_differences, make_trajectory
-from odesr.systems import lotka_volterra, simple_pendulum
+from odesr.genomes import Genome, decode, grammar_for_system, random_genome
+from odesr.integrate import (
+    RegressionDataset,
+    finite_differences,
+    make_dataset,
+    make_trajectory,
+)
+from odesr.systems import get_system, lotka_volterra, simple_pendulum
 
 
 @pytest.fixture(scope="module")
@@ -148,3 +155,137 @@ def test_run_history_non_increasing_and_reproducible(lv_planted):
     assert print_expr(best_a.expr) == print_expr(best_b.expr)
     assert all(x >= y for x, y in zip(hist_a, hist_a[1:]))
     assert best_a.train_rmse == min(hist_a)
+
+
+def reference_run_ga(config, data, grammar, rng):
+    """run_ga without the fitness memo, drawing from rng as random_genome and
+    mutate always have: every genome is decoded again after its validity
+    check and every candidate is evaluated."""
+
+    def ranked(pop):
+        order = sorted(
+            range(len(pop)), key=lambda i: (pop[i].train_rmse, pop[i].complexity, i)
+        )
+        return [pop[i] for i in order]
+
+    def sample():
+        while True:
+            bits = rng.integers(0, 2, size=config.bitstring_length)
+            genome = Genome(tuple(int(b) for b in bits))
+            if decode(genome, grammar) is not None:
+                return genome
+
+    def mutant(parent):
+        original = np.array(parent.bits, dtype=np.int64)
+        while True:
+            flips = rng.random(len(original)) < config.mutation_rate
+            genome = Genome(tuple(int(b) for b in (original ^ flips)))
+            if decode(genome, grammar) is not None:
+                return genome
+
+    pop = []
+    for _ in range(config.population_size):
+        genome = sample()
+        pop.append(make_candidate(decode(genome, grammar), data, genome))
+    best = ranked(pop)[0]
+    history = []
+    n = config.population_size
+    n_survivors = math.ceil(n * config.selection_fraction)
+    for _ in range(config.iterations):
+        survivors = ranked(pop)[:n_survivors]
+        pop = list(survivors)
+        i = 0
+        while len(pop) < n:
+            parent = survivors[i % n_survivors]
+            genome = mutant(parent.genome)
+            pop.append(make_candidate(decode(genome, grammar), data, genome))
+            i += 1
+        gen_best = ranked(pop)[0]
+        if (gen_best.train_rmse, gen_best.complexity) < (best.train_rmse, best.complexity):
+            best = gen_best
+        history.append(gen_best.train_rmse)
+    return best, history
+
+
+def run_ga_observed(monkeypatch, config, data, grammar):
+    """run_ga, also returning its generator and the printed form of every
+    expression passed to fitness."""
+    generators = []
+    evaluated = []
+    default_rng = np.random.default_rng
+    fitness_fn = ga.fitness
+
+    def recording_rng(seed):
+        generators.append(default_rng(seed))
+        return generators[-1]
+
+    def recording_fitness(expr, data):
+        evaluated.append(print_expr(expr))
+        return fitness_fn(expr, data)
+
+    with monkeypatch.context() as m:
+        m.setattr(np.random, "default_rng", recording_rng)
+        m.setattr(ga, "fitness", recording_fitness)
+        best, history = run_ga(config, data, grammar)
+    (rng,) = generators
+    return best, history, rng, evaluated
+
+
+@pytest.mark.parametrize(
+    "system_name, pool",
+    [
+        ("lotka_volterra", None),
+        ("simple_pendulum", None),
+        ("cart_pole", None),
+        # equal as trees, distinct in print
+        ("lotka_volterra", (0.0, -0.0, 1.0, 1.5)),
+    ],
+)
+def test_run_ga_matches_unmemoised_reference(monkeypatch, system_name, pool):
+    data = make_dataset(get_system(system_name), 0.1, "train")
+    grammar = grammar_for_system(system_name, pool)
+    config = dataclasses.replace(
+        default_ga_config(system_name, seed=7), population_size=16, iterations=12
+    )
+    ref_rng = np.random.default_rng(config.seed)
+    ref_best, ref_history = reference_run_ga(config, data, grammar, ref_rng)
+
+    best, history, rng, evaluated = run_ga_observed(monkeypatch, config, data, grammar)
+
+    assert print_expr(best.expr) == print_expr(ref_best.expr)
+    assert best.train_rmse.hex() == ref_best.train_rmse.hex()
+    assert best.complexity == ref_best.complexity
+    assert best.genome == ref_best.genome
+    assert [h.hex() for h in history] == [h.hex() for h in ref_history]
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    # each printed form is evaluated once, and repeats do occur
+    assert len(set(evaluated)) == len(evaluated)
+    assert len(evaluated) < config.population_size * (config.iterations + 1)
+    if pool is not None:
+        assert any("(-0.0)" in s for s in evaluated)
+        assert any("0.0" in s.replace("(-0.0)", "") for s in evaluated)
+
+
+def test_fitness_memo_is_scoped_to_one_run(lv_planted):
+    grammar = grammar_for_system("lotka_volterra")
+    config = GAConfig(population_size=10, iterations=4, seed=4)
+    doubled = dataclasses.replace(lv_planted, targets=2.0 * lv_planted.targets)
+    for data in (lv_planted, doubled, lv_planted):
+        best, history = run_ga(config, data, grammar)
+        ref_best, ref_history = reference_run_ga(
+            config, data, grammar, np.random.default_rng(config.seed)
+        )
+        assert best.train_rmse == fitness(best.expr, data)
+        assert history == ref_history
+
+
+def test_memoised_candidates_keep_their_own_expression(zero_dataset):
+    score = ga._scorer(zero_dataset)
+    genome = Genome((1, 0, 0, 1, 0))
+    positive = score(genome, Const(0.0))
+    negative = score(genome, Const(-0.0))
+    assert print_expr(negative.expr) == "(-0.0)"
+    assert negative is not positive
+    # the memo holds scores, not candidates, so callers may edit theirs
+    positive.train_rmse = math.inf
+    assert score(genome, Const(0.0)).train_rmse == 0.0

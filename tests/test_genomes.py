@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,6 +39,18 @@ def test_codon_widths():
     assert LV.var_width == 3
     cp = grammar_for_system("cart_pole")
     assert cp.var_width == 4  # 4 vars + 7 constants = 11 rules
+
+
+def test_stored_widths_leave_equality_hash_and_repr_alone():
+    same = Grammar(variable_count=2, constant_pool=[1.0, 1.5, -3.0, -1.0])
+    assert same == LV and hash(same) == hash(LV)
+    assert {LV: "lv"}[same] == "lv"
+    assert repr(same) == "Grammar(variable_count=2, constant_pool=(1.0, 1.5, -3.0, -1.0))"
+    assert Grammar(variable_count=3, constant_pool=LV.constant_pool) != LV
+    # replace goes through __init__, so the widths follow the new fields
+    wider = dataclasses.replace(LV, constant_pool=LV.constant_pool + (2.0, 3.0, 4.0))
+    assert wider.var_width == 4  # 2 vars + 7 constants = 9 rules
+    assert dataclasses.replace(wider, variable_count=1).var_width == 3  # 8 rules
 
 
 def test_all_zero_genome_is_invalid():
@@ -90,6 +104,17 @@ def test_genome_string_round_trip():
     assert Genome.from_string(g.to_string()) == g
     with pytest.raises(ValueError):
         Genome.from_string("10a01")
+
+
+def test_genome_rejects_non_integer_bits():
+    # 1.0 == 1, so only a type check catches these before decode does
+    with pytest.raises(ValueError, match="integers"):
+        Genome((1.0, 0.0, 1, 0, 0))
+    with pytest.raises(ValueError, match="0 or 1"):
+        Genome((1, 0, 2, 0, 0))
+    from_numpy = Genome(tuple(np.array([1, 0, 0, 0, 0])))
+    assert decode(from_numpy, LV) == Var(0)
+    assert Genome((True, False, 0, 0, 0)) == bits("10 000")
 
 
 @given(st.integers(0, 2**20 - 1))
