@@ -12,8 +12,7 @@ from pathlib import Path
 
 from odesr.benchmark import METHODS, rollout_with_estimate, run_fit, write_rollout_csv
 from odesr.expressions import parse_expr
-from odesr.feynman import run_pipeline, write_pareto_csv
-from odesr.integrate import make_dataset
+from odesr.feynman import write_pareto_rows
 from odesr.systems import SYSTEM_NAMES, get_system
 
 
@@ -33,6 +32,8 @@ def main() -> None:
         system = get_system(name)
         for method in METHODS:
             record = run_fit(method, system, seed=args.seed)
+            if method == "feynman":
+                pareto = record["pareto"]
             expr = parse_expr(record["expression"], system.variable_names)
             rollout = rollout_with_estimate(expr, system)
             path = out / f"{name}_{method}_rollout.csv"
@@ -45,10 +46,9 @@ def main() -> None:
                 f"wrote {path}{note}"
             )
 
-        _, front = run_pipeline(make_dataset(system, 0.1, "train"))
         pareto_path = out / f"{name}_pareto.csv"
-        write_pareto_csv(front, pareto_path, system.variable_names)
-        print(f"{name}: wrote {pareto_path} ({len(front.candidates)} candidates)")
+        write_pareto_rows(pareto, pareto_path)
+        print(f"{name}: wrote {pareto_path} ({len(pareto)} candidates)")
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ from .expressions import (
     Time,
     Unary,
     Var,
+    compile_scalar,
     complexity,
     evaluate,
     evaluate_batch,
@@ -84,6 +85,7 @@ __all__ = [
     "Var",
     "basis_from_strings",
     "brute_force",
+    "compile_scalar",
     "complexity",
     "decode",
     "default_ga_config",

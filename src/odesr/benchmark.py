@@ -12,10 +12,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .expressions import Expr, evaluate, evaluate_batch, print_expr
-from .feynman import FeynmanConfig, run_pipeline
+# evaluate is not called here; it stays importable from this module because
+# perfbench/spans.py traces the scalar path at this name
+from .expressions import (  # noqa: F401
+    Expr,
+    compile_scalar,
+    evaluate,
+    evaluate_batch,
+    print_expr,
+)
+from .feynman import FeynmanConfig, pareto_rows, run_pipeline
 from .ga import GA_DEFAULTS, GAConfig, run_ga
-from .genomes import CONSTANT_POOLS, Grammar
+from .genomes import CONSTANT_POOLS, Grammar, SamplingError
 from .integrate import (
     IntegrationError,
     IntegratorConfig,
@@ -99,10 +107,11 @@ def rollout_with_estimate(
     if span is None:
         span = (system.train_span[0], system.test_span[1])
     truth = integrate(system.rhs, system.initial_state, span, sample_dt, config)
+    estimate = compile_scalar(expr)
 
     def hybrid_rhs(t, state):
         out = np.array(system.rhs(t, state), dtype=float)
-        out[system.target_dim] = evaluate(expr, t, state)
+        out[system.target_dim] = estimate(t, state)
         return out
 
     try:
@@ -180,14 +189,7 @@ def run_fit(
     elif method == "feynman":
         best, front = run_pipeline(data, feynman)
         expr, train_rmse, comp = best.expr, best.train_rmse, best.complexity
-        pareto = [
-            {
-                "complexity": c.complexity,
-                "train_rmse": c.train_rmse,
-                "expression": print_expr(c.expr, names),
-            }
-            for c in front.candidates
-        ]
+        pareto = pareto_rows(front, names)
         warnings = ["DynAIFeynman-lite"]
     else:
         raise ValueError(f"unknown method {method!r}")
@@ -218,7 +220,9 @@ def run_benchmark(
 ) -> list[BenchmarkResult]:
     """Sweep methods over systems. Seeded methods run with seeds
     base_seed..base_seed+repetitions-1; deterministic ones run once with a
-    std of 0. A failing run is recorded and the sweep continues."""
+    std of 0. A run that fails numerically (IntegrationError, SamplingError,
+    LinAlgError) or on its configuration (ValueError) is recorded and the
+    sweep continues; any other exception propagates."""
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     methods = tuple(methods) if methods else METHODS
@@ -242,7 +246,12 @@ def run_benchmark(
                     record = run_fit(
                         method, system, seed=seed, sample_dt=sample_dt, **kwargs
                     )
-                except Exception as err:  # one divergent run must not kill the sweep
+                except (
+                    IntegrationError,
+                    SamplingError,
+                    np.linalg.LinAlgError,
+                    ValueError,
+                ) as err:  # one divergent run must not kill the sweep
                     record = {
                         "method": method,
                         "system": system_name,

@@ -28,7 +28,7 @@ from .genomes import SamplingError
 from .integrate import (
     IntegrationError,
     IntegratorConfig,
-    make_dataset,
+    finite_differences,
     make_trajectory,
     write_trajectory_csv,
 )
@@ -122,7 +122,7 @@ def cmd_generate(args) -> int:
         traj = make_trajectory(system, split, args.dt, integrator)
         traj_path = f"{base}_{split}.csv"
         write_trajectory_csv(traj, system.variable_names, traj_path)
-        data = make_dataset(system, args.dt, split, integrator)
+        data = finite_differences(traj, system.target_dim)
         data_path = f"{base}_{split}_targets.csv"
         _write_dataset_csv(data, system.variable_names, data_path)
         print(f"wrote {traj_path} and {data_path}")

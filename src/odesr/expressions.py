@@ -5,14 +5,18 @@ vectorised over sample points and never raises on bad math: any point
 where a subexpression leaves the reals (log of a non-positive value,
 division by zero, overflow, a fractional power of a negative base)
 evaluates to nan, and nan propagates to the root.  Callers treat nan
-as "invalid here" rather than catching exceptions.
+as "invalid here" rather than catching exceptions.  For one point at a
+time (an ODE right-hand side), compile_scalar turns a tree into nested
+closures over Python floats that follow the same rules bit for bit.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
-from typing import Sequence, Union
+from math import isfinite, nan
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -100,9 +104,9 @@ def evaluate_batch(expr: Expr, times: np.ndarray, states: np.ndarray) -> np.ndar
 
 
 def evaluate(expr: Expr, t: float, x: Sequence[float]) -> float:
-    """Scalar evaluation; nan marks an invalid point."""
-    xs = np.asarray(x, dtype=float).reshape(1, -1)
-    return float(evaluate_batch(expr, np.array([float(t)]), xs)[0])
+    """Scalar evaluation; nan marks an invalid point.  To evaluate one
+    tree at many points, compile it once with compile_scalar."""
+    return compile_scalar(expr)(t, x)
 
 
 def _contain(out: np.ndarray, *parents: np.ndarray) -> np.ndarray:
@@ -116,7 +120,8 @@ def _contain(out: np.ndarray, *parents: np.ndarray) -> np.ndarray:
     return out
 
 
-def _int_pow(base: np.ndarray, n: int) -> np.ndarray:
+def _int_pow(base, n: int):
+    # arrays in _eval, finite floats in compile_scalar (n != 0 there)
     if n == 0:
         return np.ones_like(base)
     out = base
@@ -149,16 +154,135 @@ def _eval(expr: Expr, ts: np.ndarray, xs: np.ndarray) -> np.ndarray:
     if expr.op != "pow":
         out = BINARY_UFUNC[expr.op](l, r)
     else:
-        rc = expr.right
-        if (
-            isinstance(rc, Const)
-            and float(rc.value).is_integer()
-            and abs(rc.value) <= _MAX_INT_POW
-        ):
-            out = _int_pow(l, int(rc.value))
-        else:
-            out = np.power(l, r)
+        n = _int_exponent(expr)
+        out = np.power(l, r) if n is None else _int_pow(l, n)
     return _contain(out, l, r)
+
+
+def _int_exponent(expr: Binary) -> int | None:
+    """The exponent of a pow node if it is an exact integer constant."""
+    rc = expr.right
+    if (
+        isinstance(rc, Const)
+        and float(rc.value).is_integer()
+        and abs(rc.value) <= _MAX_INT_POW
+    ):
+        return int(rc.value)
+    return None
+
+
+# ----------------------------------------------------------- scalar compile
+
+# float versions of BINARY_UFUNC; ZeroDivisionError stands for numpy's
+# +-inf or nan, which _contain turns into nan
+_SCALAR_BINARY = {
+    "add": operator.add,
+    "sub": operator.sub,
+    "mul": operator.mul,
+    "div": operator.truediv,
+}
+
+# arguments on which each unary ufunc raises no floating-point exception
+# (sin underflows on subnormals); any other argument is evaluated under
+# errstate, as in evaluate_batch, so the value is the ufunc's either way
+_TINY = float(np.finfo(float).tiny)
+_QUIET_ARG = {
+    "sin": lambda a: a == 0.0 or abs(a) >= _TINY,
+    "cos": lambda a: True,
+    "log": lambda a: a > 0.0,
+    "exp": lambda a: -708.0 < a < 709.0,
+}
+
+
+def compile_scalar(expr: Expr) -> Callable[[float, Sequence[float]], float]:
+    """Compile expr once into a function of (t, x) at one point.
+
+    Each node becomes a closure over Python floats that keeps _eval's
+    rules: the same ufuncs for unary ops, IEEE arithmetic, _int_pow's
+    multiplication order, and nan wherever an operand or a result is not
+    finite.  The function returns evaluate_batch(expr, [t], [x])[0] bit
+    for bit without building an array per node.
+    """
+    node = _compile(expr)
+
+    def scalar(t: float, x: Sequence[float]) -> float:
+        return node(float(t), np.asarray(x, dtype=float).ravel().tolist())
+
+    return scalar
+
+
+def _compile(expr: Expr) -> Callable[[float, list[float]], float]:
+    if isinstance(expr, Const):
+        value = expr.value
+        return lambda t, xs: value
+    if isinstance(expr, Var):
+        index = expr.index
+
+        def var(t, xs):
+            try:
+                return xs[index]
+            except IndexError:
+                raise ValueError(
+                    f"variable index {index} out of range for "
+                    f"state dimension {len(xs)}"
+                ) from None
+
+        return var
+    if isinstance(expr, Time):
+        return lambda t, xs: t
+    if isinstance(expr, Unary):
+        arg = _compile(expr.arg)
+        if expr.op == "identity":
+            return arg
+        ufunc, quiet = UNARY_UFUNC[expr.op], _QUIET_ARG[expr.op]
+
+        def unary(t, xs):
+            a = arg(t, xs)
+            if not isfinite(a):
+                return nan
+            if quiet(a):
+                out = float(ufunc(a))
+            else:
+                with np.errstate(all="ignore"):
+                    out = float(ufunc(a))
+            return out if isfinite(out) else nan
+
+        return unary
+    left, right = _compile(expr.left), _compile(expr.right)
+    op = _scalar_binary(expr)
+
+    def binary(t, xs):
+        # both sides run first, so an out-of-range Var raises as in _eval
+        l = left(t, xs)
+        r = right(t, xs)
+        if not (isfinite(l) and isfinite(r)):
+            return nan
+        try:
+            out = op(l, r)
+        except ZeroDivisionError:
+            return nan
+        return out if isfinite(out) else nan
+
+    return binary
+
+
+def _scalar_binary(expr: Binary) -> Callable[[float, float], float]:
+    if expr.op != "pow":
+        return _SCALAR_BINARY[expr.op]
+    n = _int_exponent(expr)
+    if n is None:
+        return _power
+    if n == 0:
+        return lambda l, r: 1.0  # _int_pow's ones_like, as a float
+    return lambda l, r: _int_pow(l, n)
+
+
+def _power(l: float, r: float) -> float:
+    # 1-element arrays, as in _eval: on scalars and 0-d arrays numpy turns
+    # exponents 0.5, -1 and 2 into sqrt, reciprocal and square, whose last
+    # bit can differ from the power loop's
+    with np.errstate(all="ignore"):
+        return float(np.power(np.array([l]), np.array([r]))[0])
 
 
 # ---------------------------------------------------------------- complexity

@@ -414,15 +414,28 @@ def run_pipeline(data: RegressionDataset, config: FeynmanConfig | None = None):
     return _best(candidates), pareto_front(candidates)
 
 
+def pareto_rows(front: ParetoFront, variable_names=None) -> list[dict]:
+    """One row per front candidate: complexity, train RMSE, printed form."""
+    return [
+        {
+            "complexity": cand.complexity,
+            "train_rmse": cand.train_rmse,
+            "expression": print_expr(cand.expr, variable_names),
+        }
+        for cand in front.candidates
+    ]
+
+
 def write_pareto_csv(front: ParetoFront, path, variable_names=None) -> None:
+    write_pareto_rows(pareto_rows(front, variable_names), path)
+
+
+def write_pareto_rows(rows, path) -> None:
+    """Write pareto_rows output (also a run_fit record's "pareto") as CSV."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["complexity", "train_rmse", "expression"])
-        for cand in front.candidates:
+        for row in rows:
             writer.writerow(
-                [
-                    cand.complexity,
-                    repr(cand.train_rmse),
-                    print_expr(cand.expr, variable_names),
-                ]
+                [row["complexity"], repr(row["train_rmse"]), row["expression"]]
             )

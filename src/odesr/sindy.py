@@ -318,6 +318,8 @@ def fit(
     basis: BasisSet, data: RegressionDataset, config: SparseConfig | None = None
 ) -> SindyResult:
     """Design matrix, sparse solve, and expression assembly in one call."""
+    if not isinstance(basis, BasisSet):
+        raise ValueError(f"basis must be a BasisSet, got {type(basis).__name__}")
     if config is None:
         config = STLSQConfig()
     a = build_design_matrix(basis, data)

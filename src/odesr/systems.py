@@ -132,7 +132,7 @@ def expression_system(
 ) -> SystemSpec:
     """Build a system whose right-hand side is given as one expression
     string per dimension, e.g. ("x2", "-9.81 * sin(x1)")."""
-    from .expressions import evaluate, parse_expr
+    from .expressions import compile_scalar, parse_expr
 
     rhs_strings = tuple(rhs_strings)
     k = len(rhs_strings)
@@ -153,8 +153,10 @@ def expression_system(
     if not 0 <= target_dim < k:
         raise ValueError("target_dim out of range")
 
+    fns = tuple(compile_scalar(e) for e in exprs)
+
     def rhs(t: float, s: np.ndarray) -> np.ndarray:
-        return np.array([evaluate(e, t, s) for e in exprs])
+        return np.array([f(t, s) for f in fns])
 
     return SystemSpec(
         name=name,

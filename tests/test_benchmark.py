@@ -7,17 +7,19 @@ import pytest
 from odesr.benchmark import (
     GROUND_TRUTH_EXPRESSIONS,
     BenchmarkResult,
+    RolloutResult,
     rollout_with_estimate,
     run_benchmark,
     run_fit,
     write_rollout_csv,
 )
 from odesr.benchmark import test_error as held_out_error
-from odesr.expressions import Const, Unary, parse_expr, print_expr
+from odesr.expressions import Const, Unary, evaluate_batch, parse_expr, print_expr
 from odesr.feynman import FeynmanConfig
 from odesr.ga import GAConfig
-from odesr.integrate import make_trajectory
-from odesr.systems import get_system, lotka_volterra, simple_pendulum
+from odesr.integrate import IntegrationError, integrate, make_trajectory
+from odesr.sindy import preset_basis
+from odesr.systems import expression_system, get_system, lotka_volterra, simple_pendulum
 
 FAST_GA = GAConfig(population_size=10, iterations=5, bitstring_length=20)
 
@@ -83,6 +85,47 @@ def test_rollout_divergent_estimate_truncates():
     assert result.divergence_time is not None
     assert result.hybrid.times[-1] < 1.0
     assert len(result.hybrid.times) < len(result.truth.times)
+
+
+def reference_rollout(expr, system, sample_dt):
+    """The hybrid rollout as it was before the estimate was compiled: one
+    1-row evaluate_batch call per right-hand-side evaluation."""
+    span = (system.train_span[0], system.test_span[1])
+    truth = integrate(system.rhs, system.initial_state, span, sample_dt)
+
+    def hybrid_rhs(t, state):
+        out = np.array(system.rhs(t, state), dtype=float)
+        out[system.target_dim] = evaluate_batch(expr, [t], [state])[0]
+        return out
+
+    try:
+        hybrid = integrate(hybrid_rhs, system.initial_state, span, sample_dt)
+        divergence = None
+    except IntegrationError as err:
+        hybrid = err.partial
+        divergence = err.last_time
+    return RolloutResult(truth, hybrid, divergence)
+
+
+ROLLOUT_CASES = {
+    **{name: (name, text) for name, text in GROUND_TRUTH_EXPRESSIONS.items()},
+    "diverging": ("lotka_volterra", "exp(exp(y))"),
+}
+
+
+@pytest.mark.parametrize("sample_dt", [0.1, 0.025])
+@pytest.mark.parametrize("case", list(ROLLOUT_CASES))
+def test_rollout_matches_per_call_reference(case, sample_dt):
+    name, text = ROLLOUT_CASES[case]
+    system = get_system(name)
+    expr = parse_expr(text, system.variable_names)
+    got = rollout_with_estimate(expr, system, sample_dt=sample_dt)
+    want = reference_rollout(expr, system, sample_dt)
+    assert got.divergence_time == want.divergence_time
+    assert (got.divergence_time is not None) == (case == "diverging")
+    for a, b in ((got.truth, want.truth), (got.hybrid, want.hybrid)):
+        assert a.times.tobytes() == b.times.tobytes()
+        assert a.states.tobytes() == b.states.tobytes()
 
 
 def test_rollout_csv(tmp_path):
@@ -179,6 +222,27 @@ def test_benchmark_contains_run_failures():
     assert run["expression"] == ""
     assert run["test_error"] == math.inf
     assert any("run failed" in w for w in run["warnings"])
+
+
+def test_benchmark_records_integration_failures():
+    def resolver(name):
+        return expression_system(name, ["x1 ^ 2.0"], [1.0])
+
+    overrides = {("sindy", "boom"): {"basis": preset_basis("pendulum")}}
+    results = run_benchmark(["sindy"], ["boom"], overrides=overrides, resolver=resolver)
+    run = results[0].runs[0]
+    assert run["expression"] == ""
+    assert run["test_error"] == math.inf
+    assert any("run failed" in w and "t=" in w for w in run["warnings"])
+
+
+def test_benchmark_propagates_programming_errors(monkeypatch):
+    def broken(*args, **kwargs):
+        raise KeyError("not a numerical failure")
+
+    monkeypatch.setattr("odesr.benchmark.run_fit", broken)
+    with pytest.raises(KeyError, match="not a numerical failure"):
+        run_benchmark(["sindy"], ["lotka_volterra"])
 
 
 def test_benchmark_files_reproducible(tmp_path):

@@ -1,11 +1,13 @@
+import importlib
 import json
 import re
 
 import numpy as np
 import pytest
 
-from odesr.cli import main
-from odesr.integrate import read_trajectory_csv
+from odesr.cli import _write_dataset_csv, main
+from odesr.integrate import make_dataset, read_trajectory_csv
+from odesr.systems import lotka_volterra
 
 
 def write_config(tmp_path, payload):
@@ -32,6 +34,29 @@ def test_generate_writes_trajectories_and_datasets(tmp_path):
     targets = (tmp_path / "lv_train_targets.csv").read_text().splitlines()
     assert targets[0] == "t,x,y,target"
     assert len(targets) == 101  # header + 100 pairs
+
+
+def test_generate_integrates_each_trajectory_once(tmp_path, monkeypatch):
+    # the package attribute odesr.integrate is the function, not the module
+    module = importlib.import_module("odesr.integrate")
+    calls = []
+    original = module.integrate
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, "integrate", counting)
+    assert main(["generate", "--system", "lotka_volterra", "--dt", "0.1",
+                 "--out", str(tmp_path / "lv.csv")]) == 0
+    # train, then train again and test inside the test split
+    assert calls == [(0.0, 10.0), (0.0, 10.0), (10.0, 15.0)]
+    monkeypatch.undo()
+    for split in ("train", "test"):
+        expected = tmp_path / f"expected_{split}.csv"
+        _write_dataset_csv(make_dataset(lotka_volterra(), 0.1, split), ("x", "y"), expected)
+        written = tmp_path / f"lv_{split}_targets.csv"
+        assert written.read_bytes() == expected.read_bytes()
 
 
 def test_fit_sindy_writes_record(tmp_path, capsys):

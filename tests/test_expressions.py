@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from odesr.expressions import (
@@ -14,12 +14,15 @@ from odesr.expressions import (
     Time,
     Unary,
     Var,
+    compile_scalar,
     complexity,
     evaluate,
     evaluate_batch,
     parse_expr,
     print_expr,
 )
+from odesr.genomes import decode, grammar_for_system, random_genome
+from odesr.systems import SYSTEM_NAMES
 
 PEND_NAMES = ("theta1", "theta2")
 
@@ -147,6 +150,128 @@ def test_identity_is_transparent(e, x, t):
     b = evaluate(e, t, x)
     assert (math.isnan(a) and math.isnan(b)) or a == b
     assert complexity(wrapped) == complexity(e)
+
+
+# ------------------------------------------------------- compiled scalar path
+
+SPECIAL_FLOATS = (
+    0.0, -0.0, math.inf, -math.inf, math.nan,
+    1e308, -1e308, 5e-324, -5e-324, 1.0, -1.0, 709.5, -745.0,
+)
+
+
+def points():
+    return st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(-5, 5), st.floats())
+
+
+def wide_exprs(max_vars=3):
+    # constants take special values and integers on both sides of the
+    # integer-pow limit; pow with a non-constant right side takes np.power
+    consts = st.one_of(points(), st.integers(-70, 70).map(float)).map(Const)
+    leaves = st.one_of(consts, st.integers(0, max_vars - 1).map(Var), st.just(Time()))
+
+    def extend(children):
+        return st.one_of(
+            st.builds(Unary, st.sampled_from(UNARY_OPS), children),
+            st.builds(Binary, st.sampled_from(BINARY_OPS), children, children),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=25)
+
+
+def same_bits(a, b):
+    return (math.isnan(a) and math.isnan(b)) or (
+        np.float64(a).tobytes() == np.float64(b).tobytes()
+    )
+
+
+def assert_compiled_matches_batch(e, t, x):
+    want = evaluate_batch(e, [t], [x])[0]
+    # evaluate_batch silences floating-point errors; so must the compiled path
+    with np.errstate(all="raise"):
+        got = compile_scalar(e)(t, x)
+    assert type(got) is float
+    assert same_bits(got, want), (print_expr(e), t, x, got, want)
+
+
+@given(wide_exprs(), st.lists(points(), min_size=3, max_size=3), points())
+@settings(max_examples=400, deadline=None)
+@example(Binary("pow", Var(0), Const(-2.0)), [math.inf, 0.0, 0.0], 0.0)
+@example(Binary("pow", Var(0), Const(0.0)), [-math.inf, 0.0, 0.0], 0.0)
+@example(Binary("pow", Var(0), Const(-2.0)), [1e200, 0.0, 0.0], 0.0)
+@example(Binary("pow", Const(1.0), Var(1)), [0.0, math.nan, 0.0], 0.0)
+@example(Binary("pow", Var(0), Const(0.5)), [-8.0, 0.0, 0.0], 0.0)
+@example(Binary("pow", Var(0), Var(1)), [0.0, -1.5, 0.0], 0.0)
+@example(Binary("pow", Var(0), Const(0.5)), [2.77902166, 0.0, 0.0], 0.0)
+@example(Binary("pow", Var(0), Var(1)), [1.234567, 2.0, 0.0], 0.0)
+@example(Binary("div", Var(0), Var(1)), [1.0, math.inf, 0.0], 0.0)
+@example(Binary("div", Var(0), Var(1)), [1.0, -0.0, 0.0], 0.0)
+@example(Binary("mul", Var(0), Var(1)), [1e200, 1e200, 0.0], 0.0)
+@example(Unary("exp", Var(0)), [-math.inf, 0.0, 0.0], 0.0)
+@example(Unary("exp", Var(0)), [709.9, 0.0, 0.0], 0.0)
+@example(Unary("exp", Var(0)), [-745.0, 0.0, 0.0], 0.0)
+@example(Unary("log", Var(0)), [0.0, 0.0, 0.0], 0.0)
+@example(Unary("sin", Var(0)), [5e-324, 0.0, 0.0], 0.0)
+@example(Unary("identity", Var(0)), [-0.0, 0.0, 0.0], 0.0)
+def test_compiled_matches_batch(e, x, t):
+    assert_compiled_matches_batch(e, t, x)
+
+
+@given(
+    st.sampled_from(SYSTEM_NAMES),
+    st.integers(0, 2**32 - 1),
+    st.lists(points(), min_size=4, max_size=4),
+    points(),
+)
+@settings(max_examples=300, deadline=None)
+def test_compiled_matches_batch_on_decoded_genomes(name, seed, x, t):
+    grammar = grammar_for_system(name)
+    e = decode(random_genome(60, grammar, np.random.default_rng(seed)), grammar)
+    assert_compiled_matches_batch(e, t, x[: grammar.variable_count])
+
+
+@pytest.mark.parametrize("op", [op for op in UNARY_OPS if op != "identity"])
+def test_compiled_unary_sweep_matches_batch(op):
+    # math.exp and numpy's exp differ in the last bit on a few percent of
+    # these points, so the sweep pins the ufunc itself
+    rng = np.random.default_rng(20261018)
+    pts = np.concatenate([rng.uniform(-30.0, 30.0, 5000), rng.uniform(-700.0, 700.0, 5000)])
+    if op == "log":
+        pts = np.abs(pts)
+    e = Unary(op, Var(0))
+    f = compile_scalar(e)
+    mismatched = [
+        p for p in pts if not same_bits(f(0.0, [p]), evaluate_batch(e, [0.0], [[p]])[0])
+    ]
+    assert mismatched == []
+
+
+@pytest.mark.parametrize("exponent", [0.5, -0.5, 2.0, -1.0, 1.0 / 3.0, 5.0, -7.0, 100.5])
+@pytest.mark.parametrize("const", [False, True], ids=["var", "const"])
+def test_compiled_power_sweep_matches_batch(exponent, const):
+    # numpy computes x ** 0.5, x ** -1 and x ** 2 on scalars by sqrt,
+    # reciprocal and square; the batch path runs the power loop instead.
+    # A Var exponent takes np.power even at integer values; an integer
+    # Const exponent takes _int_pow's multiplication order.
+    rng = np.random.default_rng(20261018)
+    pts = rng.uniform(0.0, 3.0, 2000)
+    e = Binary("pow", Var(0), Const(exponent) if const else Var(1))
+    f = compile_scalar(e)
+    mismatched = [
+        p
+        for p in pts
+        if not same_bits(f(0.0, [p, exponent]), evaluate_batch(e, [0.0], [[p, exponent]])[0])
+    ]
+    assert mismatched == []
+
+
+def test_compiled_var_out_of_range_raises_like_batch():
+    e = Binary("add", Unary("log", Const(-1.0)), Var(2))
+    with pytest.raises(ValueError) as batch_err:
+        evaluate_batch(e, [0.0], [[1.0, 2.0]])
+    with pytest.raises(ValueError) as scalar_err:
+        compile_scalar(e)(0.0, [1.0, 2.0])
+    assert str(scalar_err.value) == str(batch_err.value)
 
 
 # ---------------------------------------------------------------- complexity

@@ -5,8 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from odesr.expressions import evaluate, parse_expr
-from odesr.systems import cart_pole, get_system, lotka_volterra, simple_pendulum
+from odesr.expressions import evaluate, evaluate_batch, parse_expr
+from odesr.integrate import integrate, make_trajectory
+from odesr.systems import (
+    cart_pole,
+    expression_system,
+    get_system,
+    lotka_volterra,
+    simple_pendulum,
+)
 
 
 def test_lotka_volterra_rhs_values():
@@ -124,3 +131,23 @@ def test_get_system_lookup():
     assert get_system("cart_pole").name == "cart_pole"
     with pytest.raises(KeyError):
         get_system("rossler")
+
+
+def test_expression_system_matches_per_call_reference():
+    # the right-hand side as it was before each dimension was compiled:
+    # one 1-row evaluate_batch call per dimension per evaluation
+    names = ("theta1", "theta2")
+    texts = ("theta2", "-0.1 * theta2 - 9.81 * sin(theta1)")
+    pendulum = simple_pendulum()
+    system = expression_system(
+        "pendulum_expr", texts, pendulum.initial_state, variable_names=names
+    )
+    exprs = [parse_expr(text, names) for text in texts]
+
+    def reference_rhs(t, s):
+        return np.array([evaluate_batch(e, [t], [s])[0] for e in exprs])
+
+    got = make_trajectory(system, "train", 0.1)
+    want = integrate(reference_rhs, pendulum.initial_state, system.train_span, 0.1)
+    assert got.times.tobytes() == want.times.tobytes()
+    assert got.states.tobytes() == want.states.tobytes()
