@@ -191,6 +191,8 @@ def run_fit(
         expr, train_rmse, comp = best.expr, best.train_rmse, best.complexity
         pareto = pareto_rows(front, names)
         warnings = ["DynAIFeynman-lite"]
+        if front.truncated:
+            warnings.append("brute_force truncated by time_budget")
     else:
         raise ValueError(f"unknown method {method!r}")
     record = {

@@ -8,7 +8,7 @@ import csv
 import itertools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -63,9 +63,12 @@ class FeynmanConfig:
 
 @dataclass(frozen=True)
 class ParetoFront:
-    """Candidates sorted by complexity with strictly decreasing RMSE."""
+    """Candidates sorted by complexity with strictly decreasing RMSE.
+    `truncated` records that time_budget cut the brute force short, so
+    the front may miss candidates a full search would find."""
 
     candidates: tuple[CandidateSolution, ...]
+    truncated: bool = False
 
     def __post_init__(self):
         comps = [c.complexity for c in self.candidates]
@@ -161,12 +164,36 @@ def brute_force(
     skeletons that evaluate outside the reals anywhere on the data are
     dropped along with everything they would compose into.
 
-    Skeletons are evaluated and fitted in blocks of rows. Each row's fit
-    takes the same dot products as a fit of that skeleton alone, so the
-    constants and RMSEs are bit-identical to a per-skeleton fit, and the
-    candidates come out in enumeration order.
+    Returns every fitted candidate in enumeration order, with constants
+    and RMSEs bit-identical to a per-skeleton fit. A search that only
+    needs the best fit at each complexity (run_pipeline) reads the same
+    enumeration without building the full list.
     """
     cfg = config if config is not None else FeynmanConfig()
+    candidates: list[CandidateSolution] = []
+
+    def collect(comp, c, rmse, ok, skeletons):
+        rows = np.flatnonzero(ok)
+        for skel, ci, ri in zip(skeletons(rows), c[rows].tolist(), rmse[rows].tolist()):
+            full = Binary("mul", Const(ci), skel)
+            candidates.append(CandidateSolution(full, ri, comp))
+
+    _enumerate(data, cfg, variables, collect)
+    return candidates
+
+
+def _enumerate(data, cfg: FeynmanConfig, variables, consume) -> bool:
+    """Evaluate and fit every skeleton of brute_force's search in blocks of
+    rows, and pass each fitted block to
+    `consume(complexity, c, rmse, ok, skeletons)`: the fitted constants and
+    RMSEs per row, the mask of rows whose fit is kept, and a function from
+    an array of rows to their skeleton trees. Returns whether time_budget
+    cut the enumeration short.
+
+    Each row's fit takes the same dot products as a fit of that skeleton
+    alone, so constants and RMSEs are bit-identical to a per-skeleton fit.
+    Trees are built only when a consumer asks for one.
+    """
     states = data.states
     targets = np.asarray(data.targets, dtype=float)
     n = len(targets)
@@ -175,9 +202,30 @@ def brute_force(
     deadline = None
     if cfg.time_budget is not None:
         deadline = time.monotonic() + cfg.time_budget
-    candidates: list[CandidateSolution] = []
+    ops = cfg.unary_set + cfg.binary_set
 
-    def emit(size, exprs, block):
+    # size -> (printed forms, (entries, n) values on the data, (entries, 4)
+    # nodes); a node is (index into ops, or -1 for a variable; left child's
+    # size; left child's index, or the variable; right child's index, or
+    # -1 for a unary op)
+    table: dict[int, tuple[list, np.ndarray, np.ndarray]] = {}
+    # size -> {table index: tree}, filled as trees are asked for
+    trees: dict[int, dict[int, Expr]] = {}
+
+    def tree(size, i):
+        built = trees[size]
+        if i not in built:
+            built[i] = build(size, *table[size][2][i].tolist())
+        return built[i]
+
+    def build(size, op, left_size, left, right):
+        if op < 0:
+            return Var(left)
+        if right < 0:
+            return Unary(ops[op], tree(size - 1, left))
+        return Binary(ops[op], tree(left_size, left), tree(size - 1 - left_size, right))
+
+    def fit(size, block, nodes, at):
         # np.vecdot reaches the same BLAS dot as `values @ values` for a
         # single row; einsum and gemv sum in another order
         gg = np.vecdot(block, block)
@@ -185,22 +233,27 @@ def brute_force(
         resid = c[:, None] * block - targets
         rmse = np.sqrt(np.vecdot(resid, resid) / n)
         ok = np.isfinite(gg) & (gg > 0.0) & np.isfinite(c) & np.isfinite(rmse)
-        rows = np.flatnonzero(ok)
-        for i, ci, ri in zip(rows.tolist(), c[rows].tolist(), rmse[rows].tolist()):
-            full = Binary("mul", Const(ci), exprs[i])
-            candidates.append(CandidateSolution(full, ri, size + 2))
 
-    # size -> (skeletons, printed forms, (skeletons, n) values on the data)
-    table: dict[int, tuple[list, list, np.ndarray]] = {}
+        def skeletons(rows):
+            made = [build(size, *node) for node in nodes[rows].tolist()]
+            if at is not None:
+                # rows from table index `at` on: larger skeletons reuse them
+                trees[size].update(zip((rows + at).tolist(), made))
+            return made
+
+        consume(size + 2, c, rmse, ok, skeletons)
+
     with np.errstate(all="ignore"):
-        exprs = [Var(v) for v in vars_]
+        strs = [print_expr(Var(v)) for v in vars_]
         values = np.ascontiguousarray(states[:, list(vars_)].T, dtype=float)
-        table[1] = (exprs, [print_expr(e) for e in exprs], values)
-        emit(1, exprs, values)
+        nodes = _nodes(-1, 0, np.asarray(vars_, dtype=np.intp), -1)
+        table[1] = (strs, values, nodes)
+        trees[1] = {}
+        fit(1, values, nodes, 0)
         for size in range(2, cfg.max_brute_nodes + 1):
             keep = size < cfg.max_brute_nodes
-            grown_exprs: list = []
             grown_strs: list = []
+            grown_nodes: list = []
             grown_values = None
             if keep:
                 # room for every skeleton of this size; the finite ones are
@@ -212,34 +265,37 @@ def brute_force(
                     counts[a - 1] * counts[size - 2 - a] for a in range(1, size - 1)
                 )
                 grown_values = np.empty((most, n))
+            kept = 0
+            trees[size] = {}
             for op in cfg.unary_set:
                 if deadline is not None and time.monotonic() > deadline:
-                    return candidates
+                    return True
                 fn = UNARY_UFUNC[op]
-                child_exprs, child_strs, child_values = table[size - 1]
-                for lo in range(0, len(child_exprs), _CHUNK_ROWS):
+                child_strs, child_values, _ = table[size - 1]
+                for lo in range(0, len(child_strs), _CHUNK_ROWS):
                     block = fn(child_values[lo : lo + _CHUNK_ROWS])
-                    finite, block = _finite_rows(
-                        block, grown_values, len(grown_exprs)
-                    )
-                    rows = (np.flatnonzero(finite) + lo).tolist()
-                    exprs = [Unary(op, child_exprs[i]) for i in rows]
-                    emit(size, exprs, block)
+                    finite, block = _finite_rows(block, grown_values, kept)
+                    rows = np.flatnonzero(finite) + lo
+                    nodes = _nodes(ops.index(op), size - 1, rows, -1)
+                    fit(size, block, nodes, kept if keep else None)
                     if keep:
-                        grown_exprs.extend(exprs)
-                        grown_strs.extend(f"{op}({child_strs[i]})" for i in rows)
+                        kept += len(rows)
+                        grown_nodes.append(nodes)
+                        grown_strs.extend(
+                            f"{op}({child_strs[i]})" for i in rows.tolist()
+                        )
             ranks = _printed_ranks(table, size - 2)
             for op in cfg.binary_set:
                 fn = BINARY_UFUNC[op]
                 symbol = _BINARY_SYMBOL[op]
                 for left_size in range(1, size - 1):
                     if deadline is not None and time.monotonic() > deadline:
-                        return candidates
+                        return True
                     right_size = size - 1 - left_size
-                    left_exprs, left_strs, left_values = table[left_size]
-                    right_exprs, right_strs, right_values = table[right_size]
-                    pairs = np.arange(len(left_exprs) * len(right_exprs))
-                    li, ri = np.divmod(pairs, len(right_exprs))
+                    left_strs, left_values, _ = table[left_size]
+                    right_strs, right_values, _ = table[right_size]
+                    pairs = np.arange(len(left_strs) * len(right_strs))
+                    li, ri = np.divmod(pairs, len(right_strs))
                     if op in _COMMUTATIVE:
                         ordered = ranks[left_size][li] <= ranks[right_size][ri]
                         li, ri = li[ordered], ri[ordered]
@@ -247,26 +303,33 @@ def brute_force(
                         l_rows = li[lo : lo + _CHUNK_ROWS]
                         r_rows = ri[lo : lo + _CHUNK_ROWS]
                         block = fn(left_values[l_rows], right_values[r_rows])
-                        finite, block = _finite_rows(
-                            block, grown_values, len(grown_exprs)
+                        finite, block = _finite_rows(block, grown_values, kept)
+                        nodes = _nodes(
+                            ops.index(op), left_size, l_rows[finite], r_rows[finite]
                         )
-                        rows = list(
-                            zip(l_rows[finite].tolist(), r_rows[finite].tolist())
-                        )
-                        exprs = [
-                            Binary(op, left_exprs[a], right_exprs[b]) for a, b in rows
-                        ]
-                        emit(size, exprs, block)
+                        fit(size, block, nodes, kept if keep else None)
                         if keep:
-                            grown_exprs.extend(exprs)
+                            kept += len(nodes)
+                            grown_nodes.append(nodes)
                             grown_strs.extend(
                                 f"({left_strs[a]} {symbol} {right_strs[b]})"
-                                for a, b in rows
+                                for a, b in nodes[:, 2:].tolist()
                             )
             if keep:
-                grown_values = grown_values[: len(grown_exprs)]
-                table[size] = (grown_exprs, grown_strs, grown_values)
-    return candidates
+                grown_nodes.append(_nodes(-1, 0, [], -1))  # concatenate needs one
+                nodes = np.concatenate(grown_nodes)
+                table[size] = (grown_strs, grown_values[:kept], nodes)
+    return False
+
+
+def _nodes(op: int, left_size: int, left, right) -> np.ndarray:
+    """Table nodes (op, left size, left index, right index) for a block."""
+    nodes = np.empty((len(left), 4), dtype=np.intp)
+    nodes[:, 0] = op
+    nodes[:, 1] = left_size
+    nodes[:, 2] = left
+    nodes[:, 3] = right
+    return nodes
 
 
 def _finite_rows(block, out, at):
@@ -284,10 +347,10 @@ def _finite_rows(block, out, at):
 def _printed_ranks(table, max_size: int) -> dict[int, np.ndarray]:
     """Rank of each printed form among all table entries up to max_size, so
     the commutative `left <= right` order is an integer comparison."""
-    order = sorted(s for size in range(1, max_size + 1) for s in table[size][1])
+    order = sorted(s for size in range(1, max_size + 1) for s in table[size][0])
     rank = {s: r for r, s in enumerate(order)}
     return {
-        size: np.array([rank[s] for s in table[size][1]], dtype=np.intp)
+        size: np.array([rank[s] for s in table[size][0]], dtype=np.intp)
         for size in range(1, max_size + 1)
     }
 
@@ -353,65 +416,91 @@ def separability_split(data: RegressionDataset, tolerance: float = 1e-2):
     return vars_a, vars_b, data_a, data_b
 
 
+def _better(cand: CandidateSolution, cur: CandidateSolution) -> bool:
+    """The ranking at equal complexity: lower train RMSE, then the smaller
+    full printed form. A candidate equal to cur on both is not better, so
+    the first one seen stays."""
+    if cand.train_rmse != cur.train_rmse:
+        return cand.train_rmse < cur.train_rmse
+    return print_expr(cand.expr) < print_expr(cur.expr)
+
+
+class _BestPerComplexity:
+    """The best candidate offered at each complexity under _better. Only
+    these can reach the Pareto front or be picked by run_pipeline."""
+
+    def __init__(self):
+        self.at: dict[int, CandidateSolution] = {}
+
+    def offer(self, cand: CandidateSolution) -> None:
+        cur = self.at.get(cand.complexity)
+        if cur is None or _better(cand, cur):
+            self.at[cand.complexity] = cand
+
+    def block(self, comp, c, rmse, ok, skeletons) -> None:
+        """Offer a fitted brute-force block. Only rows at the block's
+        minimum RMSE can win, so only they get a tree, and none do when
+        that minimum is above the current best."""
+        low = np.min(rmse, where=ok, initial=math.inf)
+        cur = self.at.get(comp)
+        if low == math.inf or (cur is not None and low > cur.train_rmse):
+            return
+        rows = np.flatnonzero(ok & (rmse == low))
+        for skel, ci in zip(skeletons(rows), c[rows].tolist()):
+            full = Binary("mul", Const(ci), skel)
+            self.offer(CandidateSolution(full, float(low), comp))
+
+    def best(self) -> CandidateSolution:
+        """Lowest train RMSE, then lowest complexity."""
+        return min(self.at.values(), key=lambda c: (c.train_rmse, c.complexity))
+
+
 def pareto_front(candidates) -> ParetoFront:
     """Non-dominated candidates under (complexity, train RMSE); ties at the
     same point resolve to the lexicographically smallest printed form."""
-    best_at: dict[int, CandidateSolution] = {}
+    bests = _BestPerComplexity()
     for cand in candidates:
-        cur = best_at.get(cand.complexity)
-        if (
-            cur is None
-            or cand.train_rmse < cur.train_rmse
-            or (
-                cand.train_rmse == cur.train_rmse
-                and print_expr(cand.expr) < print_expr(cur.expr)
-            )
-        ):
-            best_at[cand.complexity] = cand
+        bests.offer(cand)
     kept = []
     last = math.inf
-    for comp in sorted(best_at):
-        cand = best_at[comp]
+    for comp in sorted(bests.at):
+        cand = bests.at[comp]
         if cand.train_rmse < last:
             kept.append(cand)
             last = cand.train_rmse
     return ParetoFront(tuple(kept))
 
 
-def _best(candidates) -> CandidateSolution:
-    def key(cand):
-        return (cand.train_rmse, cand.complexity)
-
-    top = min(candidates, key=key)
-    ties = [c for c in candidates if key(c) == key(top)]
-    if len(ties) == 1:
-        return top
-    return min(ties, key=lambda c: print_expr(c.expr))
+def _search(data, cfg: FeynmanConfig, variables, bests: _BestPerComplexity) -> bool:
+    """Offer every polynomial fit and brute-force fit of data to bests;
+    returns whether time_budget cut the brute force short."""
+    for degree in range(1, cfg.max_poly_degree + 1):
+        bests.offer(polyfit(data, degree, variables=variables))
+    return _enumerate(data, cfg, variables, bests.block)
 
 
 def run_pipeline(data: RegressionDataset, config: FeynmanConfig | None = None):
     """Polynomial fits at every degree, the brute-force sweep, and one round
     of separability splitting with both blocks searched independently and
-    summed. Returns (best candidate, pareto front over everything tried)."""
+    summed. Returns (best candidate, pareto front over everything tried).
+
+    Only the best fit at each complexity is kept: the best candidate and
+    the front are the same as over the full brute_force list."""
     cfg = config if config is not None else FeynmanConfig()
-    candidates = []
-    for degree in range(1, cfg.max_poly_degree + 1):
-        candidates.append(polyfit(data, degree))
-    candidates.extend(brute_force(data, cfg))
+    bests = _BestPerComplexity()
+    truncated = _search(data, cfg, None, bests)
     split = separability_split(data)
     if split is not None:
         vars_a, vars_b, data_a, data_b = split
         parts = []
         for vars_x, data_x in ((vars_a, data_a), (vars_b, data_b)):
-            block = [
-                polyfit(data_x, degree, variables=vars_x)
-                for degree in range(1, cfg.max_poly_degree + 1)
-            ]
-            block.extend(brute_force(data_x, cfg, variables=vars_x))
-            parts.append(_best(block))
+            part = _BestPerComplexity()
+            truncated |= _search(data_x, cfg, vars_x, part)
+            parts.append(part.best())
         combined = Binary("add", parts[0].expr, parts[1].expr)
-        candidates.append(make_candidate(combined, data))
-    return _best(candidates), pareto_front(candidates)
+        bests.offer(make_candidate(combined, data))
+    front = pareto_front(bests.at.values())
+    return bests.best(), replace(front, truncated=truncated)
 
 
 def pareto_rows(front: ParetoFront, variable_names=None) -> list[dict]:

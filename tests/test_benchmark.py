@@ -170,6 +170,16 @@ def test_run_fit_feynman_has_pareto():
     assert "DynAIFeynman-lite" in record["warnings"]
 
 
+def test_run_fit_feynman_reports_a_truncated_search():
+    system = lotka_volterra()
+    cut = run_fit("feynman", system, feynman=FeynmanConfig(time_budget=0.0))
+    assert cut["warnings"] == [
+        "DynAIFeynman-lite",
+        "brute_force truncated by time_budget",
+    ]
+    assert run_fit("feynman", system)["warnings"] == ["DynAIFeynman-lite"]
+
+
 def test_run_fit_ga_seed_overrides_config():
     system = lotka_volterra()
     a = run_fit("ga", system, seed=3, ga_config=FAST_GA)

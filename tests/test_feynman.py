@@ -26,9 +26,10 @@ from odesr.feynman import (
     separability_split,
     write_pareto_csv,
 )
-from odesr.ga import CandidateSolution, fitness
+from odesr import feynman
+from odesr.ga import CandidateSolution, fitness, make_candidate
 from odesr.integrate import RegressionDataset, make_dataset
-from odesr.systems import lotka_volterra
+from odesr.systems import get_system, lotka_volterra
 
 
 def dataset_from(states, targets, times=None):
@@ -488,6 +489,167 @@ def test_pipeline_lotka_volterra_polynomial():
     best, front = run_pipeline(data, FeynmanConfig(max_brute_nodes=4))
     assert best.train_rmse < 0.5
     assert len(front.candidates) >= 2
+
+
+def reference_best(candidates):
+    """The pick run_pipeline made from the full candidate list."""
+
+    def key(cand):
+        return (cand.train_rmse, cand.complexity)
+
+    top = min(candidates, key=key)
+    ties = [c for c in candidates if key(c) == key(top)]
+    if len(ties) == 1:
+        return top
+    return min(ties, key=lambda c: print_expr(c.expr))
+
+
+def reference_pareto_front(candidates):
+    """pareto_front over the full candidate list, as a list."""
+    best_at = {}
+    for cand in candidates:
+        cur = best_at.get(cand.complexity)
+        if (
+            cur is None
+            or cand.train_rmse < cur.train_rmse
+            or (
+                cand.train_rmse == cur.train_rmse
+                and print_expr(cand.expr) < print_expr(cur.expr)
+            )
+        ):
+            best_at[cand.complexity] = cand
+    kept = []
+    last = math.inf
+    for comp in sorted(best_at):
+        if best_at[comp].train_rmse < last:
+            kept.append(best_at[comp])
+            last = best_at[comp].train_rmse
+    return kept
+
+
+def reference_run_pipeline(data, cfg):
+    """The consumer run_pipeline replaced: every polyfit and brute_force
+    candidate in one list, then reference_best and reference_pareto_front.
+    Also returns how many brute-force candidates tie or beat every earlier
+    candidate of their search at their complexity; run_pipeline builds a
+    tree for no other candidate."""
+    records = 0
+
+    def search(data_x, vars_x):
+        nonlocal records
+        polys = [
+            polyfit(data_x, degree, variables=vars_x)
+            for degree in range(1, cfg.max_poly_degree + 1)
+        ]
+        brute = brute_force(data_x, cfg, variables=vars_x)
+        low = {}
+        for i, cand in enumerate(polys + brute):
+            if cand.train_rmse <= low.get(cand.complexity, math.inf):
+                low[cand.complexity] = cand.train_rmse
+                records += i >= len(polys)
+        return polys + brute
+
+    candidates = search(data, None)
+    split = separability_split(data)
+    if split is not None:
+        vars_a, vars_b, data_a, data_b = split
+        parts = [
+            reference_best(search(data_x, vars_x))
+            for vars_x, data_x in ((vars_a, data_a), (vars_b, data_b))
+        ]
+        combined = Binary("add", parts[0].expr, parts[1].expr)
+        candidates.append(make_candidate(combined, data))
+    return reference_best(candidates), reference_pareto_front(candidates), records
+
+
+def benchmark_train_set(name):
+    return make_dataset(get_system(name), 0.1, "train")
+
+
+def zero_target_dataset():
+    rng = np.random.default_rng(6)
+    return dataset_from(rng.uniform(-1.0, 1.0, size=(60, 2)), np.zeros(60))
+
+
+def tie_across_blocks_dataset():
+    # x2 duplicates x1, so every skeleton in x1 ties bit for bit with the
+    # same skeleton in x2; the target's skeleton also ties with its
+    # negation, whose constant is -1.0 and prints first
+    rng = np.random.default_rng(21)
+    xs = rng.uniform(0.5, 2.0, size=(140, 5))
+    xs[:, 1] = xs[:, 0]
+    return dataset_from(xs, xs[:, 0] - np.sin(np.sin(np.sin(xs[:, 0]))))
+
+
+PIPELINE_INPUTS = {
+    "lotka_volterra-6": (lambda: benchmark_train_set("lotka_volterra"), 6),
+    "simple_pendulum-6": (lambda: benchmark_train_set("simple_pendulum"), 6),
+    "cart_pole-6": (lambda: benchmark_train_set("cart_pole"), 6),
+    "lotka_volterra-7": (lambda: benchmark_train_set("lotka_volterra"), 7),
+    "separable-6": (separable_dataset, 6),
+    "zero_targets-5": (zero_target_dataset, 5),
+    "tie_across_blocks-6": (tie_across_blocks_dataset, 6),
+}
+
+
+@pytest.mark.parametrize("case", list(PIPELINE_INPUTS))
+def test_run_pipeline_matches_full_list_reference(case, monkeypatch):
+    """Keeping only the best fit per complexity picks the same best and the
+    same front as the full candidate list, and builds a tree only for a
+    candidate that ties or beats every earlier one at its complexity."""
+    make_data, nodes = PIPELINE_INPUTS[case]
+    data = make_data()
+    cfg = FeynmanConfig(max_brute_nodes=nodes)
+    want_best, want_front, records = reference_run_pipeline(data, cfg)
+
+    built = 0
+
+    def counted(*args):
+        nonlocal built
+        built += 1
+        return CandidateSolution(*args)
+
+    monkeypatch.setattr(feynman, "CandidateSolution", counted)
+    best, front = run_pipeline(data, cfg)
+    monkeypatch.undo()
+
+    assert print_expr(best.expr) == print_expr(want_best.expr)
+    assert best.train_rmse.hex() == want_best.train_rmse.hex()
+    assert best.complexity == want_best.complexity
+    assert [
+        (c.complexity, c.train_rmse.hex(), print_expr(c.expr)) for c in front.candidates
+    ] == [(c.complexity, c.train_rmse.hex(), print_expr(c.expr)) for c in want_front]
+    assert not front.truncated
+    assert 0 < built <= records
+
+
+def test_reference_inputs_cover_split_and_ties():
+    """The pipeline inputs reach the separability branch, an all-zero tie,
+    and an exact tie between rows of different blocks that a later,
+    smaller printed form wins."""
+    assert separability_split(separable_dataset()) is not None
+    zero = brute_force(zero_target_dataset(), FeynmanConfig(max_brute_nodes=5))
+    assert {c.train_rmse for c in zero} == {0.0}
+
+    cands = brute_force(tie_across_blocks_dataset(), FeynmanConfig(max_brute_nodes=6))
+    at = [i for i, c in enumerate(cands) if c.complexity == 8]
+    low = min(cands[i].train_rmse for i in at)
+    tied = [i for i in at if cands[i].train_rmse == low]
+    position = {print_expr(cands[i].expr): i for i in tied}
+    first = position["(1.0 * (x1 - sin(sin(sin(x1)))))"]
+    assert position["(1.0 * (x2 - sin(sin(sin(x2)))))"] - first >= _CHUNK_ROWS
+    winner = min(position)
+    assert winner == "((-1.0) * (sin(sin(sin(x1))) - x1))"
+    assert position[winner] > first == tied[0]
+
+
+def test_run_pipeline_does_not_build_the_full_list(monkeypatch, planted_sine):
+    def full_list(*args, **kwargs):
+        raise AssertionError("run_pipeline called brute_force")
+
+    monkeypatch.setattr(feynman, "brute_force", full_list)
+    best, _ = run_pipeline(planted_sine, FeynmanConfig(max_brute_nodes=3))
+    assert best.train_rmse < 1e-6
 
 
 # -------------------------------------------------------------------- config
