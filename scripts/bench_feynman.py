@@ -1,18 +1,19 @@
 """Time the Feynman pipeline on the benchmark train sets and record it.
 
-    PYTHONPATH=src python scripts/bench_feynman.py --label change --runs 5
+    PYTHONPATH=src python scripts/bench_feynman.py --label change
 
 Calls `run_pipeline` with the default config on the dt 0.1 train set of
 each benchmark system, after one untimed warm-up call per system, and
-times every call with `time.perf_counter`. These are raw seconds on the
-host as it ran, not calibrated against host speed. One more call per
-system runs under `tracemalloc` for the peak of Python allocations.
-`brute_force` is called once per system, outside the timed calls, to
-count the skeletons that get a fit.
+times RUNS calls per system with `time.perf_counter`. These are raw
+seconds on the host as it ran, not calibrated against host speed. One
+more call per system runs under `tracemalloc` for the peak of Python
+allocations. `brute_force` is called once per system, outside the timed
+calls, to count the skeletons that get a fit.
 
-The result goes into the JSON file under `--label`, next to any labels
-already there, so that one file holds the runs of two commits: run the
-script once with PYTHONPATH pointing at each commit's `src/`.
+The result goes into BENCH_feynman.json in the working directory under
+`--label`, next to any labels already there, so that one file holds the
+runs of two commits: run the script once with PYTHONPATH pointing at
+each commit's `src/`.
 """
 
 import argparse
@@ -30,6 +31,9 @@ from odesr.feynman import brute_force, run_pipeline
 from odesr.integrate import make_dataset
 from odesr.systems import SYSTEM_NAMES, get_system
 
+RUNS = 5
+OUT = "BENCH_feynman.json"
+
 
 def summary(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
@@ -39,11 +43,7 @@ def summary(values: list[float]) -> dict:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--label", required=True, help="key for these results")
-    parser.add_argument("--runs", type=int, default=5, help="timed calls per system")
-    parser.add_argument("--out", default="BENCH_feynman.json", help="file to update")
     args = parser.parse_args()
-    if args.runs < 5:
-        parser.error("--runs must be at least 5")
 
     data = {name: make_dataset(get_system(name), 0.1, "train") for name in SYSTEM_NAMES}
     for d in data.values():
@@ -51,7 +51,7 @@ def main() -> None:
 
     seconds = {name: [] for name in SYSTEM_NAMES}
     totals = []
-    for _ in range(args.runs):
+    for _ in range(RUNS):
         total = 0.0
         for name, d in data.items():
             start = time.perf_counter()
@@ -73,7 +73,7 @@ def main() -> None:
             "tracemalloc_peak_mb": round(peak / 2**20, 2),
         }
 
-    path = Path(args.out)
+    path = Path(OUT)
     record = json.loads(path.read_text()) if path.exists() else {}
     record["machine"] = {
         "cores": os.cpu_count(),
@@ -86,7 +86,7 @@ def main() -> None:
     }
     path.write_text(json.dumps(record, indent=2) + "\n")
     median = statistics.median(totals)
-    print(f"{args.label}: median {median:.3f} s over {args.runs} runs")
+    print(f"{args.label}: median {median:.3f} s over {RUNS} runs")
 
 
 if __name__ == "__main__":

@@ -174,9 +174,12 @@ def brute_force(
 
     def collect(comp, c, rmse, ok, skeletons):
         rows = np.flatnonzero(ok)
-        for skel, ci, ri in zip(skeletons(rows), c[rows].tolist(), rmse[rows].tolist()):
-            full = Binary("mul", Const(ci), skel)
-            candidates.append(CandidateSolution(full, ri, comp))
+        candidates.extend(
+            CandidateSolution(Binary("mul", Const(ci), skel), ri, comp)
+            for skel, ci, ri in zip(
+                skeletons(rows), c[rows].tolist(), rmse[rows].tolist()
+            )
+        )
 
     _enumerate(data, cfg, variables, collect)
     return candidates
@@ -204,26 +207,28 @@ def _enumerate(data, cfg: FeynmanConfig, variables, consume) -> bool:
         deadline = time.monotonic() + cfg.time_budget
     ops = cfg.unary_set + cfg.binary_set
 
-    # size -> (printed forms, (entries, n) values on the data, (entries, 4)
-    # nodes); a node is (index into ops, or -1 for a variable; left child's
-    # size; left child's index, or the variable; right child's index, or
-    # -1 for a unary op)
-    table: dict[int, tuple[list, np.ndarray, np.ndarray]] = {}
-    # size -> {table index: tree}, filled as trees are asked for
-    trees: dict[int, dict[int, Expr]] = {}
+    # size -> (printed forms, (entries, n) values on the data)
+    table: dict[int, tuple[list, np.ndarray]] = {}
+    # size -> the entries' trees
+    trees: dict[int, _Trees] = {}
 
-    def tree(size, i):
-        built = trees[size]
-        if i not in built:
-            built[i] = build(size, *table[size][2][i].tolist())
-        return built[i]
-
-    def build(size, op, left_size, left, right):
+    def grow(size, nodes):
+        """Trees of a block's nodes, which share one op and left size."""
+        if not len(nodes):
+            return []
+        op, left_size = nodes[0, :2].tolist()
+        lefts = nodes[:, 2].tolist()
         if op < 0:
-            return Var(left)
-        if right < 0:
-            return Unary(ops[op], tree(size - 1, left))
-        return Binary(ops[op], tree(left_size, left), tree(size - 1 - left_size, right))
+            return [Var(v) for v in lefts]
+        name = ops[op]
+        if op < len(cfg.unary_set):
+            child = trees[size - 1]
+            return [Unary(name, child[a]) for a in lefts]
+        left, right = trees[left_size], trees[size - 1 - left_size]
+        return [
+            Binary(name, left[a], right[b])
+            for a, b in zip(lefts, nodes[:, 3].tolist())
+        ]
 
     def fit(size, block, nodes, at):
         # np.vecdot reaches the same BLAS dot as `values @ values` for a
@@ -235,9 +240,10 @@ def _enumerate(data, cfg: FeynmanConfig, variables, consume) -> bool:
         ok = np.isfinite(gg) & (gg > 0.0) & np.isfinite(c) & np.isfinite(rmse)
 
         def skeletons(rows):
-            made = [build(size, *node) for node in nodes[rows].tolist()]
+            made = grow(size, nodes[rows])
             if at is not None:
-                # rows from table index `at` on: larger skeletons reuse them
+                # rows from table index `at` on: larger skeletons look
+                # these up instead of building them again
                 trees[size].update(zip((rows + at).tolist(), made))
             return made
 
@@ -247,40 +253,41 @@ def _enumerate(data, cfg: FeynmanConfig, variables, consume) -> bool:
         strs = [print_expr(Var(v)) for v in vars_]
         values = np.ascontiguousarray(states[:, list(vars_)].T, dtype=float)
         nodes = _nodes(-1, 0, np.asarray(vars_, dtype=np.intp), -1)
-        table[1] = (strs, values, nodes)
-        trees[1] = {}
+        table[1] = (strs, values)
+        trees[1] = _Trees(1, nodes, grow)
         fit(1, values, nodes, 0)
         for size in range(2, cfg.max_brute_nodes + 1):
             keep = size < cfg.max_brute_nodes
             grown_strs: list = []
-            grown_nodes: list = []
-            grown_values = None
             if keep:
-                # room for every skeleton of this size; the finite ones are
-                # written in place, in order, and pages never written are
-                # never resident (blocks concatenated at the end would leave
-                # their freed memory in the heap and raise the peak RSS)
+                # room for every skeleton of this size; the values and nodes
+                # of the finite ones are written in place, in order, and
+                # pages never written are never resident (blocks
+                # concatenated at the end would leave their freed memory in
+                # the heap and raise the peak RSS)
                 counts = [len(table[s][0]) for s in range(1, size)]
                 most = len(cfg.unary_set) * counts[-1] + len(cfg.binary_set) * sum(
                     counts[a - 1] * counts[size - 2 - a] for a in range(1, size - 1)
                 )
                 grown_values = np.empty((most, n))
+                grown_nodes = np.empty((most, 4), dtype=np.intp)
+                trees[size] = _Trees(size, grown_nodes, grow)
+            else:
+                grown_values = grown_nodes = None
             kept = 0
-            trees[size] = {}
             for op in cfg.unary_set:
                 if deadline is not None and time.monotonic() > deadline:
                     return True
                 fn = UNARY_UFUNC[op]
-                child_strs, child_values, _ = table[size - 1]
+                child_strs, child_values = table[size - 1]
                 for lo in range(0, len(child_strs), _CHUNK_ROWS):
                     block = fn(child_values[lo : lo + _CHUNK_ROWS])
                     finite, block = _finite_rows(block, grown_values, kept)
                     rows = np.flatnonzero(finite) + lo
-                    nodes = _nodes(ops.index(op), size - 1, rows, -1)
+                    nodes = _nodes(ops.index(op), size - 1, rows, -1, grown_nodes, kept)
                     fit(size, block, nodes, kept if keep else None)
                     if keep:
                         kept += len(rows)
-                        grown_nodes.append(nodes)
                         grown_strs.extend(
                             f"{op}({child_strs[i]})" for i in rows.tolist()
                         )
@@ -292,8 +299,8 @@ def _enumerate(data, cfg: FeynmanConfig, variables, consume) -> bool:
                     if deadline is not None and time.monotonic() > deadline:
                         return True
                     right_size = size - 1 - left_size
-                    left_strs, left_values, _ = table[left_size]
-                    right_strs, right_values, _ = table[right_size]
+                    left_strs, left_values = table[left_size]
+                    right_strs, right_values = table[right_size]
                     pairs = np.arange(len(left_strs) * len(right_strs))
                     li, ri = np.divmod(pairs, len(right_strs))
                     if op in _COMMUTATIVE:
@@ -305,26 +312,48 @@ def _enumerate(data, cfg: FeynmanConfig, variables, consume) -> bool:
                         block = fn(left_values[l_rows], right_values[r_rows])
                         finite, block = _finite_rows(block, grown_values, kept)
                         nodes = _nodes(
-                            ops.index(op), left_size, l_rows[finite], r_rows[finite]
+                            ops.index(op),
+                            left_size,
+                            l_rows[finite],
+                            r_rows[finite],
+                            grown_nodes,
+                            kept,
                         )
                         fit(size, block, nodes, kept if keep else None)
                         if keep:
                             kept += len(nodes)
-                            grown_nodes.append(nodes)
                             grown_strs.extend(
                                 f"({left_strs[a]} {symbol} {right_strs[b]})"
                                 for a, b in nodes[:, 2:].tolist()
                             )
             if keep:
-                grown_nodes.append(_nodes(-1, 0, [], -1))  # concatenate needs one
-                nodes = np.concatenate(grown_nodes)
-                table[size] = (grown_strs, grown_values[:kept], nodes)
+                table[size] = (grown_strs, grown_values[:kept])
     return False
 
 
-def _nodes(op: int, left_size: int, left, right) -> np.ndarray:
-    """Table nodes (op, left size, left index, right index) for a block."""
-    nodes = np.empty((len(left), 4), dtype=np.intp)
+class _Trees(dict):
+    """Table index -> skeleton tree for one size of the brute-force table.
+    A tree not stored yet is built on lookup by `grow` from the entry's
+    row of nodes: (index into ops, or -1 for a variable; left child's size;
+    left child's index, or the variable; right child's index, or -1 for a
+    unary op)."""
+
+    def __init__(self, size, nodes, grow):
+        super().__init__()
+        self.size, self.nodes, self.grow = size, nodes, grow
+
+    def __missing__(self, i):
+        tree = self[i] = self.grow(self.size, self.nodes[i : i + 1])[0]
+        return tree
+
+
+def _nodes(op: int, left_size: int, left, right, out=None, at=0) -> np.ndarray:
+    """Table nodes (op, left size, left index, right index) for a block,
+    written to the table buffer `out` from row `at` when there is one."""
+    if out is None:
+        nodes = np.empty((len(left), 4), dtype=np.intp)
+    else:
+        nodes = out[at : at + len(left)]
     nodes[:, 0] = op
     nodes[:, 1] = left_size
     nodes[:, 2] = left
