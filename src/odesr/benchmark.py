@@ -31,6 +31,7 @@ from .integrate import (
     integrate,
     make_dataset,
     make_trajectory,
+    shared_trajectory,
 )
 from .sindy import BasisSet, SparseConfig, preset_basis
 from .sindy import fit as sindy_fit
@@ -106,7 +107,7 @@ def rollout_with_estimate(
     estimate yields a truncated hybrid trajectory, not an exception."""
     if span is None:
         span = (system.train_span[0], system.test_span[1])
-    truth = integrate(system.rhs, system.initial_state, span, sample_dt, config)
+    truth = shared_trajectory(system.rhs, system.initial_state, span, sample_dt, config)
     estimate = compile_scalar(expr)
 
     def hybrid_rhs(t, state):
@@ -222,9 +223,10 @@ def run_benchmark(
 ) -> list[BenchmarkResult]:
     """Sweep methods over systems. Seeded methods run with seeds
     base_seed..base_seed+repetitions-1; deterministic ones run once with a
-    std of 0. A run that fails numerically (IntegrationError, SamplingError,
-    LinAlgError) or on its configuration (ValueError) is recorded and the
-    sweep continues; any other exception propagates."""
+    std of 0. Each system is resolved once, so every method reads the same
+    trajectories. A run that fails numerically (IntegrationError,
+    SamplingError, LinAlgError) or on its configuration (ValueError) is
+    recorded and the sweep continues; any other exception propagates."""
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     methods = tuple(methods) if methods else METHODS
@@ -232,10 +234,11 @@ def run_benchmark(
     for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}")
+    resolved = {name: resolver(name) for name in systems}
     results = []
     for method in methods:
         for system_name in systems:
-            system = resolver(system_name)
+            system = resolved[system_name]
             if method in DETERMINISTIC_METHODS:
                 seeds = [base_seed]
             else:

@@ -188,11 +188,9 @@ def cmd_bench(args) -> int:
     systems = tuple(args.systems) if args.systems else SYSTEM_NAMES
     methods = tuple(args.methods) if args.methods else METHODS
 
-    def resolver(name):
-        return resolve_system(name, config)
-
+    resolved = {name: resolve_system(name, config) for name in systems}
     overrides = {
-        (method, name): fit_kwargs(method, resolver(name), config)
+        (method, name): fit_kwargs(method, resolved[name], config)
         for method in methods
         for name in systems
     }
@@ -204,7 +202,7 @@ def cmd_bench(args) -> int:
         out_dir=args.out,
         sample_dt=config.get("sample_dt", 0.1),
         overrides=overrides,
-        resolver=resolver,
+        resolver=resolved.__getitem__,
     )
     for res in results:
         print(

@@ -4,11 +4,16 @@ The solver keeps a PI-controlled step size and fills a uniform sample
 grid from the fifth-order dense interpolant, so trajectory files never
 depend on the internal step sequence.  Failures (blowup, nan dynamics,
 step underflow, step budget) raise IntegrationError carrying the
-portion of the grid that was reached.
+portion of the grid that was reached. shared_trajectory integrates each
+trajectory once per right-hand-side object; dataset splits and rollout
+truths are read from it.
 """
 
 from __future__ import annotations
 
+import math
+import struct
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -120,6 +125,24 @@ def sample_grid(t0: float, t1: float, sample_dt: float) -> np.ndarray:
 
 
 def _error_norm(err: np.ndarray, scale: np.ndarray) -> float:
+    """RMS of err / scale, bit-identical to np.sqrt(np.mean((err / scale) ** 2)).
+
+    numpy adds fewer than 8 elements left to right and squares as r * r, so
+    Python floats give the same bits at a fraction of the cost on the small
+    states integrated here. Longer vectors (numpy sums those pairwise) and a
+    zero scale (numpy gives inf or nan and warns) take the numpy formula.
+    """
+    n = len(err)
+    if 0 < n < 8:
+        acc = 0.0
+        try:
+            for e, s in zip(err.tolist(), scale.tolist()):
+                r = e / s
+                acc += r * r
+        except ZeroDivisionError:
+            pass
+        else:
+            return math.sqrt(acc / n)
     return float(np.sqrt(np.mean((err / scale) ** 2)))
 
 
@@ -127,13 +150,13 @@ def _initial_step(
     rhs: RHS, t0: float, x0: np.ndarray, f0: np.ndarray, cfg: IntegratorConfig
 ) -> float:
     scale = cfg.atol + cfg.rtol * np.abs(x0)
-    d0 = float(np.sqrt(np.mean((x0 / scale) ** 2)))
-    d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
+    d0 = _error_norm(x0, scale)
+    d1 = _error_norm(f0, scale)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     f1 = np.asarray(rhs(t0 + h0, x0 + h0 * f0), dtype=float)
     if not np.all(np.isfinite(f1)):
         return h0
-    d2 = float(np.sqrt(np.mean(((f1 - f0) / scale) ** 2))) / h0
+    d2 = _error_norm(f1 - f0, scale) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -217,6 +240,46 @@ def integrate(
     return Trajectory(grid, states)
 
 
+# rhs object -> {inputs: (times, states)}; entries die with the rhs
+_TRAJECTORIES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def shared_trajectory(
+    rhs: RHS,
+    x0: Sequence[float],
+    span: tuple[float, float],
+    sample_dt: float,
+    config: IntegratorConfig | None = None,
+) -> Trajectory:
+    """integrate(rhs, x0, span, sample_dt, config), integrated once per rhs
+    object and inputs.
+
+    The trajectory is kept as long as rhs lives, so rhs must be a pure
+    function of (t, x). Each call returns a new Trajectory over the same
+    read-only arrays. A failed integration is not kept and fails again on
+    the next call. An rhs that cannot be weakly referenced, and inputs that
+    give no key (integrate then raises its own error), go to integrate on
+    every call.
+    """
+    try:
+        memo = _TRAJECTORIES.setdefault(rhs, {})
+        # the exact bits of every input integrate reads besides rhs
+        cfg = config if config is not None else IntegratorConfig()
+        x = np.array(x0, dtype=float)
+        floats = [float(v) for v in (span[0], span[1], sample_dt, cfg.rtol, cfg.atol)]
+        key = (x.shape, x.tobytes(), struct.pack("<5d", *floats), cfg.max_steps)
+    except (TypeError, ValueError):
+        return integrate(rhs, x0, span, sample_dt, config)
+    arrays = memo.get(key)
+    if arrays is None:
+        # the module global, looked up now, so a wrapper sees each integration
+        traj = integrate(rhs, x0, span, sample_dt, config)
+        traj.times.flags.writeable = False
+        traj.states.flags.writeable = False
+        arrays = memo[key] = (traj.times, traj.states)
+    return Trajectory(*arrays)
+
+
 def integrate_fixed_step(
     rhs: RHS, x0: Sequence[float], span: tuple[float, float], n_steps: int
 ) -> np.ndarray:
@@ -260,19 +323,18 @@ def make_trajectory(
     sample_dt: float = 0.1,
     config: IntegratorConfig | None = None,
 ) -> Trajectory:
-    """Simulate one split; the test split continues from the train end state."""
-    if split == "train":
-        return integrate(
-            system.rhs, system.initial_state, system.train_span, sample_dt, config
-        )
+    """Simulate one split; the test split continues from the train end state.
+    Both come from shared_trajectory, so they are read-only."""
+    if split not in ("train", "test"):
+        raise ValueError(f"split must be 'train' or 'test', got {split!r}")
+    traj = shared_trajectory(
+        system.rhs, system.initial_state, system.train_span, sample_dt, config
+    )
     if split == "test":
-        train = integrate(
-            system.rhs, system.initial_state, system.train_span, sample_dt, config
+        traj = shared_trajectory(
+            system.rhs, traj.states[-1], system.test_span, sample_dt, config
         )
-        return integrate(
-            system.rhs, train.states[-1], system.test_span, sample_dt, config
-        )
-    raise ValueError(f"split must be 'train' or 'test', got {split!r}")
+    return traj
 
 
 def make_dataset(

@@ -128,6 +128,15 @@ def test_rollout_matches_per_call_reference(case, sample_dt):
         assert a.states.tobytes() == b.states.tobytes()
 
 
+def test_rollouts_share_the_truth_trajectory(integrate_calls):
+    system = lotka_volterra()
+    first = rollout_with_estimate(truth_expr(system), system)
+    second = rollout_with_estimate(parse_expr("-y", system.variable_names), system)
+    # the hybrids go through odesr.benchmark's binding, the truth through here
+    assert integrate_calls == [(0.0, 15.0)]
+    assert second.truth.states.tobytes() == first.truth.states.tobytes()
+
+
 def test_rollout_csv(tmp_path):
     system = lotka_volterra()
     result = rollout_with_estimate(truth_expr(system), system, span=(0.0, 2.0))
@@ -291,3 +300,24 @@ def test_benchmark_stats_match_stored_runs():
         assert abs(res.mean_test_error - np.mean(errs)) < 1e-12
         assert abs(res.std_test_error - np.std(errs)) < 1e-12
         assert isinstance(res, BenchmarkResult)
+
+
+def test_benchmark_resolves_each_system_once(integrate_calls):
+    resolved = []
+
+    def resolver(name):
+        resolved.append(name)
+        return get_system(name)
+
+    fast = {"feynman": FeynmanConfig(max_brute_nodes=3)}
+    names = ("lotka_volterra", "simple_pendulum", "cart_pole")
+    results = run_benchmark(
+        ["sindy", "feynman"],
+        names,
+        overrides={("feynman", name): fast for name in names},
+        resolver=resolver,
+    )
+    assert resolved == list(names)
+    # train and test once per system, shared by both methods
+    assert integrate_calls == [(0.0, 10.0), (10.0, 15.0)] * 3
+    assert all(run["expression"] for res in results for run in res.runs)

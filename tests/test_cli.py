@@ -1,4 +1,3 @@
-import importlib
 import json
 import re
 
@@ -36,21 +35,13 @@ def test_generate_writes_trajectories_and_datasets(tmp_path):
     assert len(targets) == 101  # header + 100 pairs
 
 
-def test_generate_integrates_each_trajectory_once(tmp_path, monkeypatch):
-    # the package attribute odesr.integrate is the function, not the module
-    module = importlib.import_module("odesr.integrate")
-    calls = []
-    original = module.integrate
-
-    def counting(*args, **kwargs):
-        calls.append(args[2])
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(module, "integrate", counting)
+def test_generate_integrates_each_trajectory_once(
+    tmp_path, monkeypatch, integrate_calls
+):
     assert main(["generate", "--system", "lotka_volterra", "--dt", "0.1",
                  "--out", str(tmp_path / "lv.csv")]) == 0
-    # train, then train again and test inside the test split
-    assert calls == [(0.0, 10.0), (0.0, 10.0), (10.0, 15.0)]
+    # the test split continues from the train trajectory already integrated
+    assert integrate_calls == [(0.0, 10.0), (10.0, 15.0)]
     monkeypatch.undo()
     for split in ("train", "test"):
         expected = tmp_path / f"expected_{split}.csv"
