@@ -5,12 +5,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from operator import attrgetter, itemgetter
+from typing import Callable
 
 import numpy as np
 
 from .expressions import Expr, complexity, evaluate_batch, print_expr
-from .genomes import Genome, Grammar, _mutate_decoded, _random_decoded
+from .genomes import Genome, Grammar, _mutate_decoded, _random_decoded, _tree
 
 # public genome operations, reachable as odesr.ga.<name>; perfbench traces
 # them at these names
@@ -83,34 +84,30 @@ def make_candidate(
     )
 
 
-def _scorer(data: RegressionDataset) -> Callable[[Genome, Expr], CandidateSolution]:
-    """Candidate builder that computes fitness and complexity once per
-    printed form; the memo lives as long as the returned function.
-
-    The key is the printed form, not the tree: dataclass equality makes
-    Const(0.0) == Const(-0.0) and Const(1) == Const(1.0), which print
-    differently. Each call returns a new CandidateSolution, since callers
-    may mutate it."""
-    scores: dict[str, tuple[float, int]] = {}
-
-    def score(genome: Genome, expr: Expr) -> CandidateSolution:
-        key = print_expr(expr)
-        cached = scores.get(key)
-        if cached is None:
-            cached = scores[key] = (fitness(expr, data), complexity(expr))
-        return CandidateSolution(expr, cached[0], cached[1], genome)
-
-    return score
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # bytes of 0/1 as binary digits
+_RANK = itemgetter(0, 1)  # run_ga's population entries are (train_rmse, complexity, bits)
 
 
-def _sorted_by_fitness(pop: Sequence[CandidateSolution]) -> list[CandidateSolution]:
-    # ties: lower complexity first, then original position (stable)
-    return [
-        pop[i]
-        for i in sorted(
-            range(len(pop)), key=lambda i: (pop[i].train_rmse, pop[i].complexity, i)
-        )
+def _step(
+    pop: list,
+    rank: Callable,
+    bits_of: Callable,
+    config: GAConfig,
+    grammar: Grammar,
+    rng: np.random.Generator,
+) -> tuple[list, list[tuple[bytes, int]]]:
+    """Survivors of pop by rank (ties keep their order), and the (bits, bits
+    consumed) of the mutants that fill back to N, one per survivor in turn."""
+    n = config.population_size
+    if len(pop) != n:
+        raise ValueError(f"population size {len(pop)} != configured {n}")
+    survivors = sorted(pop, key=rank)[: math.ceil(n * config.selection_fraction)]
+    parents = [bits_of(s) for s in survivors]
+    mutants = [
+        _mutate_decoded(parents[i % len(parents)], grammar, rng, config.mutation_rate)
+        for i in range(n - len(parents))
     ]
+    return survivors, mutants
 
 
 def step(
@@ -121,30 +118,11 @@ def step(
     rng: np.random.Generator,
 ) -> list[CandidateSolution]:
     """One generation: survivors pass unchanged, mutants fill back to N."""
-    return _step(pop, config, grammar, rng, _scorer(data))
-
-
-def _step(
-    pop: list[CandidateSolution],
-    config: GAConfig,
-    grammar: Grammar,
-    rng: np.random.Generator,
-    score: Callable[[Genome, Expr], CandidateSolution],
-) -> list[CandidateSolution]:
-    n = config.population_size
-    if len(pop) != n:
-        raise ValueError(f"population size {len(pop)} != configured {n}")
-    n_survivors = math.ceil(n * config.selection_fraction)
-    survivors = _sorted_by_fitness(pop)[:n_survivors]
-    next_pop = list(survivors)
-    i = 0
-    while len(next_pop) < n:
-        parent = survivors[i % n_survivors]
-        next_pop.append(
-            score(*_mutate_decoded(parent.genome, grammar, rng, config.mutation_rate))
-        )
-        i += 1
-    return next_pop
+    rank, bits_of = attrgetter("train_rmse", "complexity"), attrgetter("genome.bits")
+    survivors, mutants = _step(pop, rank, bits_of, config, grammar, rng)
+    return survivors + [
+        make_candidate(_tree(bits, grammar)[0], data, Genome(tuple(bits))) for bits, _ in mutants
+    ]
 
 
 def run_ga(
@@ -153,22 +131,42 @@ def run_ga(
     """Full GA run from a fresh seeded population.
 
     Returns the best-ever candidate and the per-generation best fitness
-    (non-increasing thanks to elitism). Fitness is memoised by printed
-    expression for the length of the run; results and RNG draws are those
-    of evaluating every candidate.
+    (non-increasing thanks to elitism). For the length of the run, scores
+    are memoised by a genome's consumed prefix and, behind that, by printed
+    expression, since distinct prefixes can print alike. Trees are built
+    for new prefixes and the returned candidate only. Results and RNG draws
+    are those of evaluating every candidate.
     """
     rng = np.random.default_rng(config.seed)
-    score = _scorer(data)
+    by_prefix: dict[int, tuple[float, int]] = {}
+    # printed, not tree, equality: Const(0.0) == Const(-0.0) as dataclasses
+    by_print: dict[str, tuple[float, int]] = {}
+
+    def entry(bits: bytes, used: int) -> tuple[float, int, bytes]:
+        # a compact key; the leading 1 keeps prefixes of different lengths apart
+        prefix = int(b"1" + bits[:used].translate(_DIGITS), 2)
+        score = by_prefix.get(prefix)
+        if score is None:
+            expr = _tree(bits, grammar)[0]
+            key = print_expr(expr)
+            score = by_print.get(key)
+            if score is None:
+                score = by_print[key] = (fitness(expr, data), complexity(expr))
+            by_prefix[prefix] = score
+        return (*score, bits)
+
     pop = [
-        score(*_random_decoded(config.bitstring_length, grammar, rng))
+        entry(*_random_decoded(config.bitstring_length, grammar, rng))
         for _ in range(config.population_size)
     ]
-    best = _sorted_by_fitness(pop)[0]
+    best = min(pop, key=_RANK)
     history: list[float] = []
     for _ in range(config.iterations):
-        pop = _step(pop, config, grammar, rng, score)
-        gen_best = _sorted_by_fitness(pop)[0]
-        if (gen_best.train_rmse, gen_best.complexity) < (best.train_rmse, best.complexity):
+        survivors, mutants = _step(pop, _RANK, itemgetter(2), config, grammar, rng)
+        pop = survivors + [entry(*m) for m in mutants]
+        gen_best = min(pop, key=_RANK)
+        if _RANK(gen_best) < _RANK(best):
             best = gen_best
-        history.append(gen_best.train_rmse)
-    return best, history
+        history.append(gen_best[0])
+    rmse, comp, bits = best
+    return CandidateSolution(_tree(bits, grammar)[0], rmse, comp, Genome(tuple(bits))), history

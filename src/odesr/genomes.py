@@ -90,57 +90,65 @@ class Genome:
         return cls(tuple(int(c) for c in s))
 
 
-def _decode(bits: Sequence[int], grammar: Grammar) -> tuple[Expr | None, int]:
-    """Decode returning (expression, bits consumed); (None, pos) on exhaustion."""
-    n_leaves = grammar.variable_count + len(grammar.constant_pool)
+def _consumed(bits: Sequence[int], grammar: Grammar) -> int | None:
+    """Bits a decode of bits reads, or None when they run out; builds no tree.
+
+    The inner loop reads an expr codon and descends into its leftmost child; a
+    binary rule stacks its op codon width, skipped before the right operand.
+    The expr codon is 2 bits for 3 rules: 00 and 11 binary, 01 unary, 10 leaf."""
     n_bits = len(bits)
+    op_width, unary_width, var_width = grammar.op_width, grammar.unary_width, grammar.var_width
+    pos = 0
+    pending = [0]
+    while pending:
+        pos += pending.pop()
+        while True:
+            if pos + 2 > n_bits:
+                return None
+            high, low = bits[pos], bits[pos + 1]
+            pos += 2
+            if high == low:
+                pending.append(op_width)
+            elif low:
+                pos += unary_width
+            else:
+                pos += var_width
+                break
+    return pos if pos <= n_bits else None
+
+
+def _tree(bits: Sequence[int], grammar: Grammar) -> tuple[Expr, int]:
+    """The expression of bits that _consumed accepts, and the bits it read."""
+    n_leaves = grammar.variable_count + len(grammar.constant_pool)
     pos = 0
 
-    def take(width: int) -> int | None:
+    def take(width: int) -> int:
         nonlocal pos
-        end = pos + width
-        if end > n_bits:
-            return None
         value = 0
-        for b in bits[pos:end]:
+        for b in bits[pos : pos + width]:
             value = (value << 1) | b
-        pos = end
+        pos += width
         return value
 
-    def expr() -> Expr | None:
-        choice = take(grammar.expr_width)
-        if choice is None:
-            return None
-        rule = choice % 3
+    def expr() -> Expr:
+        rule = take(grammar.expr_width) % 3
         if rule == 0:
             left = expr()
-            if left is None:
-                return None
-            op = take(grammar.op_width)
-            if op is None:
-                return None
-            right = expr()
-            if right is None:
-                return None
-            return Binary(BINARY_OPS[op % len(BINARY_OPS)], left, right)
+            op = BINARY_OPS[take(grammar.op_width) % len(BINARY_OPS)]
+            return Binary(op, left, expr())
         if rule == 1:
-            op = take(grammar.unary_width)
-            if op is None:
-                return None
-            arg = expr()
-            if arg is None:
-                return None
-            return Unary(UNARY_OPS[op % len(UNARY_OPS)], arg)
-        leaf = take(grammar.var_width)
-        if leaf is None:
-            return None
-        index = leaf % n_leaves
+            return Unary(UNARY_OPS[take(grammar.unary_width) % len(UNARY_OPS)], expr())
+        index = take(grammar.var_width) % n_leaves
         if index < grammar.variable_count:
             return Var(index)
         return Const(grammar.constant_pool[index - grammar.variable_count])
 
-    e = expr()
-    return e, pos
+    return expr(), pos
+
+
+def _decode(bits: Sequence[int], grammar: Grammar) -> tuple[Expr | None, int | None]:
+    """(expression, bits consumed), or (None, None) when the bits run out."""
+    return (None, None) if _consumed(bits, grammar) is None else _tree(bits, grammar)
 
 
 def decode(genome: Genome, grammar: Grammar) -> Expr | None:
@@ -154,7 +162,7 @@ def random_genome(
     max_attempts: int = 10_000,
 ) -> Genome:
     """Sample uniform bitstrings until one decodes; invalid draws are discarded."""
-    return _random_decoded(length, grammar, rng, max_attempts)[0]
+    return Genome(tuple(_random_decoded(length, grammar, rng, max_attempts)[0]))
 
 
 def _random_decoded(
@@ -162,13 +170,13 @@ def _random_decoded(
     grammar: Grammar,
     rng: np.random.Generator,
     max_attempts: int = 10_000,
-) -> tuple[Genome, Expr]:
-    """random_genome that also returns the expression its validity check built."""
+) -> tuple[bytes, int]:
+    """random_genome as (bytes of 0/1, bits consumed), checked by _consumed alone."""
     for _ in range(max_attempts):
-        bits = tuple(rng.integers(0, 2, size=length).tolist())
-        expr = _decode(bits, grammar)[0]
-        if expr is not None:
-            return Genome(bits), expr
+        bits = rng.integers(0, 2, size=length).astype(np.uint8).tobytes()
+        used = _consumed(bits, grammar)
+        if used is not None:
+            return bits, used
     raise SamplingError(
         f"no valid genome in {max_attempts} attempts "
         f"(k={grammar.variable_count}, pool size {len(grammar.constant_pool)}, "
@@ -185,24 +193,24 @@ def mutate(
 ) -> Genome:
     """Flip each bit with probability rate; resample flips from the original
     genome until the result decodes."""
-    return _mutate_decoded(genome, grammar, rng, rate, max_attempts)[0]
+    return Genome(tuple(_mutate_decoded(genome.bits, grammar, rng, rate, max_attempts)[0]))
 
 
 def _mutate_decoded(
-    genome: Genome,
+    bits: Sequence[int],
     grammar: Grammar,
     rng: np.random.Generator,
     rate: float = 0.1,
     max_attempts: int = 10_000,
-) -> tuple[Genome, Expr]:
-    """mutate that also returns the expression its validity check built."""
-    original = np.array(genome.bits, dtype=np.int64)
+) -> tuple[bytes, int]:
+    """mutate as (bytes of 0/1, bits consumed), checked by _consumed alone."""
+    original = np.frombuffer(bytes(bits), dtype=np.uint8)
     for _ in range(max_attempts):
         flips = rng.random(len(original)) < rate
-        bits = tuple((original ^ flips).tolist())
-        expr = _decode(bits, grammar)[0]
-        if expr is not None:
-            return Genome(bits), expr
+        mutant = (original ^ flips).tobytes()
+        used = _consumed(mutant, grammar)
+        if used is not None:
+            return mutant, used
     raise SamplingError(
         f"no valid mutation in {max_attempts} attempts (rate={rate}, "
         f"length {len(original)})"

@@ -178,8 +178,8 @@ def integrate(
         raise ValueError(f"span must increase, got {span}")
     grid = sample_grid(t0, t1, sample_dt)
     x = np.array(x0, dtype=float)
-    if x.ndim != 1 or not np.all(np.isfinite(x)):
-        raise ValueError("initial state must be a finite vector")
+    if x.ndim != 1 or not x.size or not np.all(np.isfinite(x)):
+        raise ValueError("initial state must be a non-empty finite vector")
     states = np.empty((len(grid), len(x)))
     states[0] = x
     gi = 1
@@ -201,8 +201,9 @@ def integrate(
         steps += 1
         if steps > cfg.max_steps:
             raise fail(f"exceeded max_steps={cfg.max_steps}", t)
-        if h < 1e-14 * max(abs(t), 1.0):
-            raise fail("step size underflow", t)
+        # also catches a nan h, which a zero error scale (atol=0) can give
+        if not h >= 1e-14 * max(abs(t), 1.0):
+            raise fail(f"step size underflow (h={h:.3g})", t)
         reached_end = h >= t1 - t
         if reached_end:
             h = t1 - t

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from odesr import ga
+from odesr import ga, genomes
 from odesr.expressions import Binary, Const, Unary, Var, print_expr
 from odesr.ga import (
     CandidateSolution,
@@ -15,7 +15,7 @@ from odesr.ga import (
     run_ga,
     step,
 )
-from odesr.genomes import Genome, decode, grammar_for_system, random_genome
+from odesr.genomes import Genome, Grammar, decode, grammar_for_system, random_genome
 from odesr.integrate import (
     RegressionDataset,
     finite_differences,
@@ -279,13 +279,52 @@ def test_fitness_memo_is_scoped_to_one_run(lv_planted):
         assert history == ref_history
 
 
-def test_memoised_candidates_keep_their_own_expression(zero_dataset):
-    score = ga._scorer(zero_dataset)
-    genome = Genome((1, 0, 0, 1, 0))
-    positive = score(genome, Const(0.0))
-    negative = score(genome, Const(-0.0))
-    assert print_expr(negative.expr) == "(-0.0)"
-    assert negative is not positive
-    # the memo holds scores, not candidates, so callers may edit theirs
-    positive.train_rmse = math.inf
-    assert score(genome, Const(0.0)).train_rmse == 0.0
+def test_memoised_candidates_keep_their_own_expression(monkeypatch, zero_dataset):
+    # Const(0.0) and Const(-0.0) are equal trees with equal scores that print
+    # apart. Each seed's run scores both, and a different one wins; the
+    # returned candidate is built from its own genome.
+    grammar = Grammar(variable_count=2, constant_pool=(0.0, -0.0, 1.0, 1.5))
+    for seed, printed in ((2, "(-0.0)"), (6, "0.0")):
+        config = GAConfig(population_size=10, iterations=3, seed=seed)
+        best, _, _, evaluated = run_ga_observed(monkeypatch, config, zero_dataset, grammar)
+        assert {"0.0", "(-0.0)"} <= set(evaluated)
+        assert print_expr(best.expr) == printed == print_expr(decode(best.genome, grammar))
+        # the memo holds scores, not candidates, so callers may edit theirs
+        best.train_rmse = math.inf
+        again, _ = run_ga(config, zero_dataset, grammar)
+        assert again is not best and again.train_rmse == 0.0
+
+
+@pytest.mark.parametrize("system_name", ["lotka_volterra", "cart_pole"])
+def test_run_ga_builds_one_tree_per_distinct_prefix(monkeypatch, system_name):
+    data = make_dataset(get_system(system_name), 0.1, "train")
+    grammar = grammar_for_system(system_name)
+    config = dataclasses.replace(
+        default_ga_config(system_name, seed=3), population_size=16, iterations=12
+    )
+    consumed, tree = genomes._consumed, genomes._tree
+    draws, built = [], []
+
+    def scanning(bits, grammar):
+        used = consumed(bits, grammar)
+        draws.append(None if used is None else tuple(bits[:used]))
+        return used
+
+    def building(bits, grammar):
+        used = consumed(bits, grammar)
+        assert used is not None, "no tree for an invalid draw"
+        built.append(tuple(bits[:used]))
+        return tree(bits, grammar)
+
+    monkeypatch.setattr(genomes, "_consumed", scanning)
+    monkeypatch.setattr(ga, "_tree", building)
+    best, _ = run_ga(config, data, grammar)
+
+    prefixes = [p for p in draws if p is not None]
+    # once per distinct prefix drawn, then once for the returned candidate
+    assert built[:-1] == list(dict.fromkeys(prefixes))
+    assert built[-1] == best.genome.bits[: consumed(best.genome.bits, grammar)]
+    # invalid draws and repeated prefixes both occur, and build nothing
+    assert len(prefixes) < len(draws)
+    assert len(built) - 1 < len(prefixes)
+    assert print_expr(best.expr) == print_expr(decode(best.genome, grammar))

@@ -1,17 +1,20 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from odesr.expressions import Binary, Const, Unary, Var
+from odesr.expressions import BINARY_OPS, UNARY_OPS, Binary, Const, Unary, Var, print_expr
 from odesr.genomes import (
     CONSTANT_POOLS,
     Genome,
     Grammar,
     SamplingError,
+    _consumed,
     _decode,
+    _tree,
     decode,
     grammar_for_system,
     mutate,
@@ -126,6 +129,71 @@ def test_trailing_bits_never_change_decode(raw):
         return
     flipped = g[:used] + tuple(1 - b for b in g[used:])
     assert _decode(flipped, LV)[0] == e
+
+
+def reference_decode(bits, grammar):
+    """Recursive decode that checks for exhaustion at every codon: (tree,
+    bits read), or (None, None) when the bits run out."""
+    pos = 0
+
+    def take(width):
+        nonlocal pos
+        if pos + width > len(bits):
+            raise IndexError
+        value = int("".join(map(str, bits[pos : pos + width])), 2)
+        pos += width
+        return value
+
+    def expr():
+        rule = take(grammar.expr_width) % 3
+        if rule == 0:
+            left = expr()
+            op = BINARY_OPS[take(grammar.op_width) % len(BINARY_OPS)]
+            return Binary(op, left, expr())
+        if rule == 1:
+            return Unary(UNARY_OPS[take(grammar.unary_width) % len(UNARY_OPS)], expr())
+        index = take(grammar.var_width) % (grammar.variable_count + len(grammar.constant_pool))
+        if index < grammar.variable_count:
+            return Var(index)
+        return Const(grammar.constant_pool[index - grammar.variable_count])
+
+    try:
+        return expr(), pos
+    except IndexError:
+        return None, None
+
+
+SYSTEM_GRAMMARS = [grammar_for_system(name) for name in CONSTANT_POOLS]
+
+
+def check_scan_against_reference(bits, grammar):
+    tree, pos = reference_decode(bits, grammar)
+    used = _consumed(bits, grammar)
+    assert used == pos
+    assert _consumed(bytes(bits), grammar) == used  # the GA's form of the bits
+    assert _decode(bits, grammar) == (tree, pos)
+    if tree is not None:
+        assert print_expr(_tree(bits[:used], grammar)[0]) == print_expr(tree)
+        assert print_expr(_decode(bits, grammar)[0]) == print_expr(tree)
+    return used
+
+
+@pytest.mark.parametrize("grammar", SYSTEM_GRAMMARS, ids=list(CONSTANT_POOLS))
+def test_scan_matches_reference_decode_on_every_short_bitstring(grammar):
+    valid = 0
+    for length in range(1, 13):
+        for bits in itertools.product((0, 1), repeat=length):
+            valid += check_scan_against_reference(bits, grammar) is not None
+    assert valid > 1000  # both outcomes are covered
+
+
+@pytest.mark.parametrize("length", [20, 60])
+@pytest.mark.parametrize("grammar", SYSTEM_GRAMMARS, ids=list(CONSTANT_POOLS))
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_scan_matches_reference_decode_on_long_bitstrings(grammar, length, data):
+    bits = tuple(data.draw(st.lists(st.integers(0, 1), min_size=length, max_size=length)))
+    check_scan_against_reference(bits, grammar)
 
 
 def test_random_genome_is_valid_and_seeded():

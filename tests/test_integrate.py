@@ -1,5 +1,6 @@
 import gc
 import math
+import time
 import weakref
 
 import numpy as np
@@ -125,6 +126,29 @@ def test_nan_rhs_truncates():
     with pytest.raises(IntegrationError) as err:
         integrate(rhs, [0.0], (0.0, 1.0), 0.1)
     assert err.value.last_time <= 0.6
+
+
+# Both inputs below used to give a nan first step that no step-size test
+# caught, so integrate spun until the default max_steps (1,000,000).
+
+
+def test_empty_initial_state_is_rejected():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="non-empty"):
+        integrate(lambda t, x: -x, [], (0.0, 1.0), 0.1)
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
+def test_zero_error_scale_raises_at_once():
+    # atol=0 and a zero component make that component's error scale 0, and
+    # the initial step 0/0
+    start = time.perf_counter()
+    with pytest.raises(IntegrationError, match=r"step size underflow \(h=nan\)") as err:
+        integrate(lambda t, x: -x, [1.0, 0.0], (0.0, 1.0), 0.1, IntegratorConfig(atol=0.0))
+    assert time.perf_counter() - start < 0.5
+    assert err.value.last_time == 0.0
+    assert err.value.partial.states.tolist() == [[1.0, 0.0]]
 
 
 # ------------------------------------------------------------ datasets
