@@ -10,12 +10,14 @@ without output files. Each run builds fresh systems, so that no trajectory
 carries over from the run before.
 
 Every call to `integrate` is counted, through both the integrate module and
-the benchmark module, which binds its own name. A call is distinct when no
-earlier call of the same run had equal inputs: the same initial state,
-span, sample_dt and integrator config, and a right-hand side with the same
-code and captured values (so two systems built by one factory share theirs).
-Each sequence runs once untimed, then RUNS times timed with
-`time.perf_counter`: raw seconds on the host as it ran, not calibrated
+the benchmark module, which binds its own name, together with the
+right-hand-side evaluations it makes. A call is distinct when no earlier
+call of the same run had equal inputs: the same initial state, span,
+sample_dt and integrator config, and a right-hand side with the same code
+and captured values (so two systems built by one factory share theirs).
+Each sequence runs once untimed for the counts, then RUNS times timed with
+`time.perf_counter`, which records each run's seconds and the part of them
+spent inside `integrate`: raw seconds on the host as it ran, not calibrated
 against host speed.
 
 The result goes into BENCH_trajectories.json in the working directory under
@@ -76,27 +78,65 @@ def rhs_key(rhs) -> tuple:
     return rhs.__code__, tuple(v if isinstance(v, float) else id(v) for v in cells)
 
 
-def count_integrations(sequence) -> dict:
-    """integrate calls of one run of sequence, total and distinct."""
+def run_wrapped(sequence, wrap) -> None:
+    """Run sequence with every binding of integrate replaced by
+    wrap(integrate)."""
     original = BINDINGS[0].integrate
-    keys = []
-    alive = []  # keeps every rhs, so that no id in a key is reused
-
-    def counting(rhs, x0, span, sample_dt, config=None):
-        alive.append(rhs)
-        cfg = (config.rtol, config.atol, config.max_steps) if config else None
-        x = np.array(x0, dtype=float).tobytes()
-        keys.append((rhs_key(rhs), x, tuple(span), sample_dt, cfg))
-        return original(rhs, x0, span, sample_dt, config)
-
+    wrapped = wrap(original)
     for module in BINDINGS:
-        module.integrate = counting
+        module.integrate = wrapped
     try:
         sequence()
     finally:
         for module in BINDINGS:
             module.integrate = original
-    return {"total": len(keys), "distinct": len(set(keys))}
+
+
+def count_integrations(sequence) -> dict:
+    """integrate calls of one run of sequence, total and distinct, and the
+    right-hand-side evaluations they make."""
+    keys = []
+    alive = []  # keeps every rhs, so that no id in a key is reused
+    evaluations = 0
+
+    def wrap(original):
+        def counting(rhs, x0, span, sample_dt, config=None):
+            alive.append(rhs)
+            cfg = (config.rtol, config.atol, config.max_steps) if config else None
+            x = np.array(x0, dtype=float).tobytes()
+            keys.append((rhs_key(rhs), x, tuple(span), sample_dt, cfg))
+
+            def counted(t, state):
+                nonlocal evaluations
+                evaluations += 1
+                return rhs(t, state)
+
+            return original(counted, x0, span, sample_dt, config)
+
+        return counting
+
+    run_wrapped(sequence, wrap)
+    return {"total": len(keys), "distinct": len(set(keys)), "rhs_evaluations": evaluations}
+
+
+def timed_run(sequence) -> tuple[float, float]:
+    """Seconds of one run of sequence, and the part of them inside integrate."""
+    inside = 0.0
+
+    def wrap(original):
+        def timing(*args, **kwargs):
+            nonlocal inside
+            start = time.perf_counter()
+            try:
+                return original(*args, **kwargs)
+            finally:
+                inside += time.perf_counter() - start
+
+        return timing
+
+    start = time.perf_counter()
+    run_wrapped(sequence, wrap)
+    return time.perf_counter() - start, inside
 
 
 def summary(values: list[float]) -> dict:
@@ -112,16 +152,19 @@ def main() -> None:
     results = {}
     for name, sequence in (("score", score), ("sweep", sweep)):
         calls = count_integrations(sequence)
-        seconds = []
-        for _ in range(RUNS):
-            start = time.perf_counter()
-            sequence()
-            seconds.append(time.perf_counter() - start)
-        results[name] = {"integrate_calls": calls, "seconds": summary(seconds)}
-        median = statistics.median(seconds)
+        runs = [timed_run(sequence) for _ in range(RUNS)]
+        seconds = [wall for wall, _ in runs]
+        inside = [integrate_s for _, integrate_s in runs]
+        results[name] = {
+            "integrate_calls": calls,
+            "seconds": summary(seconds),
+            "integrate_seconds": summary(inside),
+        }
         print(
             f"{args.label} {name}: {calls['total']} integrate calls, "
-            f"{calls['distinct']} distinct; median {median:.3f} s over {RUNS} runs"
+            f"{calls['distinct']} distinct, {calls['rhs_evaluations']} rhs evaluations; "
+            f"median {statistics.median(seconds):.3f} s over {RUNS} runs, "
+            f"{statistics.median(inside):.3f} s inside integrate"
         )
 
     path = Path(OUT)

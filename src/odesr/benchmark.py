@@ -90,7 +90,7 @@ def test_error(
     if not np.all(np.isfinite(pred)):
         return math.inf
     truth = np.array(
-        [system.rhs(t, s)[system.target_dim] for t, s in zip(times, states)]
+        [system.rhs(t, s)[system.target_dim] for t, s in zip(times.tolist(), states)]
     )
     return float(np.sqrt(np.mean((pred - truth) ** 2)))
 

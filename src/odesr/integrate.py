@@ -73,6 +73,8 @@ _P = np.array(
         [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
     ]
 )
+# the exponents of theta in _P's columns
+_POWERS = np.arange(1, 5)
 
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
@@ -83,9 +85,24 @@ RHS = Callable[[float, np.ndarray], np.ndarray]
 
 @dataclass
 class IntegratorConfig:
+    """Step control: a step from x to x_new is accepted when the RMS of
+    each component's error over atol + rtol * max(|x|, |x_new|) is at
+    most 1."""
+
     rtol: float = 1e-8
     atol: float = 1e-10
     max_steps: int = 1_000_000
+
+    def __post_init__(self):
+        for name in ("rtol", "atol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        # with both zero every error scale is zero and no step is accepted
+        if self.rtol == 0 and self.atol == 0:
+            raise ValueError("rtol and atol must not both be zero")
+        if self.max_steps < 1:
+            raise ValueError(f"max_steps must be >= 1, got {self.max_steps!r}")
 
 
 @dataclass
@@ -124,39 +141,51 @@ def sample_grid(t0: float, t1: float, sample_dt: float) -> np.ndarray:
     return np.linspace(t0, t1, n + 1)
 
 
-def _error_norm(err: np.ndarray, scale: np.ndarray) -> float:
-    """RMS of err / scale, bit-identical to np.sqrt(np.mean((err / scale) ** 2)).
+def _error_norm(
+    x: list[float], x_new: list[float], err: list[float], atol: float, rtol: float
+) -> float:
+    """RMS of err / (atol + rtol * max(|x|, |x_new|)), elementwise, or inf
+    when x_new or err has a component that is not finite.
 
-    numpy adds fewer than 8 elements left to right and squares as r * r, so
-    Python floats give the same bits at a fraction of the cost on the small
-    states integrated here. Longer vectors (numpy sums those pairwise) and a
-    zero scale (numpy gives inf or nan and warns) take the numpy formula.
+    The norm is bit-identical to np.sqrt(np.mean((err / scale) ** 2)) with
+    the scale formed in numpy. numpy adds fewer than 8 elements left to
+    right and squares as r * r, so one pass over Python floats gives the
+    same bits at a fraction of the cost on the small states integrated
+    here. Longer vectors (numpy sums those pairwise) and a zero scale
+    (numpy gives inf or nan and warns) take the numpy formula.
     """
     n = len(err)
-    if 0 < n < 8:
+    if n < 8:
         acc = 0.0
         try:
-            for e, s in zip(err.tolist(), scale.tolist()):
-                r = e / s
+            for a, b, e in zip(x, x_new, err):
+                if not (math.isfinite(b) and math.isfinite(e)):
+                    return math.inf
+                r = e / (atol + rtol * max(abs(a), abs(b)))
                 acc += r * r
         except ZeroDivisionError:
             pass
         else:
             return math.sqrt(acc / n)
+    x, x_new, err = np.array(x), np.array(x_new), np.array(err)
+    if not (np.all(np.isfinite(x_new)) and np.all(np.isfinite(err))):
+        return math.inf
+    scale = atol + rtol * np.maximum(np.abs(x), np.abs(x_new))
     return float(np.sqrt(np.mean((err / scale) ** 2)))
 
 
 def _initial_step(
     rhs: RHS, t0: float, x0: np.ndarray, f0: np.ndarray, cfg: IntegratorConfig
 ) -> float:
-    scale = cfg.atol + cfg.rtol * np.abs(x0)
-    d0 = _error_norm(x0, scale)
-    d1 = _error_norm(f0, scale)
+    xs = x0.tolist()
+    # x0 at both ends of the step gives the scale atol + rtol * |x0|
+    d0 = _error_norm(xs, xs, xs, cfg.atol, cfg.rtol)
+    d1 = _error_norm(xs, xs, f0.tolist(), cfg.atol, cfg.rtol)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     f1 = np.asarray(rhs(t0 + h0, x0 + h0 * f0), dtype=float)
     if not np.all(np.isfinite(f1)):
         return h0
-    d2 = _error_norm(f1 - f0, scale) / h0
+    d2 = _error_norm(xs, xs, (f1 - f0).tolist(), cfg.atol, cfg.rtol) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -171,7 +200,12 @@ def integrate(
     sample_dt: float,
     config: IntegratorConfig | None = None,
 ) -> Trajectory:
-    """Integrate rhs over span and sample on a uniform grid."""
+    """Integrate rhs over span and sample on a uniform grid.
+
+    rhs is called as rhs(t, x) with t a Python float and x a float64
+    ndarray of the state's length, and returns the derivative as a
+    sequence of the same length.
+    """
     cfg = config if config is not None else IntegratorConfig()
     t0, t1 = float(span[0]), float(span[1])
     if not t1 > t0:
@@ -196,6 +230,10 @@ def integrate(
     h = min(_initial_step(rhs, t, x, f, cfg), t1 - t0)
     err_old = 1.0
     k = np.empty((7, len(x)))
+    # stage i: (its row of k, its node, its weights, the rows they weigh)
+    stages = [(i, c, _A[i], k[:i]) for i, c in enumerate(_C.tolist()) if i]
+    k6 = k[:6]
+    xs = x.tolist()
     steps = 0
     while gi < len(grid):
         steps += 1
@@ -208,16 +246,13 @@ def integrate(
         if reached_end:
             h = t1 - t
         k[0] = f
-        for i in range(1, 7):
-            xi = x + h * (_A[i] @ k[:i])
-            k[i] = rhs(t + _C[i] * h, xi)
-        x_new = x + h * (_A[6] @ k[:6])
+        for i, c, a, ki in stages:
+            k[i] = rhs(t + c * h, x + h * (a @ ki))
+        x_new = x + h * (_A[6] @ k6)
         err = h * (_E @ k)
-        finite = np.all(np.isfinite(x_new)) and np.all(np.isfinite(err))
-        if finite:
-            scale = cfg.atol + cfg.rtol * np.maximum(np.abs(x), np.abs(x_new))
-            err_norm = _error_norm(err, scale)
-        if not finite or not np.isfinite(err_norm):
+        xs_new = x_new.tolist()
+        err_norm = _error_norm(xs, xs_new, err.tolist(), cfg.atol, cfg.rtol)
+        if not math.isfinite(err_norm):
             h *= _MIN_FACTOR
             continue
         if err_norm > 1.0:
@@ -228,10 +263,10 @@ def integrate(
             q = k.T @ _P
             while gi < len(grid) and grid[gi] <= t_new:
                 theta = min(max((grid[gi] - t) / h, 0.0), 1.0)
-                p = theta ** np.arange(1, 5)
+                p = theta**_POWERS
                 states[gi] = x + h * (q @ p)
                 gi += 1
-        t, x, f = t_new, x_new, k[6]
+        t, x, xs, f = t_new, x_new, xs_new, k[6]
         if err_norm == 0.0:
             factor = _MAX_FACTOR
         else:
@@ -289,11 +324,12 @@ def integrate_fixed_step(
     h = (t1 - t0) / n_steps
     x = np.array(x0, dtype=float)
     k = np.empty((6, len(x)))
+    nodes = _C.tolist()
     for step in range(n_steps):
         t = t0 + step * h
         k[0] = rhs(t, x)
         for i in range(1, 6):
-            k[i] = rhs(t + _C[i] * h, x + h * (_A[i] @ k[:i]))
+            k[i] = rhs(t + nodes[i] * h, x + h * (_A[i] @ k[:i]))
         x = x + h * (_A[6] @ k)
     return x
 

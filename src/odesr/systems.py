@@ -16,6 +16,10 @@ import numpy as np
 
 @dataclass(frozen=True)
 class SystemSpec:
+    """One benchmark system. rhs(t, x) is called with t a Python float and
+    x a float64 ndarray of length dim, and returns the derivative as an
+    ndarray of length dim."""
+
     name: str
     dim: int
     params: dict
@@ -32,7 +36,7 @@ def lotka_volterra() -> SystemSpec:
     alpha, beta, gamma, delta = 1.5, 1.0, 3.0, 1.0
 
     def rhs(t: float, s: np.ndarray) -> np.ndarray:
-        x, y = s
+        x, y = s.tolist()
         return np.array([x * (alpha - beta * y), -y * (gamma - delta * x)])
 
     return SystemSpec(
@@ -53,7 +57,8 @@ def simple_pendulum() -> SystemSpec:
     g, b = 9.81, 0.1
 
     def rhs(t: float, s: np.ndarray) -> np.ndarray:
-        return np.array([s[1], -b * s[1] - g * math.sin(s[0])])
+        theta, omega = s.tolist()
+        return np.array([omega, -b * omega - g * math.sin(theta)])
 
     return SystemSpec(
         name="simple_pendulum",
@@ -83,7 +88,7 @@ def cart_pole() -> SystemSpec:
     g = 9.81
 
     def rhs(t: float, s: np.ndarray) -> np.ndarray:
-        w, x, y, z = s
+        w, x, y, z = s.tolist()
         force = cart_pole_force(t)
         sw, cw = math.sin(w), math.cos(w)
         den = 2.0 - cw * cw

@@ -180,3 +180,18 @@ def test_blowup_system_exits_two(tmp_path, capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "integrator",
+    [{"rtol": -1e-8}, {"atol": float("nan")}, {"rtol": 0.0, "atol": 0.0}, {"max_steps": 0}],
+    ids=["negative rtol", "nan atol", "zero tolerances", "no steps"],
+)
+def test_bad_integrator_config_exits_one(tmp_path, capsys, integrator):
+    # the last two used to integrate and fail as a numerical error (exit 2)
+    cfg = write_config(tmp_path, {"integrator": integrator})
+    out = tmp_path / "lv.json"
+    assert main(["fit", "--method", "sindy", "--system", "lotka_volterra",
+                 "--config", cfg, "--out", str(out)]) == 1
+    assert "numerical failure" not in capsys.readouterr().err
+    assert not out.exists()

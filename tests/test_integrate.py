@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import time
@@ -5,12 +6,22 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from odesr.benchmark import run_fit
+from odesr import benchmark
+from odesr.benchmark import GROUND_TRUTH_EXPRESSIONS, rollout_with_estimate, run_fit
 from odesr.benchmark import test_error as held_out_error
 from odesr.expressions import parse_expr
 from odesr.integrate import (
+    _A,
+    _C,
+    _E,
+    _MAX_FACTOR,
+    _MIN_FACTOR,
+    _P,
+    _SAFETY,
     IntegrationError,
     IntegratorConfig,
     RegressionDataset,
@@ -22,10 +33,17 @@ from odesr.integrate import (
     make_dataset,
     make_trajectory,
     read_trajectory_csv,
+    sample_grid,
     shared_trajectory,
     write_trajectory_csv,
 )
-from odesr.systems import cart_pole, get_system, lotka_volterra, simple_pendulum
+from odesr.systems import (
+    cart_pole,
+    expression_system,
+    get_system,
+    lotka_volterra,
+    simple_pendulum,
+)
 
 
 def test_exponential_decay():
@@ -151,6 +169,28 @@ def test_zero_error_scale_raises_at_once():
     assert err.value.partial.states.tolist() == [[1.0, 0.0]]
 
 
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        ({"rtol": -1e-8}, "rtol must be finite and >= 0"),
+        ({"atol": -1e-10}, "atol must be finite and >= 0"),
+        ({"rtol": math.nan}, "rtol must be finite and >= 0"),
+        ({"atol": math.inf}, "atol must be finite and >= 0"),
+        ({"rtol": 0.0, "atol": 0.0}, "must not both be zero"),
+        ({"max_steps": 0}, "max_steps must be >= 1"),
+    ],
+)
+def test_integrator_config_rejects_bad_values(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        IntegratorConfig(**kwargs)
+
+
+def test_integrator_config_allows_one_zero_tolerance():
+    for config in (IntegratorConfig(atol=0.0), IntegratorConfig(rtol=0.0)):
+        traj = integrate(lambda t, x: -x, [1.0], (0.0, 1.0), 0.1, config)
+        assert traj.states[-1, 0] == pytest.approx(math.exp(-1.0), abs=1e-8)
+
+
 # ------------------------------------------------------------ datasets
 
 
@@ -216,6 +256,13 @@ def test_trajectory_csv_round_trip(tmp_path):
 # ------------------------------------------------------------ error norm
 
 
+def error_norm(err, scale):
+    """_error_norm over the given positive error scale: x = x_new = scale,
+    atol 0 and rtol 1."""
+    scale = np.asarray(scale).tolist()
+    return _error_norm(scale, scale, np.asarray(err).tolist(), 0.0, 1.0)
+
+
 def test_error_norm_matches_numpy_formula():
     rng = np.random.default_rng(7)
     special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308, 1.0])
@@ -231,7 +278,23 @@ def test_error_norm_matches_numpy_formula():
             scale[tiny] = rng.choice([5e-324, 1e-310, 2.2e-308], tiny.sum())
             with np.errstate(all="ignore"):
                 expected = np.sqrt(np.mean((err / scale) ** 2))
-                assert _error_norm(err, scale).hex() == float(expected).hex()
+                assert error_norm(err, scale).hex() == float(expected).hex()
+
+
+def test_error_norm_forms_the_numpy_scale():
+    rng = np.random.default_rng(8)
+    for n in range(1, 10):
+        for _ in range(500):
+            x, x_new, err = rng.standard_normal((3, n)) * 10.0 ** rng.integers(-5, 5, (3, n))
+            x[rng.random(n) < 0.2] = 0.0
+            x_new[rng.random(n) < 0.2] = -0.0
+            atol = float(rng.choice([0.0, 1e-10, 1e-3]))
+            rtol = float(rng.choice([1e-8, 0.5, 1.0]))
+            with np.errstate(all="ignore"):
+                scale = atol + rtol * np.maximum(np.abs(x), np.abs(x_new))
+                expected = np.sqrt(np.mean((err / scale) ** 2))
+                got = _error_norm(x.tolist(), x_new.tolist(), err.tolist(), atol, rtol)
+            assert got.hex() == float(expected).hex()
 
 
 def test_error_norm_sums_left_to_right():
@@ -242,16 +305,30 @@ def test_error_norm_sums_left_to_right():
     scale = np.ones(4)
     squares = [v * v for v in err.tolist()]
     other_order = math.sqrt((squares[0] + (squares[1] + squares[2] + squares[3])) / 4)
-    assert _error_norm(err, scale) == float(np.sqrt(np.mean((err / scale) ** 2)))
-    assert _error_norm(err, scale) != other_order
+    assert error_norm(err, scale) == float(np.sqrt(np.mean((err / scale) ** 2)))
+    assert error_norm(err, scale) != other_order
 
 
 def test_error_norm_zero_scale_takes_numpy_values():
     err = np.array([1.0, 0.0, -2.0])
     scale = np.array([0.0, 0.0, 1.0])
     with np.errstate(all="ignore"):
-        assert math.isnan(_error_norm(err, scale))
-        assert _error_norm(err[[0, 2]], scale[[0, 2]]) == math.inf
+        assert math.isnan(error_norm(err, scale))
+        assert error_norm(err[[0, 2]], scale[[0, 2]]) == math.inf
+
+
+@pytest.mark.parametrize("zero_scale", [False, True])
+@pytest.mark.parametrize("n", [3, 9])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_error_norm_is_inf_for_a_step_that_is_not_finite(n, bad, zero_scale):
+    x = [1.0] * n
+    if zero_scale:
+        x[0] = 0.0  # with atol 0 its error scale is zero
+    for which in ("x_new", "err"):
+        x_new, err = list(x), [1e-3] * n
+        {"x_new": x_new, "err": err}[which][-1] = bad
+        with np.errstate(all="ignore"):
+            assert _error_norm(x, x_new, err, 0.0, 1e-8) == math.inf
 
 
 # ------------------------------------------------------ shared trajectories
@@ -356,3 +433,262 @@ def test_fit_then_test_error_integrates_train_and_test_once(integrate_calls):
     expr = parse_expr(record["expression"], sys.variable_names)
     assert held_out_error(expr, sys, 0.05) == record["test_error"]
     assert integrate_calls == [sys.train_span, sys.test_span]
+
+
+# ------------------------------------------------------ reference step loop
+
+
+def reference_error_norm(err, scale):
+    n = len(err)
+    if 0 < n < 8:
+        acc = 0.0
+        try:
+            for e, s in zip(err.tolist(), scale.tolist()):
+                r = e / s
+                acc += r * r
+        except ZeroDivisionError:
+            pass
+        else:
+            return math.sqrt(acc / n)
+    return float(np.sqrt(np.mean((err / scale) ** 2)))
+
+
+def reference_initial_step(rhs, t0, x0, f0, cfg):
+    scale = cfg.atol + cfg.rtol * np.abs(x0)
+    d0 = reference_error_norm(x0, scale)
+    d1 = reference_error_norm(f0, scale)
+    h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
+    f1 = np.asarray(rhs(t0 + h0, x0 + h0 * f0), dtype=float)
+    if not np.all(np.isfinite(f1)):
+        return h0
+    d2 = reference_error_norm(f1 - f0, scale) / h0
+    if max(d1, d2) <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.2
+    return min(100.0 * h0, h1)
+
+
+def reference_integrate(rhs, x0, span, sample_dt, config=None):
+    """The step loop with numpy finiteness checks, a numpy error scale and
+    the stage times taken from _C as numpy scalars."""
+    cfg = config if config is not None else IntegratorConfig()
+    t0, t1 = float(span[0]), float(span[1])
+    grid = sample_grid(t0, t1, sample_dt)
+    x = np.array(x0, dtype=float)
+    states = np.empty((len(grid), len(x)))
+    states[0] = x
+    gi = 1
+
+    def fail(message, t):
+        return IntegrationError(
+            message, t, Trajectory(grid[:gi].copy(), states[:gi].copy())
+        )
+
+    t = t0
+    f = np.asarray(rhs(t, x), dtype=float)
+    if not np.all(np.isfinite(f)):
+        raise fail("dynamics not finite at initial state", t)
+    h = min(reference_initial_step(rhs, t, x, f, cfg), t1 - t0)
+    err_old = 1.0
+    k = np.empty((7, len(x)))
+    steps = 0
+    while gi < len(grid):
+        steps += 1
+        if steps > cfg.max_steps:
+            raise fail(f"exceeded max_steps={cfg.max_steps}", t)
+        if not h >= 1e-14 * max(abs(t), 1.0):
+            raise fail(f"step size underflow (h={h:.3g})", t)
+        reached_end = h >= t1 - t
+        if reached_end:
+            h = t1 - t
+        k[0] = f
+        for i in range(1, 7):
+            xi = x + h * (_A[i] @ k[:i])
+            k[i] = rhs(t + _C[i] * h, xi)
+        x_new = x + h * (_A[6] @ k[:6])
+        err = h * (_E @ k)
+        finite = np.all(np.isfinite(x_new)) and np.all(np.isfinite(err))
+        if finite:
+            scale = cfg.atol + cfg.rtol * np.maximum(np.abs(x), np.abs(x_new))
+            err_norm = reference_error_norm(err, scale)
+        if not finite or not np.isfinite(err_norm):
+            h *= _MIN_FACTOR
+            continue
+        if err_norm > 1.0:
+            h *= max(_MIN_FACTOR, min(1.0, _SAFETY * err_norm ** (-0.7 / 5)))
+            continue
+        t_new = t1 if reached_end else t + h
+        if gi < len(grid) and grid[gi] <= t_new:
+            q = k.T @ _P
+            while gi < len(grid) and grid[gi] <= t_new:
+                theta = min(max((grid[gi] - t) / h, 0.0), 1.0)
+                p = theta ** np.arange(1, 5)
+                states[gi] = x + h * (q @ p)
+                gi += 1
+        t, x, f = t_new, x_new, k[6]
+        if err_norm == 0.0:
+            factor = _MAX_FACTOR
+        else:
+            factor = _SAFETY * err_norm ** (-0.7 / 5) * err_old ** (0.4 / 5)
+        h *= max(_MIN_FACTOR, min(_MAX_FACTOR, factor))
+        err_old = max(err_norm, 1e-14)
+    return Trajectory(grid, states)
+
+
+def assert_same_bits(got, expected):
+    assert got.times.tobytes() == expected.times.tobytes()
+    assert got.states.tobytes() == expected.states.tobytes()
+
+
+def recording(rhs, calls):
+    """rhs that appends the bits of each (t, x) it is called with to calls."""
+
+    def recorded(t, x):
+        calls.append((float(t).hex(), x.tobytes()))
+        return rhs(t, x)
+
+    return recorded
+
+
+def checked_integrate(rhs, x0, span, sample_dt, config=None):
+    """integrate(...), after checking that it calls rhs at the same points
+    and gives the same bits as reference_integrate, or raises the same
+    error, with the same message and partial trajectory."""
+    calls, reference_calls = [], []
+    try:
+        expected = reference_integrate(
+            recording(rhs, reference_calls), x0, span, sample_dt, config
+        )
+    except (IntegrationError, ZeroDivisionError) as expected_error:
+        with pytest.raises(type(expected_error)) as error:
+            integrate(recording(rhs, calls), x0, span, sample_dt, config)
+        assert str(error.value) == str(expected_error)
+        if isinstance(expected_error, IntegrationError):
+            assert error.value.last_time.hex() == expected_error.last_time.hex()
+            assert_same_bits(error.value.partial, expected_error.partial)
+        assert calls == reference_calls
+        raise error.value
+    traj = integrate(recording(rhs, calls), x0, span, sample_dt, config)
+    assert_same_bits(traj, expected)
+    assert calls == reference_calls
+    return traj
+
+
+@pytest.mark.parametrize("sample_dt", [0.1, 0.05, 0.025])
+@pytest.mark.parametrize("name", ["lotka_volterra", "simple_pendulum", "cart_pole"])
+def test_system_trajectories_match_reference(name, sample_dt):
+    sys = get_system(name)
+    full = (sys.train_span[0], sys.test_span[1])
+    train = checked_integrate(sys.rhs, sys.initial_state, sys.train_span, sample_dt)
+    checked_integrate(sys.rhs, train.states[-1], sys.test_span, sample_dt)
+    checked_integrate(sys.rhs, sys.initial_state, full, sample_dt)
+
+
+@pytest.mark.parametrize("sample_dt", [0.1, 0.05, 0.025])
+@pytest.mark.parametrize("name", ["lotka_volterra", "simple_pendulum", "cart_pole"])
+def test_truth_rollouts_match_reference(monkeypatch, name, sample_dt):
+    sys = get_system(name)
+    truth = parse_expr(GROUND_TRUTH_EXPRESSIONS[name], sys.variable_names)
+    spans = []
+
+    def checked(rhs, x0, span, *args):
+        spans.append(span)
+        return checked_integrate(rhs, x0, span, *args)
+
+    monkeypatch.setattr(benchmark, "integrate", checked)
+    result = rollout_with_estimate(truth, sys, sample_dt=sample_dt)
+    assert result.divergence_time is None
+    assert spans == [(sys.train_span[0], sys.test_span[1])]
+
+
+def test_expression_system_matches_reference():
+    pendulum = simple_pendulum()
+    sys = expression_system(
+        "pendulum_expr",
+        ("theta2", "-0.1 * theta2 - 9.81 * sin(theta1)"),
+        pendulum.initial_state,
+        variable_names=pendulum.variable_names,
+    )
+    for span in (sys.train_span, (sys.train_span[0], sys.test_span[1])):
+        checked_integrate(sys.rhs, sys.initial_state, span, 0.05)
+
+
+@pytest.mark.parametrize("n", [7, 8, 9])
+def test_linear_systems_around_the_numpy_norm_match_reference(n):
+    # 8 or more components take the numpy norm
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, n)) - 2.0 * np.eye(n)
+    x0 = rng.standard_normal(n)
+    checked_integrate(lambda t, x: a @ x + math.sin(t), x0, (0.0, 5.0), 0.1)
+
+
+def _nan_after_half(t, x):
+    return np.array([math.nan if t > 0.5 else 1.0])
+
+
+@pytest.mark.parametrize(
+    "rhs, x0, config",
+    [
+        (lambda t, x: x * x, [1.0], None),
+        (_nan_after_half, [0.0], None),
+        (lambda t, x: x * x, [1.0] * 9, None),
+        (lotka_volterra().rhs, [1.0, 1.0], IntegratorConfig(max_steps=5)),
+        (lambda t, x: -x, [1.0, 0.0], IntegratorConfig(atol=0.0)),
+        (lambda t, x: -x, [1.0] * 8 + [0.0], IntegratorConfig(atol=0.0)),
+    ],
+    ids=["blowup", "nan", "blowup-9", "max_steps", "atol=0", "atol=0-9"],
+)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_failures_match_reference(rhs, x0, config):
+    with pytest.raises(IntegrationError):
+        checked_integrate(rhs, x0, (0.0, 2.0), 0.1, config)
+
+
+@given(
+    n=st.integers(1, 4),
+    data=st.data(),
+    rtol=st.sampled_from([1e-10, 1e-8, 1e-6]),
+    atol=st.sampled_from([0.0, 1e-12, 1e-8]),
+)
+@settings(max_examples=60, deadline=None)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_small_linear_systems_match_reference(n, data, rtol, atol):
+    entries = st.floats(-3.0, 3.0, allow_subnormal=False)
+    a = np.array(data.draw(st.lists(entries, min_size=n * n, max_size=n * n))).reshape(n, n)
+    x0 = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
+    forcing = data.draw(entries)
+    config = IntegratorConfig(rtol=rtol, atol=atol)
+    try:
+        checked_integrate(lambda t, x: a @ x + forcing * math.sin(t), x0, (0.0, 2.0), 0.1, config)
+    # with atol 0 a tiny state component can make the first step 0, and the
+    # initial step estimate then divides by it
+    except (IntegrationError, ZeroDivisionError):
+        pass
+
+
+# ------------------------------------------------------------ rhs contract
+
+
+def test_rhs_gets_a_float_time_and_a_float64_state():
+    seen = []
+
+    def checking(rhs):
+        def checked(t, x):
+            seen.append((type(t), type(x), x.dtype, x.shape))
+            return rhs(t, x)
+
+        return checked
+
+    for name in ("lotka_volterra", "simple_pendulum", "cart_pole"):
+        sys = get_system(name)
+        sys = dataclasses.replace(sys, rhs=checking(sys.rhs))
+        truth = parse_expr(GROUND_TRUTH_EXPRESSIONS[name], sys.variable_names)
+        held_out_error(truth, sys, 0.1)
+        rollout_with_estimate(truth, sys, sample_dt=0.1)
+        shapes = {(float, np.ndarray, np.dtype(np.float64), (sys.dim,))}
+        assert set(seen) == shapes
+        seen.clear()
+    integrate(checking(lambda t, x: -x), [1, 2, 3], (0, 1), 0.5)
+    integrate_fixed_step(checking(lambda t, x: -x), [1, 2, 3], (0, 1), 4)
+    assert set(seen) == {(float, np.ndarray, np.dtype(np.float64), (3,))}
