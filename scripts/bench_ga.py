@@ -11,9 +11,7 @@ train set, for the seeds of perfbench's `ga` workload at --seed 0
 - valid: draws that decode
 - distinct_prefixes: distinct consumed prefixes among the valid draws of
   each run (the bits a decode reads; the rest cannot change the tree)
-- trees_built: complete expression trees built. Since the GA scans draws
-  without building trees, these are the calls of `_tree`; before, every
-  valid draw was decoded into a tree.
+- trees_built: complete expression trees built, the calls of `_tree`
 - fitness_evaluations: calls of `fitness`
 
 The counts come from one untimed pass. Then RUNS passes over every system
@@ -44,8 +42,6 @@ from odesr.systems import SYSTEM_NAMES, get_system
 RUNS = 5
 OUT = "BENCH_ga.json"
 SEEDS = range(1000, 1005)
-# the validity check of a draw: the tree-free scan, or before it the decode
-SCANS = hasattr(genomes, "_consumed")
 
 
 def counted_runs(data, grammar, settings: dict) -> dict:
@@ -54,19 +50,15 @@ def counted_runs(data, grammar, settings: dict) -> dict:
         ("draws", "valid", "distinct_prefixes", "trees_built", "fitness_evaluations"), 0
     )
     prefixes = set()
-    check_name = "_consumed" if SCANS else "_decode"
-    check, fitness = getattr(genomes, check_name), ga.fitness
-    build = getattr(ga, "_tree", None)
+    check, fitness, build = genomes._consumed, ga.fitness, ga._tree
 
     def checking(bits, grammar):
-        result = check(bits, grammar)
-        used = result if SCANS else (None if result[0] is None else result[1])
+        used = check(bits, grammar)
         counts["draws"] += 1
         if used is not None:
             counts["valid"] += 1
-            counts["trees_built"] += not SCANS
             prefixes.add(tuple(bits[:used]))
-        return result
+        return used
 
     def building(bits, grammar):
         counts["trees_built"] += 1
@@ -76,9 +68,11 @@ def counted_runs(data, grammar, settings: dict) -> dict:
         counts["fitness_evaluations"] += 1
         return fitness(expr, data)
 
-    patches = [(genomes, check_name, checking), (ga, "fitness", evaluating)]
-    if SCANS:
-        patches.append((ga, "_tree", building))
+    patches = [
+        (genomes, "_consumed", checking),
+        (ga, "fitness", evaluating),
+        (ga, "_tree", building),
+    ]
     originals = [(module, name, getattr(module, name)) for module, name, _ in patches]
     for module, name, function in patches:
         setattr(module, name, function)

@@ -27,7 +27,6 @@ commit's `src/`.
 """
 
 import argparse
-import importlib
 import json
 import os
 import platform
@@ -37,6 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
+from odesr import benchmark, integrate
 from odesr.benchmark import (
     GROUND_TRUTH_EXPRESSIONS,
     rollout_with_estimate,
@@ -50,11 +50,7 @@ from odesr.systems import SYSTEM_NAMES, get_system
 RUNS = 5
 OUT = "BENCH_trajectories.json"
 SCORE_DTS = (0.1, 0.05, 0.025)
-# the package attribute odesr.integrate is the function, not the module
-BINDINGS = (
-    importlib.import_module("odesr.integrate"),
-    importlib.import_module("odesr.benchmark"),
-)
+BINDINGS = (integrate, benchmark)
 
 
 def score() -> None:

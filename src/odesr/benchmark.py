@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .candidates import rmse
+
 # evaluate is not called here; it stays importable from this module because
 # perfbench/spans.py traces the scalar path at this name
 from .expressions import (  # noqa: F401
@@ -86,13 +88,10 @@ def test_error(
     anchors, matching the training pairs; non-finite predictions give +inf."""
     traj = make_trajectory(system, "test", sample_dt, config)
     times, states = traj.times[:-1], traj.states[:-1]
-    pred = evaluate_batch(expr, times, states)
-    if not np.all(np.isfinite(pred)):
-        return math.inf
     truth = np.array(
         [system.rhs(t, s)[system.target_dim] for t, s in zip(times.tolist(), states)]
     )
-    return float(np.sqrt(np.mean((pred - truth) ** 2)))
+    return rmse(evaluate_batch(expr, times, states), truth)
 
 
 def rollout_with_estimate(

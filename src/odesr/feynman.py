@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .candidates import CandidateSolution, make_candidate
 from .expressions import (
     _BINARY_SYMBOL,
     BINARY_UFUNC,
@@ -23,7 +24,6 @@ from .expressions import (
     Var,
     print_expr,
 )
-from .ga import CandidateSolution, make_candidate
 from .integrate import RegressionDataset
 
 _BRUTE_UNARY = ("sin", "cos", "log", "exp")
@@ -542,10 +542,6 @@ def pareto_rows(front: ParetoFront, variable_names=None) -> list[dict]:
         }
         for cand in front.candidates
     ]
-
-
-def write_pareto_csv(front: ParetoFront, path, variable_names=None) -> None:
-    write_pareto_rows(pareto_rows(front, variable_names), path)
 
 
 def write_pareto_rows(rows, path) -> None:

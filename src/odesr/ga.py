@@ -1,5 +1,5 @@
-"""Grammatical-evolution search: RMSE fitness on finite-difference
-targets, elitist top-fraction selection, one mutant per survivor."""
+"""Grammatical-evolution search: elitist top-fraction selection by RMSE
+fitness on finite-difference targets, one mutant per survivor."""
 
 from __future__ import annotations
 
@@ -10,7 +10,11 @@ from typing import Callable
 
 import numpy as np
 
-from .expressions import Expr, complexity, evaluate_batch, print_expr
+from .candidates import CandidateSolution, fitness, make_candidate
+from .expressions import complexity, print_expr
+
+# not called here; perfbench traces the batch evaluator at this name
+from .expressions import evaluate_batch  # noqa: F401
 from .genomes import Genome, Grammar, _mutate_decoded, _random_decoded, _tree
 
 # public genome operations, reachable as odesr.ga.<name>; perfbench traces
@@ -51,37 +55,6 @@ GA_DEFAULTS: dict[str, dict] = {
 
 def default_ga_config(system_name: str, seed: int = 0) -> GAConfig:
     return GAConfig(seed=seed, **GA_DEFAULTS[system_name])
-
-
-@dataclass(slots=True)
-class CandidateSolution:
-    expr: Expr
-    train_rmse: float
-    complexity: int
-    genome: Genome | None = None
-
-
-def fitness(expr: Expr, data: RegressionDataset) -> float:
-    """RMSE of expr against the divided-difference targets; +inf if any
-    sample evaluates outside the reals."""
-    pred = evaluate_batch(expr, data.times, data.states)
-    if not np.all(np.isfinite(pred)):
-        return math.inf
-    with np.errstate(over="ignore"):
-        err = pred - data.targets
-        value = float(np.sqrt(np.mean(err * err)))
-    return value if math.isfinite(value) else math.inf
-
-
-def make_candidate(
-    expr: Expr, data: RegressionDataset, genome: Genome | None = None
-) -> CandidateSolution:
-    return CandidateSolution(
-        expr=expr,
-        train_rmse=fitness(expr, data),
-        complexity=complexity(expr),
-        genome=genome,
-    )
 
 
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # bytes of 0/1 as binary digits

@@ -182,6 +182,10 @@ def _initial_step(
     d0 = _error_norm(xs, xs, xs, cfg.atol, cfg.rtol)
     d1 = _error_norm(xs, xs, f0.tolist(), cfg.atol, cfg.rtol)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
+    if h0 == 0.0:
+        # d1 is inf or near it (a zero atol and a tiny state component);
+        # integrate reports the step size underflow
+        return h0
     f1 = np.asarray(rhs(t0 + h0, x0 + h0 * f0), dtype=float)
     if not np.all(np.isfinite(f1)):
         return h0

@@ -7,14 +7,13 @@ The nonzero weights are assembled back into a single expression tree.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from .candidates import CandidateSolution, make_candidate, rmse
 from .expressions import Binary, Const, Expr, evaluate_batch, parse_expr
-from .ga import CandidateSolution, make_candidate
 from .integrate import RegressionDataset
 
 
@@ -297,8 +296,7 @@ def _lambda_sweep(
     best_key, best = None, None
     for lam in lam_max * np.logspace(0.0, -5.0, 10):
         res = lasso_cd(a, b, float(lam), config.max_iterations, config.tolerance)
-        rmse = float(np.sqrt(np.mean((a @ res.weights - b) ** 2)))
-        key = (rmse, int(np.count_nonzero(res.weights)))
+        key = (rmse(a @ res.weights, b), int(np.count_nonzero(res.weights)))
         if best_key is None or key < best_key:
             best_key, best = key, res
     return best

@@ -137,7 +137,7 @@ def expression_system(
 ) -> SystemSpec:
     """Build a system whose right-hand side is given as one expression
     string per dimension, e.g. ("x2", "-9.81 * sin(x1)")."""
-    from .expressions import compile_scalar, parse_expr
+    from .expressions import _compile, parse_expr
 
     rhs_strings = tuple(rhs_strings)
     k = len(rhs_strings)
@@ -158,10 +158,13 @@ def expression_system(
     if not 0 <= target_dim < k:
         raise ValueError("target_dim out of range")
 
-    fns = tuple(compile_scalar(e) for e in exprs)
+    # compile_scalar's per-point functions, sharing one conversion of the
+    # state per call
+    nodes = tuple(_compile(e) for e in exprs)
 
     def rhs(t: float, s: np.ndarray) -> np.ndarray:
-        return np.array([f(t, s) for f in fns])
+        t, xs = float(t), np.asarray(s, dtype=float).ravel().tolist()
+        return np.array([node(t, xs) for node in nodes])
 
     return SystemSpec(
         name=name,

@@ -177,6 +177,45 @@ def test_blowup_system_exits_two(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_custom_system_generate_writes_its_variables(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "systems": {
+            "decay": {
+                "rhs": ["-0.5 * u"],
+                "initial_state": [2.0],
+                "train_span": [0.0, 1.0],
+                "test_span": [1.0, 2.0],
+                "variable_names": ["u"],
+            }
+        },
+    })
+    base = tmp_path / "decay"
+    assert main(["generate", "--system", "decay", "--config", cfg,
+                 "--out", str(base) + ".csv"]) == 0
+    capsys.readouterr()
+    names, train = read_trajectory_csv(str(base) + "_train.csv")
+    assert names == ("u",)
+    assert train.states[0, 0] == 2.0
+    assert train.states[-1, 0] == pytest.approx(2.0 * np.exp(-0.5), abs=1e-8)
+    lines = (tmp_path / "decay_test_targets.csv").read_text().splitlines()
+    assert lines[0] == "t,u,target"
+    assert len(lines) == 11
+
+
+def test_generate_underflowing_initial_step_exits_two(tmp_path, capsys):
+    # atol=0 and a tiny first component overflow the scaled derivative,
+    # which gives an initial step of 0
+    cfg = write_config(tmp_path, {
+        "systems": {"tiny": {"rhs": ["1.0", "0.0", "0.0"], "initial_state": [1.26e-255, 1, 1]}},
+        "integrator": {"rtol": 1e-10, "atol": 0.0},
+    })
+    assert main(["generate", "--system", "tiny", "--config", cfg,
+                 "--out", str(tmp_path / "tiny.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure: step size underflow" in err
+    assert "Traceback" not in err
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()

@@ -21,13 +21,14 @@ from odesr.feynman import (
     brute_force,
     monomial_exponents,
     pareto_front,
+    pareto_rows,
     polyfit,
     run_pipeline,
     separability_split,
-    write_pareto_csv,
+    write_pareto_rows,
 )
 from odesr import feynman
-from odesr.ga import CandidateSolution, fitness, make_candidate
+from odesr.candidates import CandidateSolution, fitness, make_candidate
 from odesr.integrate import RegressionDataset, make_dataset
 from odesr.systems import get_system, lotka_volterra
 
@@ -672,7 +673,7 @@ def test_config_validation():
 def test_pareto_csv_round_trip(tmp_path, planted_sine):
     _, front = run_pipeline(planted_sine, FeynmanConfig(max_brute_nodes=3))
     path = tmp_path / "front.csv"
-    write_pareto_csv(front, path, ("x1", "x2"))
+    write_pareto_rows(pareto_rows(front, ("x1", "x2")), path)
     lines = path.read_text().splitlines()
     assert lines[0] == "complexity,train_rmse,expression"
     assert len(lines) == len(front.candidates) + 1

@@ -5,16 +5,9 @@ import numpy as np
 import pytest
 
 from odesr import ga, genomes
+from odesr.candidates import fitness, make_candidate
 from odesr.expressions import Binary, Const, Unary, Var, print_expr
-from odesr.ga import (
-    CandidateSolution,
-    GAConfig,
-    default_ga_config,
-    fitness,
-    make_candidate,
-    run_ga,
-    step,
-)
+from odesr.ga import GAConfig, default_ga_config, run_ga, step
 from odesr.genomes import Genome, Grammar, decode, grammar_for_system, random_genome
 from odesr.integrate import (
     RegressionDataset,

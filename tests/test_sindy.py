@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from odesr.candidates import fitness
 from odesr.expressions import Const, evaluate_batch, parse_expr, print_expr
-from odesr.ga import fitness
 from odesr.integrate import RegressionDataset, make_dataset, make_trajectory
 from odesr.sindy import (
     BasisFunction,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from odesr.expressions import evaluate, evaluate_batch, parse_expr
+from odesr.expressions import compile_scalar, evaluate, evaluate_batch, parse_expr
 from odesr.integrate import integrate, make_trajectory
 from odesr.systems import (
     cart_pole,
@@ -144,10 +144,19 @@ def test_expression_system_matches_per_call_reference():
     )
     exprs = [parse_expr(text, names) for text in texts]
 
+    scalars = [compile_scalar(e) for e in exprs]
+
     def reference_rhs(t, s):
         return np.array([evaluate_batch(e, [t], [s])[0] for e in exprs])
 
+    # and as it was before the state was converted once per evaluation
+    def per_component_rhs(t, s):
+        return np.array([f(t, s) for f in scalars])
+
     got = make_trajectory(system, "train", 0.1)
-    want = integrate(reference_rhs, pendulum.initial_state, system.train_span, 0.1)
-    assert got.times.tobytes() == want.times.tobytes()
-    assert got.states.tobytes() == want.states.tobytes()
+    for rhs in (reference_rhs, per_component_rhs):
+        want = integrate(rhs, pendulum.initial_state, system.train_span, 0.1)
+        assert got.times.tobytes() == want.times.tobytes()
+        assert got.states.tobytes() == want.states.tobytes()
+    for t, s in [(0.5, np.array([0.3, -1.2])), (1, [2, 0]), (0.0, (math.inf, 1.0))]:
+        assert system.rhs(t, s).tobytes() == per_component_rhs(t, s).tobytes()
