@@ -13,15 +13,17 @@ train set, for the seeds of perfbench's `ga` workload at --seed 0
   each run (the bits a decode reads; the rest cannot change the tree)
 - trees_built: complete expression trees built, the calls of `_tree`
 - fitness_evaluations: calls of `fitness`
+- rng_calls: calls of `Generator.random`, which draws the mutation flips
 
 The counts come from one untimed pass. Then RUNS passes over every system
 and seed are timed with `time.perf_counter`: raw seconds on the host as it
 ran, not calibrated against host speed.
 
 The result goes into BENCH_ga.json in the working directory under
-`--label`, next to any labels already there, so that one file holds the
-runs of two commits: run the script once with PYTHONPATH pointing at each
-commit's `src/`.
+`--label`, with the machine it ran on, next to the labels already there,
+so that one file holds the runs of many commits: run the script once with
+PYTHONPATH pointing at each commit's `src/`. A label already in the file
+is refused, so no earlier record is overwritten.
 """
 
 import argparse
@@ -29,6 +31,7 @@ import json
 import os
 import platform
 import statistics
+import sys
 import time
 from pathlib import Path
 
@@ -47,10 +50,25 @@ SEEDS = range(1000, 1005)
 def counted_runs(data, grammar, settings: dict) -> dict:
     """Counts of one run_ga per seed."""
     counts = dict.fromkeys(
-        ("draws", "valid", "distinct_prefixes", "trees_built", "fitness_evaluations"), 0
+        ("draws", "valid", "distinct_prefixes", "trees_built", "fitness_evaluations", "rng_calls"),
+        0,
     )
     prefixes = set()
     check, fitness, build = genomes._consumed, ga.fitness, ga._tree
+    default_rng = np.random.default_rng
+
+    class CountingGenerator:
+        """A generator whose random() calls are counted."""
+
+        def __init__(self, rng):
+            self.rng = rng
+
+        def random(self, *args, **kwargs):
+            counts["rng_calls"] += 1
+            return self.rng.random(*args, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
 
     def checking(bits, grammar):
         used = check(bits, grammar)
@@ -69,6 +87,7 @@ def counted_runs(data, grammar, settings: dict) -> dict:
         return fitness(expr, data)
 
     patches = [
+        (np.random, "default_rng", lambda seed: CountingGenerator(default_rng(seed))),
         (genomes, "_consumed", checking),
         (ga, "fitness", evaluating),
         (ga, "_tree", building),
@@ -96,6 +115,10 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--label", required=True, help="key for these results")
     args = parser.parse_args()
+    path = Path(OUT)
+    record = json.loads(path.read_text()) if path.exists() else {}
+    if args.label in record.get("results", {}):
+        sys.exit(f"{OUT} already holds label {args.label!r}; pick a new one")
 
     inputs = {}
     for name in SYSTEM_NAMES:
@@ -117,25 +140,26 @@ def main() -> None:
             total += elapsed
         totals.append(total)
 
-    results = {"seeds": list(SEEDS), "total_seconds": summary(totals)}
+    results = {
+        "machine": {
+            "cores": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+        },
+        "seeds": list(SEEDS),
+        "total_seconds": summary(totals),
+    }
     for name in SYSTEM_NAMES:
         results[name] = {**counts[name], "seconds": summary(seconds[name])}
         c = counts[name]
         print(
             f"{args.label} {name}: {c['draws']} draws, {c['valid']} valid, "
             f"{c['distinct_prefixes']} distinct prefixes, {c['trees_built']} trees, "
-            f"{c['fitness_evaluations']} fitness; median "
+            f"{c['fitness_evaluations']} fitness, {c['rng_calls']} rng calls; median "
             f"{statistics.median(seconds[name]):.3f} s over {RUNS} runs"
         )
     print(f"{args.label} total: median {statistics.median(totals):.3f} s")
 
-    path = Path(OUT)
-    record = json.loads(path.read_text()) if path.exists() else {}
-    record["machine"] = {
-        "cores": os.cpu_count(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-    }
     record.setdefault("results", {})[args.label] = results
     path.write_text(json.dumps(record, indent=2) + "\n")
 

@@ -23,12 +23,18 @@ class CandidateSolution:
 
 def rmse(pred: np.ndarray, targets: np.ndarray) -> float:
     """Root mean squared error of pred against targets; +inf if any
-    prediction is not finite or the error overflows."""
-    if not np.all(np.isfinite(pred)):
-        return math.inf
-    with np.errstate(over="ignore"):
+    prediction is not finite, the error overflows or pred is empty."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a finite sum proves every prediction finite, as in
+        # expressions._contain; an inf - inf in that sum stays silent
+        total = float(np.add.reduce(pred, axis=None))
+        if not math.isfinite(total) and not np.isfinite(pred).all():
+            return math.inf
         err = pred - targets
-        value = float(np.sqrt(np.mean(err * err)))
+        sq = err * err
+        # np.mean's pairwise sum and division, bit for bit
+        total = float(np.add.reduce(sq, axis=None))
+    value = math.sqrt(total / sq.size) if sq.size else math.inf
     return value if math.isfinite(value) else math.inf
 
 

@@ -111,7 +111,16 @@ def evaluate(expr: Expr, t: float, x: Sequence[float]) -> float:
 
 def _contain(out: np.ndarray, *parents: np.ndarray) -> np.ndarray:
     # overflow and domain errors both collapse to nan, and nan inputs
-    # always poison the output (np.power(1, nan) would otherwise be 1)
+    # always poison the output (np.power(1, nan) would otherwise be 1).
+    # A float sum with an inf or nan term is inf or nan, so a finite sum of
+    # every element proves there is nothing to mask. A sum of finite values
+    # that overflows is inf too, and takes the exact path below (under
+    # evaluate_batch's errstate, so the overflow does not warn).
+    total = float(np.add.reduce(out))
+    for p in parents:
+        total += float(np.add.reduce(p))
+    if isfinite(total):
+        return out
     bad = ~np.isfinite(out)
     for p in parents:
         bad |= ~np.isfinite(p)

@@ -15,7 +15,7 @@ from .expressions import complexity, print_expr
 
 # not called here; perfbench traces the batch evaluator at this name
 from .expressions import evaluate_batch  # noqa: F401
-from .genomes import Genome, Grammar, _mutate_decoded, _random_decoded, _tree
+from .genomes import Genome, Grammar, _Flips, _mutate_decoded, _random_decoded, _tree
 
 # public genome operations, reachable as odesr.ga.<name>; perfbench traces
 # them at these names
@@ -76,10 +76,13 @@ def _step(
         raise ValueError(f"population size {len(pop)} != configured {n}")
     survivors = sorted(pop, key=rank)[: math.ceil(n * config.selection_fraction)]
     parents = [bits_of(s) for s in survivors]
-    mutants = [
-        _mutate_decoded(parents[i % len(parents)], grammar, rng, config.mutation_rate)
-        for i in range(n - len(parents))
-    ]
+    n_mutants = n - len(parents)
+    # one block of uniforms serves a generation's attempts unless rejections use it up
+    with _Flips(rng, config.mutation_rate, n_mutants * config.bitstring_length) as flips:
+        mutants = [
+            _mutate_decoded(parents[i % len(parents)], grammar, flips)
+            for i in range(n_mutants)
+        ]
     return survivors, mutants
 
 

@@ -192,26 +192,76 @@ def mutate(
     max_attempts: int = 10_000,
 ) -> Genome:
     """Flip each bit with probability rate; resample flips from the original
-    genome until the result decodes."""
-    return Genome(tuple(_mutate_decoded(genome.bits, grammar, rng, rate, max_attempts)[0]))
+    genome until the result decodes.
+
+    Each attempt draws rng.random(len(genome.bits)), in order, and flips the
+    bits whose uniform is below rate; the generator is left where those draws
+    leave it. (How the uniforms are fetched, one attempt at a time or in
+    blocks, is an implementation detail.)"""
+    with _Flips(rng, rate) as flips:
+        return Genome(tuple(_mutate_decoded(genome.bits, grammar, flips, max_attempts)[0]))
+
+
+class _Flips:
+    """The flips that rng.random(n) < rate gives for each take(n) in turn,
+    as bytes of 0/1, fetched `size` uniforms at a time.
+
+    rng.random(a) then rng.random(b) gives the floats of rng.random(a + b),
+    so a block is cut into takes. On exit the generator is rewound to the
+    first unused uniform: where one rng.random(n) per take leaves it. Only
+    PCG64, which default_rng makes, is drawn in blocks: MT19937 and SFC64
+    cannot advance, and Philox advances by 4-word blocks, so other bit
+    generators draw each take on its own and need no rewind."""
+
+    def __init__(self, rng: np.random.Generator, rate: float, size: int = 0):
+        self.rng, self.rate = rng, rate
+        self.size = size if type(rng.bit_generator) is np.random.PCG64 else 0
+        self.block, self.pos, self.saved = b"", 0, None
+
+    def take(self, n: int) -> bytes:
+        if self.pos + n > len(self.block):
+            self.rewind()
+            count = max(n, self.size)
+            self.saved = self.rng.bit_generator.state if count > n else None
+            self.block = (self.rng.random(count) < self.rate).tobytes()
+        self.pos += n
+        return self.block[self.pos - n : self.pos]
+
+    def rewind(self) -> None:
+        if self.pos < len(self.block):
+            bit_generator, saved = self.rng.bit_generator, self.saved
+            bit_generator.state = saved
+            bit_generator.advance(self.pos)
+            # advance() drops the buffered 32-bit half-word that an earlier
+            # rng.integers may have left; rng.random never touches it
+            state = bit_generator.state
+            state["has_uint32"], state["uinteger"] = saved["has_uint32"], saved["uinteger"]
+            bit_generator.state = state
+        self.block, self.pos, self.saved = b"", 0, None
+
+    def __enter__(self) -> "_Flips":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.rewind()
 
 
 def _mutate_decoded(
     bits: Sequence[int],
     grammar: Grammar,
-    rng: np.random.Generator,
-    rate: float = 0.1,
+    flips: _Flips,
     max_attempts: int = 10_000,
 ) -> tuple[bytes, int]:
     """mutate as (bytes of 0/1, bits consumed), checked by _consumed alone."""
-    original = np.frombuffer(bytes(bits), dtype=np.uint8)
+    length = len(bits)
+    # bytes of 0/1 xor bytewise as one big integer
+    original = int.from_bytes(bytes(bits), "big")
     for _ in range(max_attempts):
-        flips = rng.random(len(original)) < rate
-        mutant = (original ^ flips).tobytes()
+        mutant = (original ^ int.from_bytes(flips.take(length), "big")).to_bytes(length, "big")
         used = _consumed(mutant, grammar)
         if used is not None:
             return mutant, used
     raise SamplingError(
-        f"no valid mutation in {max_attempts} attempts (rate={rate}, "
-        f"length {len(original)})"
+        f"no valid mutation in {max_attempts} attempts (rate={flips.rate}, "
+        f"length {length})"
     )

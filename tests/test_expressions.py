@@ -14,6 +14,7 @@ from odesr.expressions import (
     Time,
     Unary,
     Var,
+    _contain,
     compile_scalar,
     complexity,
     evaluate,
@@ -368,3 +369,43 @@ def test_print_parse_round_trip(e):
 def test_round_trip_with_named_variables(e):
     names = ("theta1", "theta2", "zz")
     assert parse_expr(print_expr(e, names), names) == e
+
+
+def reference_contain(out, *parents):
+    bad = ~np.isfinite(out)
+    for p in parents:
+        bad |= ~np.isfinite(p)
+    if bad.any():
+        out = np.where(bad, np.nan, out)
+    return out
+
+
+BIG = np.finfo(float).max
+# nan, infinities, subnormals and finite values whose sums overflow
+EDGE_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([math.nan, math.inf, -math.inf, 5e-324, -5e-324, BIG, -BIG, 1e308]),
+)
+
+
+@given(data=st.data(), size=st.integers(0, 40), n_parents=st.integers(0, 2))
+@settings(max_examples=300, deadline=None)
+def test_contain_matches_the_mask_formula(data, size, n_parents):
+    arrays = [
+        np.array(data.draw(st.lists(EDGE_FLOATS, min_size=size, max_size=size)), dtype=float)
+        for _ in range(1 + n_parents)
+    ]
+    out, *parents = arrays
+    with np.errstate(all="ignore"):  # as evaluate_batch calls it
+        got = _contain(out, *parents)
+    expected = reference_contain(out, *parents)
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in expected.tolist()]
+    assert (got is out) == (expected is out)
+
+
+def test_contain_passes_finite_values_with_an_overflowing_sum():
+    out = np.full(4, BIG)
+    with np.errstate(all="ignore"):
+        assert _contain(out, np.full(4, -BIG)) is out
+        masked = _contain(out, np.array([1.0, 2.0, np.inf, 4.0]))
+    assert [math.isnan(v) for v in masked] == [False, False, True, False]

@@ -1,14 +1,22 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from odesr import ga, genomes
-from odesr.candidates import fitness, make_candidate
+from odesr.candidates import CandidateSolution, fitness, make_candidate
 from odesr.expressions import Binary, Const, Unary, Var, print_expr
 from odesr.ga import GAConfig, default_ga_config, run_ga, step
-from odesr.genomes import Genome, Grammar, decode, grammar_for_system, random_genome
+from odesr.genomes import (
+    Genome,
+    Grammar,
+    SamplingError,
+    decode,
+    grammar_for_system,
+    random_genome,
+)
 from odesr.integrate import (
     RegressionDataset,
     finite_differences,
@@ -16,6 +24,7 @@ from odesr.integrate import (
     make_trajectory,
 )
 from odesr.systems import get_system, lotka_volterra, simple_pendulum
+from test_genomes import BIT_GENERATORS, per_attempt_mutate, state_of, twin_generators
 
 
 @pytest.fixture(scope="module")
@@ -321,3 +330,107 @@ def test_run_ga_builds_one_tree_per_distinct_prefix(monkeypatch, system_name):
     assert len(prefixes) < len(draws)
     assert len(built) - 1 < len(prefixes)
     assert print_expr(best.expr) == print_expr(decode(best.genome, grammar))
+
+
+@pytest.mark.parametrize("kind", BIT_GENERATORS)
+def test_step_draws_one_random_per_attempt(kind):
+    data = make_dataset(get_system("cart_pole"), 0.1, "train")
+    grammar = grammar_for_system("cart_pole")
+    config = GAConfig(population_size=10, bitstring_length=60, iterations=1, mutation_rate=0.2)
+    rng, ref = twin_generators(kind, 5)
+    pop = [
+        make_candidate(decode(g, grammar), data, g)
+        for g in (random_genome(60, grammar, np.random.default_rng(s)) for s in range(10))
+    ]
+    for _ in range(4):
+        new = step(pop, config, data, grammar, rng)
+        survivors = new[:5]
+        assert survivors == sorted(pop, key=lambda c: (c.train_rmse, c.complexity))[:5]
+        expected = [
+            per_attempt_mutate(survivors[i % 5].genome, grammar, ref, config.mutation_rate)
+            for i in range(5)
+        ]
+        assert [c.genome for c in new[5:]] == expected
+        assert state_of(rng) == state_of(ref)
+        pop = new
+
+
+@pytest.mark.parametrize("kind", BIT_GENERATORS)
+def test_step_exhaustion_leaves_per_attempt_state(zero_dataset, kind):
+    grammar = grammar_for_system("lotka_volterra")
+    invalid = Genome((0,) * 20)
+    pop = [CandidateSolution(Const(0.0), float(i), 1, invalid) for i in range(4)]
+    config = GAConfig(population_size=4, iterations=1, mutation_rate=0.0)
+    rng, ref = twin_generators(kind, 6)
+    with pytest.raises(SamplingError, match="10000 attempts"):
+        step(pop, config, zero_dataset, grammar, rng)
+    with pytest.raises(SamplingError):
+        per_attempt_mutate(invalid, grammar, ref, 0.0)
+    assert state_of(rng) == state_of(ref)
+
+
+@pytest.mark.parametrize("kind", ["mt19937", "philox"])
+def test_run_ga_matches_reference_on_other_bit_generators(monkeypatch, kind):
+    data = make_dataset(get_system("cart_pole"), 0.1, "train")
+    grammar = grammar_for_system("cart_pole")
+    config = dataclasses.replace(
+        default_ga_config("cart_pole", seed=8), population_size=16, iterations=12
+    )
+    make = BIT_GENERATORS[kind]
+    ref_rng = np.random.Generator(make(config.seed))
+    ref_best, ref_history = reference_run_ga(config, data, grammar, ref_rng)
+    generators = []
+
+    def generator(seed):
+        generators.append(np.random.Generator(make(seed)))
+        return generators[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", generator)
+    best, history = run_ga(config, data, grammar)
+    assert best.genome == ref_best.genome
+    assert [h.hex() for h in history] == [h.hex() for h in ref_history]
+    assert state_of(generators[0]) == state_of(ref_rng)
+
+
+# run_ga at the benchmark settings, seed 1000: the best expression, its train
+# RMSE, its genome, and the history as runs of (best RMSE, generations)
+GOLDEN = {
+    "lotka_volterra": (
+        "(x1 + (-3.0))",
+        "0x1.149ecad20173ep+1",
+        "00100000001010000001",
+        [("0x1.149ecad20173ep+1", 100)],
+    ),
+    "simple_pendulum": (
+        "((-9.81) * x1)",
+        "0x1.abf9802fa7111p+0",
+        "11100100101000010111",
+        [("0x1.abf9802fa7111p+0", 40)],
+    ),
+    "cart_pole": (
+        "(x1 * (x3 + (cos(x2) - 19.62)))",
+        "0x1.2fa532f6e1771p+0",
+        "001000000100010001010100010011000010011010100001101100110100",
+        [
+            ("0x1.0ca14ebb5def3p+2", 15),
+            ("0x1.03dc61be0be22p+2", 2),
+            ("0x1.e00743578ae37p+1", 1),
+            ("0x1.c99d24029e8f9p+1", 33),
+            ("0x1.4feba06bc254bp+1", 7),
+            ("0x1.476ee1da95076p+1", 2),
+            ("0x1.3c103973e9752p+0", 38),
+            ("0x1.2fa532f6e1771p+0", 2),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("system_name", GOLDEN)
+def test_run_ga_golden_at_benchmark_settings(system_name):
+    data = make_dataset(get_system(system_name), 0.1, "train")
+    grammar = grammar_for_system(system_name)
+    best, history = run_ga(default_ga_config(system_name, seed=1000), data, grammar)
+    runs = [(h, len(list(g))) for h, g in itertools.groupby(x.hex() for x in history)]
+    assert (
+        print_expr(best.expr), best.train_rmse.hex(), best.genome.to_string(), runs
+    ) == GOLDEN[system_name]

@@ -12,6 +12,7 @@ from odesr.genomes import (
     Genome,
     Grammar,
     SamplingError,
+    _Flips,
     _consumed,
     _decode,
     _tree,
@@ -264,3 +265,97 @@ def test_grammar_for_system_uses_pool():
     g = grammar_for_system("simple_pendulum")
     assert g.variable_count == 2
     assert g.constant_pool == (-9.81, -0.1, -1.0, 1.0)
+
+
+# the draw contract: one rng.random(len(bits)) per mutation attempt, in order
+
+BIT_GENERATORS = {
+    "pcg64": np.random.PCG64,
+    "mt19937": np.random.MT19937,
+    "philox": np.random.Philox,
+}
+
+
+def twin_generators(kind, seed):
+    """Two generators in the same state, after an odd rng.integers draw that
+    leaves PCG64 holding a buffered 32-bit half-word."""
+    pair = [np.random.Generator(BIT_GENERATORS[kind](seed)) for _ in range(2)]
+    for rng in pair:
+        rng.integers(0, 2, size=21)
+    if kind == "pcg64":
+        assert pair[0].bit_generator.state["has_uint32"] == 1
+    return pair
+
+
+def state_of(rng):
+    """rng's bit generator state, with arrays as lists so that == compares it."""
+
+    def plain(value):
+        if isinstance(value, dict):
+            return {key: plain(v) for key, v in value.items()}
+        return value.tolist() if isinstance(value, np.ndarray) else value
+
+    return plain(rng.bit_generator.state)
+
+
+def per_attempt_mutate(genome, grammar, rng, rate, max_attempts=10_000):
+    original = np.array(genome.bits, dtype=np.uint8)
+    for _ in range(max_attempts):
+        mutant = Genome(tuple(int(b) for b in original ^ (rng.random(len(original)) < rate)))
+        if decode(mutant, grammar) is not None:
+            return mutant
+    raise SamplingError("no valid mutation")
+
+
+@pytest.mark.parametrize("kind", BIT_GENERATORS)
+def test_mutate_draws_one_random_per_attempt(kind):
+    rng, ref = twin_generators(kind, 3)
+    g = random_genome(20, LV, np.random.default_rng(3))
+    for rate in (0.05, 0.1, 0.5, 1.0):
+        for _ in range(20):
+            try:
+                expected = per_attempt_mutate(g, LV, ref, rate, max_attempts=50)
+            except SamplingError:
+                with pytest.raises(SamplingError):
+                    mutate(g, LV, rng, rate, max_attempts=50)
+            else:
+                assert mutate(g, LV, rng, rate, max_attempts=50) == expected
+            assert state_of(rng) == state_of(ref)
+
+
+@pytest.mark.parametrize("kind", BIT_GENERATORS)
+def test_mutate_exhaustion_leaves_per_attempt_state(kind):
+    rng, ref = twin_generators(kind, 4)
+    invalid = Genome((0,) * 20)
+    with pytest.raises(SamplingError, match="rate=0.0, length 20"):
+        mutate(invalid, LV, rng, rate=0.0, max_attempts=30)
+    with pytest.raises(SamplingError):
+        per_attempt_mutate(invalid, LV, ref, 0.0, max_attempts=30)
+    assert state_of(rng) == state_of(ref)
+
+
+@pytest.mark.parametrize("kind", BIT_GENERATORS)
+@given(
+    lengths=st.lists(st.integers(0, 40), max_size=12),
+    size=st.integers(0, 200),
+    rate=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+    fail=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_flip_blocks_match_one_draw_per_take(kind, lengths, size, rate, seed, fail):
+    rng, ref = twin_generators(kind, seed)
+    taken = []
+    try:
+        with _Flips(rng, rate, size) as flips:
+            for n in lengths:
+                taken.append(flips.take(n))
+            if fail:
+                raise SamplingError("leaving early")
+    except SamplingError:
+        assert fail
+    assert taken == [(ref.random(n) < rate).tobytes() for n in lengths]
+    assert state_of(rng) == state_of(ref)
+    # the later stream agrees too, in both draw paths
+    assert rng.integers(0, 2**31, size=3).tolist() == ref.integers(0, 2**31, size=3).tolist()
+    assert rng.random(5).tolist() == ref.random(5).tolist()
