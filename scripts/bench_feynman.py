@@ -4,62 +4,39 @@
 
 Calls `run_pipeline` with the default config on the dt 0.1 train set of
 each benchmark system, after one untimed warm-up call per system, and
-times RUNS calls per system with `time.perf_counter`. These are raw
-seconds on the host as it ran, not calibrated against host speed. One
-more call per system runs under `tracemalloc` for the peak of Python
+times RUNS passes of one call per system with `time.perf_counter`. These
+are raw seconds on the host as it ran, not calibrated against host speed.
+One more call per system runs under `tracemalloc` for the peak of Python
 allocations. `brute_force` is called once per system, outside the timed
 calls, to count the skeletons that get a fit.
 
-The result goes into BENCH_feynman.json in the working directory under
-`--label`, next to any labels already there, so that one file holds the
-runs of two commits: run the script once with PYTHONPATH pointing at
-each commit's `src/`.
+The result is appended to BENCH_feynman.json in the working directory
+under `--label` (see benchrecord.py): run the script once with PYTHONPATH
+pointing at each commit's `src/`.
 """
 
-import argparse
-import json
-import os
-import platform
 import statistics
-import time
 import tracemalloc
+from functools import partial
 from pathlib import Path
-
-import numpy as np
 
 from odesr.feynman import brute_force, run_pipeline
 from odesr.integrate import make_dataset
 from odesr.systems import SYSTEM_NAMES, get_system
 
-RUNS = 5
-OUT = "BENCH_feynman.json"
+from benchrecord import RUNS, parse_label, save, summary, timed_passes
 
-
-def summary(values: list[float]) -> dict:
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": median, "q1": q1, "q3": q3, "runs": values}
+OUT = Path("BENCH_feynman.json")
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--label", required=True, help="key for these results")
-    args = parser.parse_args()
+    label = parse_label(__doc__, OUT)
 
     data = {name: make_dataset(get_system(name), 0.1, "train") for name in SYSTEM_NAMES}
     for d in data.values():
         run_pipeline(d)
 
-    seconds = {name: [] for name in SYSTEM_NAMES}
-    totals = []
-    for _ in range(RUNS):
-        total = 0.0
-        for name, d in data.items():
-            start = time.perf_counter()
-            run_pipeline(d)
-            elapsed = time.perf_counter() - start
-            seconds[name].append(elapsed)
-            total += elapsed
-        totals.append(total)
+    seconds, totals = timed_passes({name: partial(run_pipeline, d) for name, d in data.items()})
 
     systems = {}
     for name, d in data.items():
@@ -73,20 +50,8 @@ def main() -> None:
             "tracemalloc_peak_mb": round(peak / 2**20, 2),
         }
 
-    path = Path(OUT)
-    record = json.loads(path.read_text()) if path.exists() else {}
-    record["machine"] = {
-        "cores": os.cpu_count(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-    }
-    record.setdefault("results", {})[args.label] = {
-        "seconds_all_systems": summary(totals),
-        "systems": systems,
-    }
-    path.write_text(json.dumps(record, indent=2) + "\n")
-    median = statistics.median(totals)
-    print(f"{args.label}: median {median:.3f} s over {RUNS} runs")
+    save(OUT, label, {"seconds_all_systems": summary(totals), "systems": systems})
+    print(f"{label}: median {statistics.median(totals):.3f} s over {RUNS} runs")
 
 
 if __name__ == "__main__":

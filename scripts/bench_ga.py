@@ -19,20 +19,13 @@ The counts come from one untimed pass. Then RUNS passes over every system
 and seed are timed with `time.perf_counter`: raw seconds on the host as it
 ran, not calibrated against host speed.
 
-The result goes into BENCH_ga.json in the working directory under
-`--label`, with the machine it ran on, next to the labels already there,
-so that one file holds the runs of many commits: run the script once with
-PYTHONPATH pointing at each commit's `src/`. A label already in the file
-is refused, so no earlier record is overwritten.
+The result is appended to BENCH_ga.json in the working directory under
+`--label` (see benchrecord.py): run the script once with PYTHONPATH
+pointing at each commit's `src/`.
 """
 
-import argparse
-import json
-import os
-import platform
 import statistics
-import sys
-import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -42,8 +35,9 @@ from odesr.genomes import CONSTANT_POOLS, Grammar
 from odesr.integrate import make_dataset
 from odesr.systems import SYSTEM_NAMES, get_system
 
-RUNS = 5
-OUT = "BENCH_ga.json"
+from benchrecord import RUNS, parse_label, patched, save, summary, timed_passes
+
+OUT = Path("BENCH_ga.json")
 SEEDS = range(1000, 1005)
 
 
@@ -86,39 +80,26 @@ def counted_runs(data, grammar, settings: dict) -> dict:
         counts["fitness_evaluations"] += 1
         return fitness(expr, data)
 
-    patches = [
+    with patched(
         (np.random, "default_rng", lambda seed: CountingGenerator(default_rng(seed))),
         (genomes, "_consumed", checking),
         (ga, "fitness", evaluating),
         (ga, "_tree", building),
-    ]
-    originals = [(module, name, getattr(module, name)) for module, name, _ in patches]
-    for module, name, function in patches:
-        setattr(module, name, function)
-    try:
+    ):
         for seed in SEEDS:
             prefixes.clear()
             ga.run_ga(ga.GAConfig(seed=seed, **settings), data, grammar)
             counts["distinct_prefixes"] += len(prefixes)
-    finally:
-        for module, name, function in originals:
-            setattr(module, name, function)
     return counts
 
 
-def summary(values: list[float]) -> dict:
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": median, "q1": q1, "q3": q3, "runs": values}
+def run_seeds(data, grammar, settings: dict) -> None:
+    for seed in SEEDS:
+        ga.run_ga(ga.GAConfig(seed=seed, **settings), data, grammar)
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--label", required=True, help="key for these results")
-    args = parser.parse_args()
-    path = Path(OUT)
-    record = json.loads(path.read_text()) if path.exists() else {}
-    if args.label in record.get("results", {}):
-        sys.exit(f"{OUT} already holds label {args.label!r}; pick a new one")
+    label = parse_label(__doc__, OUT)
 
     inputs = {}
     for name in SYSTEM_NAMES:
@@ -127,41 +108,21 @@ def main() -> None:
         inputs[name] = (make_dataset(system, 0.1, "train"), grammar, ga.GA_DEFAULTS[name])
     counts = {name: counted_runs(*inputs[name]) for name in SYSTEM_NAMES}
 
-    seconds = {name: [] for name in SYSTEM_NAMES}
-    totals = []
-    for _ in range(RUNS):
-        total = 0.0
-        for name, (data, grammar, settings) in inputs.items():
-            start = time.perf_counter()
-            for seed in SEEDS:
-                ga.run_ga(ga.GAConfig(seed=seed, **settings), data, grammar)
-            elapsed = time.perf_counter() - start
-            seconds[name].append(elapsed)
-            total += elapsed
-        totals.append(total)
+    seconds, totals = timed_passes({name: partial(run_seeds, *a) for name, a in inputs.items()})
 
-    results = {
-        "machine": {
-            "cores": os.cpu_count(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-        },
-        "seeds": list(SEEDS),
-        "total_seconds": summary(totals),
-    }
+    results = {"seeds": list(SEEDS), "total_seconds": summary(totals)}
     for name in SYSTEM_NAMES:
         results[name] = {**counts[name], "seconds": summary(seconds[name])}
         c = counts[name]
         print(
-            f"{args.label} {name}: {c['draws']} draws, {c['valid']} valid, "
+            f"{label} {name}: {c['draws']} draws, {c['valid']} valid, "
             f"{c['distinct_prefixes']} distinct prefixes, {c['trees_built']} trees, "
             f"{c['fitness_evaluations']} fitness, {c['rng_calls']} rng calls; median "
             f"{statistics.median(seconds[name]):.3f} s over {RUNS} runs"
         )
-    print(f"{args.label} total: median {statistics.median(totals):.3f} s")
+    print(f"{label} total: median {statistics.median(totals):.3f} s")
 
-    record.setdefault("results", {})[args.label] = results
-    path.write_text(json.dumps(record, indent=2) + "\n")
+    save(OUT, label, results)
 
 
 if __name__ == "__main__":

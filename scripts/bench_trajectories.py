@@ -20,16 +20,11 @@ Each sequence runs once untimed for the counts, then RUNS times timed with
 spent inside `integrate`: raw seconds on the host as it ran, not calibrated
 against host speed.
 
-The result goes into BENCH_trajectories.json in the working directory under
-`--label`, next to any labels already there, so that one file holds the
-runs of two commits: run the script once with PYTHONPATH pointing at each
-commit's `src/`.
+The result is appended to BENCH_trajectories.json in the working directory
+under `--label` (see benchrecord.py): run the script once with PYTHONPATH
+pointing at each commit's `src/`.
 """
 
-import argparse
-import json
-import os
-import platform
 import statistics
 import time
 from pathlib import Path
@@ -47,8 +42,9 @@ from odesr.benchmark import (
 from odesr.expressions import parse_expr
 from odesr.systems import SYSTEM_NAMES, get_system
 
-RUNS = 5
-OUT = "BENCH_trajectories.json"
+from benchrecord import RUNS, parse_label, patched, save, summary
+
+OUT = Path("BENCH_trajectories.json")
 SCORE_DTS = (0.1, 0.05, 0.025)
 BINDINGS = (integrate, benchmark)
 
@@ -63,10 +59,6 @@ def score() -> None:
             rollout_with_estimate(truth, system, sample_dt=sample_dt)
 
 
-def sweep() -> None:
-    run_benchmark()
-
-
 def rhs_key(rhs) -> tuple:
     """Code and captured values; a captured object other than a float
     stands for itself."""
@@ -74,18 +66,10 @@ def rhs_key(rhs) -> tuple:
     return rhs.__code__, tuple(v if isinstance(v, float) else id(v) for v in cells)
 
 
-def run_wrapped(sequence, wrap) -> None:
-    """Run sequence with every binding of integrate replaced by
-    wrap(integrate)."""
-    original = BINDINGS[0].integrate
-    wrapped = wrap(original)
-    for module in BINDINGS:
-        module.integrate = wrapped
-    try:
+def run_with(sequence, function) -> None:
+    """Run sequence with every binding of integrate replaced by function."""
+    with patched(*((module, "integrate", function) for module in BINDINGS)):
         sequence()
-    finally:
-        for module in BINDINGS:
-            module.integrate = original
 
 
 def count_integrations(sequence) -> dict:
@@ -94,59 +78,48 @@ def count_integrations(sequence) -> dict:
     keys = []
     alive = []  # keeps every rhs, so that no id in a key is reused
     evaluations = 0
+    original = integrate.integrate
 
-    def wrap(original):
-        def counting(rhs, x0, span, sample_dt, config=None):
-            alive.append(rhs)
-            cfg = (config.rtol, config.atol, config.max_steps) if config else None
-            x = np.array(x0, dtype=float).tobytes()
-            keys.append((rhs_key(rhs), x, tuple(span), sample_dt, cfg))
+    def counting(rhs, x0, span, sample_dt, config=None):
+        alive.append(rhs)
+        cfg = (config.rtol, config.atol, config.max_steps) if config else None
+        x = np.array(x0, dtype=float).tobytes()
+        keys.append((rhs_key(rhs), x, tuple(span), sample_dt, cfg))
 
-            def counted(t, state):
-                nonlocal evaluations
-                evaluations += 1
-                return rhs(t, state)
+        def counted(t, state):
+            nonlocal evaluations
+            evaluations += 1
+            return rhs(t, state)
 
-            return original(counted, x0, span, sample_dt, config)
+        return original(counted, x0, span, sample_dt, config)
 
-        return counting
-
-    run_wrapped(sequence, wrap)
+    run_with(sequence, counting)
     return {"total": len(keys), "distinct": len(set(keys)), "rhs_evaluations": evaluations}
 
 
 def timed_run(sequence) -> tuple[float, float]:
     """Seconds of one run of sequence, and the part of them inside integrate."""
     inside = 0.0
+    original = integrate.integrate
 
-    def wrap(original):
-        def timing(*args, **kwargs):
-            nonlocal inside
-            start = time.perf_counter()
-            try:
-                return original(*args, **kwargs)
-            finally:
-                inside += time.perf_counter() - start
-
-        return timing
+    def timing(*args, **kwargs):
+        nonlocal inside
+        start = time.perf_counter()
+        try:
+            return original(*args, **kwargs)
+        finally:
+            inside += time.perf_counter() - start
 
     start = time.perf_counter()
-    run_wrapped(sequence, wrap)
+    run_with(sequence, timing)
     return time.perf_counter() - start, inside
 
 
-def summary(values: list[float]) -> dict:
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": median, "q1": q1, "q3": q3, "runs": values}
-
-
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--label", required=True, help="key for these results")
-    args = parser.parse_args()
+    label = parse_label(__doc__, OUT)
 
     results = {}
-    for name, sequence in (("score", score), ("sweep", sweep)):
+    for name, sequence in (("score", score), ("sweep", run_benchmark)):
         calls = count_integrations(sequence)
         runs = [timed_run(sequence) for _ in range(RUNS)]
         seconds = [wall for wall, _ in runs]
@@ -157,21 +130,13 @@ def main() -> None:
             "integrate_seconds": summary(inside),
         }
         print(
-            f"{args.label} {name}: {calls['total']} integrate calls, "
+            f"{label} {name}: {calls['total']} integrate calls, "
             f"{calls['distinct']} distinct, {calls['rhs_evaluations']} rhs evaluations; "
             f"median {statistics.median(seconds):.3f} s over {RUNS} runs, "
             f"{statistics.median(inside):.3f} s inside integrate"
         )
 
-    path = Path(OUT)
-    record = json.loads(path.read_text()) if path.exists() else {}
-    record["machine"] = {
-        "cores": os.cpu_count(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-    }
-    record.setdefault("results", {})[args.label] = results
-    path.write_text(json.dumps(record, indent=2) + "\n")
+    save(OUT, label, results)
 
 
 if __name__ == "__main__":

@@ -21,7 +21,8 @@ def main() -> None:
     parser.add_argument("--out", default="figure_data", help="output directory")
     parser.add_argument("--seed", type=int, default=0, help="GA seed")
     parser.add_argument(
-        "--systems", nargs="*", default=list(SYSTEM_NAMES), help="systems to include"
+        "--systems", nargs="*", default=list(SYSTEM_NAMES), choices=SYSTEM_NAMES,
+        help="systems to include",
     )
     args = parser.parse_args()
 

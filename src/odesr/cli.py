@@ -47,10 +47,14 @@ def resolve_system(name: str, config: dict):
     entry = config.get("systems", {}).get(name)
     if entry is None:
         return get_system(name)
+    try:
+        rhs, initial_state = entry["rhs"], entry["initial_state"]
+    except KeyError as err:
+        raise ValueError(f"config system {name!r} has no {err}") from None
     return expression_system(
         name,
-        entry["rhs"],
-        entry["initial_state"],
+        rhs,
+        initial_state,
         train_span=entry.get("train_span", (0.0, 10.0)),
         test_span=entry.get("test_span", (10.0, 15.0)),
         target_dim=entry.get("target_dim"),
@@ -274,7 +278,9 @@ def main(argv=None) -> int:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 2
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as err:
-        print(f"error: {err}", file=sys.stderr)
+        # str() of a KeyError is the repr of its argument, quotes and all
+        message = err.args[0] if isinstance(err, KeyError) and err.args else err
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

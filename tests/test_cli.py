@@ -105,6 +105,23 @@ def test_unknown_system_exits_one(tmp_path):
                  "--out", str(out)]) == 1
 
 
+def test_unknown_system_prints_the_message(tmp_path, capsys):
+    # str() of a KeyError would wrap the message in repr quotes
+    assert main(["eval", "--system", "nope", "--expr", "x1",
+                 "--out", str(tmp_path / "x.json")]) == 1
+    assert capsys.readouterr().err == (
+        "error: unknown system 'nope'; expected one of "
+        "lotka_volterra, simple_pendulum, cart_pole\n"
+    )
+
+
+def test_custom_system_without_rhs_names_the_field(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"systems": {"decay": {"initial_state": [1.0]}}})
+    assert main(["fit", "--method", "sindy", "--system", "decay", "--config", cfg,
+                 "--out", str(tmp_path / "x.json")]) == 1
+    assert capsys.readouterr().err == "error: config system 'decay' has no 'rhs'\n"
+
+
 def test_missing_argument_exits_one(capsys):
     assert main(["fit", "--method", "sindy"]) == 1
     capsys.readouterr()
