@@ -6,13 +6,17 @@ with a non-zero exit and the file is left as it was. Each new record
 carries the machine and the `git describe --always --dirty` of the
 checkout that the imported odesr package lives in (null outside one), so
 running a script once with PYTHONPATH at each commit's `src/` records a
-parent/change pair.
+parent/change pair. It also carries `calibration_s`, the median seconds
+of CALIBRATION_RUNS calls of the host-speed kernel in
+`perfbench/calibrate.py` (null without that file): raw seconds from
+records made at different times compare only after scaling by it.
 """
 
 import argparse
 import json
 import os
 import platform
+import runpy
 import statistics
 import subprocess
 import sys
@@ -25,6 +29,8 @@ import numpy as np
 import odesr
 
 RUNS = 5
+CALIBRATION_RUNS = 5
+CALIBRATE = Path(__file__).resolve().parents[1] / "perfbench" / "calibrate.py"
 
 
 def _load(path: Path, label: str) -> dict:
@@ -92,6 +98,22 @@ def commit(directory: Path) -> str | None:
     return done.stdout.strip() if done.returncode == 0 else None
 
 
+def calibration_s() -> float | None:
+    """Median seconds of the calibration kernel on this host now, after one
+    warm-up call, or None without the CALIBRATE file. The file is run from
+    its path (runpy writes no bytecode next to it)."""
+    if not CALIBRATE.exists():
+        return None
+    kernel = runpy.run_path(str(CALIBRATE))["kernel"]
+    kernel()
+    seconds = []
+    for _ in range(CALIBRATION_RUNS):
+        start = time.perf_counter()
+        kernel()
+        seconds.append(time.perf_counter() - start)
+    return statistics.median(seconds)
+
+
 def save(path: Path, label: str, results: dict) -> None:
     """Append results under label, unless the file already holds it."""
     record = _load(path, label)
@@ -102,6 +124,7 @@ def save(path: Path, label: str, results: dict) -> None:
             "numpy": np.__version__,
         },
         "commit": commit(Path(odesr.__file__).parent),
+        "calibration_s": calibration_s(),
         **results,
     }
     path.write_text(json.dumps(record, indent=2) + "\n")

@@ -57,6 +57,9 @@ class FeynmanConfig:
         unknown = set(self.binary_set) - set(BINARY_UFUNC)
         if unknown:
             raise ValueError(f"unsupported binary ops: {sorted(unknown)}")
+        ops = self.unary_set + self.binary_set
+        if len(set(ops)) < len(ops):
+            raise ValueError(f"an op is listed twice: {ops}")
         if self.time_budget is not None and self.time_budget < 0:
             raise ValueError("time_budget must be non-negative")
 
@@ -164,10 +167,10 @@ def brute_force(
     skeletons that evaluate outside the reals anywhere on the data are
     dropped along with everything they would compose into.
 
-    Returns every fitted candidate in enumeration order, with constants
-    and RMSEs bit-identical to a per-skeleton fit. A search that only
-    needs the best fit at each complexity (run_pipeline) reads the same
-    enumeration without building the full list.
+    Returns every fitted candidate size by size (unary ops, then binary),
+    with constants and RMSEs bit-identical to a per-skeleton fit. A search
+    that only needs the best fit at each complexity (run_pipeline) reads
+    the same enumeration without building the full list.
     """
     cfg = config if config is not None else FeynmanConfig()
     candidates: list[CandidateSolution] = []
@@ -182,6 +185,15 @@ def brute_force(
         )
 
     _enumerate(data, cfg, variables, collect)
+    # the top size's unary skeletons come with the blocks of the size below;
+    # a stable sort by (complexity, unary root op) puts them back in order
+    rank = {op: i for i, op in enumerate(cfg.unary_set)}
+
+    def order(cand):
+        skel = cand.expr.right
+        return cand.complexity, rank[skel.op] if isinstance(skel, Unary) else len(rank)
+
+    candidates.sort(key=order)
     return candidates
 
 
@@ -192,6 +204,10 @@ def _enumerate(data, cfg: FeynmanConfig, variables, consume) -> bool:
     RMSEs per row, the mask of rows whose fit is kept, and a function from
     an array of rows to their skeleton trees. Returns whether time_budget
     cut the enumeration short.
+
+    Sizes come in turn, unary ops before binary ones, but each block of
+    the size below the top is followed by its unary ops at the top size,
+    so that size keeps its tree nodes and never a table of values.
 
     Each row's fit takes the same dot products as a fit of that skeleton
     alone, so constants and RMSEs are bit-identical to a per-skeleton fit.
@@ -206,11 +222,20 @@ def _enumerate(data, cfg: FeynmanConfig, variables, consume) -> bool:
     if cfg.time_budget is not None:
         deadline = time.monotonic() + cfg.time_budget
     ops = cfg.unary_set + cfg.binary_set
+    top = cfg.max_brute_nodes
 
-    # size -> (printed forms, (entries, n) values on the data)
+    # size -> (printed forms, (entries, n) values on the data), below top - 1
     table: dict[int, tuple[list, np.ndarray]] = {}
-    # size -> the entries' trees
+    # size -> the entries' trees, below top; a block's `at` is its first
+    # entry, None at the top
     trees: dict[int, _Trees] = {}
+    # each block's temporaries are written to these (arrays made and freed
+    # block by block have malloc give the memory back to the system and
+    # fault it in again): values (and a binary op's left operands), right
+    # operands (and the top size's unary blocks), the finite rows of a
+    # block no table keeps, and residuals
+    shape = (4, max(_CHUNK_ROWS, len(vars_)), n)
+    evaluated, operands, compact, residuals = np.empty(shape)
 
     def grow(size, nodes):
         """Trees of a block's nodes, which share one op and left size."""
@@ -235,7 +260,8 @@ def _enumerate(data, cfg: FeynmanConfig, variables, consume) -> bool:
         # single row; einsum and gemv sum in another order
         gg = np.vecdot(block, block)
         c = np.vecdot(block, targets) / gg
-        resid = c[:, None] * block - targets
+        resid = np.multiply(c[:, None], block, out=residuals[: len(block)])
+        resid -= targets
         rmse = np.sqrt(np.vecdot(resid, resid) / n)
         ok = np.isfinite(gg) & (gg > 0.0) & np.isfinite(c) & np.isfinite(rmse)
 
@@ -248,6 +274,12 @@ def _enumerate(data, cfg: FeynmanConfig, variables, consume) -> bool:
             return made
 
         consume(size + 2, c, rmse, ok, skeletons)
+        if size == top - 1:
+            for op in cfg.unary_set:
+                child = UNARY_UFUNC[op](block, out=evaluated[: len(block)])
+                finite, child = _finite_rows(child, operands)
+                rows = np.flatnonzero(finite) + at
+                fit(top, child, _nodes(ops.index(op), size, rows, -1), None)
 
     with np.errstate(all="ignore"):
         strs = [print_expr(Var(v)) for v in vars_]
@@ -256,11 +288,12 @@ def _enumerate(data, cfg: FeynmanConfig, variables, consume) -> bool:
         table[1] = (strs, values)
         trees[1] = _Trees(1, nodes, grow)
         fit(1, values, nodes, 0)
-        for size in range(2, cfg.max_brute_nodes + 1):
-            keep = size < cfg.max_brute_nodes
+        for size in range(2, top + 1):
+            keep = size < top - 1
             grown_strs: list = []
-            if keep:
-                # room for every skeleton of this size; the values and nodes
+            grown_values = grown_nodes = None
+            if size < top:
+                # room for every skeleton of this size; the nodes and values
                 # of the finite ones are written in place, in order, and
                 # pages never written are never resident (blocks
                 # concatenated at the end would leave their freed memory in
@@ -269,25 +302,27 @@ def _enumerate(data, cfg: FeynmanConfig, variables, consume) -> bool:
                 most = len(cfg.unary_set) * counts[-1] + len(cfg.binary_set) * sum(
                     counts[a - 1] * counts[size - 2 - a] for a in range(1, size - 1)
                 )
-                grown_values = np.empty((most, n))
+                if keep:
+                    grown_values = np.empty((most, n))
                 grown_nodes = np.empty((most, 4), dtype=np.intp)
                 trees[size] = _Trees(size, grown_nodes, grow)
-            else:
-                grown_values = grown_nodes = None
             kept = 0
-            for op in cfg.unary_set:
+            # the top size's unary skeletons were fitted with the size below
+            for op in cfg.unary_set if size < top else ():
                 if deadline is not None and time.monotonic() > deadline:
                     return True
                 fn = UNARY_UFUNC[op]
                 child_strs, child_values = table[size - 1]
                 for lo in range(0, len(child_strs), _CHUNK_ROWS):
-                    block = fn(child_values[lo : lo + _CHUNK_ROWS])
-                    finite, block = _finite_rows(block, grown_values, kept)
+                    chunk = child_values[lo : lo + _CHUNK_ROWS]
+                    block = fn(chunk, out=evaluated[: len(chunk)])
+                    out = grown_values[kept:] if keep else compact
+                    finite, block = _finite_rows(block, out)
                     rows = np.flatnonzero(finite) + lo
                     nodes = _nodes(ops.index(op), size - 1, rows, -1, grown_nodes, kept)
-                    fit(size, block, nodes, kept if keep else None)
+                    fit(size, block, nodes, kept)
+                    kept += len(rows)
                     if keep:
-                        kept += len(rows)
                         grown_strs.extend(
                             f"{op}({child_strs[i]})" for i in rows.tolist()
                         )
@@ -309,8 +344,13 @@ def _enumerate(data, cfg: FeynmanConfig, variables, consume) -> bool:
                     for lo in range(0, len(li), _CHUNK_ROWS):
                         l_rows = li[lo : lo + _CHUNK_ROWS]
                         r_rows = ri[lo : lo + _CHUNK_ROWS]
-                        block = fn(left_values[l_rows], right_values[r_rows])
-                        finite, block = _finite_rows(block, grown_values, kept)
+                        m = len(l_rows)
+                        # mode "clip" writes straight to out ("raise" buffers)
+                        block = np.take(left_values, l_rows, 0, evaluated[:m], "clip")
+                        right = np.take(right_values, r_rows, 0, operands[:m], "clip")
+                        fn(block, right, out=block)
+                        out = grown_values[kept:] if keep else compact
+                        finite, block = _finite_rows(block, out)
                         nodes = _nodes(
                             ops.index(op),
                             left_size,
@@ -319,9 +359,9 @@ def _enumerate(data, cfg: FeynmanConfig, variables, consume) -> bool:
                             grown_nodes,
                             kept,
                         )
-                        fit(size, block, nodes, kept if keep else None)
+                        fit(size, block, nodes, kept if size < top else None)
+                        kept += len(nodes)
                         if keep:
-                            kept += len(nodes)
                             grown_strs.extend(
                                 f"({left_strs[a]} {symbol} {right_strs[b]})"
                                 for a, b in nodes[:, 2:].tolist()
@@ -361,14 +401,11 @@ def _nodes(op: int, left_size: int, left, right, out=None, at=0) -> np.ndarray:
     return nodes
 
 
-def _finite_rows(block, out, at):
-    """The mask of block's rows that stay in the reals, and those rows. With
-    a table buffer `out`, the rows are written to it from row `at` (the
-    number of entries kept so far) and returned as that view."""
+def _finite_rows(block, out):
+    """The mask of block's rows that stay in the reals, and those rows,
+    written to the start of `out` and returned as that view."""
     finite = np.isfinite(block).all(axis=1)
-    if out is None:
-        return finite, block[finite]
-    rows = out[at : at + np.count_nonzero(finite)]
+    rows = out[: np.count_nonzero(finite)]
     np.compress(finite, block, axis=0, out=rows)
     return finite, rows
 

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 import types
@@ -71,7 +72,7 @@ def test_save_appends_and_keeps_earlier_records(tmp_path):
     assert list(results) == ["parent", "change", "new"]
     assert {k: results[k] for k in earlier} == earlier
     record = results["new"]
-    assert list(record) == ["machine", "commit", "counts"]
+    assert list(record) == ["machine", "commit", "calibration_s", "counts"]
     assert set(record["machine"]) == {"cores", "python", "numpy"}
     assert record["counts"] == {"calls": 7}
 
@@ -113,6 +114,37 @@ def test_record_from_this_checkout_carries_a_commit(tmp_path):
     path = tmp_path / "BENCH.json"
     benchrecord.save(path, "here", {})
     assert json.loads(path.read_text())["results"]["here"]["commit"]
+
+
+def test_calibration_runs_the_kernel_without_writing_next_to_it(monkeypatch, tmp_path):
+    calibrate = tmp_path / "perfbench" / "calibrate.py"
+    calibrate.parent.mkdir()
+    shutil.copy(ROOT / "perfbench" / "calibrate.py", calibrate)
+    monkeypatch.setattr(benchrecord, "CALIBRATE", calibrate)
+    seconds = benchrecord.calibration_s()
+    assert type(seconds) is float and seconds > 0.0
+    assert calibrate.read_bytes() == (ROOT / "perfbench" / "calibrate.py").read_bytes()
+    assert [p.name for p in calibrate.parent.iterdir()] == ["calibrate.py"]
+
+
+def test_calibration_is_the_median_after_a_warm_up(monkeypatch, tmp_path):
+    # the n-th call sleeps n ms: calls 2-6 are timed, so the median is at
+    # least 4 ms, and with the warm-up call timed it would be 3 ms
+    calibrate = tmp_path / "calibrate.py"
+    calibrate.write_text(
+        "import time\nCALLS = []\n\ndef kernel():\n"
+        "    CALLS.append(1)\n    time.sleep(0.001 * len(CALLS))\n"
+    )
+    monkeypatch.setattr(benchrecord, "CALIBRATE", calibrate)
+    assert 0.004 <= benchrecord.calibration_s() < 0.006
+
+
+def test_calibration_without_perfbench_is_null(monkeypatch, tmp_path):
+    monkeypatch.setattr(benchrecord, "CALIBRATE", tmp_path / "perfbench" / "calibrate.py")
+    assert benchrecord.calibration_s() is None
+    path = tmp_path / "BENCH.json"
+    benchrecord.save(path, "bare", {})
+    assert json.loads(path.read_text())["results"]["bare"]["calibration_s"] is None
 
 
 def test_commit_outside_a_checkout_is_none(tmp_path):

@@ -1,5 +1,7 @@
 import itertools
 import math
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -255,26 +257,56 @@ def reference_brute_force(data, cfg, variables=None):
     return out, dropped, largest_group
 
 
-@pytest.mark.parametrize("variables", [None, (0, 2)])
-def test_brute_force_matches_per_candidate_reference(variables):
-    """Block evaluation returns exactly the per-skeleton loop's candidates:
-    the same printed forms in the same order and the same RMSE bits."""
+def mixed_sign_dataset():
     rng = np.random.default_rng(12)
     # x2 and x3 take negative values, so log() of them leaves the reals
     xs = rng.uniform(-1.5, 2.0, size=(60, 3))
     xs[:, 0] = np.abs(xs[:, 0]) + 0.1
     targets = 0.7 * xs[:, 0] * np.sin(xs[:, 1]) - xs[:, 2] ** 2
-    data = dataset_from(xs, targets)
-    cfg = FeynmanConfig(max_brute_nodes=6)
-    want, dropped, largest_group = reference_brute_force(data, cfg, variables)
-    assert dropped > 0
-    assert largest_group > _CHUNK_ROWS
+    return dataset_from(xs, targets)
 
-    got = brute_force(data, cfg, variables)
+
+def assert_matches_reference(got, want):
     assert [print_expr(c.expr) for c in got] == [print_expr(e) for e, _ in want]
     assert [c.train_rmse for c in got] == [rmse for _, rmse in want]
     assert all(type(c.train_rmse) is float for c in got)
     assert [c.complexity for c in got] == [complexity(c.expr) for c in got]
+
+
+@pytest.mark.parametrize("variables", [None, (0, 2)])
+def test_brute_force_matches_per_candidate_reference(variables):
+    """Block evaluation returns exactly the per-skeleton loop's candidates:
+    the same printed forms in the same order and the same RMSE bits."""
+    data = mixed_sign_dataset()
+    cfg = FeynmanConfig(max_brute_nodes=6)
+    want, dropped, largest_group = reference_brute_force(data, cfg, variables)
+    assert dropped > 0
+    assert largest_group > _CHUNK_ROWS
+    assert_matches_reference(brute_force(data, cfg, variables), want)
+
+
+SMALL_CONFIGS = {
+    "1-node": dict(max_brute_nodes=1),
+    "2-node": dict(max_brute_nodes=2),
+    "3-node": dict(max_brute_nodes=3),
+    "5-node-exp-sin": dict(
+        max_brute_nodes=5, unary_set=("exp", "sin"), binary_set=("mul", "sub")
+    ),
+}
+
+
+@pytest.mark.parametrize("variables", [None, (2,), (0, 2)])
+@pytest.mark.parametrize("config", list(SMALL_CONFIGS))
+def test_brute_force_matches_reference_at_small_sizes(config, variables):
+    """The top size's unary skeletons are fitted from the blocks of the size
+    below: with one node there is none, with two the size below is the
+    variables, with three it has unary skeletons only. The order (unary
+    ops in unary_set order) and the RMSE bits still match the per-skeleton
+    loop."""
+    data = mixed_sign_dataset()
+    cfg = FeynmanConfig(**SMALL_CONFIGS[config])
+    want, _, _ = reference_brute_force(data, cfg, variables)
+    assert_matches_reference(brute_force(data, cfg, variables), want)
 
 
 def test_brute_force_discards_domain_violations():
@@ -312,6 +344,56 @@ def test_brute_force_time_budget_truncates(planted_sine):
     cands = brute_force(planted_sine, cfg)
     full = brute_force(planted_sine, FeynmanConfig(max_brute_nodes=6))
     assert len(cands) < len(full)
+
+
+def test_time_budget_expiring_below_the_top_size_truncates(monkeypatch, planted_sine):
+    """A budget that runs out while the size below the top is enumerated
+    (and the top size's unary skeletons with it) stops the search and
+    reports the cut."""
+    top = 5
+    clock = [0.0]
+    monkeypatch.setattr(feynman, "time", types.SimpleNamespace(monotonic=lambda: clock[0]))
+    roots = {}
+
+    def consume(comp, c, rmse, ok, skeletons):
+        made = skeletons(np.flatnonzero(ok))
+        roots.setdefault(comp, set()).update(type(t).__name__ for t in made)
+        if comp == top + 1:
+            clock[0] = 1.0
+
+    cfg = FeynmanConfig(max_brute_nodes=top, time_budget=0.5)
+    assert feynman._enumerate(planted_sine, cfg, None, consume) is True
+    # cut after the first unary op of the size below: the top size got
+    # unary skeletons only
+    assert roots[top + 1] == {"Unary"}
+    assert roots[top + 2] == {"Unary"}
+
+    block = feynman._BestPerComplexity.block
+
+    def advancing(self, comp, *fitted):
+        if comp == top + 1:
+            clock[0] = 1.0
+        block(self, comp, *fitted)
+
+    clock[0] = 0.0
+    monkeypatch.setattr(feynman._BestPerComplexity, "block", advancing)
+    _, front = run_pipeline(planted_sine, cfg)
+    assert front.truncated
+
+
+def test_pipeline_never_holds_the_top_size_table():
+    """run_pipeline's allocation peak on the cart-pole train set stays below
+    what the values of its 30,488 finite size-6 skeletons (the size below
+    the default top of 7) would take: 100 samples of 8 bytes each."""
+    data = benchmark_train_set("cart_pole")
+    assert len(data.targets) == 100
+    tracemalloc.start()
+    try:
+        run_pipeline(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30_488 * 100 * 8
 
 
 # ------------------------------------------------------------- separability
@@ -668,6 +750,11 @@ def test_config_validation():
     # an expression operator without a brute-force ufunc
     with pytest.raises(ValueError):
         FeynmanConfig(binary_set=("pow",))
+    # a repeated op would fit each of its skeletons twice
+    with pytest.raises(ValueError, match="listed twice"):
+        FeynmanConfig(unary_set=("sin", "cos", "sin"))
+    with pytest.raises(ValueError, match="listed twice"):
+        FeynmanConfig(binary_set=("add", "add"))
 
 
 def test_pareto_csv_round_trip(tmp_path, planted_sine):
