@@ -6,6 +6,7 @@ Calls `run_pipeline` with the default config on the dt 0.1 train set of
 each benchmark system, after one untimed warm-up call per system, and
 times RUNS passes of one call per system with `time.perf_counter`. These
 are raw seconds on the host as it ran, not calibrated against host speed.
+Each call's minor page faults are recorded with them.
 One more call per system runs under `tracemalloc` for the peak of Python
 allocations. `brute_force` is called once per system, outside the timed
 calls, to count the skeletons that get a fit.
@@ -36,7 +37,9 @@ def main() -> None:
     for d in data.values():
         run_pipeline(d)
 
-    seconds, totals = timed_passes({name: partial(run_pipeline, d) for name, d in data.items()})
+    seconds, totals, faults = timed_passes(
+        {name: partial(run_pipeline, d) for name, d in data.items()}
+    )
 
     systems = {}
     for name, d in data.items():
@@ -46,6 +49,7 @@ def main() -> None:
         tracemalloc.stop()
         systems[name] = {
             "seconds": summary(seconds[name]),
+            "minor_faults": faults[name],
             "skeletons_fitted": len(brute_force(d)),
             "tracemalloc_peak_mb": round(peak / 2**20, 2),
         }

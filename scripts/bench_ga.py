@@ -17,7 +17,8 @@ train set, for the seeds of perfbench's `ga` workload at --seed 0
 
 The counts come from one untimed pass. Then RUNS passes over every system
 and seed are timed with `time.perf_counter`: raw seconds on the host as it
-ran, not calibrated against host speed.
+ran, not calibrated against host speed. Each system's minor page faults
+per pass are recorded with them.
 
 The result is appended to BENCH_ga.json in the working directory under
 `--label` (see benchrecord.py): run the script once with PYTHONPATH
@@ -108,11 +109,17 @@ def main() -> None:
         inputs[name] = (make_dataset(system, 0.1, "train"), grammar, ga.GA_DEFAULTS[name])
     counts = {name: counted_runs(*inputs[name]) for name in SYSTEM_NAMES}
 
-    seconds, totals = timed_passes({name: partial(run_seeds, *a) for name, a in inputs.items()})
+    seconds, totals, faults = timed_passes(
+        {name: partial(run_seeds, *a) for name, a in inputs.items()}
+    )
 
     results = {"seeds": list(SEEDS), "total_seconds": summary(totals)}
     for name in SYSTEM_NAMES:
-        results[name] = {**counts[name], "seconds": summary(seconds[name])}
+        results[name] = {
+            **counts[name],
+            "seconds": summary(seconds[name]),
+            "minor_faults": faults[name],
+        }
         c = counts[name]
         print(
             f"{label} {name}: {c['draws']} draws, {c['valid']} valid, "

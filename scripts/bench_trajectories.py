@@ -2,23 +2,27 @@
 
     PYTHONPATH=src python scripts/bench_trajectories.py --label change
 
-The `score` sequence runs, for sample_dt 0.1, 0.05 and 0.025 and each
-benchmark system, a SINDy `run_fit`, the `test_error` of the system's
-ground-truth expression and a `rollout_with_estimate` of it. The `sweep`
-sequence is a default `run_benchmark` (3 methods x 3 systems, 5 GA seeds)
-without output files. Each run builds fresh systems, so that no trajectory
-carries over from the run before.
+The `score` sequence is perfbench's `score` workload: on systems built
+once per run, for sample_dt 0.1, 0.05 and 0.025, each benchmark system's
+SINDy `run_fit`, the `test_error` of its ground-truth expression and a
+`rollout_with_estimate` of it, and a SINDy fit of the pendulum written as
+expression strings. The `sweep` sequence is a default `run_benchmark`
+(3 methods x 3 systems, 5 GA seeds) without output files. Each run builds
+fresh systems, so that no trajectory carries over from the run before.
 
 Every call to `integrate` is counted, through both the integrate module and
 the benchmark module, which binds its own name, together with the
-right-hand-side evaluations it makes. A call is distinct when no earlier
-call of the same run had equal inputs: the same initial state, span,
-sample_dt and integrator config, and a right-hand side with the same code
-and captured values (so two systems built by one factory share theirs).
-Each sequence runs once untimed for the counts, then RUNS times timed with
-`time.perf_counter`, which records each run's seconds and the part of them
-spent inside `integrate`: raw seconds on the host as it ran, not calibrated
-against host speed.
+right-hand-side evaluations it makes and the bytes of the step record it
+returns (null where integrate keeps none). A call is distinct when no
+earlier call of the same run had equal inputs: the same initial state,
+span, sample_dt and integrator config, and a right-hand side with the same
+code and captured values (so two systems built by one factory share
+theirs). Calls that differ only in sample_dt take the same steps, so the
+distinct count without sample_dt is the number of step sequences a run
+needs. Each sequence runs once untimed for the counts, then RUNS passes of
+both are timed with `time.perf_counter`, which records each run's seconds,
+the part of them spent inside `integrate` and the minor page faults:
+raw figures on the host as it ran, not calibrated against host speed.
 
 The result is appended to BENCH_trajectories.json in the working directory
 under `--label` (see benchrecord.py): run the script once with PYTHONPATH
@@ -27,6 +31,8 @@ pointing at each commit's `src/`.
 
 import statistics
 import time
+import weakref
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -40,30 +46,53 @@ from odesr.benchmark import (
     test_error,
 )
 from odesr.expressions import parse_expr
-from odesr.systems import SYSTEM_NAMES, get_system
+from odesr.sindy import preset_basis
+from odesr.systems import SYSTEM_NAMES, expression_system, get_system
 
-from benchrecord import RUNS, parse_label, patched, save, summary
+from benchrecord import RUNS, parse_label, patched, save, summary, timed_passes
 
 OUT = Path("BENCH_trajectories.json")
 SCORE_DTS = (0.1, 0.05, 0.025)
 BINDINGS = (integrate, benchmark)
+# the pendulum as expression strings, as in perfbench's score workload
+PENDULUM_EXPR = ("theta2", "-0.1 * theta2 - 9.81 * sin(theta1)")
 
 
 def score() -> None:
+    systems = [get_system(name) for name in SYSTEM_NAMES]
+    truths = [parse_expr(GROUND_TRUTH_EXPRESSIONS[s.name], s.variable_names) for s in systems]
+    pendulum = get_system("simple_pendulum")
+    pendulum_expr = expression_system(
+        "pendulum_expr",
+        PENDULUM_EXPR,
+        pendulum.initial_state,
+        variable_names=pendulum.variable_names,
+    )
+    basis = preset_basis("pendulum")
     for sample_dt in SCORE_DTS:
-        for name in SYSTEM_NAMES:
-            system = get_system(name)
-            truth = parse_expr(GROUND_TRUTH_EXPRESSIONS[name], system.variable_names)
+        for system, truth in zip(systems, truths):
             run_fit("sindy", system, sample_dt=sample_dt)
             test_error(truth, system, sample_dt)
             rollout_with_estimate(truth, system, sample_dt=sample_dt)
+        run_fit("sindy", pendulum_expr, sample_dt=sample_dt, basis=basis)
 
 
 def rhs_key(rhs) -> tuple:
-    """Code and captured values; a captured object other than a float
-    stands for itself."""
-    cells = tuple(c.cell_contents for c in rhs.__closure__ or ())
-    return rhs.__code__, tuple(v if isinstance(v, float) else id(v) for v in cells)
+    """Code and captured values. A number stands for its value, a function
+    or a weak reference to one for its own key, and any other captured
+    object for itself."""
+    cells = []
+    for cell in rhs.__closure__ or ():
+        value = cell.cell_contents
+        if isinstance(value, weakref.ref):
+            value = value()
+        if hasattr(value, "__code__"):
+            cells.append(rhs_key(value))
+        elif isinstance(value, (int, float)):
+            cells.append(repr(value))
+        else:
+            cells.append(id(value))
+    return rhs.__code__, tuple(cells)
 
 
 def run_with(sequence, function) -> None:
@@ -73,14 +102,17 @@ def run_with(sequence, function) -> None:
 
 
 def count_integrations(sequence) -> dict:
-    """integrate calls of one run of sequence, total and distinct, and the
-    right-hand-side evaluations they make."""
+    """integrate calls of one run of sequence: in total, distinct, and
+    distinct without sample_dt; the right-hand-side evaluations they make,
+    and the bytes of the step records they return."""
     keys = []
     alive = []  # keeps every rhs, so that no id in a key is reused
     evaluations = 0
+    record_bytes = None
     original = integrate.integrate
 
     def counting(rhs, x0, span, sample_dt, config=None):
+        nonlocal record_bytes
         alive.append(rhs)
         cfg = (config.rtol, config.atol, config.max_steps) if config else None
         x = np.array(x0, dtype=float).tobytes()
@@ -91,49 +123,66 @@ def count_integrations(sequence) -> dict:
             evaluations += 1
             return rhs(t, state)
 
-        return original(counted, x0, span, sample_dt, config)
+        traj = original(counted, x0, span, sample_dt, config)
+        steps = getattr(traj, "steps", None)
+        if steps is not None:
+            record_bytes = (record_bytes or 0) + steps.nbytes
+        return traj
 
     run_with(sequence, counting)
-    return {"total": len(keys), "distinct": len(set(keys)), "rhs_evaluations": evaluations}
+    return {
+        "total": len(keys),
+        "distinct": len(set(keys)),
+        "distinct_without_sample_dt": len({k[:3] + k[4:] for k in keys}),
+        "rhs_evaluations": evaluations,
+        "step_record_bytes": record_bytes,
+    }
 
 
-def timed_run(sequence) -> tuple[float, float]:
-    """Seconds of one run of sequence, and the part of them inside integrate."""
-    inside = 0.0
+def timed_run(sequence, inside: list[float]) -> None:
+    """One run of sequence; appends the seconds it spent inside integrate."""
+    seconds = 0.0
     original = integrate.integrate
 
     def timing(*args, **kwargs):
-        nonlocal inside
+        nonlocal seconds
         start = time.perf_counter()
         try:
             return original(*args, **kwargs)
         finally:
-            inside += time.perf_counter() - start
+            seconds += time.perf_counter() - start
 
-    start = time.perf_counter()
     run_with(sequence, timing)
-    return time.perf_counter() - start, inside
+    inside.append(seconds)
 
 
 def main() -> None:
     label = parse_label(__doc__, OUT)
 
+    sequences = {"score": score, "sweep": run_benchmark}
+    calls = {name: count_integrations(sequence) for name, sequence in sequences.items()}
+    inside = {name: [] for name in sequences}
+    seconds, _, faults = timed_passes(
+        {name: partial(timed_run, sequence, inside[name]) for name, sequence in sequences.items()}
+    )
+
     results = {}
-    for name, sequence in (("score", score), ("sweep", run_benchmark)):
-        calls = count_integrations(sequence)
-        runs = [timed_run(sequence) for _ in range(RUNS)]
-        seconds = [wall for wall, _ in runs]
-        inside = [integrate_s for _, integrate_s in runs]
+    for name in sequences:
+        c = calls[name]
         results[name] = {
-            "integrate_calls": calls,
-            "seconds": summary(seconds),
-            "integrate_seconds": summary(inside),
+            "integrate_calls": c,
+            "seconds": summary(seconds[name]),
+            "integrate_seconds": summary(inside[name]),
+            "minor_faults": faults[name],
         }
         print(
-            f"{label} {name}: {calls['total']} integrate calls, "
-            f"{calls['distinct']} distinct, {calls['rhs_evaluations']} rhs evaluations; "
-            f"median {statistics.median(seconds):.3f} s over {RUNS} runs, "
-            f"{statistics.median(inside):.3f} s inside integrate"
+            f"{label} {name}: {c['total']} integrate calls, {c['distinct']} distinct, "
+            f"{c['distinct_without_sample_dt']} without sample_dt, "
+            f"{c['rhs_evaluations']} rhs evaluations, "
+            f"{c['step_record_bytes']} step record bytes; "
+            f"median {statistics.median(seconds[name]):.3f} s over {RUNS} runs, "
+            f"{statistics.median(inside[name]):.3f} s inside integrate, "
+            f"{statistics.median(faults[name]):.0f} minor faults"
         )
 
     save(OUT, label, results)

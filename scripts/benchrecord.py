@@ -1,5 +1,6 @@
 """What the layer benchmark scripts share: the --label argument, timed
-passes and their quartile summary, temporary patches and the record.
+passes with their minor page faults and quartile summary, temporary
+patches and the record.
 
 A BENCH_*.json file is append-only. A label it already holds is refused
 with a non-zero exit and the file is left as it was. Each new record
@@ -16,6 +17,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import runpy
 import statistics
 import subprocess
@@ -49,21 +51,28 @@ def parse_label(description: str, path: Path, argv=None) -> str:
     return label
 
 
-def timed_passes(work: dict) -> tuple[dict, list[float]]:
+def timed_passes(work: dict) -> tuple[dict, list[float], dict]:
     """RUNS passes, each calling every item once in order: the raw
-    `time.perf_counter` seconds of each item per pass, and each pass's total."""
+    `time.perf_counter` seconds of each item per pass, each pass's total,
+    and the minor page faults (`ru_minflt`) of each item per pass. Faults
+    show allocation churn that warm timings hide: memory that malloc gives
+    back to the system and then faults in again."""
     seconds = {name: [] for name in work}
+    faults = {name: [] for name in work}
     totals = []
     for _ in range(RUNS):
         total = 0.0
         for name, call in work.items():
+            faulted = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             start = time.perf_counter()
             call()
             elapsed = time.perf_counter() - start
+            faulted = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faulted
             seconds[name].append(elapsed)
+            faults[name].append(faulted)
             total += elapsed
         totals.append(total)
-    return seconds, totals
+    return seconds, totals, faults
 
 
 def summary(values: list[float]) -> dict:

@@ -7,6 +7,7 @@ import csv
 import json
 import math
 import time
+import weakref
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -26,7 +27,10 @@ from .expressions import (  # noqa: F401
 from .feynman import FeynmanConfig, pareto_rows, run_pipeline
 from .ga import GA_DEFAULTS, GAConfig, run_ga
 from .genomes import CONSTANT_POOLS, Grammar, SamplingError
-from .integrate import (
+# integrate is not called here either (rollouts go through
+# shared_trajectory); it stays importable because perfbench/spans.py names
+# this binding
+from .integrate import (  # noqa: F401
     IntegrationError,
     IntegratorConfig,
     Trajectory,
@@ -94,6 +98,37 @@ def test_error(
     return rmse(evaluate_batch(expr, times, states), truth)
 
 
+# system.rhs -> {(target_dim, printed estimate): hybrid right-hand side}.
+# The printed form tells Const(0.0) from Const(-0.0), which compare equal.
+# A hybrid reaches system.rhs through a weak reference: a value that held
+# its key strongly would keep the entry alive for good.
+_HYBRIDS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _hybrid_rhs(system: SystemSpec, expr: Expr):
+    """system.rhs with the target dimension's derivative taken from expr,
+    one function per (system.rhs, target_dim, expr), so that
+    shared_trajectory integrates each hybrid once per set of inputs."""
+    rhs, dim = system.rhs, system.target_dim
+    try:
+        hybrids = _HYBRIDS.setdefault(rhs, {})
+        true_rhs = weakref.ref(rhs)
+    except TypeError:  # an rhs that cannot be weakly referenced gets no cache
+        hybrids, true_rhs = {}, lambda: rhs
+    key = (dim, print_expr(expr))
+    hybrid = hybrids.get(key)
+    if hybrid is None:
+        estimate = compile_scalar(expr)
+
+        def hybrid(t, state):
+            out = np.array(true_rhs()(t, state), dtype=float)
+            out[dim] = estimate(t, state)
+            return out
+
+        hybrids[key] = hybrid
+    return hybrid
+
+
 def rollout_with_estimate(
     expr: Expr,
     system: SystemSpec,
@@ -103,19 +138,15 @@ def rollout_with_estimate(
 ) -> RolloutResult:
     """Integrate the hybrid system where the target dimension follows the
     estimate and every other dimension keeps the true dynamics. A divergent
-    estimate yields a truncated hybrid trajectory, not an exception."""
+    estimate yields a truncated hybrid trajectory, not an exception. Truth
+    and hybrid both come from shared_trajectory, so they are read-only."""
     if span is None:
         span = (system.train_span[0], system.test_span[1])
-    truth = shared_trajectory(system.rhs, system.initial_state, span, sample_dt, config)
-    estimate = compile_scalar(expr)
-
-    def hybrid_rhs(t, state):
-        out = np.array(system.rhs(t, state), dtype=float)
-        out[system.target_dim] = estimate(t, state)
-        return out
-
+    x0 = system.initial_state
+    truth = shared_trajectory(system.rhs, x0, span, sample_dt, config)
+    hybrid_rhs = _hybrid_rhs(system, expr)
     try:
-        hybrid = integrate(hybrid_rhs, system.initial_state, span, sample_dt, config)
+        hybrid = shared_trajectory(hybrid_rhs, x0, span, sample_dt, config)
         divergence = None
     except IntegrationError as err:
         hybrid = err.partial

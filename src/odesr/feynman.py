@@ -8,6 +8,7 @@ import csv
 import itertools
 import math
 import time
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -170,7 +171,9 @@ def brute_force(
     Returns every fitted candidate size by size (unary ops, then binary),
     with constants and RMSEs bit-identical to a per-skeleton fit. A search
     that only needs the best fit at each complexity (run_pipeline) reads
-    the same enumeration without building the full list.
+    the same enumeration without building the full list. When time_budget
+    cuts the enumeration short, the candidates fitted so far are returned
+    with a RuntimeWarning.
     """
     cfg = config if config is not None else FeynmanConfig()
     candidates: list[CandidateSolution] = []
@@ -184,7 +187,8 @@ def brute_force(
             )
         )
 
-    _enumerate(data, cfg, variables, collect)
+    if _enumerate(data, cfg, variables, collect):
+        warnings.warn("brute_force truncated by time_budget", RuntimeWarning, stacklevel=2)
     # the top size's unary skeletons come with the blocks of the size below;
     # a stable sort by (complexity, unary root op) puts them back in order
     rank = {op: i for i, op in enumerate(cfg.unary_set)}

@@ -1,20 +1,23 @@
 """Adaptive Dormand-Prince 5(4) integration and dataset assembly.
 
-The solver keeps a PI-controlled step size and fills a uniform sample
-grid from the fifth-order dense interpolant, so trajectory files never
-depend on the internal step sequence.  Failures (blowup, nan dynamics,
-step underflow, step budget) raise IntegrationError carrying the
-portion of the grid that was reached. shared_trajectory integrates each
-trajectory once per right-hand-side object; dataset splits and rollout
-truths are read from it.
+The solver keeps a PI-controlled step size and records each accepted
+step; a uniform sample grid is then filled from the steps' fifth-order
+dense interpolants. The step sequence does not depend on the grid, so
+trajectory files never depend on it either, and one integration can be
+sampled at any sample_dt. Failures (blowup, nan dynamics, step
+underflow, step budget) raise IntegrationError carrying the portion of
+the grid that was reached. shared_trajectory integrates each trajectory
+once per right-hand-side object, whatever the sample_dt; dataset
+splits, rollout truths and hybrid rollouts are read from it.
 """
 
 from __future__ import annotations
 
+import array
 import math
 import struct
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -109,6 +112,9 @@ class IntegratorConfig:
 class Trajectory:
     times: np.ndarray
     states: np.ndarray
+    # integrate's accepted steps, one row each (see _accepted_steps), from
+    # which _dense_output samples any grid of the span; None elsewhere
+    steps: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -208,7 +214,9 @@ def integrate(
 
     rhs is called as rhs(t, x) with t a Python float and x a float64
     ndarray of the state's length, and returns the derivative as a
-    sequence of the same length.
+    sequence of the same length. The returned Trajectory also holds the
+    accepted steps, from which shared_trajectory samples the span's other
+    grids.
     """
     cfg = config if config is not None else IntegratorConfig()
     t0, t1 = float(span[0]), float(span[1])
@@ -218,34 +226,48 @@ def integrate(
     x = np.array(x0, dtype=float)
     if x.ndim != 1 or not x.size or not np.all(np.isfinite(x)):
         raise ValueError("initial state must be a non-empty finite vector")
-    states = np.empty((len(grid), len(x)))
-    states[0] = x
-    gi = 1
+    steps, failure = _accepted_steps(rhs, x, t0, t1, cfg)
+    states = _dense_output(steps, grid, x)
+    if failure is not None:
+        message, t = failure
+        partial = Trajectory(grid[: len(states)].copy(), states)
+        raise IntegrationError(message, t, partial)
+    return Trajectory(grid, states, steps)
 
-    def fail(message: str, t: float) -> IntegrationError:
-        return IntegrationError(
-            message, t, Trajectory(grid[:gi].copy(), states[:gi].copy())
-        )
+
+def _accepted_steps(
+    rhs: RHS, x: np.ndarray, t0: float, t1: float, cfg: IntegratorConfig
+) -> tuple[np.ndarray, tuple[str, float] | None]:
+    """Step from (t0, x) to t1. Returns one row per accepted step, holding
+    what its dense output reads: t, h, t_new, the state x at t, and
+    q = k.T @ _P flattened; and the (message, time) of the failure that
+    stopped the loop, or None when it reached t1."""
+    n = len(x)
+    rows = array.array("d")
+
+    def record(failure=None):
+        return np.array(rows).reshape(-1, 3 + 5 * n), failure
 
     t = t0
     f = np.asarray(rhs(t, x), dtype=float)
     if not np.all(np.isfinite(f)):
-        raise fail("dynamics not finite at initial state", t)
+        return record(("dynamics not finite at initial state", t))
     h = min(_initial_step(rhs, t, x, f, cfg), t1 - t0)
     err_old = 1.0
-    k = np.empty((7, len(x)))
+    k = np.empty((7, n))
     # stage i: (its row of k, its node, its weights, the rows they weigh)
     stages = [(i, c, _A[i], k[:i]) for i, c in enumerate(_C.tolist()) if i]
     k6 = k[:6]
     xs = x.tolist()
     steps = 0
-    while gi < len(grid):
+    # the last grid point is t1 itself, so the grid is filled once t reaches it
+    while t < t1:
         steps += 1
         if steps > cfg.max_steps:
-            raise fail(f"exceeded max_steps={cfg.max_steps}", t)
+            return record((f"exceeded max_steps={cfg.max_steps}", t))
         # also catches a nan h, which a zero error scale (atol=0) can give
         if not h >= 1e-14 * max(abs(t), 1.0):
-            raise fail(f"step size underflow (h={h:.3g})", t)
+            return record((f"step size underflow (h={h:.3g})", t))
         reached_end = h >= t1 - t
         if reached_end:
             h = t1 - t
@@ -263,13 +285,8 @@ def integrate(
             h *= max(_MIN_FACTOR, min(1.0, _SAFETY * err_norm ** (-0.7 / 5)))
             continue
         t_new = t1 if reached_end else t + h
-        if gi < len(grid) and grid[gi] <= t_new:
-            q = k.T @ _P
-            while gi < len(grid) and grid[gi] <= t_new:
-                theta = min(max((grid[gi] - t) / h, 0.0), 1.0)
-                p = theta**_POWERS
-                states[gi] = x + h * (q @ p)
-                gi += 1
+        rows.extend((t, h, t_new, *xs))
+        rows.frombytes((k.T @ _P).tobytes())
         t, x, xs, f = t_new, x_new, xs_new, k[6]
         if err_norm == 0.0:
             factor = _MAX_FACTOR
@@ -277,10 +294,35 @@ def integrate(
             factor = _SAFETY * err_norm ** (-0.7 / 5) * err_old ** (0.4 / 5)
         h *= max(_MIN_FACTOR, min(_MAX_FACTOR, factor))
         err_old = max(err_norm, 1e-14)
-    return Trajectory(grid, states)
+    return record()
 
 
-# rhs object -> {inputs: (times, states)}; entries die with the rhs
+def _dense_output(steps: np.ndarray, grid: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    """The states at grid[0] (x0) and at every later grid point up to the
+    last step's end. Each point is read from the first step that ends at or
+    after it, with that step's fifth-order interpolant."""
+    n = len(x0)
+    # how many grid points lie at or before each step's end
+    ends = np.searchsorted(grid, steps[:, 2], side="right")
+    states = np.empty((ends[-1] if len(ends) else 1, n))
+    states[0] = x0
+    gi = 1
+    # only the steps whose end passes a grid point are read
+    for j in np.flatnonzero(np.diff(ends, prepend=1)).tolist():
+        row, end = steps[j], int(ends[j])
+        t, h = row[:2].tolist()
+        x = row[3 : 3 + n]
+        q = row[3 + n :].reshape(n, 4)
+        while gi < end:
+            theta = min(max((grid[gi] - t) / h, 0.0), 1.0)
+            p = theta**_POWERS
+            states[gi] = x + h * (q @ p)
+            gi += 1
+    return states
+
+
+# rhs object -> {inputs but sample_dt: (steps, {grid length: (times, states)})};
+# entries die with the rhs
 _TRAJECTORIES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -292,31 +334,42 @@ def shared_trajectory(
     config: IntegratorConfig | None = None,
 ) -> Trajectory:
     """integrate(rhs, x0, span, sample_dt, config), integrated once per rhs
-    object and inputs.
+    object and inputs other than sample_dt.
 
-    The trajectory is kept as long as rhs lives, so rhs must be a pure
-    function of (t, x). Each call returns a new Trajectory over the same
-    read-only arrays. A failed integration is not kept and fails again on
-    the next call. An rhs that cannot be weakly referenced, and inputs that
+    The accepted steps do not depend on the sample grid, so they are kept
+    as long as rhs lives and each new sample_dt is read from their dense
+    output; rhs must therefore be a pure function of (t, x). Each call
+    returns a new Trajectory over the same read-only arrays. A failed
+    integration is not kept and fails again on the next call, at any
+    sample_dt. An rhs that cannot be weakly referenced, and inputs that
     give no key (integrate then raises its own error), go to integrate on
     every call.
     """
     try:
         memo = _TRAJECTORIES.setdefault(rhs, {})
-        # the exact bits of every input integrate reads besides rhs
+        # the exact bits of every input integrate reads besides rhs and sample_dt
         cfg = config if config is not None else IntegratorConfig()
         x = np.array(x0, dtype=float)
-        floats = [float(v) for v in (span[0], span[1], sample_dt, cfg.rtol, cfg.atol)]
-        key = (x.shape, x.tobytes(), struct.pack("<5d", *floats), cfg.max_steps)
+        floats = [float(v) for v in (span[0], span[1], cfg.rtol, cfg.atol)]
+        key = (x.shape, x.tobytes(), struct.pack("<4d", *floats), cfg.max_steps)
     except (TypeError, ValueError):
         return integrate(rhs, x0, span, sample_dt, config)
-    arrays = memo.get(key)
-    if arrays is None:
+    entry = memo.get(key)
+    if entry is None:
         # the module global, looked up now, so a wrapper sees each integration
         traj = integrate(rhs, x0, span, sample_dt, config)
-        traj.times.flags.writeable = False
-        traj.states.flags.writeable = False
-        arrays = memo[key] = (traj.times, traj.states)
+        entry = memo[key] = (traj.steps, {})
+        arrays = (traj.times, traj.states)
+    else:
+        # an entry means span and x0 were valid, so only the grid can fail
+        grid = sample_grid(floats[0], floats[1], sample_dt)
+        arrays = entry[1].get(len(grid))
+        if arrays is not None:
+            return Trajectory(*arrays)
+        arrays = (grid, _dense_output(entry[0], grid, x))
+    for a in arrays:
+        a.flags.writeable = False
+    entry[1][len(arrays[0])] = arrays
     return Trajectory(*arrays)
 
 

@@ -6,7 +6,7 @@ from odesr import integrate
 @pytest.fixture
 def integrate_calls(monkeypatch):
     """The span of every call to the integrate module's `integrate`, which
-    every trajectory except a hybrid rollout goes through."""
+    every trajectory goes through, hybrid rollouts included."""
     calls = []
     original = integrate.integrate
 

@@ -1,5 +1,8 @@
+import dataclasses
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -132,9 +135,76 @@ def test_rollouts_share_the_truth_trajectory(integrate_calls):
     system = lotka_volterra()
     first = rollout_with_estimate(truth_expr(system), system)
     second = rollout_with_estimate(parse_expr("-y", system.variable_names), system)
-    # the hybrids go through odesr.benchmark's binding, the truth through here
-    assert integrate_calls == [(0.0, 15.0)]
+    # the truth, then each hybrid, once each, all through the integrate module
+    assert integrate_calls == [(0.0, 15.0)] * 3
+    rollout_with_estimate(parse_expr("-y", system.variable_names), system)
+    assert integrate_calls == [(0.0, 15.0)] * 3
     assert second.truth.states.tobytes() == first.truth.states.tobytes()
+
+
+@pytest.mark.parametrize("case", list(ROLLOUT_CASES))
+def test_rollouts_at_two_dts_on_one_system_match_reference(integrate_calls, case):
+    name, text = ROLLOUT_CASES[case]
+    system = get_system(name)
+    expr = parse_expr(text, system.variable_names)
+    for sample_dt in (0.1, 0.025):
+        got = rollout_with_estimate(expr, system, sample_dt=sample_dt)
+        want = reference_rollout(expr, system, sample_dt)
+        assert got.divergence_time == want.divergence_time
+        for a, b in ((got.truth, want.truth), (got.hybrid, want.hybrid)):
+            assert a.times.tobytes() == b.times.tobytes()
+            assert a.states.tobytes() == b.states.tobytes()
+    # truth and hybrid are integrated once; a divergent hybrid is not kept
+    hybrids = 2 if case == "diverging" else 1
+    assert integrate_calls == [(0.0, 15.0)] * (1 + hybrids)
+
+
+def test_hybrids_key_on_the_printed_estimate_and_target(integrate_calls):
+    system = lotka_volterra()
+    for value in (0.0, -0.0, 0.0):
+        rollout_with_estimate(Const(value), system, span=(0.0, 1.0))
+    # Const(0.0) == Const(-0.0), yet they are two estimates
+    assert integrate_calls == [(0.0, 1.0)] * 3
+    # the same rhs and estimate on another target dimension is another hybrid
+    other = dataclasses.replace(system, target_dim=0)
+    frozen = rollout_with_estimate(Const(0.0), other, span=(0.0, 1.0))
+    assert integrate_calls == [(0.0, 1.0)] * 4
+    assert np.all(frozen.hybrid.states[:, 0] == 1.0)
+
+
+def test_hybrid_is_released_with_the_system():
+    system = lotka_volterra()
+    states = weakref.ref(rollout_with_estimate(truth_expr(system), system).hybrid.states)
+    gc.collect()
+    assert states() is not None
+    del system
+    gc.collect()
+    assert states() is None
+
+
+class _SlotRhs:
+    """A right-hand side that cannot be weakly referenced."""
+
+    __slots__ = ("rhs",)
+
+    def __init__(self, rhs):
+        self.rhs = rhs
+
+    def __call__(self, t, x):
+        return self.rhs(t, x)
+
+
+def test_rollout_of_an_rhs_without_weak_reference(integrate_calls):
+    system = lotka_volterra()
+    slotted = dataclasses.replace(system, rhs=_SlotRhs(system.rhs))
+    expr = truth_expr(system)
+    want = rollout_with_estimate(expr, system, span=(0.0, 2.0))
+    for _ in range(2):
+        got = rollout_with_estimate(expr, slotted, span=(0.0, 2.0))
+        for a, b in ((got.truth, want.truth), (got.hybrid, want.hybrid)):
+            assert a.states.tobytes() == b.states.tobytes()
+    # nothing can be kept for it: each rollout integrates truth and hybrid
+    assert integrate_calls == [(0.0, 2.0)] * 6
 
 
 def test_rollout_csv(tmp_path):

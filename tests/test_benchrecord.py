@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import mmap
 import os
 import shutil
 import subprocess
@@ -97,10 +98,27 @@ def test_patched_restores_when_a_patch_fails():
 def test_pass_totals_equal_the_per_pass_sums():
     calls = []
     work = {name: (lambda name=name: calls.append(name)) for name in ("a", "b", "c")}
-    seconds, totals = benchrecord.timed_passes(work)
+    seconds, totals, faults = benchrecord.timed_passes(work)
     assert calls == ["a", "b", "c"] * benchrecord.RUNS
     assert all(len(s) == benchrecord.RUNS for s in seconds.values())
+    assert all(len(f) == benchrecord.RUNS for f in faults.values())
     assert totals == [sum(seconds[name][i] for name in work) for i in range(benchrecord.RUNS)]
+
+
+def test_passes_count_the_page_faults_of_each_item():
+    pages = 256
+
+    def touch():
+        # a new mapping each pass, in base pages, every page written once
+        with mmap.mmap(-1, pages * mmap.PAGESIZE) as m:
+            if hasattr(mmap, "MADV_NOHUGEPAGE"):
+                m.madvise(mmap.MADV_NOHUGEPAGE)
+            for offset in range(0, len(m), mmap.PAGESIZE):
+                m[offset] = 1
+
+    _, _, faults = benchrecord.timed_passes({"idle": lambda: None, "touch": touch})
+    assert all(f >= pages for f in faults["touch"])
+    assert all(0 <= f < pages for f in faults["idle"])
 
 
 def test_summary_quartiles():

@@ -2,6 +2,7 @@ import itertools
 import math
 import tracemalloc
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -341,8 +342,11 @@ def test_brute_force_deterministic(planted_sine):
 
 def test_brute_force_time_budget_truncates(planted_sine):
     cfg = FeynmanConfig(max_brute_nodes=6, time_budget=0.0)
-    cands = brute_force(planted_sine, cfg)
-    full = brute_force(planted_sine, FeynmanConfig(max_brute_nodes=6))
+    with pytest.warns(RuntimeWarning, match="^brute_force truncated by time_budget$"):
+        cands = brute_force(planted_sine, cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a full search does not warn
+        full = brute_force(planted_sine, FeynmanConfig(max_brute_nodes=6))
     assert len(cands) < len(full)
 
 

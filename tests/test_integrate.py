@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from odesr import benchmark
+from odesr import integrate as integrate_module
 from odesr.benchmark import GROUND_TRUTH_EXPRESSIONS, rollout_with_estimate, run_fit
 from odesr.benchmark import test_error as held_out_error
 from odesr.expressions import parse_expr
@@ -376,23 +376,27 @@ def test_shared_trajectory_keys_on_every_input(integrate_calls):
         return shared_trajectory(rhs, x0, span, dt, config)
 
     trajectory()
-    trajectory(dt=0.05)
+    # another sample_dt is read from the steps already taken
+    finer = trajectory(dt=0.05)
+    assert len(integrate_calls) == 1
+    fresh = integrate(sys.rhs, (1.0, 1.0), (0.0, 2.0), 0.05)
+    assert_same_bits(finer, fresh)
     trajectory(span=(0.0, 3.0))
     trajectory(config=IntegratorConfig(rtol=1e-9))
     trajectory(config=IntegratorConfig(max_steps=999_999))
     trajectory(rhs=lotka_volterra().rhs)
     trajectory(x0=(1.0, 2.0))
-    assert len(integrate_calls) == 7
+    assert len(integrate_calls) == 6
     # None and the default config are the same integration
     trajectory(config=IntegratorConfig())
-    assert len(integrate_calls) == 7
+    assert len(integrate_calls) == 6
 
     def decay(t, x):
         return -x
 
     plus = shared_trajectory(decay, [0.0, 1.0], (0.0, 1.0), 0.1)
     minus = shared_trajectory(decay, [-0.0, 1.0], (0.0, 1.0), 0.1)
-    assert len(integrate_calls) == 9
+    assert len(integrate_calls) == 8
     fresh = integrate(decay, [-0.0, 1.0], (0.0, 1.0), 0.1)
     assert minus.states.tobytes() == fresh.states.tobytes()
     assert minus.states.tobytes() != plus.states.tobytes()
@@ -608,10 +612,11 @@ def test_truth_rollouts_match_reference(monkeypatch, name, sample_dt):
         spans.append(span)
         return checked_integrate(rhs, x0, span, *args)
 
-    monkeypatch.setattr(benchmark, "integrate", checked)
+    # truth and hybrid both reach the integrate module's binding
+    monkeypatch.setattr(integrate_module, "integrate", checked)
     result = rollout_with_estimate(truth, sys, sample_dt=sample_dt)
     assert result.divergence_time is None
-    assert spans == [(sys.train_span[0], sys.test_span[1])]
+    assert spans == [(sys.train_span[0], sys.test_span[1])] * 2
 
 
 def test_expression_system_matches_reference():
@@ -677,6 +682,76 @@ def test_small_linear_systems_match_reference(n, data, rtol, atol):
     # initial step estimate then divides by it
     except (IntegrationError, ZeroDivisionError):
         pass
+
+
+# ------------------------------------------ one integration, every sample_dt
+
+
+def _full_span_inputs(case):
+    """rhs, x0 and span of a benchmark system's train and test windows, of
+    the pendulum written as expressions, or of a 9-component linear system
+    (which takes the numpy norm)."""
+    if case == "linear-9":
+        rng = np.random.default_rng(9)
+        a = rng.standard_normal((9, 9)) - 2.0 * np.eye(9)
+        return (lambda t, x: a @ x + math.sin(t)), rng.standard_normal(9), (0.0, 5.0)
+    if case == "pendulum_expr":
+        pendulum = simple_pendulum()
+        sys = expression_system(
+            "pendulum_expr",
+            ("theta2", "-0.1 * theta2 - 9.81 * sin(theta1)"),
+            pendulum.initial_state,
+            variable_names=pendulum.variable_names,
+        )
+    else:
+        sys = get_system(case)
+    return sys.rhs, sys.initial_state, (sys.train_span[0], sys.test_span[1])
+
+
+@pytest.mark.parametrize(
+    "case", ["lotka_volterra", "simple_pendulum", "cart_pole", "pendulum_expr", "linear-9"]
+)
+def test_shared_trajectory_samples_every_dt_from_one_integration(integrate_calls, case):
+    rhs, x0, span = _full_span_inputs(case)
+    for sample_dt in (0.1, 0.05, 0.025):
+        got = shared_trajectory(rhs, x0, span, sample_dt)
+        assert_same_bits(got, checked_integrate(rhs, x0, span, sample_dt))
+        assert not got.times.flags.writeable
+        assert not got.states.flags.writeable
+    assert integrate_calls == [span]
+    # a coarser grid, and one already sampled, come from the same steps
+    assert_same_bits(shared_trajectory(rhs, x0, span, 0.5), integrate(rhs, x0, span, 0.5))
+    again = shared_trajectory(rhs, x0, span, 0.05)
+    assert again.states is shared_trajectory(rhs, x0, span, 0.05).states
+    assert integrate_calls == [span]
+
+
+def test_shared_trajectory_checks_the_grid_before_its_memo(integrate_calls):
+    sys = lotka_volterra()
+    shared_trajectory(sys.rhs, sys.initial_state, sys.train_span, 0.1)
+    for bad in (0.3, 0.0, -0.1):
+        with pytest.raises(ValueError, match="sample_dt"):
+            shared_trajectory(sys.rhs, sys.initial_state, sys.train_span, bad)
+    assert integrate_calls == [sys.train_span]
+
+
+@pytest.mark.parametrize(
+    "rhs, x0", [(_nan_after_half, [0.0]), (lambda t, x: x * x, [1.0])], ids=["nan", "blowup"]
+)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_shared_trajectory_failures_match_fresh_integration_at_each_dt(
+    integrate_calls, rhs, x0
+):
+    for sample_dt in (0.1, 0.05):
+        with pytest.raises(IntegrationError) as expected:
+            integrate(rhs, x0, (0.0, 2.0), sample_dt)
+        with pytest.raises(IntegrationError) as got:
+            shared_trajectory(rhs, x0, (0.0, 2.0), sample_dt)
+        assert str(got.value) == str(expected.value)
+        assert got.value.last_time.hex() == expected.value.last_time.hex()
+        assert_same_bits(got.value.partial, expected.value.partial)
+    # a failure is not kept, so each call integrates again
+    assert integrate_calls == [(0.0, 2.0), (0.0, 2.0)]
 
 
 # ------------------------------------------------------------ rhs contract
