@@ -36,15 +36,26 @@ from .sindy import LassoConfig, STLSQConfig, basis_from_strings, preset_basis
 from .systems import SYSTEM_NAMES, expression_system, get_system
 
 
+def _object(value, where: str) -> dict:
+    """value if it is a JSON object; a ValueError naming where otherwise."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    return value
+
+
+def _section(config: dict, name: str) -> dict:
+    return _object(config.get(name, {}), f"config section {name!r}")
+
+
 def load_config(path) -> dict:
     if path is None:
         return {}
     with open(path) as fh:
-        return json.load(fh)
+        return _object(json.load(fh), f"config {path}")
 
 
 def resolve_system(name: str, config: dict):
-    entry = config.get("systems", {}).get(name)
+    entry = _section(config, "systems").get(name)
     if entry is None:
         return get_system(name)
     try:
@@ -70,7 +81,7 @@ def integrator_from_config(config: dict) -> IntegratorConfig | None:
 
 
 def _solver_from_config(entry: dict):
-    kind = entry.get("kind", "stlsq")
+    kind = _object(entry, "config section 'sindy.solver'").get("kind", "stlsq")
     params = {k: v for k, v in entry.items() if k != "kind"}
     if kind == "stlsq":
         return STLSQConfig(**params)
@@ -86,16 +97,17 @@ def fit_kwargs(method: str, system, config: dict) -> dict:
     if integrator is not None:
         kwargs["integrator"] = integrator
     if method == "ga":
-        entry = config.get("ga", {}).get(system.name)
+        entry = _section(config, "ga").get(system.name)
         if entry is not None:
             params = {**GA_DEFAULTS.get(system.name, {}), **entry}
             kwargs["ga_config"] = GAConfig(**params)
-        pool = config.get("constant_pools", {}).get(system.name)
+        pool = _section(config, "constant_pools").get(system.name)
         if pool is not None:
             kwargs["constant_pool"] = tuple(float(c) for c in pool)
     elif method == "sindy":
-        sindy_cfg = config.get("sindy", {})
-        entry = sindy_cfg.get("basis", {}).get(system.name)
+        sindy_cfg = _section(config, "sindy")
+        basis = _object(sindy_cfg.get("basis", {}), "config section 'sindy.basis'")
+        entry = basis.get(system.name)
         if isinstance(entry, str):
             kwargs["basis"] = preset_basis(entry)
         elif entry is not None:
@@ -104,8 +116,8 @@ def fit_kwargs(method: str, system, config: dict) -> dict:
         if solver is not None:
             kwargs["sparse"] = _solver_from_config(solver)
     elif method == "feynman":
-        entry = config.get("feynman")
-        if entry is not None:
+        entry = _section(config, "feynman")
+        if entry:
             kwargs["feynman"] = FeynmanConfig(**entry)
     return kwargs
 

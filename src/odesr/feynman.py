@@ -61,7 +61,7 @@ class FeynmanConfig:
         ops = self.unary_set + self.binary_set
         if len(set(ops)) < len(ops):
             raise ValueError(f"an op is listed twice: {ops}")
-        if self.time_budget is not None and self.time_budget < 0:
+        if self.time_budget is not None and not (self.time_budget >= 0):  # NaN fails too
             raise ValueError("time_budget must be non-negative")
 
 

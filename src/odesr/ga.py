@@ -76,13 +76,15 @@ def _step(
         raise ValueError(f"population size {len(pop)} != configured {n}")
     survivors = sorted(pop, key=rank)[: math.ceil(n * config.selection_fraction)]
     parents = [bits_of(s) for s in survivors]
+    length = config.bitstring_length
+    for bits in parents:
+        if len(bits) != length:
+            raise ValueError(f"survivor of {len(bits)} bits != configured {length}")
     n_mutants = n - len(parents)
-    # one block of uniforms serves a generation's attempts unless rejections use it up
-    with _Flips(rng, config.mutation_rate, n_mutants * config.bitstring_length) as flips:
-        mutants = [
-            _mutate_decoded(parents[i % len(parents)], grammar, flips)
-            for i in range(n_mutants)
-        ]
+    flips = _Flips(rng, config.mutation_rate, length, n_mutants)
+    mutants = [
+        _mutate_decoded(parents[i % len(parents)], grammar, flips) for i in range(n_mutants)
+    ]
     return survivors, mutants
 
 

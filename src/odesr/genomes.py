@@ -196,54 +196,33 @@ def mutate(
 
     Each attempt draws rng.random(len(genome.bits)), in order, and flips the
     bits whose uniform is below rate; the generator is left where those draws
-    leave it. (How the uniforms are fetched, one attempt at a time or in
-    blocks, is an implementation detail.)"""
-    with _Flips(rng, rate) as flips:
-        return Genome(tuple(_mutate_decoded(genome.bits, grammar, flips, max_attempts)[0]))
+    leave it, on every bit generator."""
+    flips = _Flips(rng, rate, len(genome.bits), mutations=1)
+    return Genome(tuple(_mutate_decoded(genome.bits, grammar, flips, max_attempts)[0]))
 
 
 class _Flips:
-    """The flips that rng.random(n) < rate gives for each take(n) in turn,
-    as bytes of 0/1, fetched `size` uniforms at a time.
+    """The flips that rng.random(length) < rate gives for each attempt of
+    `mutations` mutations in turn, as bytes of 0/1.
 
     rng.random(a) then rng.random(b) gives the floats of rng.random(a + b),
-    so a block is cut into takes. On exit the generator is rewound to the
-    first unused uniform: where one rng.random(n) per take leaves it. Only
-    PCG64, which default_rng makes, is drawn in blocks: MT19937 and SFC64
-    cannot advance, and Philox advances by 4-word blocks, so other bit
-    generators draw each take on its own and need no rewind."""
+    so one fetch is cut into attempts. A fetch covers only attempts certain
+    to run: each mutation not yet made needs one, and the current one cannot
+    give up before its attempts left are spent. So no uniform is drawn
+    unused, and the generator ends where one rng.random(length) per attempt
+    leaves it, also after a SamplingError."""
 
-    def __init__(self, rng: np.random.Generator, rate: float, size: int = 0):
-        self.rng, self.rate = rng, rate
-        self.size = size if type(rng.bit_generator) is np.random.PCG64 else 0
-        self.block, self.pos, self.saved = b"", 0, None
+    def __init__(self, rng: np.random.Generator, rate: float, length: int, mutations: int):
+        self.rng, self.rate, self.length = rng, rate, length
+        self.mutations = mutations  # not yet made, the current one included
+        self.block, self.pos = b"", 0
 
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.block):
-            self.rewind()
-            count = max(n, self.size)
-            self.saved = self.rng.bit_generator.state if count > n else None
-            self.block = (self.rng.random(count) < self.rate).tobytes()
-        self.pos += n
-        return self.block[self.pos - n : self.pos]
-
-    def rewind(self) -> None:
-        if self.pos < len(self.block):
-            bit_generator, saved = self.rng.bit_generator, self.saved
-            bit_generator.state = saved
-            bit_generator.advance(self.pos)
-            # advance() drops the buffered 32-bit half-word that an earlier
-            # rng.integers may have left; rng.random never touches it
-            state = bit_generator.state
-            state["has_uint32"], state["uinteger"] = saved["has_uint32"], saved["uinteger"]
-            bit_generator.state = state
-        self.block, self.pos, self.saved = b"", 0, None
-
-    def __enter__(self) -> "_Flips":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.rewind()
+    def take(self, attempts_left: int) -> bytes:
+        if self.pos == len(self.block):
+            count = min(self.mutations, attempts_left) * self.length
+            self.block, self.pos = (self.rng.random(count) < self.rate).tobytes(), 0
+        self.pos += self.length
+        return self.block[self.pos - self.length : self.pos]
 
 
 def _mutate_decoded(
@@ -256,10 +235,12 @@ def _mutate_decoded(
     length = len(bits)
     # bytes of 0/1 xor bytewise as one big integer
     original = int.from_bytes(bytes(bits), "big")
-    for _ in range(max_attempts):
-        mutant = (original ^ int.from_bytes(flips.take(length), "big")).to_bytes(length, "big")
+    for attempt in range(max_attempts):
+        flipped = flips.take(max_attempts - attempt)
+        mutant = (original ^ int.from_bytes(flipped, "big")).to_bytes(length, "big")
         used = _consumed(mutant, grammar)
         if used is not None:
+            flips.mutations -= 1
             return mutant, used
     raise SamplingError(
         f"no valid mutation in {max_attempts} attempts (rate={flips.rate}, "

@@ -136,8 +136,8 @@ class IntegrationError(RuntimeError):
 
 
 def sample_grid(t0: float, t1: float, sample_dt: float) -> np.ndarray:
-    if sample_dt <= 0:
-        raise ValueError("sample_dt must be positive")
+    if not (0 < sample_dt < math.inf):  # NaN fails too
+        raise ValueError("sample_dt must be positive and finite")
     n_float = (t1 - t0) / sample_dt
     n = round(n_float)
     if n < 1 or abs(n_float - n) > 1e-9:

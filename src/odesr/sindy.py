@@ -45,7 +45,7 @@ class STLSQConfig:
     max_iterations: int = 50
 
     def __post_init__(self):
-        if self.threshold <= 0:
+        if not (self.threshold > 0):  # NaN fails too
             raise ValueError("threshold must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
@@ -58,10 +58,12 @@ class LassoConfig:
     tolerance: float = 1e-8
 
     def __post_init__(self):
-        if self.lam is not None and self.lam < 0:
-            raise ValueError("lambda must be >= 0")
+        if self.lam is not None and not (self.lam >= 0):  # NaN fails too
+            raise ValueError("lam must be >= 0")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
+        if not (self.tolerance > 0):
+            raise ValueError("tolerance must be positive")
 
 
 SparseConfig = STLSQConfig | LassoConfig

@@ -122,6 +122,30 @@ def test_custom_system_without_rhs_names_the_field(tmp_path, capsys):
     assert capsys.readouterr().err == "error: config system 'decay' has no 'rhs'\n"
 
 
+@pytest.mark.parametrize(
+    "method, payload, where",
+    [
+        ("sindy", [], "config {path}"),
+        ("sindy", {"systems": []}, "config section 'systems'"),
+        ("ga", {"ga": None}, "config section 'ga'"),
+        ("ga", {"constant_pools": [1.0]}, "config section 'constant_pools'"),
+        ("sindy", {"sindy": "stlsq"}, "config section 'sindy'"),
+        ("sindy", {"sindy": {"basis": []}}, "config section 'sindy.basis'"),
+        ("sindy", {"sindy": {"solver": "lasso"}}, "config section 'sindy.solver'"),
+        ("feynman", {"feynman": [3]}, "config section 'feynman'"),
+    ],
+    ids=["top level", "systems", "ga", "constant_pools", "sindy", "basis", "solver", "feynman"],
+)
+def test_config_that_is_not_an_object_exits_one(tmp_path, capsys, method, payload, where):
+    # a list at the top level used to crash with an AttributeError traceback
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "x.json"
+    assert main(["fit", "--method", method, "--system", "lotka_volterra", "--config", cfg,
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {where.format(path=cfg)} must be a JSON object\n"
+    assert not out.exists()
+
+
 def test_missing_argument_exits_one(capsys):
     assert main(["fit", "--method", "sindy"]) == 1
     capsys.readouterr()

@@ -759,6 +759,10 @@ def test_config_validation():
         FeynmanConfig(unary_set=("sin", "cos", "sin"))
     with pytest.raises(ValueError, match="listed twice"):
         FeynmanConfig(binary_set=("add", "add"))
+    # NaN compares false both ways, so it used to pass and never cut the search
+    for budget in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="time_budget"):
+            FeynmanConfig(time_budget=budget)
 
 
 def test_pareto_csv_round_trip(tmp_path, planted_sine):

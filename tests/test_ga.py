@@ -134,6 +134,19 @@ def test_step_rejects_wrong_population_size(zero_dataset):
              np.random.default_rng(0))
 
 
+def test_step_rejects_a_survivor_of_the_wrong_length(zero_dataset):
+    grammar = grammar_for_system("lotka_volterra")
+    pop = _seeded_population(4, zero_dataset, grammar, 0)
+    short = random_genome(12, grammar, np.random.default_rng(1))
+    pop[1] = make_candidate(decode(short, grammar), zero_dataset, short)
+    pop[1].train_rmse = -1.0  # ranked first, so it survives
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="survivor of 12 bits != configured 20"):
+        step(pop, GAConfig(population_size=4), zero_dataset, grammar, rng)
+    assert rng.bit_generator.state == state
+
+
 def test_run_history_length_matches_iterations(lv_planted):
     grammar = grammar_for_system("lotka_volterra")
     config = GAConfig(population_size=10, iterations=1, seed=0)
@@ -369,7 +382,7 @@ def test_step_exhaustion_leaves_per_attempt_state(zero_dataset, kind):
     assert state_of(rng) == state_of(ref)
 
 
-@pytest.mark.parametrize("kind", ["mt19937", "philox"])
+@pytest.mark.parametrize("kind", ["mt19937", "philox", "sfc64"])
 def test_run_ga_matches_reference_on_other_bit_generators(monkeypatch, kind):
     data = make_dataset(get_system("cart_pole"), 0.1, "train")
     grammar = grammar_for_system("cart_pole")

@@ -273,6 +273,7 @@ BIT_GENERATORS = {
     "pcg64": np.random.PCG64,
     "mt19937": np.random.MT19937,
     "philox": np.random.Philox,
+    "sfc64": np.random.SFC64,
 }
 
 
@@ -336,25 +337,27 @@ def test_mutate_exhaustion_leaves_per_attempt_state(kind):
 
 @pytest.mark.parametrize("kind", BIT_GENERATORS)
 @given(
-    lengths=st.lists(st.integers(0, 40), max_size=12),
-    size=st.integers(0, 200),
+    length=st.integers(0, 40),
+    max_attempts=st.integers(1, 6),
+    # the attempt at which each mutation decodes; past max_attempts it gives up
+    outcomes=st.lists(st.integers(1, 8), max_size=12),
     rate=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
     seed=st.integers(0, 2**32 - 1),
-    fail=st.booleans(),
 )
 @settings(max_examples=60, deadline=None)
-def test_flip_blocks_match_one_draw_per_take(kind, lengths, size, rate, seed, fail):
+def test_flip_blocks_match_one_draw_per_take(kind, length, max_attempts, outcomes, rate, seed):
     rng, ref = twin_generators(kind, seed)
+    flips = _Flips(rng, rate, length, len(outcomes))
     taken = []
-    try:
-        with _Flips(rng, rate, size) as flips:
-            for n in lengths:
-                taken.append(flips.take(n))
-            if fail:
-                raise SamplingError("leaving early")
-    except SamplingError:
-        assert fail
-    assert taken == [(ref.random(n) < rate).tobytes() for n in lengths]
+    for decodes_at in outcomes:
+        for attempt in range(max_attempts):
+            taken.append(flips.take(max_attempts - attempt))
+            if attempt + 1 == decodes_at:
+                flips.mutations -= 1
+                break
+        else:
+            break  # a SamplingError ends the generation here
+    assert taken == [(ref.random(length) < rate).tobytes() for _ in taken]
     assert state_of(rng) == state_of(ref)
     # the later stream agrees too, in both draw paths
     assert rng.integers(0, 2**31, size=3).tolist() == ref.integers(0, 2**31, size=3).tolist()

@@ -69,6 +69,13 @@ def test_non_divisible_dt_rejected():
         integrate(lambda t, x: -x, [1.0], (0.0, 10.0), 0.3)
 
 
+@pytest.mark.parametrize("sample_dt", [0.0, -0.1, math.nan, math.inf])
+def test_sample_grid_rejects_a_step_that_is_not_positive_and_finite(sample_dt):
+    # NaN used to reach round() and fail with "cannot convert float NaN to integer"
+    with pytest.raises(ValueError, match="^sample_dt must be positive and finite$"):
+        sample_grid(0.0, 10.0, sample_dt)
+
+
 def test_lotka_volterra_conserves_invariant():
     sys = lotka_volterra()
     traj = integrate(sys.rhs, sys.initial_state, sys.train_span, 0.1)

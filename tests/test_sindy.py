@@ -71,6 +71,23 @@ def test_cartpole_f27_is_transcribed():
     assert got == pytest.approx(want, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "make, field, values",
+    [
+        (lambda v: STLSQConfig(threshold=v), "threshold", (0.0, -1.0, math.nan)),
+        (lambda v: LassoConfig(lam=v), "lam", (-1.0, math.nan)),
+        (lambda v: LassoConfig(tolerance=v), "tolerance", (0.0, -1.0, math.nan)),
+    ],
+    ids=["stlsq threshold", "lasso lam", "lasso tolerance"],
+)
+def test_config_validation(make, field, values):
+    # NaN compares false both ways: a NaN threshold used to fit the model 0.0,
+    # and a NaN lam or tolerance could never converge
+    for bad in values:
+        with pytest.raises(ValueError, match=field):
+            make(bad)
+
+
 def test_basis_from_strings():
     basis = basis_from_strings(["x", "x*y", "1.0"], ("x", "y"))
     assert [f.name for f in basis.functions] == ["f1", "f2", "f3"]
