@@ -9,7 +9,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import is_dataclass
 from pathlib import Path
+from types import NoneType, UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -36,89 +39,129 @@ from .sindy import LassoConfig, STLSQConfig, basis_from_strings, preset_basis
 from .systems import SYSTEM_NAMES, expression_system, get_system
 
 
-def _object(value, where: str) -> dict:
-    """value if it is a JSON object; a ValueError naming where otherwise."""
+# a systems.<name> entry: expression_system's arguments; needs rhs and initial_state
+_SYSTEM = {
+    "rhs": tuple[str, ...],
+    "initial_state": tuple[float, ...],
+    "train_span": tuple[float, float],
+    "test_span": tuple[float, float],
+    "target_dim": int | None,
+    "variable_names": tuple[str, ...] | None,
+}
+_SOLVERS = {"stlsq": STLSQConfig, "lasso": LassoConfig}  # sindy.solver.kind, stlsq default
+
+# The config file's JSON shape: a dict is an object of those keys, a dataclass
+# an object of its fields (read as an instance), dict[str, X] an object of X keyed
+# by system name and tuple[...] a list. An int is a float too, but a bool is neither.
+CONFIG_SHAPE = {
+    "sample_dt": float,
+    "integrator": IntegratorConfig,
+    "systems": dict[str, _SYSTEM],
+    # without "seed": every run takes its seed from --seed
+    "ga": dict[str, {k: v for k, v in get_type_hints(GAConfig).items() if k != "seed"}],
+    "constant_pools": dict[str, tuple[float, ...]],
+    "sindy": {"basis": dict[str, str | tuple[str, ...]], "solver": _SOLVERS},
+    "feynman": FeynmanConfig,
+}
+
+
+def _matches(value, shape) -> bool:
+    """Whether a JSON value that is not an object has the given shape."""
+    if get_origin(shape) is UnionType:
+        return any(_matches(value, s) for s in get_args(shape))
+    if get_origin(shape) is tuple:  # tuple[X, ...] or tuple[X, X]
+        args = get_args(shape)
+        if not isinstance(value, list):
+            return False
+        items = args[:1] * len(value) if args[-1] is Ellipsis else args
+        return len(value) == len(items) and all(map(_matches, value, items))
+    scalar = (int, float) if shape is float else shape
+    return isinstance(value, scalar) and not isinstance(value, bool)
+
+
+def _name(shape) -> str:
+    """How a message names a shape, e.g. "list of 2 float"."""
+    if get_origin(shape) is UnionType:
+        return " or ".join(map(_name, get_args(shape)))
+    if get_origin(shape) is tuple:
+        args = get_args(shape)
+        count = "" if args[-1] is Ellipsis else f"{len(args)} "
+        return f"list of {count}{_name(args[0])}"
+    return "null" if shape is NoneType else shape.__name__
+
+
+def _checked(value, shape, path: str, top: str):
+    """value if it has the JSON shape `shape`, with each dataclass section
+    built; a ValueError naming the dotted key path otherwise (top names the
+    file itself)."""
+    if not (isinstance(shape, dict) or is_dataclass(shape) or get_origin(shape) is dict):
+        if not _matches(value, shape):
+            raise ValueError(f"config key {path!r} must be {_name(shape)}")
+        return value
+    where = f"config section {path!r}" if path else top
     if not isinstance(value, dict):
         raise ValueError(f"{where} must be a JSON object")
-    return value
-
-
-def _section(config: dict, name: str) -> dict:
-    return _object(config.get(name, {}), f"config section {name!r}")
+    build, fields = dict, shape
+    if get_origin(shape) is dict:
+        fields = dict.fromkeys(value, get_args(shape)[1])
+    elif shape is _SOLVERS:
+        value = dict(value)
+        kind = value.pop("kind", "stlsq")
+        if kind not in tuple(_SOLVERS):
+            names = " or ".join(map(repr, _SOLVERS))
+            raise ValueError(f"config key '{path}.kind' must be {names}")
+        shape = _SOLVERS[kind]
+    if is_dataclass(shape):
+        build, fields = shape, get_type_hints(shape)
+    for key in value:
+        if key not in fields:
+            hint = "; the seed comes from --seed" if key == "seed" else ""
+            raise ValueError(f"{where} has unknown key {key!r}{hint}")
+    keys = {k: f"{path}.{k}" if path else k for k in value}
+    return build(**{k: _checked(v, fields[k], keys[k], top) for k, v in value.items()})
 
 
 def load_config(path) -> dict:
-    if path is None:
-        return {}
-    with open(path) as fh:
-        return _object(json.load(fh), f"config {path}")
+    """The JSON config at path (None for no file) checked against
+    CONFIG_SHAPE, with sample_dt and integrator filled in."""
+    config = {}
+    if path is not None:
+        with open(path) as fh:
+            config = _checked(json.load(fh), CONFIG_SHAPE, "", f"config {path}")
+    return {"sample_dt": 0.1, "integrator": None, **config}
 
 
 def resolve_system(name: str, config: dict):
-    entry = _section(config, "systems").get(name)
+    entry = config.get("systems", {}).get(name)
     if entry is None:
         return get_system(name)
+    options = dict(entry)
     try:
-        rhs, initial_state = entry["rhs"], entry["initial_state"]
+        rhs, initial_state = options.pop("rhs"), options.pop("initial_state")
     except KeyError as err:
         raise ValueError(f"config system {name!r} has no {err}") from None
-    return expression_system(
-        name,
-        rhs,
-        initial_state,
-        train_span=entry.get("train_span", (0.0, 10.0)),
-        test_span=entry.get("test_span", (10.0, 15.0)),
-        target_dim=entry.get("target_dim"),
-        variable_names=entry.get("variable_names"),
-    )
-
-
-def integrator_from_config(config: dict) -> IntegratorConfig | None:
-    entry = config.get("integrator")
-    if entry is None:
-        return None
-    return IntegratorConfig(**entry)
-
-
-def _solver_from_config(entry: dict):
-    kind = _object(entry, "config section 'sindy.solver'").get("kind", "stlsq")
-    params = {k: v for k, v in entry.items() if k != "kind"}
-    if kind == "stlsq":
-        return STLSQConfig(**params)
-    if kind == "lasso":
-        return LassoConfig(**params)
-    raise ValueError(f"unknown sindy solver {kind!r}")
+    return expression_system(name, rhs, initial_state, **options)
 
 
 def fit_kwargs(method: str, system, config: dict) -> dict:
-    """Translate the JSON config into run_fit keyword arguments."""
-    kwargs: dict = {}
-    integrator = integrator_from_config(config)
-    if integrator is not None:
-        kwargs["integrator"] = integrator
+    """Translate the checked JSON config into run_fit keyword arguments."""
+    kwargs: dict = {"integrator": config["integrator"]}
     if method == "ga":
-        entry = _section(config, "ga").get(system.name)
+        entry = config.get("ga", {}).get(system.name)
         if entry is not None:
-            params = {**GA_DEFAULTS.get(system.name, {}), **entry}
-            kwargs["ga_config"] = GAConfig(**params)
-        pool = _section(config, "constant_pools").get(system.name)
+            kwargs["ga_config"] = GAConfig(**{**GA_DEFAULTS.get(system.name, {}), **entry})
+        pool = config.get("constant_pools", {}).get(system.name)
         if pool is not None:
             kwargs["constant_pool"] = tuple(float(c) for c in pool)
     elif method == "sindy":
-        sindy_cfg = _section(config, "sindy")
-        basis = _object(sindy_cfg.get("basis", {}), "config section 'sindy.basis'")
-        entry = basis.get(system.name)
-        if isinstance(entry, str):
-            kwargs["basis"] = preset_basis(entry)
-        elif entry is not None:
-            kwargs["basis"] = basis_from_strings(entry, system.variable_names)
-        solver = sindy_cfg.get("solver")
-        if solver is not None:
-            kwargs["sparse"] = _solver_from_config(solver)
+        basis = config.get("sindy", {}).get("basis", {}).get(system.name)
+        if _matches(basis, str):
+            kwargs["basis"] = preset_basis(basis)
+        elif basis is not None:
+            kwargs["basis"] = basis_from_strings(basis, system.variable_names)
+        kwargs["sparse"] = config.get("sindy", {}).get("solver")
     elif method == "feynman":
-        entry = _section(config, "feynman")
-        if entry:
-            kwargs["feynman"] = FeynmanConfig(**entry)
+        kwargs["feynman"] = config.get("feynman")
     return kwargs
 
 
@@ -132,10 +175,10 @@ def _write_dataset_csv(data, variable_names, path) -> None:
 def cmd_generate(args) -> int:
     config = load_config(args.config)
     system = resolve_system(args.system, config)
-    integrator = integrator_from_config(config)
+    dt = config["sample_dt"] if args.dt is None else args.dt
     base = args.out[:-4] if args.out.endswith(".csv") else args.out
     for split in ("train", "test"):
-        traj = make_trajectory(system, split, args.dt, integrator)
+        traj = make_trajectory(system, split, dt, config["integrator"])
         traj_path = f"{base}_{split}.csv"
         write_trajectory_csv(traj, system.variable_names, traj_path)
         data = finite_differences(traj, system.target_dim)
@@ -150,11 +193,7 @@ def cmd_fit(args) -> int:
     system = resolve_system(args.system, config)
     kwargs = fit_kwargs(args.method, system, config)
     record = run_fit(
-        args.method,
-        system,
-        seed=args.seed,
-        sample_dt=config.get("sample_dt", 0.1),
-        **kwargs,
+        args.method, system, seed=args.seed, sample_dt=config["sample_dt"], **kwargs
     )
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
     print(f"{record['expression']}  (test error {record['test_error']:.6g})")
@@ -169,9 +208,7 @@ def cmd_eval(args) -> int:
     record = {
         "system": system.name,
         "expression": print_expr(expr, system.variable_names),
-        "test_error": test_error(
-            expr, system, config.get("sample_dt", 0.1), integrator_from_config(config)
-        ),
+        "test_error": test_error(expr, system, config["sample_dt"], config["integrator"]),
     }
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
     print(f"test error {record['test_error']:.6g}")
@@ -183,10 +220,7 @@ def cmd_rollout(args) -> int:
     system = resolve_system(args.system, config)
     expr = parse_expr(args.expr, system.variable_names)
     result = rollout_with_estimate(
-        expr,
-        system,
-        sample_dt=config.get("sample_dt", 0.1),
-        config=integrator_from_config(config),
+        expr, system, sample_dt=config["sample_dt"], config=config["integrator"]
     )
     write_rollout_csv(result, system.variable_names, args.out)
     if result.divergence_time is not None:
@@ -203,7 +237,10 @@ def cmd_bench(args) -> int:
     config = load_config(args.config)
     systems = tuple(args.systems) if args.systems else SYSTEM_NAMES
     methods = tuple(args.methods) if args.methods else METHODS
-
+    for flag, names in (("--methods", methods), ("--systems", systems)):
+        twice = [name for name in names if names.count(name) > 1]
+        if twice:
+            raise ValueError(f"{flag} names {twice[0]!r} twice")
     resolved = {name: resolve_system(name, config) for name in systems}
     overrides = {
         (method, name): fit_kwargs(method, resolved[name], config)
@@ -216,7 +253,7 @@ def cmd_bench(args) -> int:
         repetitions=args.reps,
         base_seed=args.seed,
         out_dir=args.out,
-        sample_dt=config.get("sample_dt", 0.1),
+        sample_dt=config["sample_dt"],
         overrides=overrides,
         resolver=resolved.__getitem__,
     )
@@ -238,31 +275,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="emit train/test trajectories and datasets")
     p.add_argument("--system", required=True)
-    p.add_argument("--dt", type=float, default=0.1)
-    p.add_argument("--config")
-    p.add_argument("--out", required=True)
+    p.add_argument("--dt", type=float, help="default: the config's sample_dt")
     p.set_defaults(handler=cmd_generate)
 
     p = sub.add_parser("fit", help="fit one method on one system")
     p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--system", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--config")
-    p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_fit)
 
     p = sub.add_parser("eval", help="test error of a given expression")
     p.add_argument("--system", required=True)
     p.add_argument("--expr", required=True)
-    p.add_argument("--config")
-    p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_eval)
 
     p = sub.add_parser("rollout", help="hybrid and ground-truth trajectories")
     p.add_argument("--system", required=True)
     p.add_argument("--expr", required=True)
-    p.add_argument("--config")
-    p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_rollout)
 
     p = sub.add_parser("bench", help="benchmark sweep; writes table.csv and run JSONs")
@@ -270,10 +299,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--systems", nargs="*")
     p.add_argument("--reps", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--config")
-    p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_bench)
 
+    for p in sub.choices.values():
+        p.add_argument("--config")
+        p.add_argument("--out", required=True)
     return parser
 
 
@@ -289,7 +319,7 @@ def main(argv=None) -> int:
     except (IntegrationError, SamplingError, np.linalg.LinAlgError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as err:
+    except (ValueError, KeyError, OSError, json.JSONDecodeError) as err:
         # str() of a KeyError is the repr of its argument, quotes and all
         message = err.args[0] if isinstance(err, KeyError) and err.args else err
         print(f"error: {message}", file=sys.stderr)

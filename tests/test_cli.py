@@ -1,11 +1,17 @@
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from odesr.cli import _write_dataset_csv, main
-from odesr.integrate import make_dataset, read_trajectory_csv
+from odesr import cli
+from odesr.benchmark import METHODS
+from odesr.cli import _write_dataset_csv, fit_kwargs, load_config, main, resolve_system
+from odesr.feynman import FeynmanConfig
+from odesr.ga import GAConfig
+from odesr.integrate import IntegratorConfig, make_dataset, read_trajectory_csv
+from odesr.sindy import BasisSet, LassoConfig
 from odesr.systems import lotka_volterra
 
 
@@ -48,6 +54,17 @@ def test_generate_integrates_each_trajectory_once(
         _write_dataset_csv(make_dataset(lotka_volterra(), 0.1, split), ("x", "y"), expected)
         written = tmp_path / f"lv_{split}_targets.csv"
         assert written.read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize("dt_args, rows", [([], 201), (["--dt", "0.1"], 101)],
+                         ids=["config sample_dt", "explicit dt"])
+def test_generate_samples_at_the_config_sample_dt(tmp_path, capsys, dt_args, rows):
+    cfg = write_config(tmp_path, {"sample_dt": 0.05})
+    assert main(["generate", "--system", "lotka_volterra", "--config", cfg, *dt_args,
+                 "--out", str(tmp_path / "lv.csv")]) == 0
+    capsys.readouterr()
+    _, train = read_trajectory_csv(tmp_path / "lv_train.csv")
+    assert len(train.times) == rows
 
 
 def test_fit_sindy_writes_record(tmp_path, capsys):
@@ -133,8 +150,12 @@ def test_custom_system_without_rhs_names_the_field(tmp_path, capsys):
         ("sindy", {"sindy": {"basis": []}}, "config section 'sindy.basis'"),
         ("sindy", {"sindy": {"solver": "lasso"}}, "config section 'sindy.solver'"),
         ("feynman", {"feynman": [3]}, "config section 'feynman'"),
+        ("sindy", {"systems": {"lotka_volterra": [1]}}, "config section 'systems.lotka_volterra'"),
+        ("ga", {"ga": {"lotka_volterra": [1]}}, "config section 'ga.lotka_volterra'"),
+        ("sindy", {"integrator": [1]}, "config section 'integrator'"),
     ],
-    ids=["top level", "systems", "ga", "constant_pools", "sindy", "basis", "solver", "feynman"],
+    ids=["top level", "systems", "ga", "constant_pools", "sindy", "basis", "solver", "feynman",
+         "systems entry", "ga entry", "integrator"],
 )
 def test_config_that_is_not_an_object_exits_one(tmp_path, capsys, method, payload, where):
     # a list at the top level used to crash with an AttributeError traceback
@@ -144,6 +165,111 @@ def test_config_that_is_not_an_object_exits_one(tmp_path, capsys, method, payloa
                  "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {where.format(path=cfg)} must be a JSON object\n"
     assert not out.exists()
+
+
+DECAY = {"rhs": ["-0.5 * x1"], "initial_state": [1.0]}
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"constant_pools": {"lotka_volterra": 3}},
+         "config key 'constant_pools.lotka_volterra' must be list of float"),
+        ({"sample_dt": "0.1"}, "config key 'sample_dt' must be float"),
+        ({"sampel_dt": 0.05}, "config {path} has unknown key 'sampel_dt'"),
+        ({"ga": {"lotka_volterra": {"populaton_size": 10}}},
+         "config section 'ga.lotka_volterra' has unknown key 'populaton_size'"),
+        ({"systems": {"decay": {**DECAY, "train_spam": [0.0, 4.0]}}},
+         "config section 'systems.decay' has unknown key 'train_spam'"),
+        ({"sindy": {"solver": {"kind": "lasso", "lamda": 0.01}}},
+         "config section 'sindy.solver' has unknown key 'lamda'"),
+        ({"sindy": {"solver": {"kind": "ridge"}}},
+         "config key 'sindy.solver.kind' must be 'stlsq' or 'lasso'"),
+        ({"ga": {"lotka_volterra": {"seed": 5}}},
+         "config section 'ga.lotka_volterra' has unknown key 'seed'; "
+         "the seed comes from --seed"),
+        ({"feynman": {"max_brute_nodes": True}},
+         "config key 'feynman.max_brute_nodes' must be int"),
+        ({"integrator": {"max_steps": 1e3}}, "config key 'integrator.max_steps' must be int"),
+        ({"feynman": {"unary_set": "sin"}}, "config key 'feynman.unary_set' must be list of str"),
+        ({"systems": {"decay": {**DECAY, "train_span": [0.0, 2.0, 4.0]}}},
+         "config key 'systems.decay.train_span' must be list of 2 float"),
+        ({"ga": {"lotka_volterra": {"population_size": None}}},
+         "config key 'ga.lotka_volterra.population_size' must be int"),
+        ({"sindy": {"basis": {"lotka_volterra": 3}}},
+         "config key 'sindy.basis.lotka_volterra' must be str or list of str"),
+    ],
+    ids=["pool not a list", "sample_dt string", "unknown top-level key", "unknown ga key",
+         "unknown systems key", "unknown solver key", "unknown solver kind", "ga seed",
+         "bool for int", "float for int", "string for list", "3-element span",
+         "null population", "number for basis"],
+)
+def test_malformed_config_exits_one_naming_the_key(tmp_path, capsys, monkeypatch,
+                                                   payload, message):
+    # each used to exit 0 with the value ignored or replaced, or exit 1 with
+    # a message that named no key
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a fit started")
+
+    monkeypatch.setattr(cli, "run_fit", no_fit)
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "x.json"
+    assert main(["fit", "--method", "ga", "--system", "lotka_volterra", "--config", cfg,
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message.format(path=cfg)}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"sindy": {"solver": {"kind": "lasso", "lam": None}}},
+        {"feynman": {"time_budget": None}},
+        {"systems": {"decay": {**DECAY, "target_dim": None}}},
+        {
+            "sample_dt": 1,
+            "integrator": {"rtol": 0, "atol": 1},
+            "systems": {"decay": {**DECAY, "initial_state": [2], "train_span": [0, 4]}},
+            "ga": {"decay": {"mutation_rate": 0, "selection_fraction": 0.25}},
+            "constant_pools": {"decay": [1, 2]},
+            "sindy": {"solver": {"threshold": 1}},
+            "feynman": {"time_budget": 5},
+        },
+    ],
+    ids=["null lam", "null time_budget", "null target_dim", "ints for floats"],
+)
+def test_config_accepts_null_where_optional_and_ints_for_floats(tmp_path, payload):
+    config = load_config(write_config(tmp_path, payload))
+    system = resolve_system("decay", {"systems": {"decay": DECAY}, **config})
+    for method in METHODS:
+        fit_kwargs(method, system, config)
+
+
+def test_readme_config_example_loads(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"## Configuration.*?```json\n(.*?)```", readme, re.S).group(1)
+    path = tmp_path / "readme.json"
+    path.write_text(block)
+    config = load_config(path)
+    assert isinstance(config["integrator"], IntegratorConfig)
+    system = resolve_system("decay", config)
+    kwargs = {method: fit_kwargs(method, system, config) for method in METHODS}
+    assert isinstance(kwargs["ga"]["ga_config"], GAConfig)
+    assert kwargs["ga"]["constant_pool"] == (0.5, 1.0, 2.0)
+    assert isinstance(kwargs["sindy"]["basis"], BasisSet)
+    assert isinstance(kwargs["sindy"]["sparse"], LassoConfig)
+    assert isinstance(kwargs["feynman"]["feynman"], FeynmanConfig)
+
+
+def test_type_error_in_a_command_is_not_caught(tmp_path, monkeypatch):
+    # a TypeError is a bug, not a configuration problem: it keeps its traceback
+    def broken(args):
+        raise TypeError("a bug")
+
+    monkeypatch.setattr(cli, "cmd_eval", broken)
+    with pytest.raises(TypeError, match="a bug"):
+        main(["eval", "--system", "lotka_volterra", "--expr", "x",
+              "--out", str(tmp_path / "x.json")])
 
 
 def test_missing_argument_exits_one(capsys):
@@ -169,6 +295,24 @@ def test_bench_writes_table(tmp_path):
     assert len(table) == 2
     record = json.loads((out / "sindy_lotka_volterra_0.json").read_text())
     assert record["method"] == "sindy"
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--methods", "sindy", "sindy", "--systems", "lotka_volterra"],
+         "--methods names 'sindy' twice"),
+        (["--methods", "sindy", "--systems", "cart_pole", "lotka_volterra", "cart_pole"],
+         "--systems names 'cart_pole' twice"),
+    ],
+    ids=["method", "system"],
+)
+def test_bench_refuses_a_name_given_twice(tmp_path, capsys, args, message):
+    # the duplicate used to run again and write a second identical row
+    out = tmp_path / "bench"
+    assert main(["bench", *args, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_bench_zero_reps_exits_one(tmp_path, capsys):
