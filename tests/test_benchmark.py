@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import hashlib
 import json
 import math
 import weakref
@@ -361,6 +362,44 @@ def test_benchmark_files_reproducible(tmp_path):
     table = (tmp_path / "a" / "table.csv").read_text().splitlines()
     assert table[0] == "method,system,mean,std"
     assert len(table) == 3
+
+
+# sha256 of every file the default sweep writes (base seed 0, 5 repetitions).
+# A speedup leaves these bytes as they are; a change of results is declared
+# as one and re-records them.
+SWEEP_DIGESTS = {
+    "feynman_cart_pole_0.json": "e1c7fd72d9525a777fe6ebb5fe3a8f76112694fbbe51b441123e33e7f17e70f0",
+    "feynman_lotka_volterra_0.json": "1a5465e5c3db850ff496a466a6c733f379178eee7c31058daa2bb2189af960db",
+    "feynman_simple_pendulum_0.json": "128a44ec2caba46028240e0b586392a3861c519f856cc67ae909956719eaaa94",
+    "ga_cart_pole_0.json": "1e97e7f300f2b6b16a1cb152ae03c9714eb9ed4838aa4885f1a24b89c88fedef",
+    "ga_cart_pole_1.json": "b15d5e4ec88a10237bf230f6443c88fb84de89c8f04287a253458d31caf2c5fe",
+    "ga_cart_pole_2.json": "6b4d36c6e62792e02e0a9a26937126a6e0ae99ac1f095150097f0cd0de0e79c6",
+    "ga_cart_pole_3.json": "56bdcef644f3d3805f013b83ae4c1601d5a9167d6107eccdb2a1a3f210d2a9c6",
+    "ga_cart_pole_4.json": "a72434ad1cdec6f7725f97b0ed8d27e0a88101ee4fb68c23da68f256f77a0f84",
+    "ga_lotka_volterra_0.json": "3d76d39c3de5761fb46178929a69117e1e08abf175ed60033dfd4cee7d6ee379",
+    "ga_lotka_volterra_1.json": "a63d48b3643145678144577783b945952f3f4b4708b32cb4b225948f84bfb493",
+    "ga_lotka_volterra_2.json": "4f4b3c5ae0e6e5b44df25bb4f882b8ccb794b9591df0dbe6146bb08f2c588838",
+    "ga_lotka_volterra_3.json": "a8f4d5523de6ec7c10351cb4d6137c0dd7e958447881f28cec28e50283446d8f",
+    "ga_lotka_volterra_4.json": "2b97610c53fac514521a2b4771b1bf88e2ea99fc36e787e6b12eef26efaca652",
+    "ga_simple_pendulum_0.json": "861e5e9611d8cf65db41a62de2ab5d7eb6734ce67ca560a77abbba77cf5aae0a",
+    "ga_simple_pendulum_1.json": "d1c7bdd8c465e029030bc88c85907a9964c2ee528acb8864b7e91b41050d528a",
+    "ga_simple_pendulum_2.json": "509a16297cc3974bb972598f67e2867087e9f7e06d01d5962364fa23e385cac2",
+    "ga_simple_pendulum_3.json": "8333a3b0c2e1761f572ee2fcb9b78254ba54037cd07f21103446903157d9b604",
+    "ga_simple_pendulum_4.json": "767c3b09ae7351e464b63eb3273b2bdcc2ccaac79d22802005df1ef1584da719",
+    "sindy_cart_pole_0.json": "cee2e05b7b6a4e4ddce31529e08c40702df7dbabfee7dc70805588005226e2ba",
+    "sindy_lotka_volterra_0.json": "d3b4c9c0cda5c9f6486e013c40656062fb1a50cf6f5216141837e34b47b256cc",
+    "sindy_simple_pendulum_0.json": "c397ab345734224db8629d46c81a039d07346bc4a412cda7e0e5eef97bdbde9b",
+    "table.csv": "6b97b11609d706d62df595a74ce278b15001a48217234093288d9ee21d5397c5",
+}
+
+
+def test_default_sweep_files_match_recorded_digests(tmp_path):
+    run_benchmark(repetitions=5, base_seed=0, out_dir=tmp_path)
+    got = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(tmp_path.iterdir())
+    }
+    assert got == SWEEP_DIGESTS
 
 
 def test_benchmark_stats_match_stored_runs():
