@@ -13,6 +13,7 @@ train set, for the seeds of perfbench's `ga` workload at --seed 0
   each run (the bits a decode reads; the rest cannot change the tree)
 - trees_built: complete expression trees built, the calls of `_tree`
 - fitness_evaluations: calls of `fitness`
+- nonfinite_evaluations: those calls that returned +inf
 - rng_calls: calls of `Generator.random`, which draws the mutation flips
 
 The counts come from one untimed pass. Then RUNS passes over every system
@@ -25,6 +26,7 @@ The result is appended to BENCH_ga.json in the working directory under
 pointing at each commit's `src/`.
 """
 
+import math
 import statistics
 from functools import partial
 from pathlib import Path
@@ -45,7 +47,10 @@ SEEDS = range(1000, 1005)
 def counted_runs(data, grammar, settings: dict) -> dict:
     """Counts of one run_ga per seed."""
     counts = dict.fromkeys(
-        ("draws", "valid", "distinct_prefixes", "trees_built", "fitness_evaluations", "rng_calls"),
+        (
+            "draws", "valid", "distinct_prefixes", "trees_built",
+            "fitness_evaluations", "nonfinite_evaluations", "rng_calls",
+        ),
         0,
     )
     prefixes = set()
@@ -79,7 +84,9 @@ def counted_runs(data, grammar, settings: dict) -> dict:
 
     def evaluating(expr, data):
         counts["fitness_evaluations"] += 1
-        return fitness(expr, data)
+        value = fitness(expr, data)
+        counts["nonfinite_evaluations"] += value == math.inf
+        return value
 
     with patched(
         (np.random, "default_rng", lambda seed: CountingGenerator(default_rng(seed))),
@@ -124,7 +131,8 @@ def main() -> None:
         print(
             f"{label} {name}: {c['draws']} draws, {c['valid']} valid, "
             f"{c['distinct_prefixes']} distinct prefixes, {c['trees_built']} trees, "
-            f"{c['fitness_evaluations']} fitness, {c['rng_calls']} rng calls; median "
+            f"{c['fitness_evaluations']} fitness ({c['nonfinite_evaluations']} inf), "
+            f"{c['rng_calls']} rng calls; median "
             f"{statistics.median(seconds[name]):.3f} s over {RUNS} runs"
         )
     print(f"{label} total: median {statistics.median(totals):.3f} s")

@@ -13,10 +13,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .candidates import rmse
+from .candidates import score
 
-# evaluate is not called here; it stays importable from this module because
-# perfbench/spans.py traces the scalar path at this name
+# evaluate and evaluate_batch are not called here; they stay importable from
+# this module because perfbench/spans.py traces the scalar and batch paths at
+# these names
 from .expressions import (  # noqa: F401
     Expr,
     compile_scalar,
@@ -95,7 +96,7 @@ def test_error(
     truth = np.array(
         [system.rhs(t, s)[system.target_dim] for t, s in zip(times.tolist(), states)]
     )
-    return rmse(evaluate_batch(expr, times, states), truth)
+    return score(expr, times, states, truth)
 
 
 # system.rhs -> {(target_dim, printed estimate): hybrid right-hand side}.

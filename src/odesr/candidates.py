@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import Expr, complexity, evaluate_batch
+from .expressions import Expr, batch_inputs, complexity, finite_values
 from .genomes import Genome
 from .integrate import RegressionDataset
 
@@ -30,18 +30,33 @@ def rmse(pred: np.ndarray, targets: np.ndarray) -> float:
         total = float(np.add.reduce(pred, axis=None))
         if not math.isfinite(total) and not np.isfinite(pred).all():
             return math.inf
-        err = pred - targets
-        sq = err * err
-        # np.mean's pairwise sum and division, bit for bit
-        total = float(np.add.reduce(sq, axis=None))
+        return _finite_rmse(pred, targets)
+
+
+def _finite_rmse(pred: np.ndarray, targets: np.ndarray) -> float:
+    # rmse once pred is known finite; call under errstate(over, invalid)
+    err = pred - targets
+    sq = err * err
+    # np.mean's pairwise sum and division, bit for bit
+    total = float(np.add.reduce(sq, axis=None))
     value = math.sqrt(total / sq.size) if sq.size else math.inf
     return value if math.isfinite(value) else math.inf
+
+
+def score(expr: Expr, times: np.ndarray, states: np.ndarray, targets: np.ndarray) -> float:
+    """rmse(evaluate_batch(expr, times, states), targets), bit for bit, from
+    one walk of expr that stops at the first node, leaves included, that is
+    not finite at some row: the score is then +inf, and no nan is masked."""
+    times, states = batch_inputs(times, states)
+    with np.errstate(all="ignore"):
+        pred = finite_values(expr, times, states)
+        return math.inf if pred is None else _finite_rmse(pred, targets)
 
 
 def fitness(expr: Expr, data: RegressionDataset) -> float:
     """RMSE of expr against the divided-difference targets; +inf if any
     sample evaluates outside the reals."""
-    return rmse(evaluate_batch(expr, data.times, data.states), data.targets)
+    return score(expr, data.times, data.states, data.targets)
 
 
 def make_candidate(

@@ -118,16 +118,35 @@ def _checked(value, shape, path: str, top: str):
             hint = "; the seed comes from --seed" if key == "seed" else ""
             raise ValueError(f"{where} has unknown key {key!r}{hint}")
     keys = {k: f"{path}.{k}" if path else k for k in value}
-    return build(**{k: _checked(v, fields[k], keys[k], top) for k, v in value.items()})
+    checked = {k: _checked(v, fields[k], keys[k], top) for k, v in value.items()}
+    return _built(build, where, checked)
+
+
+def _built(build, where: str, fields: dict):
+    """build(**fields), with a range error from a dataclass's __post_init__
+    prefixed by where the section is."""
+    try:
+        return build(**fields)
+    except ValueError as err:
+        raise ValueError(f"{where}: {err}") from None
 
 
 def load_config(path) -> dict:
     """The JSON config at path (None for no file) checked against
-    CONFIG_SHAPE, with sample_dt and integrator filled in."""
+    CONFIG_SHAPE, with sample_dt and integrator filled in. Each ga.<name>
+    entry is built into a GAConfig over that name's GA_DEFAULTS, so its
+    ranges are checked whichever system runs."""
     config = {}
     if path is not None:
         with open(path) as fh:
             config = _checked(json.load(fh), CONFIG_SHAPE, "", f"config {path}")
+    if "ga" in config:
+        config["ga"] = {
+            name: _built(
+                GAConfig, f"config section 'ga.{name}'", {**GA_DEFAULTS.get(name, {}), **entry}
+            )
+            for name, entry in config["ga"].items()
+        }
     return {"sample_dt": 0.1, "integrator": None, **config}
 
 
@@ -147,9 +166,7 @@ def fit_kwargs(method: str, system, config: dict) -> dict:
     """Translate the checked JSON config into run_fit keyword arguments."""
     kwargs: dict = {"integrator": config["integrator"]}
     if method == "ga":
-        entry = config.get("ga", {}).get(system.name)
-        if entry is not None:
-            kwargs["ga_config"] = GAConfig(**{**GA_DEFAULTS.get(system.name, {}), **entry})
+        kwargs["ga_config"] = config.get("ga", {}).get(system.name)
         pool = config.get("constant_pools", {}).get(system.name)
         if pool is not None:
             kwargs["constant_pool"] = tuple(float(c) for c in pool)

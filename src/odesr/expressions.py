@@ -27,7 +27,7 @@ _BINARY_SYMBOL = {"add": "+", "sub": "-", "mul": "*", "div": "/", "pow": "^"}
 _SYMBOL_BINARY = {v: k for k, v in _BINARY_SYMBOL.items()}
 
 # the numpy ufunc behind each operator; identity and pow are special-cased
-# in _eval, and results still pass through _contain's nan rule there
+# in _eval and _binary, and results still pass through _contain's nan rule
 UNARY_UFUNC = {"sin": np.sin, "cos": np.cos, "log": np.log, "exp": np.exp}
 BINARY_UFUNC = {
     "add": np.add,
@@ -91,6 +91,14 @@ Expr = Union[Const, Var, Time, Unary, Binary]
 
 def evaluate_batch(expr: Expr, times: np.ndarray, states: np.ndarray) -> np.ndarray:
     """Evaluate expr at rows of (times, states); invalid points become nan."""
+    times, states = batch_inputs(times, states)
+    with np.errstate(all="ignore"):
+        return _eval(expr, times, states)
+
+
+def batch_inputs(times, states) -> tuple[np.ndarray, np.ndarray]:
+    """times as a 1-d float array and states as a 2-d one with a row per
+    time; a ValueError if they do not align."""
     times = np.asarray(times, dtype=float)
     states = np.asarray(states, dtype=float)
     if states.ndim == 1:
@@ -99,8 +107,7 @@ def evaluate_batch(expr: Expr, times: np.ndarray, states: np.ndarray) -> np.ndar
         raise ValueError(
             f"times {times.shape} and states {states.shape} do not align"
         )
-    with np.errstate(all="ignore"):
-        return _eval(expr, times, states)
+    return times, states
 
 
 def evaluate(expr: Expr, t: float, x: Sequence[float]) -> float:
@@ -142,8 +149,23 @@ def _int_pow(base, n: int):
 
 
 def _eval(expr: Expr, ts: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    if isinstance(expr, Unary):
+        a = _eval(expr.arg, ts, xs)
+        if expr.op == "identity":
+            return a
+        return _contain(UNARY_UFUNC[expr.op](a), a)
+    if isinstance(expr, Binary):
+        l = _eval(expr.left, ts, xs)
+        r = _eval(expr.right, ts, xs)
+        return _contain(_binary(expr, l, r), l, r)
+    return _leaf(expr, ts, xs)
+
+
+def _leaf(expr: Expr, ts: np.ndarray, xs: np.ndarray) -> np.ndarray:
     if isinstance(expr, Const):
-        return np.full(ts.shape, expr.value)
+        out = np.empty(ts.shape)  # np.full, without its dtype inference
+        out.fill(expr.value)
+        return out
     if isinstance(expr, Var):
         if expr.index >= xs.shape[1]:
             raise ValueError(
@@ -151,21 +173,15 @@ def _eval(expr: Expr, ts: np.ndarray, xs: np.ndarray) -> np.ndarray:
                 f"state dimension {xs.shape[1]}"
             )
         return xs[:, expr.index]
-    if isinstance(expr, Time):
-        return ts
-    if isinstance(expr, Unary):
-        a = _eval(expr.arg, ts, xs)
-        if expr.op == "identity":
-            return a
-        return _contain(UNARY_UFUNC[expr.op](a), a)
-    l = _eval(expr.left, ts, xs)
-    r = _eval(expr.right, ts, xs)
+    return ts
+
+
+def _binary(expr: Binary, l: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The raw value of a binary node, before any nan rule."""
     if expr.op != "pow":
-        out = BINARY_UFUNC[expr.op](l, r)
-    else:
-        n = _int_exponent(expr)
-        out = np.power(l, r) if n is None else _int_pow(l, n)
-    return _contain(out, l, r)
+        return BINARY_UFUNC[expr.op](l, r)
+    n = _int_exponent(expr)
+    return np.power(l, r) if n is None else _int_pow(l, n)
 
 
 def _int_exponent(expr: Binary) -> int | None:
@@ -178,6 +194,64 @@ def _int_exponent(expr: Binary) -> int | None:
     ):
         return int(rc.value)
     return None
+
+
+class _NotFinite(Exception):
+    """A node of the tree is not finite at some row."""
+
+
+def finite_values(expr: Expr, ts: np.ndarray, xs: np.ndarray) -> np.ndarray | None:
+    """_eval(expr, ts, xs) if every node of expr, leaves included, is finite
+    at every row; None from the first node that is not, and the rest of the
+    tree is not evaluated.
+
+    Where evaluate_batch's result is finite it is this array bit for bit:
+    with every node finite, _contain masks nothing. Everywhere else that
+    result is not finite, because each node passes a non-finite operand on
+    as nan. Each node is checked once, by one reduction of its own values.
+    An out-of-range Var raises _eval's ValueError even after an earlier node
+    was found not finite. Takes batch_inputs' arrays; call it under
+    np.errstate(all="ignore").
+    """
+    try:
+        return _finite(expr, ts, xs)
+    except _NotFinite:
+        _check_indices(expr, ts, xs)
+        return None
+
+
+def _finite(expr: Expr, ts: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    kind = type(expr)
+    if kind is Binary:
+        out = _binary(expr, _finite(expr.left, ts, xs), _finite(expr.right, ts, xs))
+    elif kind is Unary:
+        out = _finite(expr.arg, ts, xs)
+        if expr.op == "identity":
+            return out
+        out = UNARY_UFUNC[expr.op](out)
+    elif kind is Const:
+        if isfinite(expr.value):
+            return _leaf(expr, ts, xs)
+        raise _NotFinite
+    else:
+        out = _leaf(expr, ts, xs)
+    # the sum of squares has an inf or nan term, and so is inf or nan, if
+    # any value is not finite; one of finite values that overflows takes the
+    # exact check. A dot product is one reduction, and cheaper than add.reduce
+    if isfinite(out.dot(out)) or np.isfinite(out).all():
+        return out
+    raise _NotFinite
+
+
+def _check_indices(expr: Expr, ts: np.ndarray, xs: np.ndarray) -> None:
+    """Raise _eval's ValueError for the first out-of-range Var, in _eval's order."""
+    if isinstance(expr, Unary):
+        _check_indices(expr.arg, ts, xs)
+    elif isinstance(expr, Binary):
+        _check_indices(expr.left, ts, xs)
+        _check_indices(expr.right, ts, xs)
+    elif isinstance(expr, Var):
+        _leaf(expr, ts, xs)
 
 
 # ----------------------------------------------------------- scalar compile

@@ -1,13 +1,30 @@
+import dataclasses
 import math
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_expressions import wide_exprs
 
-from odesr.candidates import fitness, rmse
-from odesr.expressions import Binary, Const, Var
-from odesr.integrate import make_dataset
+from odesr.benchmark import GROUND_TRUTH_EXPRESSIONS
+from odesr.benchmark import test_error as held_out_error
+from odesr.candidates import fitness, rmse, score
+from odesr.expressions import (
+    BINARY_OPS,
+    UNARY_OPS,
+    UNARY_UFUNC,
+    Binary,
+    Const,
+    Unary,
+    Var,
+    evaluate_batch,
+    parse_expr,
+    print_expr,
+)
+from odesr.genomes import CONSTANT_POOLS
+from odesr.integrate import make_dataset, make_trajectory
 from odesr.systems import get_system
 
 BIG = np.finfo(float).max
@@ -72,3 +89,154 @@ def test_fitness_of_huge_finite_values_warns_as_before():
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert fitness(expr, data) == expected
+
+
+# ------------------------------------------------- score against the reference
+
+LV_TRAIN = make_dataset(get_system("lotka_volterra"), 0.1, "train")
+
+
+def reference_fitness(expr, times, states, targets):
+    return rmse(evaluate_batch(expr, times, states), targets)
+
+
+def checked_fitness(expr, data):
+    """fitness(expr, data), once it is found equal to the reference bit for
+    bit and to raise no RuntimeWarning."""
+    expected = reference_fitness(expr, data.times, data.states, data.targets)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = fitness(expr, data)
+    assert got.hex() == expected.hex(), print_expr(expr)
+    return got
+
+
+def grammar_trees(variables: int, pool, size: int) -> list:
+    """Every tree of `size` nodes over a GA grammar's leaves and operators,
+    identity counted as a node."""
+    if size == 1:
+        return [Var(i) for i in range(variables)] + [Const(c) for c in pool]
+    out = [
+        Unary(op, a) for op in UNARY_OPS for a in grammar_trees(variables, pool, size - 1)
+    ]
+    for op in BINARY_OPS:
+        for left in range(1, size - 1):
+            for a in grammar_trees(variables, pool, left):
+                for b in grammar_trees(variables, pool, size - 1 - left):
+                    out.append(Binary(op, a, b))
+    return out
+
+
+@pytest.mark.parametrize("name", ["lotka_volterra", "simple_pendulum"])
+def test_fitness_matches_reference_on_every_small_grammar_tree(name):
+    system = get_system(name)
+    data = make_dataset(system, 0.1, "train")
+    trees = [
+        tree
+        for size in range(1, 5)
+        for tree in grammar_trees(system.dim, CONSTANT_POOLS[name], size)
+    ]
+    assert len(trees) == 3816
+    scores = [checked_fitness(tree, data) for tree in trees]
+    assert any(s == math.inf for s in scores) and any(s < math.inf for s in scores)
+
+
+STATE_EDGES = (math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324, 0.0)
+
+
+@given(
+    wide_exprs(max_vars=2),
+    st.lists(
+        st.tuples(st.integers(0, 99), st.integers(0, 1), st.sampled_from(STATE_EDGES)),
+        max_size=3,
+    ),
+)
+@settings(max_examples=400, deadline=None)
+def test_score_matches_reference_on_hypothesis_trees(expr, edits):
+    # the Lotka-Volterra train set, with a few state entries set to edge values
+    states = LV_TRAIN.states.copy()
+    for row, column, value in edits:
+        states[row % len(states), column] = value
+    expected = reference_fitness(expr, LV_TRAIN.times, states, LV_TRAIN.targets)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = score(expr, LV_TRAIN.times, states, LV_TRAIN.targets)
+    assert got.hex() == expected.hex(), print_expr(expr)
+
+
+HUGE = Binary("mul", Const(1.5e307), Var(0))  # finite values whose sum overflows
+EXP_EXP = Unary("exp", Unary("exp", Binary("mul", Const(7.0), Var(0))))  # inf where x1 > 0.94
+EDGE_EXPRS = {
+    "const inf": Const(math.inf),
+    "const nan": Const(math.nan),
+    "identity of const inf": Unary("identity", Const(math.inf)),
+    "one over const inf": Binary("div", Const(1.0), Const(math.inf)),
+    "exp of const -inf": Unary("exp", Const(-math.inf)),
+    "x ^ 0 over nan": Binary("pow", Unary("log", Binary("sub", Var(0), Const(3.0))), Const(0.0)),
+    "x ^ 0": Binary("pow", Var(1), Const(0.0)),
+    "sum overflows": HUGE,
+    "sum overflows, values cancel": Binary("sub", HUGE, HUGE),
+    "exp(-exp(exp(x))) absorbs inf": Unary("exp", Binary("mul", Const(-1.0), EXP_EXP)),
+    "1 / exp(exp(x)) absorbs inf": Binary("div", Var(1), EXP_EXP),
+}
+
+
+@pytest.mark.parametrize("name", EDGE_EXPRS)
+def test_fitness_matches_reference_on_edge_cases(name):
+    got = checked_fitness(EDGE_EXPRS[name], LV_TRAIN)
+    assert (got < math.inf) == (name in {"x ^ 0", "sum overflows, values cancel"})
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [Var(0), Binary("div", Const(1.0), Var(0)), Unary("exp", Binary("mul", Const(-1.0), Var(0)))],
+    ids=["x", "1 / x", "exp(-x)"],
+)
+def test_fitness_of_a_state_column_holding_inf(expr):
+    # the old check caught 1 / inf and exp(-inf) only at the parent node
+    states = LV_TRAIN.states.copy()
+    states[7, 0] = math.inf
+    assert checked_fitness(expr, dataclasses.replace(LV_TRAIN, states=states)) == math.inf
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        Binary("add", Unary("log", Const(-1.0)), Var(5)),
+        Binary("mul", Binary("add", Const(math.inf), Var(0)), Unary("sin", Var(3))),
+        Binary("sub", Binary("div", Var(0), Const(0.0)), Binary("add", Var(1), Var(2))),
+    ],
+    ids=["log(-1) + x6", "(inf + x1) * sin(x4)", "x1 / 0 - (x2 + x3)"],
+)
+def test_out_of_range_var_after_a_nonfinite_operand_raises(expr):
+    with pytest.raises(ValueError) as reference:
+        evaluate_batch(expr, LV_TRAIN.times, LV_TRAIN.states)
+    with pytest.raises(ValueError) as got:
+        fitness(expr, LV_TRAIN)
+    assert str(got.value) == str(reference.value)
+
+
+def test_fitness_stops_at_the_first_nonfinite_node(monkeypatch):
+    calls = []
+
+    def counting_sin(a):
+        calls.append(a)
+        return np.sin(a)
+
+    monkeypatch.setitem(UNARY_UFUNC, "sin", counting_sin)
+    expr = Binary("add", Unary("log", Const(-1.0)), Unary("sin", Var(0)))
+    assert fitness(expr, LV_TRAIN) == math.inf
+    assert calls == []
+    assert fitness(Unary("sin", Var(0)), LV_TRAIN) < math.inf
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", ["lotka_volterra", "simple_pendulum", "cart_pole"])
+def test_test_error_matches_reference_on_the_truth(name):
+    system = get_system(name)
+    expr = parse_expr(GROUND_TRUTH_EXPRESSIONS[name], system.variable_names)
+    traj = make_trajectory(system, "test", 0.1)
+    times, states = traj.times[:-1], traj.states[:-1]
+    truth = np.array([system.rhs(t, s)[system.target_dim] for t, s in zip(times, states)])
+    expected = reference_fitness(expr, times, states, truth)
+    assert held_out_error(expr, system).hex() == expected.hex()

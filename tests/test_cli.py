@@ -221,6 +221,48 @@ def test_malformed_config_exits_one_naming_the_key(tmp_path, capsys, monkeypatch
 
 
 @pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"feynman": {"max_brute_nodes": 0}},
+         "config section 'feynman': max_brute_nodes must be >= 1"),
+        ({"integrator": {"max_steps": 0}},
+         "config section 'integrator': max_steps must be >= 1, got 0"),
+        ({"sindy": {"solver": {"kind": "lasso", "lam": -1}}},
+         "config section 'sindy.solver': lam must be >= 0"),
+        ({"ga": {"cart_pole": {"population_size": 3}}},
+         "config section 'ga.cart_pole': population_size must be even and >= 2"),
+        ({"ga": {"decay": {"iterations": 0}}},
+         "config section 'ga.decay': iterations must be >= 1"),
+    ],
+    ids=["feynman", "integrator", "solver", "ga entry of a system not run",
+         "ga entry, no defaults"],
+)
+def test_config_range_error_names_the_section(tmp_path, capsys, monkeypatch, payload, message):
+    # a range error used to name no section, and a ga entry was checked only
+    # when its system ran: the cart_pole entry exited 0 for a SINDy fit
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a fit started")
+
+    monkeypatch.setattr(cli, "run_fit", no_fit)
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "x.json"
+    assert main(["fit", "--method", "sindy", "--system", "lotka_volterra", "--config", cfg,
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_ga_entries_are_built_over_their_system_defaults(tmp_path):
+    config = load_config(write_config(tmp_path, {"ga": {
+        "cart_pole": {"iterations": 5}, "decay": {"population_size": 8}}}))
+    assert config["ga"] == {
+        "cart_pole": GAConfig(population_size=100, bitstring_length=60, iterations=5),
+        "decay": GAConfig(population_size=8),
+    }
+    system = resolve_system("cart_pole", config)
+    assert fit_kwargs("ga", system, config)["ga_config"] is config["ga"]["cart_pole"]
+
+@pytest.mark.parametrize(
     "payload",
     [
         {"sindy": {"solver": {"kind": "lasso", "lam": None}}},
