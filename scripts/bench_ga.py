@@ -17,9 +17,9 @@ train set, for the seeds of perfbench's `ga` workload at --seed 0
 - rng_calls: calls of `Generator.random`, which draws the mutation flips
 
 The counts come from one untimed pass. Then RUNS passes over every system
-and seed are timed with `time.perf_counter`: raw seconds on the host as it
-ran, not calibrated against host speed. Each system's minor page faults
-per pass are recorded with them.
+and seed are timed with `time.perf_counter`. Each system's raw seconds
+per pass are recorded with its seconds calibrated against host speed
+(see benchrecord.timed_passes) and its minor page faults.
 
 The result is appended to BENCH_ga.json in the working directory under
 `--label` (see benchrecord.py): run the script once with PYTHONPATH
@@ -116,15 +116,19 @@ def main() -> None:
         inputs[name] = (make_dataset(system, 0.1, "train"), grammar, ga.GA_DEFAULTS[name])
     counts = {name: counted_runs(*inputs[name]) for name in SYSTEM_NAMES}
 
-    seconds, totals, faults = timed_passes(
+    seconds, totals, faults, calibrated = timed_passes(
         {name: partial(run_seeds, *a) for name, a in inputs.items()}
     )
 
     results = {"seeds": list(SEEDS), "total_seconds": summary(totals)}
+    if calibrated is not None:
+        passes = [sum(calibrated[name][i] for name in SYSTEM_NAMES) for i in range(RUNS)]
+        results["total_calibrated_seconds"] = summary(passes)
     for name in SYSTEM_NAMES:
         results[name] = {
             **counts[name],
             "seconds": summary(seconds[name]),
+            "calibrated_seconds": calibrated and summary(calibrated[name]),
             "minor_faults": faults[name],
         }
         c = counts[name]

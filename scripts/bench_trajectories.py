@@ -22,7 +22,8 @@ distinct count without sample_dt is the number of step sequences a run
 needs. Each sequence runs once untimed for the counts, then RUNS passes of
 both are timed with `time.perf_counter`, which records each run's seconds,
 the part of them spent inside `integrate` and the minor page faults:
-raw figures on the host as it ran, not calibrated against host speed.
+raw figures on the host as it ran. Each run's seconds calibrated against
+host speed (see benchrecord.timed_passes) are recorded with them.
 
 The result is appended to BENCH_trajectories.json in the working directory
 under `--label` (see benchrecord.py): run the script once with PYTHONPATH
@@ -162,7 +163,7 @@ def main() -> None:
     sequences = {"score": score, "sweep": run_benchmark}
     calls = {name: count_integrations(sequence) for name, sequence in sequences.items()}
     inside = {name: [] for name in sequences}
-    seconds, _, faults = timed_passes(
+    seconds, _, faults, calibrated = timed_passes(
         {name: partial(timed_run, sequence, inside[name]) for name, sequence in sequences.items()}
     )
 
@@ -172,6 +173,7 @@ def main() -> None:
         results[name] = {
             "integrate_calls": c,
             "seconds": summary(seconds[name]),
+            "calibrated_seconds": calibrated and summary(calibrated[name]),
             "integrate_seconds": summary(inside[name]),
             "minor_faults": faults[name],
         }

@@ -1,6 +1,6 @@
 """What the layer benchmark scripts share: the --label argument, timed
-passes with their minor page faults and quartile summary, temporary
-patches and the record.
+passes with their calibrated seconds, minor page faults and quartile
+summary, temporary patches and the record.
 
 A BENCH_*.json file is append-only. A label it already holds is refused
 with a non-zero exit and the file is left as it was. Each new record
@@ -51,28 +51,41 @@ def parse_label(description: str, path: Path, argv=None) -> str:
     return label
 
 
-def timed_passes(work: dict) -> tuple[dict, list[float], dict]:
+def timed_passes(work: dict) -> tuple[dict, list[float], dict, dict | None]:
     """RUNS passes, each calling every item once in order: the raw
     `time.perf_counter` seconds of each item per pass, each pass's total,
-    and the minor page faults (`ru_minflt`) of each item per pass. Faults
-    show allocation churn that warm timings hide: memory that malloc gives
-    back to the system and then faults in again."""
+    the minor page faults (`ru_minflt`) of each item per pass, and the
+    calibrated seconds of each item per pass (None without the CALIBRATE
+    file). Faults show allocation churn that warm timings hide: memory that
+    malloc gives back to the system and then faults in again.
+
+    The calibration kernel is timed before the first call and after each
+    call, and a call's calibrated seconds are its raw seconds times the
+    kernel's reference seconds over the mean of the two kernel times around
+    it: the host's speed at that moment, as perfbench scales its wall_s."""
     seconds = {name: [] for name in work}
     faults = {name: [] for name in work}
     totals = []
+    calibration = _calibration()
+    calibrated = None if calibration is None else {name: [] for name in work}
+    if calibration is not None:
+        kernel, reference_s = calibration
+        kernel()  # warm-up
+        around = [_seconds(kernel)]
     for _ in range(RUNS):
         total = 0.0
         for name, call in work.items():
             faulted = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            start = time.perf_counter()
-            call()
-            elapsed = time.perf_counter() - start
+            elapsed = _seconds(call)
             faulted = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faulted
             seconds[name].append(elapsed)
             faults[name].append(faulted)
             total += elapsed
+            if calibrated is not None:
+                around = [around[-1], _seconds(kernel)]
+                calibrated[name].append(elapsed * reference_s * 2 / sum(around))
         totals.append(total)
-    return seconds, totals, faults
+    return seconds, totals, faults, calibrated
 
 
 def summary(values: list[float]) -> dict:
@@ -107,20 +120,31 @@ def commit(directory: Path) -> str | None:
     return done.stdout.strip() if done.returncode == 0 else None
 
 
-def calibration_s() -> float | None:
-    """Median seconds of the calibration kernel on this host now, after one
-    warm-up call, or None without the CALIBRATE file. The file is run from
-    its path (runpy writes no bytecode next to it)."""
+def _calibration():
+    """The CALIBRATE file's kernel and its reference seconds, or None
+    without that file. The file is run from its path (runpy writes no
+    bytecode next to it)."""
     if not CALIBRATE.exists():
         return None
-    kernel = runpy.run_path(str(CALIBRATE))["kernel"]
+    module = runpy.run_path(str(CALIBRATE))
+    return module["kernel"], module.get("CALIBRATION_REF_S")
+
+
+def _seconds(call) -> float:
+    start = time.perf_counter()
+    call()
+    return time.perf_counter() - start
+
+
+def calibration_s() -> float | None:
+    """Median seconds of the calibration kernel on this host now, after one
+    warm-up call, or None without the CALIBRATE file."""
+    calibration = _calibration()
+    if calibration is None:
+        return None
+    kernel = calibration[0]
     kernel()
-    seconds = []
-    for _ in range(CALIBRATION_RUNS):
-        start = time.perf_counter()
-        kernel()
-        seconds.append(time.perf_counter() - start)
-    return statistics.median(seconds)
+    return statistics.median(_seconds(kernel) for _ in range(CALIBRATION_RUNS))
 
 
 def save(path: Path, label: str, results: dict) -> None:

@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 from dataclasses import is_dataclass
+from functools import partial
 from pathlib import Path
 from types import NoneType, UnionType
 from typing import get_args, get_origin, get_type_hints
@@ -36,7 +37,7 @@ from .integrate import (
     write_trajectory_csv,
 )
 from .sindy import LassoConfig, STLSQConfig, basis_from_strings, preset_basis
-from .systems import SYSTEM_NAMES, expression_system, get_system
+from .systems import SYSTEM_NAMES, SystemSpec, expression_system, get_system
 
 
 # a systems.<name> entry: expression_system's arguments; needs rhs and initial_state
@@ -123,23 +124,38 @@ def _checked(value, shape, path: str, top: str):
 
 
 def _built(build, where: str, fields: dict):
-    """build(**fields), with a range error from a dataclass's __post_init__
-    prefixed by where the section is."""
+    """build(**fields), with a ValueError of the build (a range error from
+    a dataclass's __post_init__, or expression_system's) prefixed by where
+    the section is."""
     try:
         return build(**fields)
     except ValueError as err:
         raise ValueError(f"{where}: {err}") from None
 
 
+def _system(name: str, entry: dict) -> SystemSpec:
+    """expression_system built from a systems.<name> entry."""
+    options = dict(entry)
+    try:
+        rhs, initial_state = options.pop("rhs"), options.pop("initial_state")
+    except KeyError as err:
+        raise ValueError(f"config system {name!r} has no {err}") from None
+    build = partial(expression_system, name, rhs, initial_state)
+    return _built(build, f"config section 'systems.{name}'", options)
+
+
 def load_config(path) -> dict:
     """The JSON config at path (None for no file) checked against
-    CONFIG_SHAPE, with sample_dt and integrator filled in. Each ga.<name>
-    entry is built into a GAConfig over that name's GA_DEFAULTS, so its
-    ranges are checked whichever system runs."""
+    CONFIG_SHAPE, with sample_dt and integrator filled in. Each systems.<name>
+    entry is built into a SystemSpec, and each ga.<name> entry into a
+    GAConfig over that name's GA_DEFAULTS, so both are checked whichever
+    system runs."""
     config = {}
     if path is not None:
         with open(path) as fh:
             config = _checked(json.load(fh), CONFIG_SHAPE, "", f"config {path}")
+    if "systems" in config:
+        config["systems"] = {name: _system(name, e) for name, e in config["systems"].items()}
     if "ga" in config:
         config["ga"] = {
             name: _built(
@@ -150,16 +166,13 @@ def load_config(path) -> dict:
     return {"sample_dt": 0.1, "integrator": None, **config}
 
 
-def resolve_system(name: str, config: dict):
+def resolve_system(name: str, config: dict) -> SystemSpec:
+    """The config's system of that name (built by load_config, or an entry
+    still to build), else the built-in one."""
     entry = config.get("systems", {}).get(name)
     if entry is None:
         return get_system(name)
-    options = dict(entry)
-    try:
-        rhs, initial_state = options.pop("rhs"), options.pop("initial_state")
-    except KeyError as err:
-        raise ValueError(f"config system {name!r} has no {err}") from None
-    return expression_system(name, rhs, initial_state, **options)
+    return entry if isinstance(entry, SystemSpec) else _system(name, entry)
 
 
 def fit_kwargs(method: str, system, config: dict) -> dict:

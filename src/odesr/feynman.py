@@ -178,13 +178,11 @@ def brute_force(
     cfg = config if config is not None else FeynmanConfig()
     candidates: list[CandidateSolution] = []
 
-    def collect(comp, c, rmse, ok, skeletons):
-        rows = np.flatnonzero(ok)
+    def collect(comp, c, rmse, ok, contenders, skeletons):
+        rows, r = rmse(np.flatnonzero(ok))
         candidates.extend(
             CandidateSolution(Binary("mul", Const(ci), skel), ri, comp)
-            for skel, ci, ri in zip(
-                skeletons(rows), c[rows].tolist(), rmse[rows].tolist()
-            )
+            for skel, ci, ri in zip(skeletons(rows), c[rows].tolist(), r.tolist())
         )
 
     if _enumerate(data, cfg, variables, collect):
@@ -204,18 +202,22 @@ def brute_force(
 def _enumerate(data, cfg: FeynmanConfig, variables, consume) -> bool:
     """Evaluate and fit every skeleton of brute_force's search in blocks of
     rows, and pass each fitted block to
-    `consume(complexity, c, rmse, ok, skeletons)`: the fitted constants and
-    RMSEs per row, the mask of rows whose fit is kept, and a function from
-    an array of rows to their skeleton trees. Returns whether time_budget
-    cut the enumeration short.
+    `consume(complexity, c, rmse, ok, contenders, skeletons)`: the fitted
+    constants, the mask of rows with a finite constant and a finite,
+    non-zero gg, and functions valid during the call only: `rmse(rows)`
+    gives those of the rows whose exact RMSE is finite and those RMSEs,
+    `contenders(best)` the rows in the mask that may have the block's
+    lowest RMSE, if at most `best`, and `skeletons(rows)` the rows' trees.
+    Returns whether time_budget cut the enumeration short.
 
     Sizes come in turn, unary ops before binary ones, but each block of
     the size below the top is followed by its unary ops at the top size,
-    so that size keeps its tree nodes and never a table of values.
+    so that size keeps its tree nodes and never a table of values. Only
+    sizes below the top drop the rows that leave the reals; at the top,
+    such a row's non-finite gg keeps it out of the mask.
 
     Each row's fit takes the same dot products as a fit of that skeleton
     alone, so constants and RMSEs are bit-identical to a per-skeleton fit.
-    Trees are built only when a consumer asks for one.
     """
     states = data.states
     targets = np.asarray(data.targets, dtype=float)
@@ -230,16 +232,27 @@ def _enumerate(data, cfg: FeynmanConfig, variables, consume) -> bool:
 
     # size -> (printed forms, (entries, n) values on the data), below top - 1
     table: dict[int, tuple[list, np.ndarray]] = {}
-    # size -> the entries' trees, below top; a block's `at` is its first
-    # entry, None at the top
+    # size -> the entries' trees, below top; a block's `at` is its first entry
     trees: dict[int, _Trees] = {}
     # each block's temporaries are written to these (arrays made and freed
     # block by block have malloc give the memory back to the system and
     # fault it in again): values (and a binary op's left operands), right
-    # operands (and the top size's unary blocks), the finite rows of a
-    # block no table keeps, and residuals
-    shape = (4, max(_CHUNK_ROWS, len(vars_)), n)
-    evaluated, operands, compact, residuals = np.empty(shape)
+    # operands, and the finite rows of a block below the top that no table
+    # keeps
+    shape = (3, max(_CHUNK_ROWS, len(vars_)), n)
+    evaluated, operands, compact = np.empty(shape)
+
+    # The residual sum |c v - t|^2 = c^2 gg - 2 c gt + tt is `a = tt - c gt`
+    # at c = gt / gg. An n-term dot product is off by n u of its terms'
+    # magnitude plus n eta (unit roundoff u, smallest subnormal eta), and
+    # |c gt| <= tt; so while gg is a normal number, `a` is within
+    # (9n + 7) u tt + 3n eta of the sum at the rounded c, and the exact pass
+    # within (n + 4) u tt + 2n eta: |a - exact| <= 11 (n + 1) (u tt + eta).
+    # A block's lowest row has `a` within twice that of the lowest `a`, and
+    # `margin` gives that 8x headroom. Rows whose gg is not normal or whose
+    # `a` is not finite always get the exact residual.
+    tt = float(targets @ targets)
+    margin = 176 * (n + 1) * (2.0**-53 * tt + 2.0**-1074)
 
     def grow(size, nodes):
         """Trees of a block's nodes, which share one op and left size."""
@@ -254,36 +267,41 @@ def _enumerate(data, cfg: FeynmanConfig, variables, consume) -> bool:
             child = trees[size - 1]
             return [Unary(name, child[a]) for a in lefts]
         left, right = trees[left_size], trees[size - 1 - left_size]
-        return [
-            Binary(name, left[a], right[b])
-            for a, b in zip(lefts, nodes[:, 3].tolist())
-        ]
+        return [Binary(name, left[a], right[b]) for a, b in zip(lefts, nodes[:, 3].tolist())]
 
     def fit(size, block, nodes, at):
         # np.vecdot reaches the same BLAS dot as `values @ values` for a
         # single row; einsum and gemv sum in another order
         gg = np.vecdot(block, block)
-        c = np.vecdot(block, targets) / gg
-        resid = np.multiply(c[:, None], block, out=residuals[: len(block)])
-        resid -= targets
-        rmse = np.sqrt(np.vecdot(resid, resid) / n)
-        ok = np.isfinite(gg) & (gg > 0.0) & np.isfinite(c) & np.isfinite(rmse)
+        gt = np.vecdot(block, targets)
+        c = gt / gg
+        ok = np.isfinite(gg) & (gg > 0.0) & np.isfinite(c)
+        a = tt - c * gt
+        a[~np.isfinite(a) | (gg < 2.0**-1022)] = np.nan
+
+        def rmse(rows):
+            resid = c[rows, None] * block[rows] - targets
+            r = np.sqrt(np.vecdot(resid, resid) / n)
+            return rows[np.isfinite(r)], r[np.isfinite(r)]
+
+        def contenders(best):
+            low = np.fmin.reduce(a, where=ok, initial=n * best * best)  # skips nan
+            return np.flatnonzero(ok & ~(a > low + margin))  # keeps nan
 
         def skeletons(rows):
             made = grow(size, nodes[rows])
-            if at is not None:
+            if size in trees:
                 # rows from table index `at` on: larger skeletons look
                 # these up instead of building them again
                 trees[size].update(zip((rows + at).tolist(), made))
             return made
 
-        consume(size + 2, c, rmse, ok, skeletons)
+        consume(size + 2, c, rmse, ok, contenders, skeletons)
         if size == top - 1:
+            rows = np.arange(at, at + len(block))
             for op in cfg.unary_set:
                 child = UNARY_UFUNC[op](block, out=evaluated[: len(block)])
-                finite, child = _finite_rows(child, operands)
-                rows = np.flatnonzero(finite) + at
-                fit(top, child, _nodes(ops.index(op), size, rows, -1), None)
+                fit(top, child, _nodes(ops.index(op), size, rows, -1), at)
 
     with np.errstate(all="ignore"):
         strs = [print_expr(Var(v)) for v in vars_]
@@ -353,17 +371,13 @@ def _enumerate(data, cfg: FeynmanConfig, variables, consume) -> bool:
                         block = np.take(left_values, l_rows, 0, evaluated[:m], "clip")
                         right = np.take(right_values, r_rows, 0, operands[:m], "clip")
                         fn(block, right, out=block)
-                        out = grown_values[kept:] if keep else compact
-                        finite, block = _finite_rows(block, out)
-                        nodes = _nodes(
-                            ops.index(op),
-                            left_size,
-                            l_rows[finite],
-                            r_rows[finite],
-                            grown_nodes,
-                            kept,
-                        )
-                        fit(size, block, nodes, kept if size < top else None)
+                        if size < top:
+                            out = grown_values[kept:] if keep else compact
+                            finite, block = _finite_rows(block, out)
+                            l_rows, r_rows = l_rows[finite], r_rows[finite]
+                        op_i = ops.index(op)
+                        nodes = _nodes(op_i, left_size, l_rows, r_rows, grown_nodes, kept)
+                        fit(size, block, nodes, kept)
                         kept += len(nodes)
                         if keep:
                             grown_strs.extend(
@@ -507,15 +521,16 @@ class _BestPerComplexity:
         if cur is None or _better(cand, cur):
             self.at[cand.complexity] = cand
 
-    def block(self, comp, c, rmse, ok, skeletons) -> None:
+    def block(self, comp, c, rmse, ok, contenders, skeletons) -> None:
         """Offer a fitted brute-force block. Only rows at the block's
-        minimum RMSE can win, so only they get a tree, and none do when
-        that minimum is above the current best."""
-        low = np.min(rmse, where=ok, initial=math.inf)
+        minimum RMSE can win, and none when that minimum is above the
+        current best: only rows that may be both get an exact RMSE, and
+        only the rows at the minimum get a tree."""
         cur = self.at.get(comp)
-        if low == math.inf or (cur is not None and low > cur.train_rmse):
-            return
-        rows = np.flatnonzero(ok & (rmse == low))
+        best = math.inf if cur is None else cur.train_rmse
+        rows, r = rmse(contenders(best))
+        low = np.min(r, initial=best)  # rows above best never equal low
+        rows = rows[r == low]
         for skel, ci in zip(skeletons(rows), c[rows].tolist()):
             full = Binary("mul", Const(ci), skel)
             self.offer(CandidateSolution(full, float(low), comp))

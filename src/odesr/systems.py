@@ -157,6 +157,11 @@ def expression_system(
         target_dim = k - 1
     if not 0 <= target_dim < k:
         raise ValueError("target_dim out of range")
+    train_span = (float(train_span[0]), float(train_span[1]))
+    test_span = (float(test_span[0]), float(test_span[1]))
+    for key, span in (("train_span", train_span), ("test_span", test_span)):
+        if not span[1] > span[0]:  # NaN fails too
+            raise ValueError(f"{key} must increase, got {span}")
 
     # compile_scalar's per-point functions, sharing one conversion of the
     # state per call
@@ -172,8 +177,8 @@ def expression_system(
         params={},
         rhs=rhs,
         initial_state=initial_state,
-        train_span=(float(train_span[0]), float(train_span[1])),
-        test_span=(float(test_span[0]), float(test_span[1])),
+        train_span=train_span,
+        test_span=test_span,
         target_dim=int(target_dim),
         variable_names=variable_names,
     )

@@ -98,7 +98,7 @@ def test_patched_restores_when_a_patch_fails():
 def test_pass_totals_equal_the_per_pass_sums():
     calls = []
     work = {name: (lambda name=name: calls.append(name)) for name in ("a", "b", "c")}
-    seconds, totals, faults = benchrecord.timed_passes(work)
+    seconds, totals, faults, _ = benchrecord.timed_passes(work)
     assert calls == ["a", "b", "c"] * benchrecord.RUNS
     assert all(len(s) == benchrecord.RUNS for s in seconds.values())
     assert all(len(f) == benchrecord.RUNS for f in faults.values())
@@ -116,7 +116,7 @@ def test_passes_count_the_page_faults_of_each_item():
             for offset in range(0, len(m), mmap.PAGESIZE):
                 m[offset] = 1
 
-    _, _, faults = benchrecord.timed_passes({"idle": lambda: None, "touch": touch})
+    _, _, faults, _ = benchrecord.timed_passes({"idle": lambda: None, "touch": touch})
     assert all(f >= pages for f in faults["touch"])
     assert all(0 <= f < pages for f in faults["idle"])
 
@@ -167,3 +167,36 @@ def test_calibration_without_perfbench_is_null(monkeypatch, tmp_path):
 
 def test_commit_outside_a_checkout_is_none(tmp_path):
     assert benchrecord.commit(tmp_path) is None
+
+
+def test_passes_scale_each_call_by_the_kernel_times_around_it(monkeypatch):
+    # on a fake clock the n-th kernel call takes 2n ms and each item 10 ms:
+    # a call's calibrated seconds are its raw seconds times the reference
+    # (3 ms) over the mean of the kernel times just before and after it
+    clock = [0.0]
+    calls = []
+
+    def kernel():
+        calls.append(1)
+        clock[0] += 0.002 * len(calls)
+
+    def item():
+        clock[0] += 0.01
+
+    monkeypatch.setattr(benchrecord, "_calibration", lambda: (kernel, 0.003))
+    monkeypatch.setattr(benchrecord, "time", types.SimpleNamespace(perf_counter=lambda: clock[0]))
+    monkeypatch.setattr(benchrecord, "RUNS", 2)
+    seconds, _, _, calibrated = benchrecord.timed_passes({"a": item, "b": item})
+    assert seconds == {"a": [pytest.approx(0.01)] * 2, "b": [pytest.approx(0.01)] * 2}
+    # kernel calls: 1 warm-up, 2 before the first item, then 3, 4, 5, 6
+    arounds = {"a": [(2, 3), (4, 5)], "b": [(3, 4), (5, 6)]}
+    assert calibrated == {
+        name: [pytest.approx(0.01 * 0.003 / (0.001 * (k0 + k1))) for k0, k1 in pairs]
+        for name, pairs in arounds.items()
+    }
+
+
+def test_passes_without_perfbench_are_not_calibrated(monkeypatch, tmp_path):
+    monkeypatch.setattr(benchrecord, "CALIBRATE", tmp_path / "perfbench" / "calibrate.py")
+    seconds, _, _, calibrated = benchrecord.timed_passes({"a": lambda: None})
+    assert len(seconds["a"]) == benchrecord.RUNS and calibrated is None

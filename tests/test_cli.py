@@ -252,6 +252,52 @@ def test_config_range_error_names_the_section(tmp_path, capsys, monkeypatch, pay
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({**DECAY, "train_span": [1, 0]},
+         "config section 'systems.decay': train_span must increase, got (1.0, 0.0)"),
+        ({**DECAY, "test_span": [5, 5]},
+         "config section 'systems.decay': test_span must increase, got (5.0, 5.0)"),
+        ({"initial_state": [1.0]}, "config system 'decay' has no 'rhs'"),
+        ({"rhs": ["-0.5 * x1"]}, "config system 'decay' has no 'initial_state'"),
+        ({**DECAY, "rhs": ["-0.5 * x2"]},
+         "config section 'systems.decay': unknown identifier 'x2' at position 7"),
+        ({**DECAY, "initial_state": [1.0, 2.0]},
+         "config section 'systems.decay': initial_state length must match dimension count"),
+        ({**DECAY, "target_dim": 1}, "config section 'systems.decay': target_dim out of range"),
+        ({**DECAY, "variable_names": ["a", "b"]},
+         "config section 'systems.decay': one variable name per dimension"),
+    ],
+    ids=["decreasing train span", "empty test span", "no rhs", "no initial state",
+         "unknown variable", "state length", "target_dim", "variable names"],
+)
+def test_systems_entries_are_checked_whichever_system_runs(tmp_path, capsys, monkeypatch,
+                                                          entry, message):
+    # a systems entry used to be built only when its system ran: each of
+    # these exited 0 for a SINDy fit of lotka_volterra
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a fit started")
+
+    monkeypatch.setattr(cli, "run_fit", no_fit)
+    cfg = write_config(tmp_path, {"systems": {"decay": entry}})
+    out = tmp_path / "x.json"
+    assert main(["fit", "--method", "sindy", "--system", "lotka_volterra", "--config", cfg,
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_systems_entries_are_built_when_the_config_is_read(tmp_path):
+    config = load_config(write_config(tmp_path, {"systems": {"decay": {
+        **DECAY, "rhs": ["-0.5 * q"], "train_span": [0, 4], "variable_names": ["q"]}}}))
+    system = config["systems"]["decay"]
+    assert (system.name, system.initial_state, system.train_span) == ("decay", (1.0,), (0.0, 4.0))
+    assert system.variable_names == ("q",)
+    assert resolve_system("decay", config) is system
+    assert resolve_system("lotka_volterra", config).name == "lotka_volterra"
+
+
 def test_ga_entries_are_built_over_their_system_defaults(tmp_path):
     config = load_config(write_config(tmp_path, {"ga": {
         "cart_pole": {"iterations": 5}, "decay": {"population_size": 8}}}))

@@ -310,6 +310,104 @@ def test_brute_force_matches_reference_at_small_sizes(config, variables):
     assert_matches_reference(brute_force(data, cfg, variables), want)
 
 
+def exact_top_skeleton_dataset(scale=1.0):
+    # targets are 1.7 * ((x1 * x2) * x3) times scale: at a top size of 5
+    # several skeletons ((x1 * x3) * x2, x1 * (x2 * x3), ...) fit them to
+    # rounding, so their residual sums are all rounding
+    rng = np.random.default_rng(31)
+    xs = rng.uniform(0.5, 2.0, size=(50, 3))
+    return dataset_from(xs, scale * (1.7 * ((xs[:, 0] * xs[:, 1]) * xs[:, 2])))
+
+
+def huge_states_dataset():
+    # x1 is near 1e200: top-size rows such as (x1 + sin(x2)) are finite,
+    # but their gg overflows
+    rng = np.random.default_rng(32)
+    xs = rng.uniform(0.5, 2.0, size=(50, 3))
+    xs[:, 0] *= 1e200
+    return dataset_from(xs, np.sin(xs[:, 1]) * xs[:, 2] + xs[:, 0] * 1e-200)
+
+
+def subnormal_gg_dataset():
+    # x1 is x2 times 1e-161, so the gg of x1 is a subnormal number, and its
+    # few significant bits put the fitted constant of x1 percents off
+    rng = np.random.default_rng(0)
+    xs = rng.uniform(0.5, 2.0, size=(50, 3))
+    xs[:, 0] = xs[:, 1] * 1e-161
+    return dataset_from(xs, xs[:, 1] + 1e-3 * np.sin(xs[:, 2]))
+
+
+def top_size_nonfinite_dataset():
+    # every variable is finite and, at a top size of 3, x1 / x1 is nan
+    # where x1 is 0, exp(exp(x2)) overflows and log(sin(x1)) leaves the
+    # reals where x1 < 0; the values stay small enough for a degree-4
+    # polynomial fit
+    rng = np.random.default_rng(33)
+    xs = rng.uniform(-1.0, 1.0, size=(50, 3))
+    xs[:, 1] = rng.uniform(300.0, 320.0, size=50)
+    xs[7, 0] = 0.0
+    return dataset_from(xs, np.cos(xs[:, 0]) - 0.01 * xs[:, 1] * xs[:, 2])
+
+
+TOP_SIZE_EDGES = {
+    "exact-5": (exact_top_skeleton_dataset, 5),
+    "exact_times_1e150-5": (lambda: exact_top_skeleton_dataset(1e150), 5),
+    "exact_times_1e-150-5": (lambda: exact_top_skeleton_dataset(1e-150), 5),
+    "states_near_1e200-5": (huge_states_dataset, 5),
+    "subnormal_gg-5": (subnormal_gg_dataset, 5),
+    "nonfinite_at_top-3": (top_size_nonfinite_dataset, 3),
+    "nonfinite_at_top-4": (top_size_nonfinite_dataset, 4),
+}
+
+
+@pytest.mark.parametrize("case", list(TOP_SIZE_EDGES))
+def test_brute_force_matches_reference_at_top_size_edges(case):
+    """Top-size blocks are fitted without dropping their non-finite rows
+    first, and each row's exact residual is computed on its own. The
+    candidates, constants and RMSE bits still match the per-skeleton loop,
+    and the best fit at each complexity that run_pipeline's consumer keeps
+    is the full list's."""
+    make_data, nodes = TOP_SIZE_EDGES[case]
+    data = make_data()
+    cfg = FeynmanConfig(max_brute_nodes=nodes)
+    want, _, _ = reference_brute_force(data, cfg)
+    got = brute_force(data, cfg)
+    assert_matches_reference(got, want)
+    assert [c.expr.left.value.hex() for c in got] == [e.left.value.hex() for e, _ in want]
+
+    bests = feynman._BestPerComplexity()
+    assert feynman._enumerate(data, cfg, None, bests.block) is False
+    full = [CandidateSolution(e, rmse, complexity(e)) for e, rmse in want]
+    assert {
+        comp: (c.train_rmse.hex(), print_expr(c.expr)) for comp, c in bests.at.items()
+    } == {
+        comp: (c.train_rmse.hex(), print_expr(c.expr))
+        for comp, c in reference_best_at(full).items()
+    }
+
+
+def test_top_size_edges_reach_their_edges():
+    """The edge inputs hold what their comments say."""
+    cfg = FeynmanConfig(max_brute_nodes=5)
+    exact = brute_force(exact_top_skeleton_dataset(), cfg)
+    near_zero = [c for c in exact if c.complexity == 7 and c.train_rmse < 1e-14]
+    assert len({c.train_rmse for c in near_zero}) > 1
+
+    with np.errstate(all="ignore"):
+        huge = huge_states_dataset().states
+        row = huge[:, 0] + np.sin(huge[:, 1])
+        assert np.isfinite(row).all() and not np.isfinite(row @ row)
+        small = subnormal_gg_dataset().states[:, 0]
+        assert 0.0 < small @ small < np.finfo(float).tiny
+
+        xs = top_size_nonfinite_dataset().states
+        assert np.isfinite(xs).all()
+        assert np.isnan(xs[:, 0] / xs[:, 0]).any()
+        assert np.isfinite(np.exp(xs[:, 1])).all()
+        assert np.isinf(np.exp(np.exp(xs[:, 1]))).all()
+    polyfit(top_size_nonfinite_dataset(), 4)
+
+
 def test_brute_force_discards_domain_violations():
     rng = np.random.default_rng(7)
     xs = rng.uniform(-2.0, -0.5, size=(40, 1))
@@ -359,7 +457,7 @@ def test_time_budget_expiring_below_the_top_size_truncates(monkeypatch, planted_
     monkeypatch.setattr(feynman, "time", types.SimpleNamespace(monotonic=lambda: clock[0]))
     roots = {}
 
-    def consume(comp, c, rmse, ok, skeletons):
+    def consume(comp, c, rmse, ok, contenders, skeletons):
         made = skeletons(np.flatnonzero(ok))
         roots.setdefault(comp, set()).update(type(t).__name__ for t in made)
         if comp == top + 1:
@@ -591,8 +689,9 @@ def reference_best(candidates):
     return min(ties, key=lambda c: print_expr(c.expr))
 
 
-def reference_pareto_front(candidates):
-    """pareto_front over the full candidate list, as a list."""
+def reference_best_at(candidates):
+    """The best candidate at each complexity: lowest RMSE, then smallest
+    printed form, then first seen."""
     best_at = {}
     for cand in candidates:
         cur = best_at.get(cand.complexity)
@@ -605,6 +704,12 @@ def reference_pareto_front(candidates):
             )
         ):
             best_at[cand.complexity] = cand
+    return best_at
+
+
+def reference_pareto_front(candidates):
+    """pareto_front over the full candidate list, as a list."""
+    best_at = reference_best_at(candidates)
     kept = []
     last = math.inf
     for comp in sorted(best_at):
@@ -676,6 +781,11 @@ PIPELINE_INPUTS = {
     "separable-6": (separable_dataset, 6),
     "zero_targets-5": (zero_target_dataset, 5),
     "tie_across_blocks-6": (tie_across_blocks_dataset, 6),
+    "exact_top_skeleton-5": (exact_top_skeleton_dataset, 5),
+    "exact_top_skeleton_times_1e150-5": (lambda: exact_top_skeleton_dataset(1e150), 5),
+    "exact_top_skeleton_times_1e-150-5": (lambda: exact_top_skeleton_dataset(1e-150), 5),
+    "nonfinite_at_top-3": (top_size_nonfinite_dataset, 3),
+    "nonfinite_at_top-4": (top_size_nonfinite_dataset, 4),
 }
 
 
@@ -728,6 +838,48 @@ def test_reference_inputs_cover_split_and_ties():
     winner = min(position)
     assert winner == "((-1.0) * (sin(sin(sin(x1))) - x1))"
     assert position[winner] > first == tied[0]
+
+
+def test_top_size_is_fitted_as_evaluated_with_few_exact_residuals(monkeypatch):
+    """On the cart-pole train set no top-size block goes through
+    _finite_rows (every block of a size from 2 to the one below the top
+    does, once), and run_pipeline computes an exact residual for a small
+    share of the rows it fits: most blocks lose to the current best by
+    more than the margin and get none."""
+    top = FeynmanConfig().max_brute_nodes
+    compactions = 0
+    finite_rows = feynman._finite_rows
+
+    def counted_finite_rows(block, out):
+        nonlocal compactions
+        compactions += 1
+        return finite_rows(block, out)
+
+    comps = []
+    fitted = exact = blocks_with_exact = 0
+    block = feynman._BestPerComplexity.block
+
+    def counting(self, comp, c, rmse, ok, contenders, skeletons):
+        nonlocal fitted
+        comps.append(comp)
+        fitted += len(c)
+
+        def counted_rmse(rows):
+            nonlocal exact, blocks_with_exact
+            exact += len(rows)
+            blocks_with_exact += len(rows) > 0
+            return rmse(rows)
+
+        block(self, comp, c, counted_rmse, ok, contenders, skeletons)
+
+    monkeypatch.setattr(feynman, "_finite_rows", counted_finite_rows)
+    monkeypatch.setattr(feynman._BestPerComplexity, "block", counting)
+    run_pipeline(benchmark_train_set("cart_pole"))
+
+    assert compactions == sum(4 <= comp <= top + 1 for comp in comps) > 0
+    assert comps.count(top + 2) > 0
+    assert 0 < exact * 100 < fitted
+    assert 0 < blocks_with_exact * 2 < len(comps)
 
 
 def test_run_pipeline_does_not_build_the_full_list(monkeypatch, planted_sine):
