@@ -11,8 +11,11 @@ train set, for the seeds of perfbench's `ga` workload at --seed 0
 - valid: draws that decode
 - distinct_prefixes: distinct consumed prefixes among the valid draws of
   each run (the bits a decode reads; the rest cannot change the tree)
-- trees_built: complete expression trees built, the calls of `_tree`
-- fitness_evaluations: calls of `fitness`
+- trees_built: complete expression trees built, the calls of
+  `genomes._build`
+- distinct_keys: distinct canonical keys among the trees built in each
+  run (prefixes that decode to one tree share a key)
+- fitness_evaluations: expressions scored, the calls of run_ga's `Scorer`
 - nonfinite_evaluations: those calls that returned +inf
 - rng_calls: calls of `Generator.random`, which draws the mutation flips
 
@@ -23,7 +26,10 @@ per pass are recorded with its seconds calibrated against host speed
 
 The result is appended to BENCH_ga.json in the working directory under
 `--label` (see benchrecord.py): run the script once with PYTHONPATH
-pointing at each commit's `src/`.
+pointing at each commit's `src/`. A commit whose run_ga lacks a patch
+point (`_build` and `Scorer` came with the one-pass tree builder) fails
+with an AttributeError; record it with that commit's own copy of this
+script.
 """
 
 import math
@@ -44,17 +50,17 @@ OUT = Path("BENCH_ga.json")
 SEEDS = range(1000, 1005)
 
 
-def counted_runs(data, grammar, settings: dict) -> dict:
-    """Counts of one run_ga per seed."""
+def counted_runs(data, grammar, settings: dict, seeds=SEEDS) -> dict:
+    """Counts of one run_ga per seed, summed over the seeds."""
     counts = dict.fromkeys(
         (
-            "draws", "valid", "distinct_prefixes", "trees_built",
+            "draws", "valid", "distinct_prefixes", "trees_built", "distinct_keys",
             "fitness_evaluations", "nonfinite_evaluations", "rng_calls",
         ),
         0,
     )
-    prefixes = set()
-    check, fitness, build = genomes._consumed, ga.fitness, ga._tree
+    prefixes, keys = set(), set()
+    check, build = genomes._consumed, ga._build
     default_rng = np.random.default_rng
 
     class CountingGenerator:
@@ -78,26 +84,33 @@ def counted_runs(data, grammar, settings: dict) -> dict:
             prefixes.add(tuple(bits[:used]))
         return used
 
-    def building(bits, grammar):
+    def building(prefix, grammar):
         counts["trees_built"] += 1
-        return build(bits, grammar)
+        built = build(prefix, grammar)
+        keys.add(built[1])
+        return built
 
-    def evaluating(expr, data):
-        counts["fitness_evaluations"] += 1
-        value = fitness(expr, data)
-        counts["nonfinite_evaluations"] += value == math.inf
-        return value
+    class CountingScorer(ga.Scorer):
+        """A scorer whose calls, and those that return +inf, are counted."""
+
+        def __call__(self, expr):
+            counts["fitness_evaluations"] += 1
+            value = super().__call__(expr)
+            counts["nonfinite_evaluations"] += value == math.inf
+            return value
 
     with patched(
         (np.random, "default_rng", lambda seed: CountingGenerator(default_rng(seed))),
         (genomes, "_consumed", checking),
-        (ga, "fitness", evaluating),
-        (ga, "_tree", building),
+        (ga, "Scorer", CountingScorer),
+        (ga, "_build", building),
     ):
-        for seed in SEEDS:
+        for seed in seeds:
             prefixes.clear()
+            keys.clear()
             ga.run_ga(ga.GAConfig(seed=seed, **settings), data, grammar)
             counts["distinct_prefixes"] += len(prefixes)
+            counts["distinct_keys"] += len(keys)
     return counts
 
 
@@ -134,7 +147,8 @@ def main() -> None:
         c = counts[name]
         print(
             f"{label} {name}: {c['draws']} draws, {c['valid']} valid, "
-            f"{c['distinct_prefixes']} distinct prefixes, {c['trees_built']} trees, "
+            f"{c['distinct_prefixes']} distinct prefixes, {c['trees_built']} trees "
+            f"({c['distinct_keys']} distinct), "
             f"{c['fitness_evaluations']} fitness ({c['nonfinite_evaluations']} inf), "
             f"{c['rng_calls']} rng calls; median "
             f"{statistics.median(seconds[name]):.3f} s over {RUNS} runs"

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import Expr, batch_inputs, complexity, finite_values
+from .expressions import Const, Expr, _leaf, batch_inputs, complexity, finite_values
 from .genomes import Genome
 from .integrate import RegressionDataset
 
@@ -43,14 +43,58 @@ def _finite_rmse(pred: np.ndarray, targets: np.ndarray) -> float:
     return value if math.isfinite(value) else math.inf
 
 
+class Scorer:
+    """score(expr, times, states, targets) for many expressions on one data
+    set, which must not change while the scorer is in use.
+
+    It holds batch_inputs' arrays, the targets, and the values of each leaf
+    it has met, made read-only and checked for finiteness once: a view of
+    the xs[:, i] view or ts that _eval uses, or a filled Const array as
+    _eval makes it. Leaves are looked up by identity, since Const(0.0) ==
+    Const(-0.0), and held so that their ids stay theirs; a GA run's trees
+    share one grammar's leaf objects."""
+
+    __slots__ = ("ts", "xs", "targets", "_arrays", "_held")
+
+    def __init__(self, times: np.ndarray, states: np.ndarray, targets: np.ndarray):
+        self.ts, self.xs = batch_inputs(times, states)
+        self.targets = targets
+        self._arrays: dict[int, np.ndarray | None] = {}  # by id of a held leaf
+        self._held: list[Expr] = []
+
+    def leaf(self, expr: Expr) -> np.ndarray | None:
+        """The values of a leaf if all are finite, else None; _leaf's
+        ValueError for an out-of-range Var."""
+        try:
+            return self._arrays[id(expr)]
+        except KeyError:
+            pass
+        values = _leaf(expr, self.ts, self.xs)
+        if type(expr) is Const:
+            finite = math.isfinite(expr.value)
+        else:
+            # a view, so that the caller's times and states stay writeable;
+            # checked as _finite checks a node
+            values = values.view()
+            finite = math.isfinite(values.dot(values)) or bool(np.isfinite(values).all())
+        values.setflags(write=False)
+        self._held.append(expr)
+        self._arrays[id(expr)] = values = values if finite else None
+        return values
+
+    def __call__(self, expr: Expr) -> float:
+        """rmse(evaluate_batch(expr, times, states), targets), bit for bit,
+        from one walk of expr that stops at the first node, leaves included,
+        that is not finite at some row: the score is then +inf, and no nan
+        is masked."""
+        with np.errstate(all="ignore"):
+            pred = finite_values(expr, self.leaf)
+            return math.inf if pred is None else _finite_rmse(pred, self.targets)
+
+
 def score(expr: Expr, times: np.ndarray, states: np.ndarray, targets: np.ndarray) -> float:
-    """rmse(evaluate_batch(expr, times, states), targets), bit for bit, from
-    one walk of expr that stops at the first node, leaves included, that is
-    not finite at some row: the score is then +inf, and no nan is masked."""
-    times, states = batch_inputs(times, states)
-    with np.errstate(all="ignore"):
-        pred = finite_values(expr, times, states)
-        return math.inf if pred is None else _finite_rmse(pred, targets)
+    """Scorer(times, states, targets)(expr)."""
+    return Scorer(times, states, targets)(expr)
 
 
 def fitness(expr: Expr, data: RegressionDataset) -> float:

@@ -200,41 +200,44 @@ class _NotFinite(Exception):
     """A node of the tree is not finite at some row."""
 
 
-def finite_values(expr: Expr, ts: np.ndarray, xs: np.ndarray) -> np.ndarray | None:
+def finite_values(
+    expr: Expr, leaf: Callable[[Expr], np.ndarray | None]
+) -> np.ndarray | None:
     """_eval(expr, ts, xs) if every node of expr, leaves included, is finite
     at every row; None from the first node that is not, and the rest of the
     tree is not evaluated.
 
-    Where evaluate_batch's result is finite it is this array bit for bit:
-    with every node finite, _contain masks nothing. Everywhere else that
-    result is not finite, because each node passes a non-finite operand on
-    as nan. Each node is checked once, by one reduction of its own values.
-    An out-of-range Var raises _eval's ValueError even after an earlier node
-    was found not finite. Takes batch_inputs' arrays; call it under
-    np.errstate(all="ignore").
+    leaf(node) gives a leaf's values, _leaf(node, ts, xs) or an array equal
+    to it, when they are all finite and None when they are not; it raises
+    _leaf's ValueError for an out-of-range Var. Where evaluate_batch's
+    result is finite it is this array bit for bit: with every node finite,
+    _contain masks nothing. Everywhere else that result is not finite,
+    because each node passes a non-finite operand on as nan. Each inner
+    node is checked once, by one reduction of its own values. An
+    out-of-range Var raises even after an earlier node was found not
+    finite. Call it under np.errstate(all="ignore").
     """
     try:
-        return _finite(expr, ts, xs)
+        return _finite(expr, leaf)
     except _NotFinite:
-        _check_indices(expr, ts, xs)
+        _check_indices(expr, leaf)
         return None
 
 
-def _finite(expr: Expr, ts: np.ndarray, xs: np.ndarray) -> np.ndarray:
+def _finite(expr: Expr, leaf: Callable[[Expr], np.ndarray | None]) -> np.ndarray:
     kind = type(expr)
     if kind is Binary:
-        out = _binary(expr, _finite(expr.left, ts, xs), _finite(expr.right, ts, xs))
+        out = _binary(expr, _finite(expr.left, leaf), _finite(expr.right, leaf))
     elif kind is Unary:
-        out = _finite(expr.arg, ts, xs)
+        out = _finite(expr.arg, leaf)
         if expr.op == "identity":
             return out
         out = UNARY_UFUNC[expr.op](out)
-    elif kind is Const:
-        if isfinite(expr.value):
-            return _leaf(expr, ts, xs)
-        raise _NotFinite
     else:
-        out = _leaf(expr, ts, xs)
+        out = leaf(expr)
+        if out is None:
+            raise _NotFinite
+        return out
     # the sum of squares has an inf or nan term, and so is inf or nan, if
     # any value is not finite; one of finite values that overflows takes the
     # exact check. A dot product is one reduction, and cheaper than add.reduce
@@ -243,15 +246,15 @@ def _finite(expr: Expr, ts: np.ndarray, xs: np.ndarray) -> np.ndarray:
     raise _NotFinite
 
 
-def _check_indices(expr: Expr, ts: np.ndarray, xs: np.ndarray) -> None:
-    """Raise _eval's ValueError for the first out-of-range Var, in _eval's order."""
+def _check_indices(expr: Expr, leaf: Callable[[Expr], np.ndarray | None]) -> None:
+    """Raise _leaf's ValueError for the first out-of-range Var, in _eval's order."""
     if isinstance(expr, Unary):
-        _check_indices(expr.arg, ts, xs)
+        _check_indices(expr.arg, leaf)
     elif isinstance(expr, Binary):
-        _check_indices(expr.left, ts, xs)
-        _check_indices(expr.right, ts, xs)
+        _check_indices(expr.left, leaf)
+        _check_indices(expr.right, leaf)
     elif isinstance(expr, Var):
-        _leaf(expr, ts, xs)
+        leaf(expr)
 
 
 # ----------------------------------------------------------- scalar compile

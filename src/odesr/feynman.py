@@ -219,6 +219,19 @@ def _enumerate(data, cfg: FeynmanConfig, variables, consume) -> bool:
     Each row's fit takes the same dot products as a fit of that skeleton
     alone, so constants and RMSEs are bit-identical to a per-skeleton fit.
     """
+    # size -> the entries' trees, below top; a block's `at` is its first entry
+    trees: dict[int, _Trees] = {}
+    try:
+        return _enumerate_sizes(data, cfg, variables, consume, trees)
+    finally:
+        # each _Trees holds grow, which reads trees: cleared, the node tables
+        # and block buffers go on return rather than at the next cyclic
+        # garbage collection, whose timing would then set the peak memory
+        trees.clear()
+
+
+def _enumerate_sizes(data, cfg: FeynmanConfig, variables, consume, trees: dict) -> bool:
+    """_enumerate, with `trees` to fill."""
     states = data.states
     targets = np.asarray(data.targets, dtype=float)
     n = len(targets)
@@ -232,8 +245,6 @@ def _enumerate(data, cfg: FeynmanConfig, variables, consume) -> bool:
 
     # size -> (printed forms, (entries, n) values on the data), below top - 1
     table: dict[int, tuple[list, np.ndarray]] = {}
-    # size -> the entries' trees, below top; a block's `at` is its first entry
-    trees: dict[int, _Trees] = {}
     # each block's temporaries are written to these (arrays made and freed
     # block by block have malloc give the memory back to the system and
     # fault it in again): values (and a binary op's left operands), right
@@ -269,7 +280,18 @@ def _enumerate(data, cfg: FeynmanConfig, variables, consume) -> bool:
         left, right = trees[left_size], trees[size - 1 - left_size]
         return [Binary(name, left[a], right[b]) for a, b in zip(lefts, nodes[:, 3].tolist())]
 
+    # fit calls fit_rows for the top size's unary ops, not itself: a closure
+    # that reads its own name is a reference cycle that keeps every array
+    # this call made until the next cyclic garbage collection
     def fit(size, block, nodes, at):
+        fit_rows(size, block, nodes, at)
+        if size == top - 1:
+            rows = np.arange(at, at + len(block))
+            for op in cfg.unary_set:
+                child = UNARY_UFUNC[op](block, out=evaluated[: len(block)])
+                fit_rows(top, child, _nodes(ops.index(op), size, rows, -1), at)
+
+    def fit_rows(size, block, nodes, at):
         # np.vecdot reaches the same BLAS dot as `values @ values` for a
         # single row; einsum and gemv sum in another order
         gg = np.vecdot(block, block)
@@ -297,11 +319,6 @@ def _enumerate(data, cfg: FeynmanConfig, variables, consume) -> bool:
             return made
 
         consume(size + 2, c, rmse, ok, contenders, skeletons)
-        if size == top - 1:
-            rows = np.arange(at, at + len(block))
-            for op in cfg.unary_set:
-                child = UNARY_UFUNC[op](block, out=evaluated[: len(block)])
-                fit(top, child, _nodes(ops.index(op), size, rows, -1), at)
 
     with np.errstate(all="ignore"):
         strs = [print_expr(Var(v)) for v in vars_]

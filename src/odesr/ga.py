@@ -10,12 +10,12 @@ from typing import Callable
 
 import numpy as np
 
-from .candidates import CandidateSolution, fitness, make_candidate
-from .expressions import complexity, print_expr
+from .candidates import CandidateSolution, Scorer, make_candidate
 
-# not called here; perfbench traces the batch evaluator at this name
+# not called here; perfbench traces fitness and the batch evaluator at these names
+from .candidates import fitness  # noqa: F401
 from .expressions import evaluate_batch  # noqa: F401
-from .genomes import Genome, Grammar, _Flips, _mutate_decoded, _random_decoded, _tree
+from .genomes import Genome, Grammar, _build, _Flips, _mutate_decoded, _prefix, _random_decoded
 
 # public genome operations, reachable as odesr.ga.<name>; perfbench traces
 # them at these names
@@ -57,8 +57,8 @@ def default_ga_config(system_name: str, seed: int = 0) -> GAConfig:
     return GAConfig(seed=seed, **GA_DEFAULTS[system_name])
 
 
-_DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # bytes of 0/1 as binary digits
-_RANK = itemgetter(0, 1)  # run_ga's population entries are (train_rmse, complexity, bits)
+# run_ga's population entries are (train_rmse, complexity, bits, _prefix of bits)
+_RANK = itemgetter(0, 1)
 
 
 def _step(
@@ -99,7 +99,8 @@ def step(
     rank, bits_of = attrgetter("train_rmse", "complexity"), attrgetter("genome.bits")
     survivors, mutants = _step(pop, rank, bits_of, config, grammar, rng)
     return survivors + [
-        make_candidate(_tree(bits, grammar)[0], data, Genome(tuple(bits))) for bits, _ in mutants
+        make_candidate(_build(_prefix(bits, used), grammar)[0], data, Genome(tuple(bits)))
+        for bits, used in mutants
     ]
 
 
@@ -110,28 +111,27 @@ def run_ga(
 
     Returns the best-ever candidate and the per-generation best fitness
     (non-increasing thanks to elitism). For the length of the run, scores
-    are memoised by a genome's consumed prefix and, behind that, by printed
-    expression, since distinct prefixes can print alike. Trees are built
-    for new prefixes and the returned candidate only. Results and RNG draws
+    are memoised by a genome's consumed prefix and, behind that, by the
+    canonical key of its tree (genomes._build), since distinct prefixes can
+    decode alike. Trees are built for new prefixes and the returned
+    candidate only, and scored on one Scorer of data. Results and RNG draws
     are those of evaluating every candidate.
     """
     rng = np.random.default_rng(config.seed)
+    score = Scorer(data.times, data.states, data.targets)
     by_prefix: dict[int, tuple[float, int]] = {}
-    # printed, not tree, equality: Const(0.0) == Const(-0.0) as dataclasses
-    by_print: dict[str, tuple[float, int]] = {}
+    by_key: dict[int, tuple[float, int]] = {}
 
-    def entry(bits: bytes, used: int) -> tuple[float, int, bytes]:
-        # a compact key; the leading 1 keeps prefixes of different lengths apart
-        prefix = int(b"1" + bits[:used].translate(_DIGITS), 2)
-        score = by_prefix.get(prefix)
-        if score is None:
-            expr = _tree(bits, grammar)[0]
-            key = print_expr(expr)
-            score = by_print.get(key)
-            if score is None:
-                score = by_print[key] = (fitness(expr, data), complexity(expr))
-            by_prefix[prefix] = score
-        return (*score, bits)
+    def entry(bits: bytes, used: int) -> tuple[float, int, bytes, int]:
+        prefix = _prefix(bits, used)
+        scored = by_prefix.get(prefix)
+        if scored is None:
+            expr, key, comp = _build(prefix, grammar)
+            scored = by_key.get(key)
+            if scored is None:
+                scored = by_key[key] = (score(expr), comp)
+            by_prefix[prefix] = scored
+        return (*scored, bits, prefix)
 
     pop = [
         entry(*_random_decoded(config.bitstring_length, grammar, rng))
@@ -146,5 +146,5 @@ def run_ga(
         if _RANK(gen_best) < _RANK(best):
             best = gen_best
         history.append(gen_best[0])
-    rmse, comp, bits = best
-    return CandidateSolution(_tree(bits, grammar)[0], rmse, comp, Genome(tuple(bits))), history
+    rmse, comp, bits, prefix = best
+    return CandidateSolution(_build(prefix, grammar)[0], rmse, comp, Genome(tuple(bits))), history

@@ -48,6 +48,9 @@ class Grammar:
     op_width: int = field(init=False, repr=False, compare=False)
     unary_width: int = field(init=False, repr=False, compare=False)
     var_width: int = field(init=False, repr=False, compare=False)
+    # the leaf of each leaf codon value after the modulo; every tree decoded
+    # with this grammar shares these objects
+    leaves: tuple[Expr, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.variable_count < 1:
@@ -58,6 +61,8 @@ class Grammar:
         object.__setattr__(self, "op_width", _codon_width(len(BINARY_OPS)))
         object.__setattr__(self, "unary_width", _codon_width(len(UNARY_OPS)))
         object.__setattr__(self, "var_width", _codon_width(self.variable_count + len(pool)))
+        leaves = tuple(map(Var, range(self.variable_count))) + tuple(map(Const, pool))
+        object.__setattr__(self, "leaves", leaves)
 
 
 def grammar_for_system(name: str, constant_pool: Sequence[float] | None = None) -> Grammar:
@@ -117,38 +122,83 @@ def _consumed(bits: Sequence[int], grammar: Grammar) -> int | None:
     return pos if pos <= n_bits else None
 
 
-def _tree(bits: Sequence[int], grammar: Grammar) -> tuple[Expr, int]:
-    """The expression of bits that _consumed accepts, and the bits it read."""
-    n_leaves = grammar.variable_count + len(grammar.constant_pool)
-    pos = 0
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # bytes of 0/1 as binary digits
+_N_UNARY, _N_BINARY = len(UNARY_OPS), len(BINARY_OPS)
+_IDENTITY = UNARY_OPS.index("identity")
 
-    def take(width: int) -> int:
-        nonlocal pos
-        value = 0
-        for b in bits[pos : pos + width]:
-            value = (value << 1) | b
-        pos += width
-        return value
 
-    def expr() -> Expr:
-        rule = take(grammar.expr_width) % 3
+def _prefix(bits: Sequence[int], used: int) -> int:
+    """The first `used` bits as an int, MSB first, after a leading 1 that
+    keeps prefixes of different lengths apart."""
+    return int(b"1" + bytes(bits[:used]).translate(_DIGITS), 2)
+
+
+def _build(prefix: int, grammar: Grammar) -> tuple[Expr, int, int]:
+    """The tree of a _prefix of bits that _consumed accepts, its canonical
+    key and its complexity, from one pass over the codons.
+
+    Codons are read MSB first by shifting prefix, expanding the leftmost
+    nonterminal first; a stack holds the nodes still open. The key is
+    prefix with every codon replaced by its value modulo the rule count, so
+    two prefixes share a key exactly when they take the same rules, and a
+    key is itself such a prefix. Distinct pool entries give distinct keys,
+    so Const(0.0) and Const(-0.0) do not share one. The complexity is
+    expressions.complexity of the tree: identity is free. Leaves are the
+    grammar's own objects."""
+    leaves = grammar.leaves
+    n_leaves = len(leaves)
+    op_width, unary_width, leaf_width = grammar.op_width, grammar.unary_width, grammar.var_width
+    op_mask, unary_mask = (1 << op_width) - 1, (1 << unary_width) - 1
+    leaf_mask = (1 << leaf_width) - 1
+    shift = prefix.bit_length() - 1
+    key, size = 1, 0
+    # open nodes: None for a binary node before its left operand, (op, left)
+    # after it, and the op name of a unary node
+    stack: list = []
+    push, pop = stack.append, stack.pop
+    while True:
+        # the expr codon is 2 bits for 3 rules: 00 and 11 binary, 01 unary, 10 leaf
+        shift -= 2
+        rule = (prefix >> shift) & 3
+        if rule == 3:
+            rule = 0
+        key = key << 2 | rule
         if rule == 0:
-            left = expr()
-            op = BINARY_OPS[take(grammar.op_width) % len(BINARY_OPS)]
-            return Binary(op, left, expr())
+            push(None)
+            size += 1
+            continue
         if rule == 1:
-            return Unary(UNARY_OPS[take(grammar.unary_width) % len(UNARY_OPS)], expr())
-        index = take(grammar.var_width) % n_leaves
-        if index < grammar.variable_count:
-            return Var(index)
-        return Const(grammar.constant_pool[index - grammar.variable_count])
-
-    return expr(), pos
+            shift -= unary_width
+            index = ((prefix >> shift) & unary_mask) % _N_UNARY
+            key = key << unary_width | index
+            push(UNARY_OPS[index])
+            if index != _IDENTITY:
+                size += 1
+            continue
+        shift -= leaf_width
+        index = ((prefix >> shift) & leaf_mask) % n_leaves
+        key = key << leaf_width | index
+        node = leaves[index]
+        size += 1
+        while stack:
+            top = pop()
+            if top is None:
+                shift -= op_width
+                index = ((prefix >> shift) & op_mask) % _N_BINARY
+                key = key << op_width | index
+                push((BINARY_OPS[index], node))
+                break
+            node = Unary(top, node) if type(top) is str else Binary(top[0], top[1], node)
+        else:
+            return node, key, size
 
 
 def _decode(bits: Sequence[int], grammar: Grammar) -> tuple[Expr | None, int | None]:
     """(expression, bits consumed), or (None, None) when the bits run out."""
-    return (None, None) if _consumed(bits, grammar) is None else _tree(bits, grammar)
+    used = _consumed(bits, grammar)
+    if used is None:
+        return None, None
+    return _build(_prefix(bits, used), grammar)[0], used
 
 
 def decode(genome: Genome, grammar: Grammar) -> Expr | None:

@@ -131,12 +131,16 @@ def expression_system(
     rhs_strings,
     initial_state,
     train_span=(0.0, 10.0),
-    test_span=(10.0, 15.0),
+    test_span=None,
     target_dim: int | None = None,
     variable_names=None,
 ) -> SystemSpec:
     """Build a system whose right-hand side is given as one expression
-    string per dimension, e.g. ("x2", "-9.81 * sin(x1)")."""
+    string per dimension, e.g. ("x2", "-9.81 * sin(x1)").
+
+    The test split is integrated on from the last train state, so
+    test_span must start where train_span ends; without one it lasts half
+    as long as the train span, as for the built-in systems."""
     from .expressions import _compile, parse_expr
 
     rhs_strings = tuple(rhs_strings)
@@ -158,10 +162,16 @@ def expression_system(
     if not 0 <= target_dim < k:
         raise ValueError("target_dim out of range")
     train_span = (float(train_span[0]), float(train_span[1]))
+    if test_span is None:
+        test_span = (train_span[1], train_span[1] + (train_span[1] - train_span[0]) / 2)
     test_span = (float(test_span[0]), float(test_span[1]))
     for key, span in (("train_span", train_span), ("test_span", test_span)):
         if not span[1] > span[0]:  # NaN fails too
             raise ValueError(f"{key} must increase, got {span}")
+    if test_span[0] != train_span[1]:
+        raise ValueError(
+            f"test_span must start where train_span ends, at {train_span[1]}, got {test_span}"
+        )
 
     # compile_scalar's per-point functions, sharing one conversion of the
     # state per call

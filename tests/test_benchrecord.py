@@ -200,3 +200,25 @@ def test_passes_without_perfbench_are_not_calibrated(monkeypatch, tmp_path):
     monkeypatch.setattr(benchrecord, "CALIBRATE", tmp_path / "perfbench" / "calibrate.py")
     seconds, _, _, calibrated = benchrecord.timed_passes({"a": lambda: None})
     assert len(seconds["a"]) == benchrecord.RUNS and calibrated is None
+
+
+def test_bench_ga_counts_reach_the_functions_run_ga_calls(monkeypatch):
+    # a patch point that run_ga no longer calls would count 0 here instead of
+    # recording zeros in BENCH_ga.json
+    monkeypatch.setitem(sys.modules, "benchrecord", benchrecord)
+    spec = importlib.util.spec_from_file_location("bench_ga", SCRIPTS / "bench_ga.py")
+    bench_ga = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_ga)
+    from odesr import ga
+    from odesr.genomes import grammar_for_system
+    from odesr.integrate import make_dataset
+    from odesr.systems import get_system
+
+    settings = {**ga.GA_DEFAULTS["cart_pole"], "population_size": 16, "iterations": 5}
+    data = make_dataset(get_system("cart_pole"), 0.1, "train")
+    counts = bench_ga.counted_runs(data, grammar_for_system("cart_pole"), settings, seeds=[1000])
+    for name in ("draws", "valid", "trees_built", "distinct_keys", "fitness_evaluations"):
+        assert counts[name] > 0, name
+    assert counts["valid"] <= counts["draws"]
+    assert counts["distinct_keys"] < counts["trees_built"] <= counts["valid"]
+    assert counts["fitness_evaluations"] == counts["distinct_keys"]

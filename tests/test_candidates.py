@@ -10,20 +10,21 @@ from test_expressions import wide_exprs
 
 from odesr.benchmark import GROUND_TRUTH_EXPRESSIONS
 from odesr.benchmark import test_error as held_out_error
-from odesr.candidates import fitness, rmse, score
+from odesr.candidates import Scorer, fitness, rmse, score
 from odesr.expressions import (
     BINARY_OPS,
     UNARY_OPS,
     UNARY_UFUNC,
     Binary,
     Const,
+    Time,
     Unary,
     Var,
     evaluate_batch,
     parse_expr,
     print_expr,
 )
-from odesr.genomes import CONSTANT_POOLS
+from odesr.genomes import Grammar, grammar_for_system
 from odesr.integrate import make_dataset, make_trajectory
 from odesr.systems import get_system
 
@@ -111,34 +112,128 @@ def checked_fitness(expr, data):
     return got
 
 
-def grammar_trees(variables: int, pool, size: int) -> list:
-    """Every tree of `size` nodes over a GA grammar's leaves and operators,
-    identity counted as a node."""
+def grammar_trees(leaves: tuple, size: int) -> list:
+    """Every tree of `size` nodes over a GA grammar's leaf objects and
+    operators, identity counted as a node."""
     if size == 1:
-        return [Var(i) for i in range(variables)] + [Const(c) for c in pool]
-    out = [
-        Unary(op, a) for op in UNARY_OPS for a in grammar_trees(variables, pool, size - 1)
-    ]
+        return list(leaves)
+    out = [Unary(op, a) for op in UNARY_OPS for a in grammar_trees(leaves, size - 1)]
     for op in BINARY_OPS:
         for left in range(1, size - 1):
-            for a in grammar_trees(variables, pool, left):
-                for b in grammar_trees(variables, pool, size - 1 - left):
+            for a in grammar_trees(leaves, left):
+                for b in grammar_trees(leaves, size - 1 - left):
                     out.append(Binary(op, a, b))
     return out
 
 
+def small_grammar_trees(grammar, max_size=4) -> list:
+    return [tree for size in range(1, max_size + 1) for tree in grammar_trees(grammar.leaves, size)]
+
+
 @pytest.mark.parametrize("name", ["lotka_volterra", "simple_pendulum"])
 def test_fitness_matches_reference_on_every_small_grammar_tree(name):
-    system = get_system(name)
-    data = make_dataset(system, 0.1, "train")
-    trees = [
-        tree
-        for size in range(1, 5)
-        for tree in grammar_trees(system.dim, CONSTANT_POOLS[name], size)
-    ]
+    data = make_dataset(get_system(name), 0.1, "train")
+    trees = small_grammar_trees(grammar_for_system(name))
     assert len(trees) == 3816
     scores = [checked_fitness(tree, data) for tree in trees]
     assert any(s == math.inf for s in scores) and any(s < math.inf for s in scores)
+
+
+def checked_scores(scorer, trees, times, states, targets) -> list[float]:
+    """scorer(tree) for each tree, once each is found equal to the reference
+    bit for bit and to raise no RuntimeWarning."""
+    out = []
+    for tree in trees:
+        expected = reference_fitness(tree, times, states, targets)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = scorer(tree)
+        assert got.hex() == expected.hex(), print_expr(tree)
+        out.append(got)
+    return out
+
+
+@pytest.mark.parametrize("name", ["lotka_volterra", "simple_pendulum"])
+def test_one_scorer_matches_reference_on_every_small_grammar_tree(name):
+    # as a GA run scores: one scorer, every tree over the grammar's leaf objects
+    data = make_dataset(get_system(name), 0.1, "train")
+    grammar = grammar_for_system(name)
+    scorer = Scorer(data.times, data.states, data.targets)
+    trees = small_grammar_trees(grammar)
+    scores = checked_scores(scorer, trees, data.times, data.states, data.targets)
+    assert any(s == math.inf for s in scores) and any(s < math.inf for s in scores)
+    # each leaf was bound once
+    assert sorted(map(id, scorer._held)) == sorted(map(id, grammar.leaves))
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_scorer_gives_inf_for_every_tree_over_a_nonfinite_pool_constant(bad):
+    grammar = Grammar(variable_count=2, constant_pool=(1.5, bad))
+    scorer = Scorer(LV_TRAIN.times, LV_TRAIN.states, LV_TRAIN.targets)
+    trees = small_grammar_trees(grammar, max_size=3)
+    scores = checked_scores(scorer, trees, LV_TRAIN.times, LV_TRAIN.states, LV_TRAIN.targets)
+    for tree, value in zip(trees, scores):
+        if repr(bad) in print_expr(tree):
+            assert value == math.inf, print_expr(tree)
+    assert any(s < math.inf for s in scores)
+    assert scorer.leaf(grammar.leaves[3]) is None
+
+
+def test_scorer_reads_time_leaves_and_leaves_the_callers_arrays_writeable():
+    system = get_system("cart_pole")  # its force depends on t
+    data = make_dataset(system, 0.1, "train")
+    assert data.times.flags.writeable and data.states.flags.writeable
+    scorer = Scorer(data.times, data.states, data.targets)
+    t = Time()
+    trees = [
+        t,
+        Unary("sin", Binary("mul", Const(6.0), t)),
+        Binary("add", Var(2), Binary("mul", Const(0.5), Unary("sin", Binary("mul", Const(6.0), t)))),
+        Binary("div", Var(0), Binary("sub", t, t)),
+        Unary("log", Binary("sub", t, Const(5.0))),
+    ]
+    scores = checked_scores(scorer, trees, data.times, data.states, data.targets)
+    assert scores[-2:] == [math.inf, math.inf] and all(s < math.inf for s in scores[:3])
+    assert data.times.flags.writeable and data.states.flags.writeable
+    assert np.shares_memory(scorer.leaf(t), data.times)
+
+
+def test_cached_leaf_arrays_are_read_only_views():
+    states = LV_TRAIN.states.copy()
+    scorer = Scorer(LV_TRAIN.times, states, LV_TRAIN.targets)
+    x2, c, t = Var(1), Const(-3.0), Time()
+    for leaf in (x2, c, t):
+        values = scorer.leaf(leaf)
+        assert scorer.leaf(leaf) is values  # bound once
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 1.0
+    assert np.shares_memory(scorer.leaf(x2), states)
+    assert scorer.leaf(x2).tobytes() == states[:, 1].tobytes()
+    assert scorer.leaf(c).tobytes() == np.full(len(states), -3.0).tobytes()
+    states[0, 1] = 7.0  # the caller's array is not frozen
+    with pytest.raises(ValueError, match="out of range"):
+        scorer.leaf(Var(2))
+
+
+def test_scorer_binds_a_finite_leaf_whose_sum_of_squares_overflows():
+    # 1e200 squared overflows, so the leaf's dot product is inf while every
+    # value is finite: the exact check must keep it
+    states = LV_TRAIN.states.copy()
+    states[:, 0] *= 1e200
+    scorer = Scorer(LV_TRAIN.times, states, LV_TRAIN.targets)
+    trees = [Var(0), Binary("mul", Const(1e-200), Var(0)), Binary("sub", Var(0), Var(0))]
+    scores = checked_scores(scorer, trees, LV_TRAIN.times, states, LV_TRAIN.targets)
+    assert scorer.leaf(trees[0]) is not None
+    assert scores[0] == math.inf and scores[1] < math.inf and scores[2] < math.inf
+
+
+def test_scorer_tells_signed_zero_constants_apart():
+    # equal as dataclasses, so a cache keyed by value would give -0.0 the
+    # array of 0.0
+    scorer = Scorer(LV_TRAIN.times, LV_TRAIN.states, LV_TRAIN.targets)
+    zero, negative = Const(0.0), Const(-0.0)
+    assert zero == negative
+    assert np.signbit(scorer.leaf(negative)).all() and not np.signbit(scorer.leaf(zero)).any()
 
 
 STATE_EDGES = (math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324, 0.0)

@@ -475,6 +475,21 @@ def test_custom_system_generate_writes_its_variables(tmp_path, capsys):
     assert len(lines) == 11
 
 
+def test_generate_refuses_a_test_span_after_a_gap(tmp_path, capsys):
+    # the test split used to start at t=20 from the state at t=10
+    cfg = write_config(tmp_path, {"systems": {"decay": {
+        "rhs": ["-0.5 * x1 + sin(t)"], "initial_state": [1.0],
+        "train_span": [0, 10], "test_span": [20, 25]}}})
+    base = tmp_path / "decay"
+    assert main(["generate", "--system", "decay", "--config", cfg,
+                 "--out", str(base) + ".csv"]) == 1
+    assert capsys.readouterr().err == (
+        "error: config section 'systems.decay': test_span must start where "
+        "train_span ends, at 10.0, got (20.0, 25.0)\n"
+    )
+    assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+
 def test_generate_underflowing_initial_step_exits_two(tmp_path, capsys):
     # atol=0 and a tiny first component overflow the scaled derivative,
     # which gives an initial step of 0

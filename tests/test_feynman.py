@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import tracemalloc
@@ -929,3 +930,21 @@ def test_pareto_csv_round_trip(tmp_path, planted_sine):
     assert int(comp) == first.complexity
     assert float(rmse) == pytest.approx(first.train_rmse)
     assert text.strip('"') == print_expr(first.expr, ("x1", "x2"))
+
+
+@pytest.mark.parametrize("time_budget", [None, 0.0], ids=["complete", "cut by the budget"])
+def test_enumeration_leaves_no_reference_cycle(time_budget):
+    # a cycle would keep the block buffers and node tables of each
+    # enumeration until the next cyclic collection, so the allocations made
+    # before a fit would set its peak memory
+    data = make_dataset(get_system("cart_pole"), 0.1, "train")
+    cfg = FeynmanConfig(max_brute_nodes=4, time_budget=time_budget)
+    gc.collect()
+    gc.disable()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the budget's warning
+            run_pipeline(data, cfg)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

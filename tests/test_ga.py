@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import itertools
 import math
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from odesr import ga, genomes
-from odesr.candidates import CandidateSolution, fitness, make_candidate
+from odesr.candidates import CandidateSolution, Scorer, fitness, make_candidate
 from odesr.expressions import Binary, Const, Unary, Var, print_expr
 from odesr.ga import GAConfig, default_ga_config, run_ga, step
 from odesr.genomes import (
@@ -224,23 +225,23 @@ def reference_run_ga(config, data, grammar, rng):
 
 def run_ga_observed(monkeypatch, config, data, grammar):
     """run_ga, also returning its generator and the printed form of every
-    expression passed to fitness."""
+    expression that its scorer scores."""
     generators = []
     evaluated = []
     default_rng = np.random.default_rng
-    fitness_fn = ga.fitness
 
     def recording_rng(seed):
         generators.append(default_rng(seed))
         return generators[-1]
 
-    def recording_fitness(expr, data):
-        evaluated.append(print_expr(expr))
-        return fitness_fn(expr, data)
+    class RecordingScorer(Scorer):
+        def __call__(self, expr):
+            evaluated.append(print_expr(expr))
+            return super().__call__(expr)
 
     with monkeypatch.context() as m:
         m.setattr(np.random, "default_rng", recording_rng)
-        m.setattr(ga, "fitness", recording_fitness)
+        m.setattr(ga, "Scorer", RecordingScorer)
         best, history = run_ga(config, data, grammar)
     (rng,) = generators
     return best, history, rng, evaluated
@@ -317,7 +318,7 @@ def test_run_ga_builds_one_tree_per_distinct_prefix(monkeypatch, system_name):
     config = dataclasses.replace(
         default_ga_config(system_name, seed=3), population_size=16, iterations=12
     )
-    consumed, tree = genomes._consumed, genomes._tree
+    consumed, build = genomes._consumed, genomes._build
     draws, built = [], []
 
     def scanning(bits, grammar):
@@ -325,14 +326,14 @@ def test_run_ga_builds_one_tree_per_distinct_prefix(monkeypatch, system_name):
         draws.append(None if used is None else tuple(bits[:used]))
         return used
 
-    def building(bits, grammar):
-        used = consumed(bits, grammar)
-        assert used is not None, "no tree for an invalid draw"
-        built.append(tuple(bits[:used]))
-        return tree(bits, grammar)
+    def building(prefix, grammar):
+        bits = tuple(int(c) for c in bin(prefix)[3:])  # past "0b" and the leading 1
+        assert consumed(bits, grammar) == len(bits), "no tree for an invalid draw"
+        built.append(bits)
+        return build(prefix, grammar)
 
     monkeypatch.setattr(genomes, "_consumed", scanning)
-    monkeypatch.setattr(ga, "_tree", building)
+    monkeypatch.setattr(ga, "_build", building)
     best, _ = run_ga(config, data, grammar)
 
     prefixes = [p for p in draws if p is not None]
@@ -447,3 +448,16 @@ def test_run_ga_golden_at_benchmark_settings(system_name):
     assert (
         print_expr(best.expr), best.train_rmse.hex(), best.genome.to_string(), runs
     ) == GOLDEN[system_name]
+
+
+def test_run_ga_leaves_no_reference_cycle():
+    # a cycle per tree built would hold its memory until the next cyclic collection
+    data = make_dataset(get_system("cart_pole"), 0.1, "train")
+    config = dataclasses.replace(default_ga_config("cart_pole"), population_size=16, iterations=5)
+    gc.collect()
+    gc.disable()
+    try:
+        run_ga(config, data, grammar_for_system("cart_pole"))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

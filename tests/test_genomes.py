@@ -6,16 +6,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from odesr.expressions import BINARY_OPS, UNARY_OPS, Binary, Const, Unary, Var, print_expr
+from odesr.expressions import (
+    BINARY_OPS,
+    UNARY_OPS,
+    Binary,
+    Const,
+    Unary,
+    Var,
+    complexity,
+    print_expr,
+)
 from odesr.genomes import (
     CONSTANT_POOLS,
     Genome,
     Grammar,
     SamplingError,
     _Flips,
+    _build,
     _consumed,
     _decode,
-    _tree,
+    _prefix,
     decode,
     grammar_for_system,
     mutate,
@@ -174,7 +184,7 @@ def check_scan_against_reference(bits, grammar):
     assert _consumed(bytes(bits), grammar) == used  # the GA's form of the bits
     assert _decode(bits, grammar) == (tree, pos)
     if tree is not None:
-        assert print_expr(_tree(bits[:used], grammar)[0]) == print_expr(tree)
+        assert print_expr(_build(_prefix(bits, used), grammar)[0]) == print_expr(tree)
         assert print_expr(_decode(bits, grammar)[0]) == print_expr(tree)
     return used
 
@@ -195,6 +205,110 @@ def test_scan_matches_reference_decode_on_every_short_bitstring(grammar):
 def test_scan_matches_reference_decode_on_long_bitstrings(grammar, length, data):
     bits = tuple(data.draw(st.lists(st.integers(0, 1), min_size=length, max_size=length)))
     check_scan_against_reference(bits, grammar)
+
+
+# ------------------------------------------------- the one-pass tree builder
+
+
+def closure_tree(bits, grammar):
+    """The recursive closure decoder that genomes._build replaced: the tree
+    of bits that _consumed accepts, and the bits it read."""
+    n_leaves = grammar.variable_count + len(grammar.constant_pool)
+    pos = 0
+
+    def take(width):
+        nonlocal pos
+        value = 0
+        for b in bits[pos : pos + width]:
+            value = (value << 1) | b
+        pos += width
+        return value
+
+    def expr():
+        rule = take(grammar.expr_width) % 3
+        if rule == 0:
+            left = expr()
+            op = BINARY_OPS[take(grammar.op_width) % len(BINARY_OPS)]
+            return Binary(op, left, expr())
+        if rule == 1:
+            return Unary(UNARY_OPS[take(grammar.unary_width) % len(UNARY_OPS)], expr())
+        index = take(grammar.var_width) % n_leaves
+        if index < grammar.variable_count:
+            return Var(index)
+        return Const(grammar.constant_pool[index - grammar.variable_count])
+
+    return expr(), pos
+
+
+def built_like_closure_tree(bits, grammar):
+    """(printed tree, key) of bits, once _build is found to give the closure
+    decoder's tree from the bits it reads, with expressions.complexity; None
+    for bits that _consumed refuses."""
+    used = _consumed(bits, grammar)
+    if used is None:
+        return None
+    tree, pos = closure_tree(bits, grammar)
+    prefix = _prefix(bits, used)
+    built, key, size = _build(prefix, grammar)
+    assert pos == used
+    assert built == tree and print_expr(built) == print_expr(tree)
+    assert size == complexity(tree)
+    # every codon read adds its width to the key, so it has the prefix's length
+    # exactly when the builder read the bits that _consumed counted
+    assert key.bit_length() == prefix.bit_length()
+    # a key is a prefix of codons in range that decodes alike, and its own key
+    from_key, key_of_key, _ = _build(key, grammar)
+    assert key_of_key == key and print_expr(from_key) == print_expr(tree)
+    return print_expr(tree), key
+
+
+def assert_keys_match_printed_forms(built):
+    # equal keys exactly when the printed forms are equal
+    prints = {p for p, _ in built}
+    assert len({k for _, k in built}) == len(prints) == len(set(built))
+    assert len(prints) < len(built)  # repeats occur
+
+
+@pytest.mark.parametrize("name", ["lotka_volterra", "simple_pendulum"])
+def test_build_matches_closure_tree_on_every_14_bit_genome(name):
+    grammar = grammar_for_system(name)
+    built = [built_like_closure_tree(b, grammar) for b in itertools.product((0, 1), repeat=14)]
+    built = [b for b in built if b is not None]
+    assert 2000 < len(built) < 2**14
+    assert_keys_match_printed_forms(built)
+
+
+@pytest.mark.parametrize("name, length", [("cart_pole", 60), ("lotka_volterra", 30)])
+def test_build_matches_closure_tree_on_seeded_genomes(name, length):
+    # 14 bits hold no binary node (it takes at least 15); these do
+    grammar = grammar_for_system(name)
+    draws = np.random.default_rng(19).integers(0, 2, size=(20_000, length), dtype=np.uint8)
+    built = [built_like_closure_tree(row.tobytes(), grammar) for row in draws]
+    built = [b for b in built if b is not None]
+    assert len(built) > 5000
+    assert any(p.startswith("(") and not p.startswith("(-") for p, _ in built)  # binary nodes
+    assert_keys_match_printed_forms(built)
+
+
+def test_build_keeps_signed_zero_constants_apart():
+    grammar = Grammar(variable_count=2, constant_pool=(0.0, -0.0, 1.0, 1.5))
+    # leaf codons 010 and 011 are pool entries 0 and 1
+    zero, key, _ = _build(_prefix(bits("10 010").bits, 5), grammar)
+    negative, negative_key, _ = _build(_prefix(bits("10 011").bits, 5), grammar)
+    assert (print_expr(zero), print_expr(negative)) == ("0.0", "(-0.0)")
+    assert key != negative_key
+    assert zero is grammar.leaves[2] and negative is grammar.leaves[3]
+    built = [built_like_closure_tree(b, grammar) for b in itertools.product((0, 1), repeat=10)]
+    pairs = {b for b in built if b is not None}
+    assert {"0.0", "(-0.0)"} <= {p for p, _ in pairs}
+    assert len({k for _, k in pairs}) == len(pairs)
+
+
+def test_build_shares_the_grammar_leaves():
+    grammar = grammar_for_system("lotka_volterra")
+    assert grammar.leaves == (Var(0), Var(1)) + tuple(map(Const, grammar.constant_pool))
+    tree = decode(bits("00 10 000 010 10 011 00000"), grammar)
+    assert tree.left is grammar.leaves[0] and tree.right is grammar.leaves[3]
 
 
 def test_random_genome_is_valid_and_seeded():

@@ -160,3 +160,25 @@ def test_expression_system_matches_per_call_reference():
         assert got.states.tobytes() == want.states.tobytes()
     for t, s in [(0.5, np.array([0.3, -1.2])), (1, [2, 0]), (0.0, (math.inf, 1.0))]:
         assert system.rhs(t, s).tobytes() == per_component_rhs(t, s).tobytes()
+
+
+@pytest.mark.parametrize(
+    "train_span, test_span",
+    [((0, 10), (20, 25)), ((0, 10), (5, 15)), ((0, 4), (10.0, 15.0))],
+    ids=["gap", "overlap", "old default after a shorter train span"],
+)
+def test_expression_system_refuses_a_test_span_that_does_not_start_at_the_train_end(
+    train_span, test_span
+):
+    # the test split is integrated on from the last train state, so a gap
+    # scored a time-dependent right-hand side on a trajectory it never made
+    with pytest.raises(ValueError, match=r"test_span must start where train_span ends, at "):
+        expression_system("decay", ["-0.5 * x1 + sin(t)"], [1.0], train_span, test_span)
+
+
+def test_expression_system_test_span_defaults_to_half_the_train_span_after_it():
+    assert expression_system("decay", ["-0.5 * x1"], [1.0]).test_span == (10.0, 15.0)
+    system = expression_system("decay", ["-0.5 * x1"], [1.0], train_span=(1, 5))
+    assert (system.train_span, system.test_span) == ((1.0, 5.0), (5.0, 7.0))
+    given = expression_system("decay", ["-0.5 * x1"], [1.0], (0, 4), (4, 20))
+    assert given.test_span == (4.0, 20.0)
