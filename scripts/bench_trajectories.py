@@ -12,8 +12,9 @@ fresh systems, so that no trajectory carries over from the run before.
 
 Every call to `integrate` is counted, through both the integrate module and
 the benchmark module, which binds its own name, together with the
-right-hand-side evaluations it makes and the bytes of the step record it
-returns (null where integrate keeps none). A call is distinct when no
+right-hand-side evaluations it makes, the bytes of the step record it
+returns (null where integrate keeps none) and whether it continued the
+steps of a shorter span (a `start` keyword; 0 where integrate takes none). A call is distinct when no
 earlier call of the same run had equal inputs: the same initial state,
 span, sample_dt and integrator config, and a right-hand side with the same
 code and captured values (so two systems built by one factory share
@@ -105,15 +106,18 @@ def run_with(sequence, function) -> None:
 def count_integrations(sequence) -> dict:
     """integrate calls of one run of sequence: in total, distinct, and
     distinct without sample_dt; the right-hand-side evaluations they make,
-    and the bytes of the step records they return."""
+    the bytes of the step records they return, and how many continued a
+    shorter span's steps."""
     keys = []
     alive = []  # keeps every rhs, so that no id in a key is reused
     evaluations = 0
     record_bytes = None
+    continued = 0
     original = integrate.integrate
 
-    def counting(rhs, x0, span, sample_dt, config=None):
-        nonlocal record_bytes
+    def counting(rhs, x0, span, sample_dt, config=None, **kwargs):
+        nonlocal record_bytes, continued
+        continued += "start" in kwargs
         alive.append(rhs)
         cfg = (config.rtol, config.atol, config.max_steps) if config else None
         x = np.array(x0, dtype=float).tobytes()
@@ -124,7 +128,7 @@ def count_integrations(sequence) -> dict:
             evaluations += 1
             return rhs(t, state)
 
-        traj = original(counted, x0, span, sample_dt, config)
+        traj = original(counted, x0, span, sample_dt, config, **kwargs)
         steps = getattr(traj, "steps", None)
         if steps is not None:
             record_bytes = (record_bytes or 0) + steps.nbytes
@@ -136,6 +140,7 @@ def count_integrations(sequence) -> dict:
         "distinct": len(set(keys)),
         "distinct_without_sample_dt": len({k[:3] + k[4:] for k in keys}),
         "rhs_evaluations": evaluations,
+        "continued": continued,
         "step_record_bytes": record_bytes,
     }
 
@@ -180,7 +185,7 @@ def main() -> None:
         print(
             f"{label} {name}: {c['total']} integrate calls, {c['distinct']} distinct, "
             f"{c['distinct_without_sample_dt']} without sample_dt, "
-            f"{c['rhs_evaluations']} rhs evaluations, "
+            f"{c['rhs_evaluations']} rhs evaluations, {c['continued']} continued, "
             f"{c['step_record_bytes']} step record bytes; "
             f"median {statistics.median(seconds[name]):.3f} s over {RUNS} runs, "
             f"{statistics.median(inside[name]):.3f} s inside integrate, "

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -69,17 +71,14 @@ class Scorer:
             return self._arrays[id(expr)]
         except KeyError:
             pass
-        values = _leaf(expr, self.ts, self.xs)
-        if type(expr) is Const:
-            finite = math.isfinite(expr.value)
-        else:
-            # a view, so that the caller's times and states stay writeable;
-            # checked as _finite checks a node
-            values = values.view()
-            finite = math.isfinite(values.dot(values)) or bool(np.isfinite(values).all())
-        values.setflags(write=False)
+        values = _finite_leaf(self.ts, self.xs, expr)
+        if values is not None:
+            if type(expr) is not Const:
+                # a view, so that the caller's times and states stay writeable
+                values = values.view()
+            values.setflags(write=False)
         self._held.append(expr)
-        self._arrays[id(expr)] = values = values if finite else None
+        self._arrays[id(expr)] = values
         return values
 
     def __call__(self, expr: Expr) -> float:
@@ -87,14 +86,32 @@ class Scorer:
         from one walk of expr that stops at the first node, leaves included,
         that is not finite at some row: the score is then +inf, and no nan
         is masked."""
-        with np.errstate(all="ignore"):
-            pred = finite_values(expr, self.leaf)
-            return math.inf if pred is None else _finite_rmse(pred, self.targets)
+        return _score(expr, self.leaf, self.targets)
+
+
+def _finite_leaf(ts: np.ndarray, xs: np.ndarray, expr: Expr) -> np.ndarray | None:
+    """_leaf(expr, ts, xs) if all its values are finite, else None; a state
+    or time column is checked as _finite checks a node."""
+    if type(expr) is Const:
+        return _leaf(expr, ts, xs) if math.isfinite(expr.value) else None
+    values = _leaf(expr, ts, xs)
+    finite = math.isfinite(values.dot(values)) or np.isfinite(values).all()
+    return values if finite else None
+
+
+def _score(expr: Expr, leaf: Callable[[Expr], np.ndarray | None], targets: np.ndarray) -> float:
+    """The score of expr, with its leaves' values from leaf (see finite_values)."""
+    with np.errstate(all="ignore"):
+        pred = finite_values(expr, leaf)
+        return math.inf if pred is None else _finite_rmse(pred, targets)
 
 
 def score(expr: Expr, times: np.ndarray, states: np.ndarray, targets: np.ndarray) -> float:
-    """Scorer(times, states, targets)(expr)."""
-    return Scorer(times, states, targets)(expr)
+    """Scorer(times, states, targets)(expr), bit for bit, for one
+    expression: its leaves are made where the walk meets them, and not
+    bound, made read-only or held."""
+    ts, xs = batch_inputs(times, states)
+    return _score(expr, partial(_finite_leaf, ts, xs), targets)
 
 
 def fitness(expr: Expr, data: RegressionDataset) -> float:

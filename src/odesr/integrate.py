@@ -2,13 +2,14 @@
 
 The solver keeps a PI-controlled step size and records each accepted
 step; a uniform sample grid is then filled from the steps' fifth-order
-dense interpolants. The step sequence does not depend on the grid, so
-trajectory files never depend on it either, and one integration can be
-sampled at any sample_dt. Failures (blowup, nan dynamics, step
-underflow, step budget) raise IntegrationError carrying the portion of
-the grid that was reached. shared_trajectory integrates each trajectory
-once per right-hand-side object, whatever the sample_dt; dataset
-splits, rollout truths and hybrid rollouts are read from it.
+dense interpolants, every grid point at once. The step sequence does not
+depend on the grid, so trajectory files never depend on it either, and
+one integration can be sampled at any sample_dt. Failures (blowup, nan
+dynamics, step underflow, step budget) raise IntegrationError carrying the
+portion of the grid that was reached. shared_trajectory integrates each
+trajectory once per right-hand-side object, whatever the sample_dt, and a
+longer span continues from the steps of a shorter one with the same
+start; dataset splits, rollout truths and hybrid rollouts are read from it.
 """
 
 from __future__ import annotations
@@ -115,6 +116,9 @@ class Trajectory:
     # integrate's accepted steps, one row each (see _accepted_steps), from
     # which _dense_output samples any grid of the span; None elsewhere
     steps: np.ndarray | None = field(default=None, compare=False, repr=False)
+    # integrate's loop state before its first step clipped to the span's
+    # end, from which a longer span continues (see _accepted_steps)
+    resume: tuple | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -209,6 +213,8 @@ def integrate(
     span: tuple[float, float],
     sample_dt: float,
     config: IntegratorConfig | None = None,
+    *,
+    start: tuple[np.ndarray, tuple] | None = None,
 ) -> Trajectory:
     """Integrate rhs over span and sample on a uniform grid.
 
@@ -216,7 +222,12 @@ def integrate(
     ndarray of the state's length, and returns the derivative as a
     sequence of the same length. The returned Trajectory also holds the
     accepted steps, from which shared_trajectory samples the span's other
-    grids.
+    grids, and the loop state from which a longer span continues.
+
+    start, which shared_trajectory passes, is the (steps, resume) of an
+    earlier integration of rhs with the same x0, span start and config over
+    a shorter span: the loop then resumes from that state, after those
+    steps, and takes the same steps as a fresh integration would.
     """
     cfg = config if config is not None else IntegratorConfig()
     t0, t1 = float(span[0]), float(span[1])
@@ -226,40 +237,71 @@ def integrate(
     x = np.array(x0, dtype=float)
     if x.ndim != 1 or not x.size or not np.all(np.isfinite(x)):
         raise ValueError("initial state must be a non-empty finite vector")
-    steps, failure = _accepted_steps(rhs, x, t0, t1, cfg)
+    if start is None:
+        steps, failure, resume = _accepted_steps(rhs, x, t0, t1, cfg)
+    else:
+        earlier, state = start
+        steps, failure, resume = _accepted_steps(rhs, x, t0, t1, cfg, state)
+        steps = np.concatenate((earlier[: state[0]], steps))
     states = _dense_output(steps, grid, x)
     if failure is not None:
         message, t = failure
         partial = Trajectory(grid[: len(states)].copy(), states)
         raise IntegrationError(message, t, partial)
-    return Trajectory(grid, states, steps)
+    return Trajectory(grid, states, steps, resume)
 
 
 def _accepted_steps(
-    rhs: RHS, x: np.ndarray, t0: float, t1: float, cfg: IntegratorConfig
-) -> tuple[np.ndarray, tuple[str, float] | None]:
-    """Step from (t0, x) to t1. Returns one row per accepted step, holding
-    what its dense output reads: t, h, t_new, the state x at t, and
-    q = k.T @ _P flattened; and the (message, time) of the failure that
-    stopped the loop, or None when it reached t1."""
+    rhs: RHS,
+    x: np.ndarray,
+    t0: float,
+    t1: float,
+    cfg: IntegratorConfig,
+    state: tuple | None = None,
+) -> tuple[np.ndarray, tuple[str, float] | None, tuple | None]:
+    """Step from (t0, x) to t1, or from a resume state of an integration
+    over a shorter span. Returns one row per accepted step, holding what
+    its dense output reads: t, h, t_new, the state x at t, and
+    q = k.T @ _P flattened; the (message, time) of the failure that
+    stopped the loop, or None when it reached t1; and the resume state.
+
+    Every attempt before the first one whose step is clipped to t1 is the
+    same for any later t1, so the resume state is the loop state at that
+    attempt: (rows before it, counting any a resumed loop was given, t, x,
+    f, the unclipped h, err_old, attempts before it). It is None when the
+    initial step was already clipped, since a longer span starts from a
+    larger one."""
     n = len(x)
     rows = array.array("d")
+    resume = None
 
     def record(failure=None):
-        return np.array(rows).reshape(-1, 3 + 5 * n), failure
+        return np.array(rows).reshape(-1, 3 + 5 * n), failure, resume
 
-    t = t0
-    f = np.asarray(rhs(t, x), dtype=float)
-    if not np.all(np.isfinite(f)):
-        return record(("dynamics not finite at initial state", t))
-    h = min(_initial_step(rhs, t, x, f, cfg), t1 - t0)
-    err_old = 1.0
+    if state is None:
+        t = t0
+        f = np.asarray(rhs(t, x), dtype=float)
+        if not np.all(np.isfinite(f)):
+            return record(("dynamics not finite at initial state", t))
+        h = _initial_step(rhs, t, x, f, cfg)
+        # a longer span would not clip this step
+        resumable = not h > t1 - t0
+        h = min(h, t1 - t0)
+        err_old = 1.0
+        done = steps = 0
+    else:
+        done, t, x, f, h, err_old, steps = state
+        resumable = True
     k = np.empty((7, n))
+    if done:
+        # after an accepted step f is k[6], so an attempt that is rejected
+        # leaves its last stage there as the next attempt's first
+        k[6] = f
+        f = k[6]
     # stage i: (its row of k, its node, its weights, the rows they weigh)
     stages = [(i, c, _A[i], k[:i]) for i, c in enumerate(_C.tolist()) if i]
     k6 = k[:6]
     xs = x.tolist()
-    steps = 0
     # the last grid point is t1 itself, so the grid is filled once t reaches it
     while t < t1:
         steps += 1
@@ -270,6 +312,11 @@ def _accepted_steps(
             return record((f"step size underflow (h={h:.3g})", t))
         reached_end = h >= t1 - t
         if reached_end:
+            if resumable:
+                # f may be k[6], which this attempt overwrites
+                count = done + len(rows) // (3 + 5 * n)
+                resume = (count, t, x, f.copy(), h, err_old, steps - 1)
+                resumable = False
             h = t1 - t
         k[0] = f
         for i, c, a, ki in stages:
@@ -300,28 +347,37 @@ def _accepted_steps(
 def _dense_output(steps: np.ndarray, grid: np.ndarray, x0: np.ndarray) -> np.ndarray:
     """The states at grid[0] (x0) and at every later grid point up to the
     last step's end. Each point is read from the first step that ends at or
-    after it, with that step's fifth-order interpolant."""
+    after it, with that step's fifth-order interpolant
+    x + h * (q @ theta**[1, 2, 3, 4]), theta clamped to [0, 1].
+
+    All points are filled in one pass of array operations, each the same
+    IEEE operation per point as a loop over the points would do; the
+    products q @ p are one stacked matmul, which takes the same BLAS
+    kernel as a single q @ p, so the states are that loop's bit for bit.
+    """
     n = len(x0)
-    # how many grid points lie at or before each step's end
-    ends = np.searchsorted(grid, steps[:, 2], side="right")
-    states = np.empty((ends[-1] if len(ends) else 1, n))
+    ends = steps[:, 2]
+    # the grid points at or before the last step's end
+    count = np.searchsorted(grid, ends[-1], side="right") if len(ends) else 1
+    points = grid[1:count]
+    # the step each point is read from. Only the columns read are gathered,
+    # each as it is used, and the products are scaled in place: the
+    # temporaries are the peak of a run's memory, and multiplication and
+    # addition commute bit for bit
+    read = np.searchsorted(ends, points, side="left")
+    h = steps[read, 1]
+    theta = np.minimum(np.maximum((points - steps[read, 0]) / h, 0.0), 1.0)
+    p = theta[:, None] ** _POWERS
+    qp = np.matmul(steps[read, 3 + n :].reshape(-1, n, 4), p[..., None])[..., 0]
+    qp *= h[:, None]
+    states = np.empty((count, n))
     states[0] = x0
-    gi = 1
-    # only the steps whose end passes a grid point are read
-    for j in np.flatnonzero(np.diff(ends, prepend=1)).tolist():
-        row, end = steps[j], int(ends[j])
-        t, h = row[:2].tolist()
-        x = row[3 : 3 + n]
-        q = row[3 + n :].reshape(n, 4)
-        while gi < end:
-            theta = min(max((grid[gi] - t) / h, 0.0), 1.0)
-            p = theta**_POWERS
-            states[gi] = x + h * (q @ p)
-            gi += 1
+    np.add(steps[read, 3 : 3 + n], qp, out=states[1:])
     return states
 
 
-# rhs object -> {inputs but sample_dt: (steps, {grid length: (times, states)})};
+# rhs object -> {inputs but the span's end and sample_dt: {bits of the span's
+# end: (span end, steps, resume state, {grid length: (times, states)})}};
 # entries die with the rhs
 _TRAJECTORIES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
@@ -338,38 +394,48 @@ def shared_trajectory(
 
     The accepted steps do not depend on the sample grid, so they are kept
     as long as rhs lives and each new sample_dt is read from their dense
-    output; rhs must therefore be a pure function of (t, x). Each call
-    returns a new Trajectory over the same read-only arrays. A failed
-    integration is not kept and fails again on the next call, at any
-    sample_dt. An rhs that cannot be weakly referenced, and inputs that
-    give no key (integrate then raises its own error), go to integrate on
-    every call.
+    output; rhs must therefore be a pure function of (t, x). A span that
+    extends a kept one (the same x0, span start and config, a later end)
+    continues from the longest such: integrate resumes from its loop state
+    and takes only the steps past its end, the same steps a fresh
+    integration would take. Each call returns a new Trajectory over the
+    same read-only arrays. A failed integration is not kept and fails
+    again on the next call, at any sample_dt. An rhs that cannot be weakly
+    referenced, and inputs that give no key (integrate then raises its own
+    error), go to integrate on every call.
     """
     try:
         memo = _TRAJECTORIES.setdefault(rhs, {})
         # the exact bits of every input integrate reads besides rhs and sample_dt
         cfg = config if config is not None else IntegratorConfig()
         x = np.array(x0, dtype=float)
-        floats = [float(v) for v in (span[0], span[1], cfg.rtol, cfg.atol)]
-        key = (x.shape, x.tobytes(), struct.pack("<4d", *floats), cfg.max_steps)
+        t0, t1, rtol, atol = (float(v) for v in (span[0], span[1], cfg.rtol, cfg.atol))
+        key = (x.shape, x.tobytes(), struct.pack("<3d", t0, rtol, atol), cfg.max_steps)
+        end = struct.pack("<d", t1)
     except (TypeError, ValueError):
         return integrate(rhs, x0, span, sample_dt, config)
-    entry = memo.get(key)
+    spans = memo.setdefault(key, {})
+    entry = spans.get(end)
     if entry is None:
+        shorter = [e for e in spans.values() if e[0] < t1 and e[2] is not None]
         # the module global, looked up now, so a wrapper sees each integration
-        traj = integrate(rhs, x0, span, sample_dt, config)
-        entry = memo[key] = (traj.steps, {})
+        if shorter:
+            _, steps, resume, _ = max(shorter, key=lambda e: e[0])
+            traj = integrate(rhs, x0, span, sample_dt, config, start=(steps, resume))
+        else:
+            traj = integrate(rhs, x0, span, sample_dt, config)
+        entry = spans[end] = (t1, traj.steps, traj.resume, {})
         arrays = (traj.times, traj.states)
     else:
         # an entry means span and x0 were valid, so only the grid can fail
-        grid = sample_grid(floats[0], floats[1], sample_dt)
-        arrays = entry[1].get(len(grid))
+        grid = sample_grid(t0, t1, sample_dt)
+        arrays = entry[3].get(len(grid))
         if arrays is not None:
             return Trajectory(*arrays)
-        arrays = (grid, _dense_output(entry[0], grid, x))
+        arrays = (grid, _dense_output(entry[1], grid, x))
     for a in arrays:
         a.flags.writeable = False
-    entry[1][len(arrays[0])] = arrays
+    entry[3][len(arrays[0])] = arrays
     return Trajectory(*arrays)
 
 

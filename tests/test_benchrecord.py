@@ -222,3 +222,30 @@ def test_bench_ga_counts_reach_the_functions_run_ga_calls(monkeypatch):
     assert counts["valid"] <= counts["draws"]
     assert counts["distinct_keys"] < counts["trees_built"] <= counts["valid"]
     assert counts["fitness_evaluations"] == counts["distinct_keys"]
+
+
+def test_bench_trajectories_counts_continued_integrations(monkeypatch):
+    # the counting wrapper forwards integrate's start keyword, and counts
+    # the integrations that continue a shorter span
+    monkeypatch.setitem(sys.modules, "benchrecord", benchrecord)
+    spec = importlib.util.spec_from_file_location(
+        "bench_trajectories", SCRIPTS / "bench_trajectories.py"
+    )
+    bench_trajectories = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_trajectories)
+    from odesr.benchmark import GROUND_TRUTH_EXPRESSIONS, rollout_with_estimate
+    from odesr.expressions import parse_expr
+    from odesr.integrate import make_trajectory
+    from odesr.systems import get_system
+
+    def sequence():
+        system = get_system("lotka_volterra")
+        truth = parse_expr(GROUND_TRUTH_EXPRESSIONS[system.name], system.variable_names)
+        make_trajectory(system, "train", 0.1)
+        # the truth over (0, 15) continues the train span; the hybrid cannot
+        rollout_with_estimate(truth, system, sample_dt=0.1)
+
+    counts = bench_trajectories.count_integrations(sequence)
+    assert counts["total"] == counts["distinct"] == 3
+    assert counts["continued"] == 1
+    assert counts["rhs_evaluations"] > 0 and counts["step_record_bytes"] > 0

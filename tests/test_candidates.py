@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_expressions import wide_exprs
 
-from odesr.benchmark import GROUND_TRUTH_EXPRESSIONS
+from odesr.benchmark import GROUND_TRUTH_EXPRESSIONS, run_fit
 from odesr.benchmark import test_error as held_out_error
 from odesr.candidates import Scorer, fitness, rmse, score
 from odesr.expressions import (
@@ -335,3 +335,16 @@ def test_test_error_matches_reference_on_the_truth(name):
     truth = np.array([system.rhs(t, s)[system.target_dim] for t, s in zip(times, states)])
     expected = reference_fitness(expr, times, states, truth)
     assert held_out_error(expr, system).hex() == expected.hex()
+
+
+@pytest.mark.parametrize("name", ["lotka_volterra", "simple_pendulum", "cart_pole"])
+def test_one_off_score_matches_a_scorer_on_a_sindy_fit(name):
+    # a SINDy fit holds many leaves, each met once; the one-off score makes
+    # them where it meets them and leaves the caller's arrays as they were
+    system = get_system(name)
+    data = make_dataset(system, 0.1, "train")
+    expr = parse_expr(run_fit("sindy", system, sample_dt=0.1)["expression"], system.variable_names)
+    got = score(expr, data.times, data.states, data.targets)
+    assert got.hex() == Scorer(data.times, data.states, data.targets)(expr).hex()
+    assert got.hex() == reference_fitness(expr, data.times, data.states, data.targets).hex()
+    assert data.times.flags.writeable and data.states.flags.writeable

@@ -786,3 +786,319 @@ def test_rhs_gets_a_float_time_and_a_float64_state():
     integrate(checking(lambda t, x: -x), [1, 2, 3], (0, 1), 0.5)
     integrate_fixed_step(checking(lambda t, x: -x), [1, 2, 3], (0, 1), 4)
     assert set(seen) == {(float, np.ndarray, np.dtype(np.float64), (3,))}
+
+
+# ------------------------------------------------- one-pass dense output
+
+
+def loop_dense_output(steps, grid, x0):
+    """_dense_output as a loop over the grid points, one interpolant at a
+    time: the reference for the one-pass version."""
+    n = len(x0)
+    ends = np.searchsorted(grid, steps[:, 2], side="right")
+    states = np.empty((ends[-1] if len(ends) else 1, n))
+    states[0] = x0
+    gi = 1
+    for j in np.flatnonzero(np.diff(ends, prepend=1)).tolist():
+        row, end = steps[j], int(ends[j])
+        t, h = row[:2].tolist()
+        x = row[3 : 3 + n]
+        q = row[3 + n :].reshape(n, 4)
+        while gi < end:
+            theta = min(max((grid[gi] - t) / h, 0.0), 1.0)
+            p = theta ** np.arange(1, 5)
+            states[gi] = x + h * (q @ p)
+            gi += 1
+    return states
+
+
+def random_steps(rng, n, m, t0):
+    """m step rows of an n-vector from t0: random h, state and q. Some
+    ends lie ulps past t + h, as a step clipped to t1 can, so that theta
+    exceeds 1 at a point on the end; some starts ulps past the end before,
+    so that theta is below 0 at a point in between."""
+    def up(a, ulps):
+        for _ in range(ulps):
+            a = np.nextafter(a, np.inf)
+        return a
+
+    h = rng.uniform(0.01, 0.3, m)
+    ends = t0 + np.cumsum(h)
+    ends = np.where(rng.random(m) < 0.3, up(ends, 4), ends)
+    starts = np.concatenate(([t0], ends[:-1]))
+    starts[1:] = np.where(rng.random(m - 1) < 0.3, up(starts[1:], 2), starts[1:])
+    x = rng.standard_normal((m, n)) * 10.0 ** rng.integers(-3, 4, (m, 1))
+    q = rng.standard_normal((m, 4 * n))
+    return np.column_stack((starts, h, ends, x, q))
+
+
+def assert_dense_output_matches_loop(steps, grid, x0):
+    got = integrate_module._dense_output(steps, grid, x0)
+    assert got.tobytes() == loop_dense_output(steps, grid, x0).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("n", [1, 2, 4, 9])
+def test_dense_output_matches_the_point_loop_on_random_steps(seed, n):
+    rng = np.random.default_rng([seed, n])
+    t0 = float(rng.uniform(-5.0, 5.0))
+    steps = random_steps(rng, n, int(rng.integers(1, 40)), t0)
+    x0 = rng.standard_normal(n)
+    end = steps[-1, 2]
+    for t1 in (end, end + 1.0, t0 + (end - t0) / 2, float(rng.uniform(t0, end))):
+        for points in (2, 3, 17, int(rng.integers(2, 500))):
+            assert_dense_output_matches_loop(steps, np.linspace(t0, t1, points), x0)
+    # points exactly at every step's start and end, and past the last one
+    grid = np.unique(np.concatenate((steps[:, :3:2].ravel(), [end + 0.5])))
+    assert_dense_output_matches_loop(steps, grid, x0)
+
+
+def test_dense_output_clamps_theta_as_the_point_loop():
+    rng = np.random.default_rng(7)
+    steps = random_steps(rng, 2, 200, 0.0)
+    # each step's start and end, and the point an ulp past each end
+    grid = np.unique(np.concatenate((steps[:, :3:2].ravel(), np.nextafter(steps[:, 2], np.inf))))
+    read = steps[np.searchsorted(steps[:, 2], grid[1:-1])]
+    theta = (grid[1:-1] - read[:, 0]) / read[:, 1]
+    assert (theta > 1).any() and (theta < 0).any()
+    assert_dense_output_matches_loop(steps, grid, rng.standard_normal(2))
+
+
+def test_dense_output_of_a_one_point_grid_is_the_initial_state():
+    rng = np.random.default_rng(1)
+    x0 = rng.standard_normal(3)
+    for steps in (random_steps(rng, 3, 5, 0.0), np.empty((0, 3 + 5 * 3))):
+        got = integrate_module._dense_output(steps, np.array([0.0]), x0)
+        assert got.tobytes() == x0.reshape(1, 3).tobytes()
+        assert_dense_output_matches_loop(steps, np.array([0.0]), x0)
+
+
+@pytest.mark.parametrize(
+    "rhs, x0, config",
+    [
+        (lambda t, x: x * x, [1.0], None),
+        (_nan_after_half, [0.0], None),
+        (lambda t, x: x * x, [1.0] * 9, None),
+        (lotka_volterra().rhs, [1.0, 1.0], IntegratorConfig(max_steps=5)),
+        (lotka_volterra().rhs, [1.0, 1.0], IntegratorConfig(max_steps=40)),
+        (lambda t, x: -x, [1.0, 0.0], IntegratorConfig(atol=0.0)),
+    ],
+    ids=["blowup", "nan", "blowup-9", "max_steps=5", "max_steps=40", "atol=0"],
+)
+@pytest.mark.parametrize("sample_dt", [0.1, 0.025])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_dense_output_matches_the_point_loop_on_partial_states(rhs, x0, config, sample_dt):
+    cfg = config if config is not None else IntegratorConfig()
+    x = np.array(x0, dtype=float)
+    steps, failure, _ = integrate_module._accepted_steps(rhs, x, 0.0, 2.0, cfg)
+    assert failure is not None
+    grid = sample_grid(0.0, 2.0, sample_dt)
+    assert_dense_output_matches_loop(steps, grid, x)
+    with pytest.raises(IntegrationError) as error:
+        integrate(rhs, x0, (0.0, 2.0), sample_dt, config)
+    reference = loop_dense_output(steps, grid, x)
+    assert error.value.partial.states.tobytes() == reference.tobytes()
+
+
+# --------------------------------------- a longer span continues a shorter
+
+
+@pytest.fixture
+def integrations(monkeypatch):
+    """Every call to the integrate module's integrate: its span, whether it
+    was given a start to continue from, and what it returned."""
+    calls = []
+    original = integrate_module.integrate
+
+    def watched(rhs, x0, span, *args, **kwargs):
+        call = {"span": tuple(span), "continued": "start" in kwargs, "result": None}
+        calls.append(call)
+        call["result"] = original(rhs, x0, span, *args, **kwargs)
+        return call["result"]
+
+    monkeypatch.setattr(integrate_module, "integrate", watched)
+    return calls
+
+
+def resume_bits(resume):
+    """A resume state as bits, so that -0.0, 0.0 and nan compare as bits."""
+    if resume is None:
+        return None
+    count, t, x, f, h, err_old, steps = resume
+    return (count, t.hex(), x.tobytes(), f.tobytes(), h.hex(), err_old.hex(), steps)
+
+
+def assert_same_integration(got, expected):
+    """Same grid, states, step rows and resume state, bit for bit."""
+    assert_same_bits(got, expected)
+    assert got.steps.tobytes() == expected.steps.tobytes()
+    assert resume_bits(got.resume) == resume_bits(expected.resume)
+
+
+def check_continues(integrations, rhs, x0, spans, sample_dt, config=None):
+    """shared_trajectory over each span in turn, on one rhs object: every
+    span after the first continues the one before it, is the fresh
+    integration of its span (step rows and resume state included) and
+    evaluates rhs only at the points the fresh one evaluates after the
+    shorter span's resume state."""
+    calls = []
+    shared_rhs = recording(rhs, calls)
+    for i, span in enumerate(spans):
+        before = len(calls)
+        got = shared_trajectory(shared_rhs, x0, span, sample_dt, config)
+        call = integrations[-1]
+        assert call["span"] == span
+        assert call["continued"] == (i > 0)
+        fresh_calls = []
+        fresh = integrate(recording(rhs, fresh_calls), x0, span, sample_dt, config)
+        assert_same_bits(got, fresh)
+        assert_same_integration(call["result"], fresh)
+        if i:
+            continued = calls[before:]
+            assert 0 < len(continued) < len(fresh_calls)
+            assert continued == fresh_calls[-len(continued) :]
+    assert len(integrations) == len(spans)
+    return shared_rhs
+
+
+@pytest.mark.parametrize("sample_dt", [0.1, 0.05, 0.025])
+@pytest.mark.parametrize(
+    "case", ["lotka_volterra", "simple_pendulum", "cart_pole", "pendulum_expr", "linear-9"]
+)
+def test_full_span_continues_the_train_span(integrations, case, sample_dt):
+    rhs, x0, span = _full_span_inputs(case)
+    # the train span (0, 10) of the full (0, 15), and (0, 3) of (0, 5)
+    shorter = (span[0], span[0] + round((span[1] - span[0]) * 2 / 3))
+    check_continues(integrations, rhs, x0, [shorter, span], sample_dt)
+
+
+def test_rollout_truth_continues_the_train_split(integrations):
+    sys = lotka_volterra()
+    truth = parse_expr(GROUND_TRUTH_EXPRESSIONS["lotka_volterra"], sys.variable_names)
+    held_out_error(truth, sys, 0.05)
+    result = rollout_with_estimate(truth, sys, sample_dt=0.05)
+    full = (sys.train_span[0], sys.test_span[1])
+    assert [(c["span"], c["continued"]) for c in integrations] == [
+        (sys.train_span, False),
+        (sys.test_span, False),
+        (full, True),
+        (full, False),
+    ]
+    fresh = integrate(sys.rhs, sys.initial_state, full, 0.05)
+    assert_same_bits(result.truth, fresh)
+
+
+def test_continuation_chain(integrations):
+    sys = cart_pole()
+    spans = [(0.0, 2.0), (0.0, 3.0), (0.0, 5.0)]
+    rhs = check_continues(integrations, sys.rhs, sys.initial_state, spans, 0.1)
+    # a span between kept ones continues from the longest shorter one
+    shared_trajectory(rhs, sys.initial_state, (0.0, 4.0), 0.1)
+    assert integrations[-1]["continued"]
+    assert_same_integration(
+        integrations[-1]["result"], integrate(sys.rhs, sys.initial_state, (0.0, 4.0), 0.1)
+    )
+
+
+def _decay(t, x):
+    return -x
+
+
+def test_no_continuation_after_a_clipped_initial_step(integrations):
+    short = shared_trajectory(_decay, [1.0], (0, 1e-6), 1e-6)
+    assert integrations[-1]["result"].resume is None
+    long = shared_trajectory(_decay, [1.0], (0, 1), 0.1)
+    assert [c["continued"] for c in integrations] == [False, False]
+    assert_same_bits(short, integrate(_decay, [1.0], (0, 1e-6), 1e-6))
+    assert_same_bits(long, integrate(_decay, [1.0], (0, 1), 0.1))
+    assert_same_integration(integrations[-1]["result"], integrate(_decay, [1.0], (0, 1), 0.1))
+
+
+def _quiet_then_rough(t, x):
+    # large steps until t = 1, after which the first step is rejected
+    return np.array([0.0 if t < 1.0 else 40.0 * math.cos(40.0 * t)])
+
+
+@pytest.mark.parametrize("t1", [1.0, 1.5, 2.25])
+def test_continuation_after_a_rejected_attempt_at_the_clip(integrations, t1):
+    short = integrate(_quiet_then_rough, [1.0], (0.0, t1), 0.25)
+    # the first attempt clipped to t1 was rejected: more than one step
+    # follows the resume state
+    assert len(short.steps) > short.resume[0] + 1
+    check_continues(integrations, _quiet_then_rough, [1.0], [(0.0, t1), (0.0, 3.0)], 0.25)
+
+
+def _continued_failure(rhs, x0, short, long, sample_dt, config):
+    """shared_trajectory over short, then the IntegrationError of long,
+    checked against a fresh integration's."""
+    shared_trajectory(rhs, x0, short, sample_dt, config)
+    with pytest.raises(IntegrationError) as got:
+        shared_trajectory(rhs, x0, long, sample_dt, config)
+    with pytest.raises(IntegrationError) as fresh:
+        integrate(rhs, x0, long, sample_dt, config)
+    assert str(got.value) == str(fresh.value)
+    assert got.value.last_time.hex() == fresh.value.last_time.hex()
+    assert_same_bits(got.value.partial, fresh.value.partial)
+    return got.value
+
+
+@pytest.mark.parametrize("before_end", [0, 1, 5, 60])
+def test_max_steps_exceeded_in_the_continued_part(integrations, before_end):
+    sys = lotka_volterra()
+    x0 = sys.initial_state
+    short = integrate(sys.rhs, x0, (0.0, 10.0), 0.1)
+    long = integrate(sys.rhs, x0, (0.0, 15.0), 0.1)
+    # the attempts the short span makes are fewer than any budget below
+    budget = long.resume[6] - before_end
+    assert budget > short.resume[6] + 1
+    config = IntegratorConfig(max_steps=budget)
+    error = _continued_failure(sys.rhs, x0, (0.0, 10.0), (0.0, 15.0), 0.1, config)
+    assert str(error).startswith(f"exceeded max_steps={budget} ")
+    assert [c["continued"] for c in integrations] == [False, True]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_failed_short_span_then_a_longer_one(integrations):
+    def blowup(t, x):
+        return x * x
+
+    with pytest.raises(IntegrationError):
+        shared_trajectory(blowup, [0.5], (0.0, 3.0), 0.1)
+    with pytest.raises(IntegrationError) as got:
+        shared_trajectory(blowup, [0.5], (0.0, 4.0), 0.1)
+    with pytest.raises(IntegrationError) as fresh:
+        integrate(blowup, [0.5], (0.0, 4.0), 0.1)
+    assert str(got.value) == str(fresh.value)
+    assert_same_bits(got.value.partial, fresh.value.partial)
+    # a span that fails is not kept, and one that succeeds starts afresh
+    shared_trajectory(blowup, [0.5], (0.0, 1.0), 0.1)
+    assert [c["continued"] for c in integrations] == [False, False, False]
+
+
+def test_longer_span_first_does_not_continue(integrations):
+    sys = simple_pendulum()
+    x0 = sys.initial_state
+    shared_trajectory(sys.rhs, x0, (0.0, 15.0), 0.1)
+    shorter = shared_trajectory(sys.rhs, x0, (0.0, 10.0), 0.1)
+    assert [c["continued"] for c in integrations] == [False, False]
+    assert_same_bits(shorter, integrate(sys.rhs, x0, (0.0, 10.0), 0.1))
+
+
+def test_other_inputs_never_continue(integrations):
+    sys = lotka_volterra()
+
+    def trajectory(x0=(1.0, 1.0), span=(0.0, 3.0), config=None):
+        got = shared_trajectory(sys.rhs, x0, span, 0.1, config)
+        assert_same_bits(got, integrate(sys.rhs, x0, span, 0.1, config))
+
+    trajectory(span=(0.0, 2.0))
+    trajectory(x0=(1.0, 2.0))
+    trajectory(x0=(1.0, -0.0))
+    trajectory(span=(0.5, 3.0))
+    trajectory(config=IntegratorConfig(rtol=1e-9))
+    trajectory(config=IntegratorConfig(atol=1e-11))
+    trajectory(config=IntegratorConfig(max_steps=999_999))
+    assert not any(c["continued"] for c in integrations)
+    # the inputs of the first span, with a later end, do continue
+    trajectory()
+    assert integrations[-1]["continued"]
