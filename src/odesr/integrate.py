@@ -293,11 +293,6 @@ def _accepted_steps(
         done, t, x, f, h, err_old, steps = state
         resumable = True
     k = np.empty((7, n))
-    if done:
-        # after an accepted step f is k[6], so an attempt that is rejected
-        # leaves its last stage there as the next attempt's first
-        k[6] = f
-        f = k[6]
     # stage i: (its row of k, its node, its weights, the rows they weigh)
     stages = [(i, c, _A[i], k[:i]) for i, c in enumerate(_C.tolist()) if i]
     k6 = k[:6]
@@ -313,7 +308,6 @@ def _accepted_steps(
         reached_end = h >= t1 - t
         if reached_end:
             if resumable:
-                # f may be k[6], which this attempt overwrites
                 count = done + len(rows) // (3 + 5 * n)
                 resume = (count, t, x, f.copy(), h, err_old, steps - 1)
                 resumable = False
@@ -334,7 +328,7 @@ def _accepted_steps(
         t_new = t1 if reached_end else t + h
         rows.extend((t, h, t_new, *xs))
         rows.frombytes((k.T @ _P).tobytes())
-        t, x, xs, f = t_new, x_new, xs_new, k[6]
+        t, x, xs, f = t_new, x_new, xs_new, k[6].copy()
         if err_norm == 0.0:
             factor = _MAX_FACTOR
         else:

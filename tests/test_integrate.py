@@ -153,6 +153,19 @@ def test_nan_rhs_truncates():
     assert err.value.last_time <= 0.6
 
 
+def test_rejected_attempts_restart_from_the_slope_at_the_accepted_state():
+    # a rejected attempt overwrites the last stage; the next attempt must
+    # still start from f(t, x). The slope switches on at t = 1, so large
+    # steps from the smooth part are rejected there many times
+    def rhs(t, x):
+        return np.array([0.0 if t < 1.0 else 40.0 * math.cos(40.0 * t)])
+
+    traj = integrate(rhs, [1.0], (0.0, 3.0), 0.25)
+    t = traj.times
+    exact = np.where(t < 1.0, 1.0, 1.0 + np.sin(40.0 * t) - math.sin(40.0))
+    assert np.max(np.abs(traj.states[:, 0] - exact)) < 1e-6
+
+
 # Both inputs below used to give a nan first step that no step-size test
 # caught, so integrate spun until the default max_steps (1,000,000).
 
@@ -550,7 +563,7 @@ def reference_integrate(rhs, x0, span, sample_dt, config=None):
                 p = theta ** np.arange(1, 5)
                 states[gi] = x + h * (q @ p)
                 gi += 1
-        t, x, f = t_new, x_new, k[6]
+        t, x, f = t_new, x_new, k[6].copy()
         if err_norm == 0.0:
             factor = _MAX_FACTOR
         else:
