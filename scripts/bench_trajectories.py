@@ -26,6 +26,12 @@ the part of them spent inside `integrate` and the minor page faults:
 raw figures on the host as it ran. Each run's seconds calibrated against
 host speed (see benchrecord.timed_passes) are recorded with them.
 
+The right-hand sides of hybrid rollouts are timed on their own: for each
+benchmark system, the compiled ground-truth expression (`compile_scalar`)
+and the hybrid right-hand side that `rollout_with_estimate` integrates, at
+the system's initial state and t = 0.5. Each pass makes CALLS calls of
+each, and the record holds the raw and calibrated microseconds per call.
+
 The result is appended to BENCH_trajectories.json in the working directory
 under `--label` (see benchrecord.py): run the script once with PYTHONPATH
 pointing at each commit's `src/`.
@@ -47,7 +53,7 @@ from odesr.benchmark import (
     run_fit,
     test_error,
 )
-from odesr.expressions import parse_expr
+from odesr.expressions import compile_scalar, parse_expr
 from odesr.sindy import preset_basis
 from odesr.systems import SYSTEM_NAMES, expression_system, get_system
 
@@ -58,6 +64,7 @@ SCORE_DTS = (0.1, 0.05, 0.025)
 BINDINGS = (integrate, benchmark)
 # the pendulum as expression strings, as in perfbench's score workload
 PENDULUM_EXPR = ("theta2", "-0.1 * theta2 - 9.81 * sin(theta1)")
+CALLS = 20_000  # right-hand-side calls per timed pass
 
 
 def score() -> None:
@@ -77,6 +84,29 @@ def score() -> None:
             test_error(truth, system, sample_dt)
             rollout_with_estimate(truth, system, sample_dt=sample_dt)
         run_fit("sindy", pendulum_expr, sample_dt=sample_dt, basis=basis)
+
+
+def rhs_calls() -> dict:
+    """For each benchmark system, CALLS calls of its compiled truth
+    expression and of the hybrid right-hand side built from it."""
+    work = {}
+    for name in SYSTEM_NAMES:
+        system = get_system(name)
+        truth = parse_expr(GROUND_TRUTH_EXPRESSIONS[name], system.variable_names)
+        x = np.array(system.initial_state)
+        for kind, rhs in (
+            ("truth", compile_scalar(truth)),
+            ("hybrid", benchmark._hybrid_rhs(system, truth)),
+        ):
+            work[f"{name}/{kind}"] = partial(call_repeatedly, rhs, x, system)
+    return work
+
+
+def call_repeatedly(rhs, x, system) -> None:
+    """CALLS calls of rhs at (0.5, x). The system is passed along because a
+    hybrid holds its true right-hand side only by a weak reference."""
+    for _ in range(CALLS):
+        rhs(0.5, x)
 
 
 def rhs_key(rhs) -> tuple:
@@ -191,6 +221,18 @@ def main() -> None:
             f"{statistics.median(inside[name]):.3f} s inside integrate, "
             f"{statistics.median(faults[name]):.0f} minor faults"
         )
+
+    seconds, _, _, calibrated = timed_passes(rhs_calls())
+    per_call = {}
+    for name in seconds:
+        raw_us = [s / CALLS * 1e6 for s in seconds[name]]
+        per_call[name] = {
+            "us_per_call": summary(raw_us),
+            "calibrated_us_per_call": calibrated
+            and summary([s / CALLS * 1e6 for s in calibrated[name]]),
+        }
+        print(f"{label} {name}: median {statistics.median(raw_us):.2f} us per call")
+    results["rhs_calls"] = per_call
 
     save(OUT, label, results)
 

@@ -6,13 +6,14 @@ where a subexpression leaves the reals (log of a non-positive value,
 division by zero, overflow, a fractional power of a negative base)
 evaluates to nan, and nan propagates to the root.  Callers treat nan
 as "invalid here" rather than catching exceptions.  For one point at a
-time (an ODE right-hand side), compile_scalar turns a tree into nested
-closures over Python floats that follow the same rules bit for bit.
+time (an ODE right-hand side), compile_scalar generates the source of one
+Python function over floats, with a local per distinct inner node, that
+follows the same rules bit for bit; compile_components does the same for
+the components of a system.
 """
 
 from __future__ import annotations
 
-import operator
 import re
 from dataclasses import dataclass
 from math import isfinite, nan
@@ -111,9 +112,11 @@ def batch_inputs(times, states) -> tuple[np.ndarray, np.ndarray]:
 
 
 def evaluate(expr: Expr, t: float, x: Sequence[float]) -> float:
-    """Scalar evaluation; nan marks an invalid point.  To evaluate one
-    tree at many points, compile it once with compile_scalar."""
-    return compile_scalar(expr)(t, x)
+    """Scalar evaluation; nan marks an invalid point.  It is
+    evaluate_batch at one point, which costs less than generating
+    compile_scalar's source; to evaluate one tree at many points one at a
+    time, compile it once with compile_scalar."""
+    return float(evaluate_batch(expr, [t], [x])[0])
 
 
 def _contain(out: np.ndarray, *parents: np.ndarray) -> np.ndarray:
@@ -137,7 +140,7 @@ def _contain(out: np.ndarray, *parents: np.ndarray) -> np.ndarray:
 
 
 def _int_pow(base, n: int):
-    # arrays in _eval, finite floats in compile_scalar (n != 0 there)
+    # on arrays; compile_scalar's source writes out the same products
     if n == 0:
         return np.ones_like(base)
     out = base
@@ -168,10 +171,7 @@ def _leaf(expr: Expr, ts: np.ndarray, xs: np.ndarray) -> np.ndarray:
         return out
     if isinstance(expr, Var):
         if expr.index >= xs.shape[1]:
-            raise ValueError(
-                f"variable index {expr.index} out of range for "
-                f"state dimension {xs.shape[1]}"
-            )
+            raise _out_of_range((expr.index,), xs.shape[1])
         return xs[:, expr.index]
     return ts
 
@@ -259,108 +259,20 @@ def _check_indices(expr: Expr, leaf: Callable[[Expr], np.ndarray | None]) -> Non
 
 # ----------------------------------------------------------- scalar compile
 
-# float versions of BINARY_UFUNC; ZeroDivisionError stands for numpy's
-# +-inf or nan, which _contain turns into nan
-_SCALAR_BINARY = {
-    "add": operator.add,
-    "sub": operator.sub,
-    "mul": operator.mul,
-    "div": operator.truediv,
-}
-
 # arguments on which each unary ufunc raises no floating-point exception
-# (sin underflows on subnormals); any other argument is evaluated under
-# errstate, as in evaluate_batch, so the value is the ufunc's either way
-_TINY = float(np.finfo(float).tiny)
-_QUIET_ARG = {
-    "sin": lambda a: a == 0.0 or abs(a) >= _TINY,
-    "cos": lambda a: True,
-    "log": lambda a: a > 0.0,
-    "exp": lambda a: -708.0 < a < 709.0,
+# (sin underflows on subnormals), as source over the argument {a}; any other
+# argument is evaluated under errstate, as in evaluate_batch, so the value
+# is the ufunc's either way. cos raises on no finite argument
+_QUIET_TEST = {
+    "sin": "{a} == 0.0 or abs({a}) >= tiny",
+    "log": "{a} > 0.0",
+    "exp": "-708.0 < {a} < 709.0",
 }
 
 
-def compile_scalar(expr: Expr) -> Callable[[float, Sequence[float]], float]:
-    """Compile expr once into a function of (t, x) at one point.
-
-    Each node becomes a closure over Python floats that keeps _eval's
-    rules: the same ufuncs for unary ops, IEEE arithmetic, _int_pow's
-    multiplication order, and nan wherever an operand or a result is not
-    finite.  The function returns evaluate_batch(expr, [t], [x])[0] bit
-    for bit without building an array per node.
-    """
-    node = _compile(expr)
-
-    def scalar(t: float, x: Sequence[float]) -> float:
-        return node(float(t), np.asarray(x, dtype=float).ravel().tolist())
-
-    return scalar
-
-
-def _compile(expr: Expr) -> Callable[[float, list[float]], float]:
-    if isinstance(expr, Const):
-        value = expr.value
-        return lambda t, xs: value
-    if isinstance(expr, Var):
-        index = expr.index
-
-        def var(t, xs):
-            try:
-                return xs[index]
-            except IndexError:
-                raise ValueError(
-                    f"variable index {index} out of range for "
-                    f"state dimension {len(xs)}"
-                ) from None
-
-        return var
-    if isinstance(expr, Time):
-        return lambda t, xs: t
-    if isinstance(expr, Unary):
-        arg = _compile(expr.arg)
-        if expr.op == "identity":
-            return arg
-        ufunc, quiet = UNARY_UFUNC[expr.op], _QUIET_ARG[expr.op]
-
-        def unary(t, xs):
-            a = arg(t, xs)
-            if not isfinite(a):
-                return nan
-            if quiet(a):
-                out = float(ufunc(a))
-            else:
-                with np.errstate(all="ignore"):
-                    out = float(ufunc(a))
-            return out if isfinite(out) else nan
-
-        return unary
-    left, right = _compile(expr.left), _compile(expr.right)
-    op = _scalar_binary(expr)
-
-    def binary(t, xs):
-        # both sides run first, so an out-of-range Var raises as in _eval
-        l = left(t, xs)
-        r = right(t, xs)
-        if not (isfinite(l) and isfinite(r)):
-            return nan
-        try:
-            out = op(l, r)
-        except ZeroDivisionError:
-            return nan
-        return out if isfinite(out) else nan
-
-    return binary
-
-
-def _scalar_binary(expr: Binary) -> Callable[[float, float], float]:
-    if expr.op != "pow":
-        return _SCALAR_BINARY[expr.op]
-    n = _int_exponent(expr)
-    if n is None:
-        return _power
-    if n == 0:
-        return lambda l, r: 1.0  # _int_pow's ones_like, as a float
-    return lambda l, r: _int_pow(l, n)
+def _quietly(ufunc, a: float) -> float:
+    with np.errstate(all="ignore"):
+        return float(ufunc(a))
 
 
 def _power(l: float, r: float) -> float:
@@ -369,6 +281,209 @@ def _power(l: float, r: float) -> float:
     # bit can differ from the power loop's
     with np.errstate(all="ignore"):
         return float(np.power(np.array([l]), np.array([r]))[0])
+
+
+def _out_of_range(indices: tuple[int, ...], size: int) -> ValueError:
+    """The error for the first of indices that a state of size values lacks."""
+    index = next(i for i in indices if i >= size)
+    return ValueError(
+        f"variable index {index} out of range for state dimension {size}"
+    )
+
+
+# the globals of every generated function, before its constants
+_GLOBALS = {
+    "array": np.array,
+    "asarray": np.asarray,
+    "isfinite": isfinite,
+    "nan": nan,
+    "out_of_range": _out_of_range,
+    "power": _power,
+    "quietly": _quietly,
+    "tiny": float(np.finfo(float).tiny),
+    **UNARY_UFUNC,
+}
+
+
+def compile_scalar(expr: Expr) -> Callable[[float, Sequence[float]], float]:
+    """Compile expr once into a function of (t, x) at one point.
+
+    The function is generated Python source with one local per distinct
+    inner node, and keeps _eval's rules: the same ufuncs for unary ops, IEEE
+    arithmetic, _int_pow's multiplication order, and nan wherever an
+    operand or a result is not finite.  It returns
+    evaluate_batch(expr, [t], [x])[0] bit for bit, and raises its
+    ValueError for an out-of-range Var, without an array per node.
+    Generating the source costs hundreds of calls, so a tree needed at a
+    few points only is cheaper to evaluate with evaluate_batch.
+    """
+    return _generate([expr], vector=False)
+
+
+def compile_components(
+    exprs: Sequence[Expr],
+) -> Callable[[float, Sequence[float]], np.ndarray]:
+    """One generated function of (t, x) that returns the array of
+    compile_scalar(e)(t, x) for e in exprs, bit for bit, converting the
+    state once per call."""
+    return _generate(exprs, vector=True)
+
+
+def _generate(exprs: Sequence[Expr], vector: bool) -> Callable:
+    """The function of (t, x) that compile_scalar (exprs holds one tree) or
+    compile_components returns.
+
+    Its source reads every state value a tree uses, in _eval's order, then
+    computes each tree's inner nodes into locals, leaving a tree at its
+    first node that is not finite: a function of one tree returns nan, and
+    a component breaks out of a loop that runs once with nan as its value.
+    """
+    source = _Source()
+    body, values = [], []
+    for i, expr in enumerate(exprs):
+        fail = (f"y{i} = nan", "break") if vector else ("return nan",)
+        lines, value = source.tree(expr, fail)
+        if vector and lines:
+            body += ["while True:", *(f"    {line}" for line in lines)]
+            body += [f"    y{i} = {value}", "    break"]
+            value = f"y{i}"
+        else:
+            body += lines
+        values.append(value)
+    head = ["t = float(t)", "xs = asarray(x, dtype=float).ravel().tolist()"]
+    if source.reads:
+        # every Var is read before any node is evaluated, so an out-of-range
+        # one raises even where an earlier node is not finite
+        head += [
+            "try:",
+            *(f"    {name} = xs[{index}]" for index, name in source.reads.items()),
+            "except IndexError:",
+            f"    raise out_of_range({tuple(source.reads)}, len(xs)) from None",
+        ]
+    tail = f"return array([{', '.join(values)}])" if vector else f"return {values[0]}"
+    code = "".join(f"    {line}\n" for line in (*head, *body, tail))
+    exec(compile(f"def generated(t, x):\n{code}", "<generated>", "exec"), source.env)
+    return source.env["generated"]
+
+
+class _Source:
+    """What the trees of one generated function share: its globals, with a
+    name per constant, the state values it reads, by index in _eval's
+    order, and a count of its locals."""
+
+    def __init__(self):
+        self.env = dict(_GLOBALS)
+        self.reads: dict[int, str] = {}
+        self.nodes = 0
+
+    def leaf(self, expr: Expr) -> str:
+        if type(expr) is Const:
+            # bound by name, never printed, so nan, -0.0 and every bit survive
+            name = f"c{len(self.env) - len(_GLOBALS)}"
+            self.env[name] = expr.value
+            return name
+        if type(expr) is Var:
+            return self.reads.setdefault(expr.index, f"v{expr.index}")
+        return "t"
+
+    def tree(self, expr: Expr, fail: tuple[str, ...]) -> tuple[list[str], str]:
+        """The lines that compute expr and the name of its value. The lines
+        run fail at the first node that is not finite; a leaf at the root,
+        under identity nodes only, is the value as it is."""
+        root = _unwrap(expr)
+        if type(root) not in (Unary, Binary):
+            return [], self.leaf(root)
+        leaves = list(_leaves(root))
+        if any(type(leaf) is Const and not isfinite(leaf.value) for leaf in leaves):
+            # every node above a non-finite constant is nan
+            for leaf in leaves:
+                if type(leaf) is Var:
+                    self.leaf(leaf)
+            return [], "nan"
+        lines: list[str] = []
+        checked: set[str] = set()
+        # an inner node equal to one computed before reuses its local: its
+        # value is the same bits, and was found finite. Each constant has a
+        # name of its own, so 0.0 and -0.0 never count as equal
+        done: dict[tuple, str] = {}
+
+        def fail_if(condition: str) -> None:
+            lines.append(f"if {condition}:")
+            lines.extend(f"    {line}" for line in fail)
+
+        def node(expr: Expr) -> str:
+            expr = _unwrap(expr)
+            kind = type(expr)
+            if kind not in (Unary, Binary):
+                name = self.leaf(expr)
+                if kind is not Const and name not in checked:
+                    checked.add(name)
+                    fail_if(f"not isfinite({name})")
+                return name
+            if kind is Unary:
+                key = (expr.op, node(expr.arg), None)
+            elif expr.op == "pow" and (n := _int_exponent(expr)) is not None:
+                key = ("int_pow", node(expr.left), n)
+            else:
+                key = (expr.op, node(expr.left), node(expr.right))
+            if key in done:
+                return done[key]
+            out = done[key] = self.local()
+            op, a, b = key
+            if kind is Unary:
+                call = f"float({op}({a}))"
+                if op in _QUIET_TEST:
+                    lines.append(f"if {_QUIET_TEST[op].format(a=a)}:")
+                    lines.append(f"    {out} = {call}")
+                    lines.append("else:")
+                    lines.append(f"    {out} = quietly({op}, {a})")
+                else:
+                    lines.append(f"{out} = {call}")
+                if op in ("sin", "cos"):
+                    return out  # finite, as its argument is
+            elif op == "pow":
+                lines.append(f"{out} = power({a}, {b})")
+            elif op == "int_pow":
+                if b == 0:
+                    lines.append(f"{out} = 1.0")  # _int_pow's ones_like, as a float
+                    return out
+                # _int_pow's order, ((a * a) * a) * ..., then 1.0 / that
+                lines.append(f"{out} = {' * '.join([a] * abs(b))}")
+                if b < 0:
+                    fail_if(f"{out} == 0.0")
+                    lines.append(f"{out} = 1.0 / {out}")
+            else:
+                if op == "div":
+                    # a zero divisor raises ZeroDivisionError where numpy
+                    # gives +-inf or nan
+                    fail_if(f"{b} == 0.0")
+                lines.append(f"{out} = {a} {_BINARY_SYMBOL[op]} {b}")
+            fail_if(f"not isfinite({out})")
+            return out
+
+        return lines, node(root)
+
+    def local(self) -> str:
+        self.nodes += 1
+        return f"n{self.nodes}"
+
+
+def _unwrap(expr: Expr) -> Expr:
+    """expr without the identity nodes at its top, which return their argument."""
+    while type(expr) is Unary and expr.op == "identity":
+        expr = expr.arg
+    return expr
+
+
+def _leaves(expr: Expr):
+    """The leaves of expr in _eval's order."""
+    if type(expr) is Unary:
+        yield from _leaves(expr.arg)
+    elif type(expr) is Binary:
+        yield from _leaves(expr.left)
+        yield from _leaves(expr.right)
+    else:
+        yield expr
 
 
 # ---------------------------------------------------------------- complexity

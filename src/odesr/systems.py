@@ -141,7 +141,7 @@ def expression_system(
     The test split is integrated on from the last train state, so
     test_span must start where train_span ends; without one it lasts half
     as long as the train span, as for the built-in systems."""
-    from .expressions import _compile, parse_expr
+    from .expressions import compile_components, parse_expr
 
     rhs_strings = tuple(rhs_strings)
     k = len(rhs_strings)
@@ -173,19 +173,11 @@ def expression_system(
             f"test_span must start where train_span ends, at {train_span[1]}, got {test_span}"
         )
 
-    # compile_scalar's per-point functions, sharing one conversion of the
-    # state per call
-    nodes = tuple(_compile(e) for e in exprs)
-
-    def rhs(t: float, s: np.ndarray) -> np.ndarray:
-        t, xs = float(t), np.asarray(s, dtype=float).ravel().tolist()
-        return np.array([node(t, xs) for node in nodes])
-
     return SystemSpec(
         name=name,
         dim=k,
         params={},
-        rhs=rhs,
+        rhs=compile_components(exprs),
         initial_state=initial_state,
         train_span=train_span,
         test_span=test_span,

@@ -1,4 +1,5 @@
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from odesr.expressions import (
     BINARY_OPS,
     UNARY_OPS,
+    UNARY_UFUNC,
     Binary,
     Const,
     ParseError,
@@ -15,6 +17,10 @@ from odesr.expressions import (
     Unary,
     Var,
     _contain,
+    _int_exponent,
+    _int_pow,
+    _power,
+    compile_components,
     compile_scalar,
     complexity,
     evaluate,
@@ -23,7 +29,7 @@ from odesr.expressions import (
     print_expr,
 )
 from odesr.genomes import decode, grammar_for_system, random_genome
-from odesr.systems import SYSTEM_NAMES
+from odesr.systems import SYSTEM_NAMES, expression_system
 
 PEND_NAMES = ("theta1", "theta2")
 
@@ -273,6 +279,237 @@ def test_compiled_var_out_of_range_raises_like_batch():
     with pytest.raises(ValueError) as scalar_err:
         compile_scalar(e)(0.0, [1.0, 2.0])
     assert str(scalar_err.value) == str(batch_err.value)
+
+
+# A closure per node, as compile_scalar built them before it generated
+# source: the reference for the generated functions.
+
+_SCALAR_BINARY = {
+    "add": operator.add,
+    "sub": operator.sub,
+    "mul": operator.mul,
+    "div": operator.truediv,
+}
+_TINY = float(np.finfo(float).tiny)
+_QUIET_ARG = {
+    "sin": lambda a: a == 0.0 or abs(a) >= _TINY,
+    "cos": lambda a: True,
+    "log": lambda a: a > 0.0,
+    "exp": lambda a: -708.0 < a < 709.0,
+}
+
+
+def closure_compile(expr):
+    node = closure_node(expr)
+
+    def scalar(t, x):
+        return node(float(t), np.asarray(x, dtype=float).ravel().tolist())
+
+    return scalar
+
+
+def closure_node(expr):
+    if isinstance(expr, Const):
+        value = expr.value
+        return lambda t, xs: value
+    if isinstance(expr, Var):
+        index = expr.index
+
+        def var(t, xs):
+            try:
+                return xs[index]
+            except IndexError:
+                raise ValueError(
+                    f"variable index {index} out of range for "
+                    f"state dimension {len(xs)}"
+                ) from None
+
+        return var
+    if isinstance(expr, Time):
+        return lambda t, xs: t
+    if isinstance(expr, Unary):
+        arg = closure_node(expr.arg)
+        if expr.op == "identity":
+            return arg
+        ufunc, quiet = UNARY_UFUNC[expr.op], _QUIET_ARG[expr.op]
+
+        def unary(t, xs):
+            a = arg(t, xs)
+            if not math.isfinite(a):
+                return math.nan
+            if quiet(a):
+                out = float(ufunc(a))
+            else:
+                with np.errstate(all="ignore"):
+                    out = float(ufunc(a))
+            return out if math.isfinite(out) else math.nan
+
+        return unary
+    left, right = closure_node(expr.left), closure_node(expr.right)
+    op = closure_binary(expr)
+
+    def binary(t, xs):
+        # both sides run first, so an out-of-range Var raises as in _eval
+        l = left(t, xs)
+        r = right(t, xs)
+        if not (math.isfinite(l) and math.isfinite(r)):
+            return math.nan
+        try:
+            out = op(l, r)
+        except ZeroDivisionError:
+            return math.nan
+        return out if math.isfinite(out) else math.nan
+
+    return binary
+
+
+def closure_binary(expr):
+    if expr.op != "pow":
+        return _SCALAR_BINARY[expr.op]
+    n = _int_exponent(expr)
+    if n is None:
+        return _power
+    if n == 0:
+        return lambda l, r: 1.0
+    return lambda l, r: _int_pow(l, n)
+
+
+def assert_generated_matches_closures(e, points):
+    """compile_scalar(e) against the closures, bit for bit, at (t, x) points,
+    with floating-point errors raising."""
+    generated, reference = compile_scalar(e), closure_compile(e)
+    with np.errstate(all="raise"):
+        for t, x in points:
+            got, want = generated(t, x), reference(t, x)
+            assert type(got) is float
+            assert same_bits(got, want), (print_expr(e), t, x, got, want)
+
+
+GRAMMAR_POINT_VALUES = (
+    0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+    1e200, -1e200, 1.0, -1.0, 1.5, -3.0, 0.5, 2.5, 709.5, -745.5,
+)
+
+
+@pytest.mark.parametrize("name", ["lotka_volterra", "simple_pendulum"])
+def test_generated_matches_closures_on_every_small_grammar_tree(name):
+    from test_candidates import small_grammar_trees
+
+    rng = np.random.default_rng(20261019)
+    values = np.array(GRAMMAR_POINT_VALUES)
+    pairs = [[v, v] for v in GRAMMAR_POINT_VALUES]  # equal sides: x - y divides by 0
+    pairs += rng.choice(values, size=(24, 2)).tolist()
+    pairs += rng.uniform(-4.0, 4.0, size=(8, 2)).tolist()
+    points = [(0.0, x) for x in pairs]
+    trees = small_grammar_trees(grammar_for_system(name))
+    assert len(trees) == 3816
+    for tree in trees:
+        assert_generated_matches_closures(tree, points)
+
+
+def test_an_out_of_range_var_after_a_nonfinite_node_names_the_first_in_order():
+    # the log is nan before either Var is read, and Var(3) comes before Var(2)
+    e = Binary(
+        "add",
+        Binary("mul", Unary("log", Const(-1.0)), Binary("sub", Var(0), Var(3))),
+        Unary("sin", Binary("div", Var(2), Unary("log", Var(1)))),
+    )
+    messages = []
+    for f in (
+        lambda: compile_scalar(e)(0.0, [1.0, 0.0]),
+        lambda: closure_compile(e)(0.0, [1.0, 0.0]),
+        lambda: evaluate_batch(e, [0.0], [[1.0, 0.0]]),
+        lambda: compile_components([Var(1), e, Var(5)])(0.0, [1.0, 0.0]),
+    ):
+        with pytest.raises(ValueError) as err:
+            f()
+        messages.append(str(err.value))
+    assert messages == ["variable index 3 out of range for state dimension 2"] * 4
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -0.0, 5e-324, -5e-324])
+def test_generated_keeps_every_bit_of_a_constant(value):
+    c = Const(value)
+    trees = [
+        c,
+        Unary("identity", c),
+        Binary("add", Var(0), c),
+        Binary("mul", c, Var(0)),
+        Binary("div", Var(0), c),
+        Binary("pow", Var(0), c),
+        Unary("exp", c),
+        Unary("sin", Unary("identity", c)),
+    ]
+    for x in (1.0, -0.0, 3.0e-310, math.inf):
+        for tree in trees:
+            want = evaluate_batch(tree, [0.0], [[x]])[0]
+            got = compile_scalar(tree)(0.0, [x])
+            assert same_bits(got, want), (print_expr(tree), x, got, want)
+            assert same_bits(got, closure_compile(tree)(0.0, [x]))
+    # a constant at the root is returned as it is, every bit of it
+    assert np.float64(compile_scalar(c)(0.0, [1.0])).tobytes() == np.float64(value).tobytes()
+
+
+def test_expression_system_rhs_equals_its_components_compiled_one_by_one():
+    names = ("a", "b", "c", "d", "e", "f")
+    texts = (
+        "b",  # a leaf
+        "-0.1 * b - 9.81 * sin(a)",
+        "a / (b - c) + log(c) * t",
+        "exp(c ^ 2.0) - d ^ -3.0 + b ^ e",
+        "2.0 ^ 0.5 + 0.0 * f",
+        "t",
+    )
+    system = expression_system("mixed", texts, (1.0,) * 6, variable_names=names)
+    scalars = [compile_scalar(parse_expr(text, names)) for text in texts]
+    rng = np.random.default_rng(20261019)
+    values = np.array(SPECIAL_FLOATS + (2.0, 0.5, -3.0))
+    points = [(0.5, [0.3, -1.2, 2.0] * 2), (1.0, [0.0, 2.0, 2.0] * 2), (-0.0, [math.inf, 1.0, 0.0] * 2)]
+    points += [(t, list(x)) for t, x in zip(rng.choice(values, 200), rng.choice(values, (200, 6)))]
+    with np.errstate(all="raise"):
+        for t, x in points:
+            got = system.rhs(t, np.array(x))
+            want = np.array([f(t, x) for f in scalars])
+            assert got.dtype == np.float64
+            assert got.tobytes() == want.tobytes(), (t, x, got, want)
+
+
+def test_repeated_subtrees_match_closures():
+    # equal subtrees share one local; constants that compare equal but
+    # differ in sign do not: x*0.0 - x*(-0.0) is -0.0 at x = -1, and 0.0
+    # if both products were one
+    x, y = Var(0), Var(1)
+    s, c = Unary("sin", x), Unary("cos", x)
+    trees = [
+        Binary("add", Binary("mul", s, c), Binary("div", Binary("pow", s, Const(2.0)), c)),
+        Binary("sub", Binary("mul", x, Const(0.0)), Binary("mul", x, Const(-0.0))),
+        Binary("mul", Unary("log", Binary("div", x, y)), Unary("exp", Binary("div", x, y))),
+        Binary("pow", Binary("pow", x, y), Binary("pow", x, y)),
+    ]
+    points = [(0.0, [a, b]) for a in (-1.0, 0.0, -0.0, 0.5, 800.0, math.inf) for b in (0.0, 2.0, -3.0)]
+    for tree in trees:
+        assert_generated_matches_closures(tree, points)
+
+
+def test_components_share_no_subtree_with_one_that_stopped_early():
+    # the first component stops at log(x1) before it reaches exp(x2); the
+    # second still computes exp(x2) itself
+    shared = Unary("exp", Var(1))
+    exprs = [Binary("add", Unary("log", Var(0)), shared), Binary("mul", shared, Const(2.0))]
+    rhs = compile_components(exprs)
+    for x in ([-1.0, 0.5], [2.0, 0.5], [-1.0, 800.0]):
+        want = np.array([closure_compile(e)(0.0, x) for e in exprs])
+        assert rhs(0.0, x).tobytes() == want.tobytes()
+
+
+def test_generated_handles_a_depth_400_chain():
+    e = Var(0)
+    for i in range(400):
+        e = Unary("sin", e) if i % 2 else Binary("add", e, Const(1e-3))
+    points = [(0.0, [x]) for x in (0.0, -0.0, 0.7, -2.5, 5e-324, math.inf, math.nan)]
+    assert_generated_matches_closures(e, points)
+    for t, x in points:
+        assert same_bits(compile_scalar(e)(t, x), evaluate_batch(e, [t], [x])[0])
 
 
 # ---------------------------------------------------------------- complexity
