@@ -281,8 +281,8 @@ def test_compiled_var_out_of_range_raises_like_batch():
     assert str(scalar_err.value) == str(batch_err.value)
 
 
-# A closure per node, as compile_scalar built them before it generated
-# source: the reference for the generated functions.
+# The reference for the generated functions: a closure per node over
+# Python floats, each keeping _eval's rules on its own.
 
 _SCALAR_BINARY = {
     "add": operator.add,
