@@ -76,12 +76,12 @@ def counted_runs(data, grammar, settings: dict, seeds=SEEDS) -> dict:
         def __getattr__(self, name):
             return getattr(self.rng, name)
 
-    def checking(bits, grammar):
-        used = check(bits, grammar)
+    def checking(g, length, grammar):
+        used = check(g, length, grammar)
         counts["draws"] += 1
         if used is not None:
             counts["valid"] += 1
-            prefixes.add(tuple(bits[:used]))
+            prefixes.add((used, g >> (length - used)))
         return used
 
     def building(prefix, grammar):

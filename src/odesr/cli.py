@@ -139,7 +139,7 @@ def _system(name: str, entry: dict) -> SystemSpec:
     try:
         rhs, initial_state = options.pop("rhs"), options.pop("initial_state")
     except KeyError as err:
-        raise ValueError(f"config system {name!r} has no {err}") from None
+        raise ValueError(f"config section 'systems.{name}' has no key {err}") from None
     build = partial(expression_system, name, rhs, initial_state)
     return _built(build, f"config section 'systems.{name}'", options)
 

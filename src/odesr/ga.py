@@ -6,7 +6,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import attrgetter, itemgetter
-from typing import Callable
 
 import numpy as np
 
@@ -15,7 +14,7 @@ from .candidates import CandidateSolution, Scorer, make_candidate
 # not called here; perfbench traces fitness and the batch evaluator at these names
 from .candidates import fitness  # noqa: F401
 from .expressions import evaluate_batch  # noqa: F401
-from .genomes import Genome, Grammar, _build, _Flips, _mutate_decoded, _prefix, _random_decoded
+from .genomes import Genome, Grammar, _build, _mutants, _packed, _random_decoded, _unpacked
 
 # public genome operations, reachable as odesr.ga.<name>; perfbench traces
 # them at these names
@@ -57,35 +56,12 @@ def default_ga_config(system_name: str, seed: int = 0) -> GAConfig:
     return GAConfig(seed=seed, **GA_DEFAULTS[system_name])
 
 
-# run_ga's population entries are (train_rmse, complexity, bits, _prefix of bits)
+# run_ga's population entries are (train_rmse, complexity, genome int, its _prefix)
 _RANK = itemgetter(0, 1)
 
 
-def _step(
-    pop: list,
-    rank: Callable,
-    bits_of: Callable,
-    config: GAConfig,
-    grammar: Grammar,
-    rng: np.random.Generator,
-) -> tuple[list, list[tuple[bytes, int]]]:
-    """Survivors of pop by rank (ties keep their order), and the (bits, bits
-    consumed) of the mutants that fill back to N, one per survivor in turn."""
-    n = config.population_size
-    if len(pop) != n:
-        raise ValueError(f"population size {len(pop)} != configured {n}")
-    survivors = sorted(pop, key=rank)[: math.ceil(n * config.selection_fraction)]
-    parents = [bits_of(s) for s in survivors]
-    length = config.bitstring_length
-    for bits in parents:
-        if len(bits) != length:
-            raise ValueError(f"survivor of {len(bits)} bits != configured {length}")
-    n_mutants = n - len(parents)
-    flips = _Flips(rng, config.mutation_rate, length, n_mutants)
-    mutants = [
-        _mutate_decoded(parents[i % len(parents)], grammar, flips) for i in range(n_mutants)
-    ]
-    return survivors, mutants
+def _n_survivors(config: GAConfig) -> int:
+    return math.ceil(config.population_size * config.selection_fraction)
 
 
 def step(
@@ -95,12 +71,21 @@ def step(
     grammar: Grammar,
     rng: np.random.Generator,
 ) -> list[CandidateSolution]:
-    """One generation: survivors pass unchanged, mutants fill back to N."""
-    rank, bits_of = attrgetter("train_rmse", "complexity"), attrgetter("genome.bits")
-    survivors, mutants = _step(pop, rank, bits_of, config, grammar, rng)
+    """One generation: survivors by rank (ties keep their order) pass
+    unchanged, and mutants fill back to N, one per survivor in turn."""
+    n = config.population_size
+    if len(pop) != n:
+        raise ValueError(f"population size {len(pop)} != configured {n}")
+    survivors = sorted(pop, key=attrgetter("train_rmse", "complexity"))[: _n_survivors(config)]
+    length = config.bitstring_length
+    for s in survivors:
+        if len(s.genome.bits) != length:
+            raise ValueError(f"survivor of {len(s.genome.bits)} bits != configured {length}")
+    parents = [_packed(s.genome.bits) for s in survivors]
+    mutants = _mutants(parents, length, grammar, rng, config.mutation_rate, n - len(parents))
     return survivors + [
-        make_candidate(_build(_prefix(bits, used), grammar)[0], data, Genome(tuple(bits)))
-        for bits, used in mutants
+        make_candidate(_build(prefix, grammar)[0], data, Genome(_unpacked(g, length)))
+        for g, prefix in mutants
     ]
 
 
@@ -110,41 +95,45 @@ def run_ga(
     """Full GA run from a fresh seeded population.
 
     Returns the best-ever candidate and the per-generation best fitness
-    (non-increasing thanks to elitism). For the length of the run, scores
-    are memoised by a genome's consumed prefix and, behind that, by the
-    canonical key of its tree (genomes._build), since distinct prefixes can
-    decode alike. Trees are built for new prefixes and the returned
-    candidate only, and scored on one Scorer of data. Results and RNG draws
-    are those of evaluating every candidate.
+    (non-increasing thanks to elitism). Genomes are held as ints (see
+    genomes). For the length of the run, scores are memoised by a genome's
+    consumed prefix and, behind that, by the canonical key of its tree
+    (genomes._build), since distinct prefixes can decode alike. Trees are
+    built for new prefixes and the returned candidate only, and scored on
+    one Scorer of data. Results and RNG draws are those of step and of
+    evaluating every candidate.
     """
     rng = np.random.default_rng(config.seed)
     score = Scorer(data.times, data.states, data.targets)
     by_prefix: dict[int, tuple[float, int]] = {}
     by_key: dict[int, tuple[float, int]] = {}
+    n, length, rate = config.population_size, config.bitstring_length, config.mutation_rate
+    n_survivors = _n_survivors(config)
+    pop: list[tuple[float, int, int, int]] = []
 
-    def entry(bits: bytes, used: int) -> tuple[float, int, bytes, int]:
-        prefix = _prefix(bits, used)
-        scored = by_prefix.get(prefix)
-        if scored is None:
-            expr, key, comp = _build(prefix, grammar)
-            scored = by_key.get(key)
+    def add(drawn: list[tuple[int, int]]) -> None:
+        """Append the entries of drawn (genome, prefix) pairs to pop."""
+        for g, prefix in drawn:
+            scored = by_prefix.get(prefix)
             if scored is None:
-                scored = by_key[key] = (score(expr), comp)
-            by_prefix[prefix] = scored
-        return (*scored, bits, prefix)
+                expr, key, comp = _build(prefix, grammar)
+                scored = by_key.get(key)
+                if scored is None:
+                    scored = by_key[key] = (score(expr), comp)
+                by_prefix[prefix] = scored
+            pop.append((*scored, g, prefix))
 
-    pop = [
-        entry(*_random_decoded(config.bitstring_length, grammar, rng))
-        for _ in range(config.population_size)
-    ]
+    add([_random_decoded(length, grammar, rng) for _ in range(n)])
     best = min(pop, key=_RANK)
     history: list[float] = []
     for _ in range(config.iterations):
-        survivors, mutants = _step(pop, _RANK, itemgetter(2), config, grammar, rng)
-        pop = survivors + [entry(*m) for m in mutants]
+        pop.sort(key=_RANK)
+        del pop[n_survivors:]
+        add(_mutants([e[2] for e in pop], length, grammar, rng, rate, n - n_survivors))
         gen_best = min(pop, key=_RANK)
         if _RANK(gen_best) < _RANK(best):
             best = gen_best
         history.append(gen_best[0])
-    rmse, comp, bits, prefix = best
-    return CandidateSolution(_build(prefix, grammar)[0], rmse, comp, Genome(tuple(bits))), history
+    rmse, comp, g, prefix = best
+    genome = Genome(_unpacked(g, length))
+    return CandidateSolution(_build(prefix, grammar)[0], rmse, comp, genome), history

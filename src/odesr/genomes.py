@@ -12,6 +12,10 @@ codon (MSB first, value taken modulo the rule count):
 Decoding expands the leftmost unresolved nonterminal first and fails
 (returns None) when the bits run out; leftover bits are ignored.  There
 is no wrap-around.
+
+Genome holds a tuple of bits; inside this module and run_ga a genome of
+`length` bits is one int, MSB first, and the public functions convert at
+their edges. _mutants makes a whole generation's mutants in one pass.
 """
 
 from __future__ import annotations
@@ -95,46 +99,65 @@ class Genome:
         return cls(tuple(int(c) for c in s))
 
 
-def _consumed(bits: Sequence[int], grammar: Grammar) -> int | None:
-    """Bits a decode of bits reads, or None when they run out; builds no tree.
+def _consumed(g: int, length: int, grammar: Grammar) -> int | None:
+    """Bits a decode of the length-bit genome g (MSB first) reads, or None
+    when they run out; builds no tree.
 
-    The inner loop reads an expr codon and descends into its leftmost child; a
-    binary rule stacks its op codon width, skipped before the right operand.
+    The loop reads an expr codon and descends into its leftmost child; a
+    binary rule leaves one op codon pending, skipped before the right
+    operand. shift is the bits left after the next expr codon.
     The expr codon is 2 bits for 3 rules: 00 and 11 binary, 01 unary, 10 leaf."""
-    n_bits = len(bits)
-    op_width, unary_width, var_width = grammar.op_width, grammar.unary_width, grammar.var_width
-    pos = 0
-    pending = [0]
-    while pending:
-        pos += pending.pop()
-        while True:
-            if pos + 2 > n_bits:
-                return None
-            high, low = bits[pos], bits[pos + 1]
-            pos += 2
-            if high == low:
-                pending.append(op_width)
-            elif low:
-                pos += unary_width
-            else:
-                pos += var_width
-                break
-    return pos if pos <= n_bits else None
+    # each width with the expr codon read after it
+    unary_step, op_step = grammar.unary_width + 2, grammar.op_width + 2
+    var_width = grammar.var_width
+    shift = length - 2
+    pending = 0
+    while shift >= 0:
+        rule = g >> shift & 3
+        if rule == 1:
+            shift -= unary_step
+        elif rule == 2:
+            shift -= var_width
+            if not pending:
+                return length - shift if shift >= 0 else None
+            pending -= 1
+            shift -= op_step
+        else:
+            pending += 1
+            shift -= 2
+    return None
 
 
-_DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # bytes of 0/1 as binary digits
 _N_UNARY, _N_BINARY = len(UNARY_OPS), len(BINARY_OPS)
 _IDENTITY = UNARY_OPS.index("identity")
 
 
-def _prefix(bits: Sequence[int], used: int) -> int:
-    """The first `used` bits as an int, MSB first, after a leading 1 that
-    keeps prefixes of different lengths apart."""
-    return int(b"1" + bytes(bits[:used]).translate(_DIGITS), 2)
+def _rows(bits: np.ndarray) -> list[int]:
+    """Each row of a 2-D array of 0/1 as one int, MSB first."""
+    n, length = bits.shape
+    width, pad = -(-length // 8), -length % 8  # bytes per row, and the zeros packbits adds
+    packed = np.packbits(bits, axis=1).tobytes()
+    return [int.from_bytes(packed[j * width : (j + 1) * width], "big") >> pad for j in range(n)]
+
+
+def _packed(bits: Sequence[int]) -> int:
+    """bits as one int, MSB first."""
+    return _rows(np.array([bits], dtype=bool))[0]
+
+
+def _unpacked(g: int, length: int) -> tuple[int, ...]:
+    """The length bits of g, MSB first."""
+    return tuple(g >> i & 1 for i in range(length - 1, -1, -1))
+
+
+def _prefix(g: int, length: int, used: int) -> int:
+    """The first `used` bits of the length-bit genome g as an int, after a
+    leading 1 that keeps prefixes of different lengths apart."""
+    return 1 << used | g >> (length - used)
 
 
 def _build(prefix: int, grammar: Grammar) -> tuple[Expr, int, int]:
-    """The tree of a _prefix of bits that _consumed accepts, its canonical
+    """The tree of a _prefix of a genome that _consumed accepts, its canonical
     key and its complexity, from one pass over the codons.
 
     Codons are read MSB first by shifting prefix, expanding the leftmost
@@ -195,10 +218,11 @@ def _build(prefix: int, grammar: Grammar) -> tuple[Expr, int, int]:
 
 def _decode(bits: Sequence[int], grammar: Grammar) -> tuple[Expr | None, int | None]:
     """(expression, bits consumed), or (None, None) when the bits run out."""
-    used = _consumed(bits, grammar)
+    g, length = _packed(bits), len(bits)
+    used = _consumed(g, length, grammar)
     if used is None:
         return None, None
-    return _build(_prefix(bits, used), grammar)[0], used
+    return _build(_prefix(g, length, used), grammar)[0], used
 
 
 def decode(genome: Genome, grammar: Grammar) -> Expr | None:
@@ -212,7 +236,7 @@ def random_genome(
     max_attempts: int = 10_000,
 ) -> Genome:
     """Sample uniform bitstrings until one decodes; invalid draws are discarded."""
-    return Genome(tuple(_random_decoded(length, grammar, rng, max_attempts)[0]))
+    return Genome(_unpacked(_random_decoded(length, grammar, rng, max_attempts)[0], length))
 
 
 def _random_decoded(
@@ -220,13 +244,13 @@ def _random_decoded(
     grammar: Grammar,
     rng: np.random.Generator,
     max_attempts: int = 10_000,
-) -> tuple[bytes, int]:
-    """random_genome as (bytes of 0/1, bits consumed), checked by _consumed alone."""
+) -> tuple[int, int]:
+    """random_genome as (genome int, its _prefix), checked by _consumed alone."""
     for _ in range(max_attempts):
-        bits = rng.integers(0, 2, size=length).astype(np.uint8).tobytes()
-        used = _consumed(bits, grammar)
+        [g] = _rows(rng.integers(0, 2, size=(1, length)))
+        used = _consumed(g, length, grammar)
         if used is not None:
-            return bits, used
+            return g, _prefix(g, length, used)
     raise SamplingError(
         f"no valid genome in {max_attempts} attempts "
         f"(k={grammar.variable_count}, pool size {len(grammar.constant_pool)}, "
@@ -247,52 +271,44 @@ def mutate(
     Each attempt draws rng.random(len(genome.bits)), in order, and flips the
     bits whose uniform is below rate; the generator is left where those draws
     leave it, on every bit generator."""
-    flips = _Flips(rng, rate, len(genome.bits), mutations=1)
-    return Genome(tuple(_mutate_decoded(genome.bits, grammar, flips, max_attempts)[0]))
+    length = len(genome.bits)
+    [(g, _)] = _mutants([_packed(genome.bits)], length, grammar, rng, rate, 1, max_attempts)
+    return Genome(_unpacked(g, length))
 
 
-class _Flips:
-    """The flips that rng.random(length) < rate gives for each attempt of
-    `mutations` mutations in turn, as bytes of 0/1.
-
-    rng.random(a) then rng.random(b) gives the floats of rng.random(a + b),
-    so one fetch is cut into attempts. A fetch covers only attempts certain
-    to run: each mutation not yet made needs one, and the current one cannot
-    give up before its attempts left are spent. So no uniform is drawn
-    unused, and the generator ends where one rng.random(length) per attempt
-    leaves it, also after a SamplingError."""
-
-    def __init__(self, rng: np.random.Generator, rate: float, length: int, mutations: int):
-        self.rng, self.rate, self.length = rng, rate, length
-        self.mutations = mutations  # not yet made, the current one included
-        self.block, self.pos = b"", 0
-
-    def take(self, attempts_left: int) -> bytes:
-        if self.pos == len(self.block):
-            count = min(self.mutations, attempts_left) * self.length
-            self.block, self.pos = (self.rng.random(count) < self.rate).tobytes(), 0
-        self.pos += self.length
-        return self.block[self.pos - self.length : self.pos]
-
-
-def _mutate_decoded(
-    bits: Sequence[int],
+def _mutants(
+    parents: Sequence[int],
+    length: int,
     grammar: Grammar,
-    flips: _Flips,
+    rng: np.random.Generator,
+    rate: float,
+    count: int,
     max_attempts: int = 10_000,
-) -> tuple[bytes, int]:
-    """mutate as (bytes of 0/1, bits consumed), checked by _consumed alone."""
-    length = len(bits)
-    # bytes of 0/1 xor bytewise as one big integer
-    original = int.from_bytes(bytes(bits), "big")
-    for attempt in range(max_attempts):
-        flipped = flips.take(max_attempts - attempt)
-        mutant = (original ^ int.from_bytes(flipped, "big")).to_bytes(length, "big")
-        used = _consumed(mutant, grammar)
-        if used is not None:
-            flips.mutations -= 1
-            return mutant, used
-    raise SamplingError(
-        f"no valid mutation in {max_attempts} attempts (rate={flips.rate}, "
-        f"length {length})"
-    )
+) -> list[tuple[int, int]]:
+    """count mutants of length-bit genomes, the i-th of parents[i % len(parents)],
+    as (genome int, its _prefix), each checked by _consumed alone.
+
+    An attempt flips the bits whose uniform of rng.random(length) is below
+    rate. One rng.random(n * length) serves the next n attempts, n no more
+    than are certain to run: one per mutation still to make, and no more
+    than the current one has left. So the generator ends where one
+    rng.random(length) per attempt leaves it, also after a SamplingError."""
+    scan = _consumed
+    mutants: list[tuple[int, int]] = []
+    flips: list[int] = []  # the fetched attempts' flips, next one last
+    for i in range(count):
+        parent = parents[i % len(parents)]
+        for attempt in range(max_attempts):
+            if not flips:
+                n = min(count - i, max_attempts - attempt)
+                flips = _rows(rng.random(n * length).reshape(n, length) < rate)[::-1]
+            g = parent ^ flips.pop()
+            used = scan(g, length, grammar)
+            if used is not None:
+                mutants.append((g, 1 << used | g >> (length - used)))  # _prefix, inline
+                break
+        else:
+            raise SamplingError(
+                f"no valid mutation in {max_attempts} attempts (rate={rate}, length {length})"
+            )
+    return mutants

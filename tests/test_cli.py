@@ -136,7 +136,7 @@ def test_custom_system_without_rhs_names_the_field(tmp_path, capsys):
     cfg = write_config(tmp_path, {"systems": {"decay": {"initial_state": [1.0]}}})
     assert main(["fit", "--method", "sindy", "--system", "decay", "--config", cfg,
                  "--out", str(tmp_path / "x.json")]) == 1
-    assert capsys.readouterr().err == "error: config system 'decay' has no 'rhs'\n"
+    assert capsys.readouterr().err == "error: config section 'systems.decay' has no key 'rhs'\n"
 
 
 @pytest.mark.parametrize(
@@ -259,8 +259,8 @@ def test_config_range_error_names_the_section(tmp_path, capsys, monkeypatch, pay
          "config section 'systems.decay': train_span must increase, got (1.0, 0.0)"),
         ({**DECAY, "test_span": [5, 5]},
          "config section 'systems.decay': test_span must increase, got (5.0, 5.0)"),
-        ({"initial_state": [1.0]}, "config system 'decay' has no 'rhs'"),
-        ({"rhs": ["-0.5 * x1"]}, "config system 'decay' has no 'initial_state'"),
+        ({"initial_state": [1.0]}, "config section 'systems.decay' has no key 'rhs'"),
+        ({"rhs": ["-0.5 * x1"]}, "config section 'systems.decay' has no key 'initial_state'"),
         ({**DECAY, "rhs": ["-0.5 * x2"]},
          "config section 'systems.decay': unknown identifier 'x2' at position 7"),
         ({**DECAY, "initial_state": [1.0, 2.0]},

@@ -321,14 +321,18 @@ def test_run_ga_builds_one_tree_per_distinct_prefix(monkeypatch, system_name):
     consumed, build = genomes._consumed, genomes._build
     draws, built = [], []
 
-    def scanning(bits, grammar):
-        used = consumed(bits, grammar)
-        draws.append(None if used is None else tuple(bits[:used]))
+    def bits_of(g, length):
+        return tuple(g >> i & 1 for i in reversed(range(length)))
+
+    def scanning(g, length, grammar):
+        used = consumed(g, length, grammar)
+        draws.append(None if used is None else bits_of(g, length)[:used])
         return used
 
     def building(prefix, grammar):
         bits = tuple(int(c) for c in bin(prefix)[3:])  # past "0b" and the leading 1
-        assert consumed(bits, grammar) == len(bits), "no tree for an invalid draw"
+        g = prefix ^ 1 << len(bits)
+        assert consumed(g, len(bits), grammar) == len(bits), "no tree for an invalid draw"
         built.append(bits)
         return build(prefix, grammar)
 
@@ -339,7 +343,9 @@ def test_run_ga_builds_one_tree_per_distinct_prefix(monkeypatch, system_name):
     prefixes = [p for p in draws if p is not None]
     # once per distinct prefix drawn, then once for the returned candidate
     assert built[:-1] == list(dict.fromkeys(prefixes))
-    assert built[-1] == best.genome.bits[: consumed(best.genome.bits, grammar)]
+    length = len(best.genome.bits)
+    used = consumed(int(best.genome.to_string(), 2), length, grammar)
+    assert built[-1] == best.genome.bits[:used]
     # invalid draws and repeated prefixes both occur, and build nothing
     assert len(prefixes) < len(draws)
     assert len(built) - 1 < len(prefixes)

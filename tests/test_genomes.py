@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from odesr import genomes
 from odesr.expressions import (
     BINARY_OPS,
     UNARY_OPS,
@@ -21,10 +22,10 @@ from odesr.genomes import (
     Genome,
     Grammar,
     SamplingError,
-    _Flips,
     _build,
     _consumed,
     _decode,
+    _mutants,
     _prefix,
     decode,
     grammar_for_system,
@@ -37,6 +38,21 @@ LV = Grammar(variable_count=2, constant_pool=(1.0, 1.5, -3.0, -1.0))
 
 def bits(s: str) -> Genome:
     return Genome.from_string(s.replace(" ", ""))
+
+
+def packed(bits) -> int:
+    """A sequence of 0/1 as the GA holds it: one int, MSB first."""
+    return int("0" + "".join(map(str, bits)), 2)
+
+
+def scan(bits, grammar):
+    """_consumed of a sequence of 0/1."""
+    return _consumed(packed(bits), len(bits), grammar)
+
+
+def prefix_of(bits, used: int) -> int:
+    """_prefix of a sequence of 0/1."""
+    return _prefix(packed(bits), len(bits), used)
 
 
 def test_constant_pools():
@@ -179,12 +195,12 @@ SYSTEM_GRAMMARS = [grammar_for_system(name) for name in CONSTANT_POOLS]
 
 def check_scan_against_reference(bits, grammar):
     tree, pos = reference_decode(bits, grammar)
-    used = _consumed(bits, grammar)
+    used = scan(bits, grammar)
     assert used == pos
-    assert _consumed(bytes(bits), grammar) == used  # the GA's form of the bits
     assert _decode(bits, grammar) == (tree, pos)
     if tree is not None:
-        assert print_expr(_build(_prefix(bits, used), grammar)[0]) == print_expr(tree)
+        assert prefix_of(bits, used) == int("1" + "".join(map(str, bits[:used])), 2)
+        assert print_expr(_build(prefix_of(bits, used), grammar)[0]) == print_expr(tree)
         assert print_expr(_decode(bits, grammar)[0]) == print_expr(tree)
     return used
 
@@ -198,7 +214,8 @@ def test_scan_matches_reference_decode_on_every_short_bitstring(grammar):
     assert valid > 1000  # both outcomes are covered
 
 
-@pytest.mark.parametrize("length", [20, 60])
+# 65 and 130 cross 64 bits and are not whole bytes
+@pytest.mark.parametrize("length", [20, 60, 65, 130])
 @pytest.mark.parametrize("grammar", SYSTEM_GRAMMARS, ids=list(CONSTANT_POOLS))
 @given(data=st.data())
 @settings(max_examples=200, deadline=None)
@@ -244,11 +261,11 @@ def built_like_closure_tree(bits, grammar):
     """(printed tree, key) of bits, once _build is found to give the closure
     decoder's tree from the bits it reads, with expressions.complexity; None
     for bits that _consumed refuses."""
-    used = _consumed(bits, grammar)
+    used = scan(bits, grammar)
     if used is None:
         return None
     tree, pos = closure_tree(bits, grammar)
-    prefix = _prefix(bits, used)
+    prefix = prefix_of(bits, used)
     built, key, size = _build(prefix, grammar)
     assert pos == used
     assert built == tree and print_expr(built) == print_expr(tree)
@@ -293,8 +310,8 @@ def test_build_matches_closure_tree_on_seeded_genomes(name, length):
 def test_build_keeps_signed_zero_constants_apart():
     grammar = Grammar(variable_count=2, constant_pool=(0.0, -0.0, 1.0, 1.5))
     # leaf codons 010 and 011 are pool entries 0 and 1
-    zero, key, _ = _build(_prefix(bits("10 010").bits, 5), grammar)
-    negative, negative_key, _ = _build(_prefix(bits("10 011").bits, 5), grammar)
+    zero, key, _ = _build(prefix_of(bits("10 010").bits, 5), grammar)
+    negative, negative_key, _ = _build(prefix_of(bits("10 011").bits, 5), grammar)
     assert (print_expr(zero), print_expr(negative)) == ("0.0", "(-0.0)")
     assert key != negative_key
     assert zero is grammar.leaves[2] and negative is grammar.leaves[3]
@@ -457,22 +474,75 @@ def test_mutate_exhaustion_leaves_per_attempt_state(kind):
     outcomes=st.lists(st.integers(1, 8), max_size=12),
     rate=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
     seed=st.integers(0, 2**32 - 1),
+    parents=st.lists(st.integers(0, 2**40 - 1), min_size=1, max_size=4),
 )
 @settings(max_examples=60, deadline=None)
-def test_flip_blocks_match_one_draw_per_take(kind, length, max_attempts, outcomes, rate, seed):
+def test_flip_blocks_match_one_draw_per_take(
+    kind, length, max_attempts, outcomes, rate, seed, parents
+):
+    # a generation's mutants, with a scan that decodes each mutation at the
+    # attempt that outcomes gives: each attempt scans its parent xor the flips
+    # of one rng.random(length), in order
     rng, ref = twin_generators(kind, seed)
-    flips = _Flips(rng, rate, length, len(outcomes))
-    taken = []
-    for decodes_at in outcomes:
+    parents = [p >> (40 - length) for p in parents]  # length bits each
+    attempts = []  # (mutation, whether the attempt decodes), in order
+    for i, decodes_at in enumerate(outcomes):
         for attempt in range(max_attempts):
-            taken.append(flips.take(max_attempts - attempt))
+            attempts.append((i, attempt + 1 == decodes_at))
             if attempt + 1 == decodes_at:
-                flips.mutations -= 1
                 break
         else:
             break  # a SamplingError ends the generation here
-    assert taken == [(ref.random(length) < rate).tobytes() for _ in taken]
+    exhausted = len(attempts) > 0 and not attempts[-1][1]
+    answers = iter(decodes for _, decodes in attempts)
+    scanned = []
+
+    def scanning(g, n_bits, grammar):
+        assert (n_bits, grammar) == (length, LV)
+        scanned.append(g)
+        return n_bits if next(answers) else None
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(genomes, "_consumed", scanning)
+        if exhausted:
+            with pytest.raises(SamplingError, match=f"{max_attempts} attempts"):
+                _mutants(parents, length, LV, rng, rate, len(outcomes), max_attempts)
+        else:
+            mutants = _mutants(parents, length, LV, rng, rate, len(outcomes), max_attempts)
+    flips = [packed((ref.random(length) < rate).astype(int)) for _ in attempts]
+    assert scanned == [parents[i % len(parents)] ^ f for (i, _), f in zip(attempts, flips)]
+    if not exhausted:
+        # whole genomes decode here, so each prefix is the genome after a leading 1
+        made = [g for g, (_, decodes) in zip(scanned, attempts) if decodes]
+        assert mutants == [(g, 1 << length | g) for g in made]
     assert state_of(rng) == state_of(ref)
     # the later stream agrees too, in both draw paths
     assert rng.integers(0, 2**31, size=3).tolist() == ref.integers(0, 2**31, size=3).tolist()
     assert rng.random(5).tolist() == ref.random(5).tolist()
+
+
+def per_draw_random_genome(length, grammar, rng):
+    while True:
+        genome = Genome(tuple(int(b) for b in rng.integers(0, 2, size=length)))
+        if decode(genome, grammar) is not None:
+            return genome
+
+
+@pytest.mark.parametrize("kind", BIT_GENERATORS)
+@pytest.mark.parametrize("length", [65, 130])
+def test_draws_across_the_packing_pad_match_per_attempt_draws(kind, length):
+    # 65 and 130 bits cross 64 and end in a part byte, which packing pads
+    grammar = grammar_for_system("cart_pole")
+    rng, ref = twin_generators(kind, length)
+    g = random_genome(length, grammar, rng)
+    assert g == per_draw_random_genome(length, grammar, ref) and len(g.bits) == length
+    changed = 0
+    for rate in (0.02, 0.1, 0.5):
+        for _ in range(10):
+            expected = per_attempt_mutate(g, grammar, ref, rate)
+            mutant = mutate(g, grammar, rng, rate)
+            assert mutant == expected and len(mutant.bits) == length
+            assert state_of(rng) == state_of(ref)
+            changed += mutant.bits[-1] != g.bits[-1]  # the last bit, before the pad
+            g = mutant
+    assert changed > 0
