@@ -289,10 +289,12 @@ def _mutants(
     as (genome int, its _prefix), each checked by _consumed alone.
 
     An attempt flips the bits whose uniform of rng.random(length) is below
-    rate. One rng.random(n * length) serves the next n attempts, n no more
-    than are certain to run: one per mutation still to make, and no more
-    than the current one has left. So the generator ends where one
-    rng.random(length) per attempt leaves it, also after a SamplingError."""
+    rate. rng.random(a) then rng.random(b) gives the floats of
+    rng.random(a + b), so one rng.random(n * length) serves the next n
+    attempts, n no more than are certain to run: one per mutation still to
+    make, and no more than the current one has left. So the generator ends
+    where one rng.random(length) per attempt leaves it, also after a
+    SamplingError."""
     scan = _consumed
     mutants: list[tuple[int, int]] = []
     flips: list[int] = []  # the fetched attempts' flips, next one last
