@@ -4,16 +4,18 @@ benchmark sweep over methods and systems."""
 from __future__ import annotations
 
 import csv
+import importlib
 import json
 import math
 import time
 import weakref
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .candidates import score
+from .candidates import SamplingError, score
 
 # evaluate and evaluate_batch are not called here; they stay importable from
 # this module because perfbench/spans.py traces the scalar and batch paths at
@@ -25,9 +27,6 @@ from .expressions import (  # noqa: F401
     evaluate_batch,
     print_expr,
 )
-from .feynman import FeynmanConfig, pareto_rows, run_pipeline
-from .ga import GA_DEFAULTS, GAConfig, run_ga
-from .genomes import CONSTANT_POOLS, Grammar, SamplingError
 # integrate is not called here either (rollouts go through
 # shared_trajectory); it stays importable because perfbench/spans.py names
 # this binding
@@ -40,9 +39,30 @@ from .integrate import (  # noqa: F401
     make_trajectory,
     shared_trajectory,
 )
-from .sindy import BasisSet, SparseConfig, preset_basis
-from .sindy import fit as sindy_fit
 from .systems import SYSTEM_NAMES, SystemSpec, get_system
+
+# each search's module is imported in run_fit's branch for it, so a process
+# loads only the searches it runs
+if TYPE_CHECKING:
+    from .feynman import FeynmanConfig
+    from .ga import GAConfig
+    from .sindy import BasisSet, SparseConfig
+
+# the searches as perfbench/spans.py reaches them here, served from their
+# modules on first access
+_SEARCHES = {
+    "run_ga": ("ga", "run_ga"),
+    "sindy_fit": ("sindy", "fit"),
+    "run_pipeline": ("feynman", "run_pipeline"),
+}
+
+
+def __getattr__(name: str):
+    if name not in _SEARCHES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module, attr = _SEARCHES[name]
+    return getattr(importlib.import_module(f".{module}", __package__), attr)
+
 
 METHODS = ("ga", "sindy", "feynman")
 DETERMINISTIC_METHODS = ("sindy", "feynman")
@@ -191,6 +211,9 @@ def run_fit(
     warnings: list[str] = []
     pareto = None
     if method == "ga":
+        from .ga import GA_DEFAULTS, GAConfig, run_ga
+        from .genomes import CONSTANT_POOLS, Grammar
+
         if ga_config is None:
             cfg = GAConfig(seed=seed, **GA_DEFAULTS.get(system.name, {}))
         else:
@@ -206,6 +229,9 @@ def run_fit(
         best, _history = run_ga(cfg, data, grammar)
         expr, train_rmse, comp = best.expr, best.train_rmse, best.complexity
     elif method == "sindy":
+        from .sindy import fit as sindy_fit
+        from .sindy import preset_basis
+
         if basis is None:
             preset = SINDY_PRESET_FOR_SYSTEM.get(system.name)
             if preset is None:
@@ -219,6 +245,8 @@ def run_fit(
         comp = res.candidate.complexity
         warnings = list(res.warnings)
     elif method == "feynman":
+        from .feynman import pareto_rows, run_pipeline
+
         best, front = run_pipeline(data, feynman)
         expr, train_rmse, comp = best.expr, best.train_rmse, best.complexity
         pareto = pareto_rows(front, names)

@@ -6,13 +6,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .expressions import Const, Expr, _leaf, batch_inputs, complexity, finite_values
-from .genomes import Genome
 from .integrate import RegressionDataset
+
+if TYPE_CHECKING:  # the GA's modules load only when a GA runs
+    from .genomes import Genome
+
+
+class SamplingError(RuntimeError):
+    """No valid genome was found within the attempt budget."""
 
 
 @dataclass(slots=True)

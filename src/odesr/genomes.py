@@ -25,6 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .candidates import SamplingError
 from .expressions import BINARY_OPS, UNARY_OPS, Binary, Const, Expr, Unary, Var
 
 CONSTANT_POOLS: dict[str, tuple[float, ...]] = {
@@ -32,10 +33,6 @@ CONSTANT_POOLS: dict[str, tuple[float, ...]] = {
     "simple_pendulum": (-9.81, -0.1, -1.0, 1.0),
     "cart_pole": (-1.0, 0.5, 2.0, 6.0, 1.0, 9.81, 19.62),
 }
-
-
-class SamplingError(RuntimeError):
-    """No valid genome was found within the attempt budget."""
 
 
 def _codon_width(n_rules: int) -> int:

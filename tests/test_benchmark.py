@@ -314,6 +314,18 @@ def test_benchmark_contains_run_failures():
     assert any("run failed" in w for w in run["warnings"])
 
 
+def test_benchmark_records_ga_sampling_failures():
+    # one bit cannot encode an expression, so random_genome runs out of attempts
+    overrides = {("ga", "lotka_volterra"): {"ga_config": GAConfig(bitstring_length=1)}}
+    results = run_benchmark(["ga"], ["lotka_volterra"], repetitions=1, overrides=overrides)
+    [run] = results[0].runs
+    assert run["expression"] == ""
+    assert run["test_error"] == math.inf
+    assert run["warnings"] == [
+        "run failed: no valid genome in 10000 attempts (k=2, pool size 4, length 1)"
+    ]
+
+
 def test_benchmark_records_integration_failures():
     def resolver(name):
         return expression_system(name, ["x1 ^ 2.0"], [1.0])

@@ -12,7 +12,12 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
-BENCH_SCRIPTS = ("bench_feynman.py", "bench_ga.py", "bench_trajectories.py")
+BENCH_SCRIPTS = (
+    "bench_feynman.py",
+    "bench_ga.py",
+    "bench_startup.py",
+    "bench_trajectories.py",
+)
 
 _spec = importlib.util.spec_from_file_location("benchrecord", SCRIPTS / "benchrecord.py")
 benchrecord = importlib.util.module_from_spec(_spec)
