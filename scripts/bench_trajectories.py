@@ -10,11 +10,11 @@ expression strings. The `sweep` sequence is a default `run_benchmark`
 (3 methods x 3 systems, 5 GA seeds) without output files. Each run builds
 fresh systems, so that no trajectory carries over from the run before.
 
-Every call to `integrate` is counted, through both the integrate module and
-the benchmark module, which binds its own name, together with the
-right-hand-side evaluations it makes, the bytes of the step record it
-returns (null where integrate keeps none) and whether it continued the
-steps of a shorter span (a `start` keyword; 0 where integrate takes none). A call is distinct when no
+Every call to `integrate` is counted at the integrate module, where
+shared_trajectory calls it, together with the right-hand-side evaluations
+it makes, the bytes of the step record it returns (null where integrate
+keeps none) and whether it continued the steps of a shorter span (a
+`start` keyword; 0 where integrate takes none). A call is distinct when no
 earlier call of the same run had equal inputs: the same initial state,
 span, sample_dt and integrator config, and a right-hand side with the same
 code and captured values (so two systems built by one factory share
@@ -61,7 +61,6 @@ from benchrecord import RUNS, parse_label, patched, save, summary, timed_passes
 
 OUT = Path("BENCH_trajectories.json")
 SCORE_DTS = (0.1, 0.05, 0.025)
-BINDINGS = (integrate, benchmark)
 # the pendulum as expression strings, as in perfbench's score workload
 PENDULUM_EXPR = ("theta2", "-0.1 * theta2 - 9.81 * sin(theta1)")
 CALLS = 20_000  # right-hand-side calls per timed pass
@@ -128,8 +127,8 @@ def rhs_key(rhs) -> tuple:
 
 
 def run_with(sequence, function) -> None:
-    """Run sequence with every binding of integrate replaced by function."""
-    with patched(*((module, "integrate", function) for module in BINDINGS)):
+    """Run sequence with integrate.integrate replaced by function."""
+    with patched((integrate, "integrate", function)):
         sequence()
 
 

@@ -177,16 +177,11 @@ def rollout_with_estimate(
 
 def write_rollout_csv(result: RolloutResult, variable_names, path) -> None:
     n = min(len(result.truth.times), len(result.hybrid.times))
-    header = ["t", *variable_names, *(f"{v}_est" for v in variable_names)]
+    header = ",".join(("t", *variable_names, *(f"{v}_est" for v in variable_names)))
+    truth, hybrid = result.truth, result.hybrid
+    rows = np.column_stack((truth.times[:n], truth.states[:n], hybrid.states[:n]))
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(n):
-            row = (
-                result.truth.times[i],
-                *result.truth.states[i],
-                *result.hybrid.states[i],
-            )
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        np.savetxt(fh, rows, fmt="%.17g", delimiter=",", header=header, comments="")
 
 
 def run_fit(

@@ -196,10 +196,10 @@ def fit_kwargs(method: str, system, config: dict) -> dict:
 
 
 def _write_dataset_csv(data, variable_names, path) -> None:
+    header = ",".join(("t", *variable_names, "target"))
+    rows = np.column_stack((data.times, data.states, data.targets))
     with open(path, "w") as fh:
-        fh.write("t," + ",".join(variable_names) + ",target\n")
-        for t, row, target in zip(data.times, data.states, data.targets):
-            fh.write(",".join(f"{v:.17g}" for v in (t, *row, target)) + "\n")
+        np.savetxt(fh, rows, fmt="%.17g", delimiter=",", header=header, comments="")
 
 
 def cmd_generate(args) -> int:

@@ -86,20 +86,31 @@ class ParetoFront:
 def monomial_exponents(n_vars: int, degree: int) -> list[tuple[int, ...]]:
     """Exponent tuples of all monomials in n_vars variables up to the given
     total degree, in lexicographic order."""
-    exps = set()
-    for total in range(degree + 1):
-        for combo in itertools.combinations_with_replacement(range(n_vars), total):
-            e = [0] * n_vars
-            for v in combo:
-                e[v] += 1
-            exps.add(tuple(e))
-    return sorted(exps)
+    return sorted(
+        tuple(combo.count(v) for v in range(n_vars))
+        for total in range(degree + 1)
+        for combo in itertools.combinations_with_replacement(range(n_vars), total)
+    )
 
 
 def _design_columns(states, variables, exponents):
     block = states[:, list(variables)].astype(float)
     cols = [np.prod(block ** np.asarray(e), axis=1) for e in exponents]
     return np.column_stack(cols)
+
+
+def _surrogate(data: RegressionDataset, variables: tuple[int, ...], degree: int):
+    """The least-squares polynomial in `variables` up to the given degree:
+    (exponents, design columns, coefficients), with the columns in
+    monomial_exponents' order, or None when the data has no more samples
+    than monomials."""
+    targets = np.asarray(data.targets, dtype=float)
+    exps = monomial_exponents(len(variables), degree)
+    if len(targets) <= len(exps):
+        return None
+    cols = _design_columns(data.states, variables, exps)
+    coeffs, *_ = np.linalg.lstsq(cols, targets, rcond=None)
+    return exps, cols, coeffs
 
 
 def _poly_expr(coeffs, exponents, variables) -> Expr:
@@ -137,18 +148,14 @@ def polyfit(
 ):
     """Least-squares polynomial fit of the targets. The returned candidate
     drops coefficients below 1e-12 of the largest one."""
-    states = data.states
-    targets = np.asarray(data.targets, dtype=float)
-    k = states.shape[1]
-    vars_ = tuple(range(k)) if variables is None else tuple(variables)
-    exps = monomial_exponents(len(vars_), degree)
-    if len(targets) <= len(exps):
+    vars_ = tuple(range(data.states.shape[1])) if variables is None else tuple(variables)
+    fit = _surrogate(data, vars_, degree)
+    if fit is None:
         raise ValueError(
             f"degree-{degree} fit in {len(vars_)} variables needs more than "
-            f"{len(exps)} samples, got {len(targets)}"
+            f"{math.comb(len(vars_) + degree, degree)} samples, got {len(data.targets)}"
         )
-    cols = _design_columns(states, vars_, exps)
-    coeffs, *_ = np.linalg.lstsq(cols, targets, rcond=None)
+    exps, _, coeffs = fit
     cand = make_candidate(_poly_expr(coeffs, exps, vars_), data)
     if return_coefficients:
         return cand, coeffs
@@ -465,56 +472,34 @@ def separability_split(data: RegressionDataset, tolerance: float = 1e-2):
     None. The surrogate's constant stays with the second block, so the
     first block's targets are centred accordingly.
     """
-    states = data.states
-    targets = np.asarray(data.targets, dtype=float)
-    k = states.shape[1]
-    if k < 2:
+    k = data.states.shape[1]
+    fit = _surrogate(data, tuple(range(k)), 4) if k >= 2 else None
+    if fit is None:
         return None
-    exps = monomial_exponents(k, 4)
-    if len(targets) <= len(exps):
-        return None
-    cols = _design_columns(states, tuple(range(k)), exps)
-    w, *_ = np.linalg.lstsq(cols, targets, rcond=None)
+    exps, cols, w = fit
     total = float(np.linalg.norm(w))
     if total == 0.0:
         return None
+    # which variables each monomial uses; the first one, all zeros, is the constant
+    uses = np.array(exps) > 0
     best = None
-    for mask in range(1, 2**k - 1):
-        if not mask & 1:
-            continue
-        vars_a = tuple(i for i in range(k) if mask >> i & 1)
-        vars_b = tuple(i for i in range(k) if not mask >> i & 1)
-        mixed = [
-            i
-            for i, e in enumerate(exps)
-            if any(e[j] for j in vars_a) and any(e[j] for j in vars_b)
-        ]
-        ratio = float(np.linalg.norm(w[mixed])) / total
+    # odd masks only: variable 0 is always in block a
+    for mask in range(1, 2**k - 1, 2):
+        in_a = (mask >> np.arange(k) & 1).astype(bool)
+        uses_a, uses_b = uses[:, in_a].any(axis=1), uses[:, ~in_a].any(axis=1)
+        ratio = float(np.linalg.norm(w[uses_a & uses_b])) / total
         if best is None or ratio < best[0]:
-            best = (ratio, vars_a, vars_b)
-    ratio, vars_a, vars_b = best
+            best = (ratio, in_a, uses_a & ~uses_b, uses_b & ~uses_a)
+    ratio, in_a, pure_a, pure_b = best
     if ratio >= tolerance:
         return None
-    const_idx = exps.index((0,) * k)
-    pure_a = [
-        i
-        for i, e in enumerate(exps)
-        if i != const_idx and all(e[j] == 0 for j in vars_b)
-    ]
-    pure_b = [
-        i
-        for i, e in enumerate(exps)
-        if i != const_idx and all(e[j] == 0 for j in vars_a)
-    ]
     part_a = cols[:, pure_a] @ w[pure_a]
     part_b = cols[:, pure_b] @ w[pure_b]
-    data_a = RegressionDataset(
-        data.times, states, targets - part_b - w[const_idx], data.dt, data.target_dim
-    )
-    data_b = RegressionDataset(
-        data.times, states, targets - part_a, data.dt, data.target_dim
-    )
-    return vars_a, vars_b, data_a, data_b
+    targets = np.asarray(data.targets, dtype=float)
+    data_a = replace(data, targets=targets - part_b - w[0])
+    data_b = replace(data, targets=targets - part_a)
+    vars_a, vars_b = np.flatnonzero(in_a).tolist(), np.flatnonzero(~in_a).tolist()
+    return tuple(vars_a), tuple(vars_b), data_a, data_b
 
 
 def _better(cand: CandidateSolution, cur: CandidateSolution) -> bool:

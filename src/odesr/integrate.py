@@ -505,10 +505,10 @@ def make_dataset(
 
 
 def write_trajectory_csv(traj: Trajectory, variable_names: Sequence[str], path) -> None:
+    header = ",".join(("t", *variable_names))
+    rows = np.column_stack((traj.times, traj.states))
     with open(path, "w") as fh:
-        fh.write("t," + ",".join(variable_names) + "\n")
-        for t, row in zip(traj.times, traj.states):
-            fh.write(",".join(f"{v:.17g}" for v in (t, *row)) + "\n")
+        np.savetxt(fh, rows, fmt="%.17g", delimiter=",", header=header, comments="")
 
 
 def read_trajectory_csv(path) -> tuple[tuple[str, ...], Trajectory]:

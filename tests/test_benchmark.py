@@ -22,7 +22,7 @@ from odesr.expressions import Const, Unary, evaluate_batch, parse_expr, print_ex
 from odesr.feynman import FeynmanConfig
 from odesr.ga import GAConfig
 from odesr.integrate import IntegrationError, integrate, make_trajectory
-from odesr.sindy import preset_basis
+from odesr.sindy import basis_from_strings, preset_basis
 from odesr.systems import expression_system, get_system, lotka_volterra, simple_pendulum
 
 FAST_GA = GAConfig(population_size=10, iterations=5, bitstring_length=20)
@@ -271,6 +271,26 @@ def test_run_fit_ga_seed_overrides_config():
 def test_run_fit_unknown_method():
     with pytest.raises(ValueError, match="unknown method"):
         run_fit("annealing", lotka_volterra())
+
+
+@pytest.mark.parametrize(
+    "method, message",
+    [
+        ("ga", "no constant pool known for system 'decay'; provide one"),
+        ("sindy", "no basis preset for system 'decay'; provide one"),
+    ],
+)
+def test_run_fit_on_a_custom_system_needs_a_pool_or_basis(method, message):
+    decay = expression_system("decay", ["-0.5 * x1"], [2.0])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_fit(method, decay, ga_config=FAST_GA)
+    given = {
+        "ga": {"constant_pool": (-0.5,)},
+        "sindy": {"basis": basis_from_strings(["x1"], ["x1"])},
+    }
+    record = run_fit(method, decay, ga_config=FAST_GA, **given[method])
+    assert record["system"] == "decay"
+    assert record["test_error"] < 1.0
 
 
 # ---------------------------------------------------------------- benchmark

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from odesr import cli
-from odesr.benchmark import METHODS
+from odesr.benchmark import METHODS, rollout_with_estimate, run_fit
 from odesr.cli import _write_dataset_csv, fit_kwargs, load_config, main, resolve_system
+from odesr.expressions import parse_expr
 from odesr.feynman import FeynmanConfig
 from odesr.ga import GAConfig
 from odesr.integrate import IntegratorConfig, make_dataset, read_trajectory_csv
-from odesr.sindy import BasisSet, LassoConfig
+from odesr.sindy import BasisSet, LassoConfig, preset_basis
 from odesr.systems import lotka_volterra
 
 
@@ -99,6 +100,23 @@ def test_fit_feynman_includes_pareto(tmp_path):
     record = json.loads(out.read_text())
     assert record["pareto"]
     assert record["warnings"] == ["DynAIFeynman-lite"]
+
+
+def test_fit_sindy_takes_a_basis_preset_by_name(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path, {"sindy": {"basis": {"lotka_volterra": "pendulum"}}})
+    bases = []
+
+    def spy(*args, **kwargs):
+        bases.append(kwargs["basis"])
+        return run_fit(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_fit", spy)
+    out = tmp_path / "fit.json"
+    assert main(["fit", "--method", "sindy", "--system", "lotka_volterra",
+                 "--config", cfg, "--out", str(out)]) == 0
+    assert bases == [preset_basis("pendulum")]
+    want = run_fit("sindy", lotka_volterra(), basis=preset_basis("pendulum"))
+    assert json.loads(out.read_text())["expression"] == want["expression"]
 
 
 def test_eval_ground_truth(tmp_path):
@@ -372,6 +390,22 @@ def test_rollout_writes_csv(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "t,x,y,x_est,y_est"
     assert len(lines) == 152  # header + (0,15) grid at dt 0.1
+
+
+def test_rollout_of_a_divergent_estimate_warns_and_exits_zero(tmp_path, capsys):
+    out = tmp_path / "roll.csv"
+    assert main(["rollout", "--system", "lotka_volterra",
+                 "--expr", "1000.0 * y ^ 2.0", "--out", str(out)]) == 0
+    system = lotka_volterra()
+    estimate = parse_expr("1000.0 * y ^ 2.0", system.variable_names)
+    result = rollout_with_estimate(estimate, system)
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"estimate diverged at t={result.divergence_time:.6g}; trajectory truncated\n"
+    )
+    assert captured.out == f"wrote {out}\n"
+    lines = out.read_text().splitlines()
+    assert len(lines) == len(result.hybrid.times) + 1 < 152
 
 
 def test_bench_writes_table(tmp_path):

@@ -130,6 +130,14 @@ def test_batch_shape_mismatch_raises():
         evaluate_batch(Var(0), np.zeros(3), np.zeros((2, 1)))
 
 
+def test_batch_takes_1d_states_as_one_variable():
+    e = parse_expr("2.0 * x1 + t")
+    got = evaluate_batch(e, [0.0, 1.0, 2.0], [1.0, 2.0, 3.0])
+    assert got.tolist() == [2.0, 5.0, 8.0]
+    column = evaluate_batch(e, [0.0, 1.0, 2.0], [[1.0], [2.0], [3.0]])
+    assert got.tolist() == column.tolist()
+
+
 @given(exprs(), st.lists(st.floats(-3, 3), min_size=3, max_size=3), st.floats(-3, 3))
 @settings(max_examples=150, deadline=None)
 def test_batch_agrees_with_scalar(e, x, t):
@@ -558,6 +566,24 @@ def test_parse_trailing_garbage():
         parse_expr("1.0 2.0")
     with pytest.raises(ParseError):
         parse_expr("")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("x1 $", "unexpected character '$' at position 3"), ("(x1", "expected ')' at position 3")],
+)
+def test_parse_error_names_the_problem_and_its_position(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_expr(text)
+    assert str(err.value) == message
+    assert err.value.position == 3
+
+
+def test_pow_with_a_negated_exponent_parses_and_round_trips():
+    e = parse_expr("x1^-x2")
+    assert e == Binary("pow", Var(0), Binary("mul", Const(-1.0), Var(1)))
+    assert print_expr(e) == "(x1 ^ ((-1.0) * x2))"
+    assert parse_expr(print_expr(e)) == e
 
 
 def test_precedence_mul_over_add():

@@ -484,6 +484,29 @@ def test_time_budget_expiring_below_the_top_size_truncates(monkeypatch, planted_
     assert front.truncated
 
 
+def test_time_budget_expiring_between_binary_ops_truncates(monkeypatch, planted_sine):
+    """A budget that runs out while a size's first binary op is enumerated
+    stops the search before the next binary op: the first op's skeletons
+    of that size are fitted, the second op's are not."""
+    expired = False
+
+    def add(*args, **kwargs):
+        nonlocal expired
+        expired = True
+        return np.add(*args, **kwargs)
+
+    clock = types.SimpleNamespace(monotonic=lambda: 1.0 if expired else 0.0)
+    monkeypatch.setattr(feynman, "time", clock)
+    monkeypatch.setitem(feynman.BINARY_UFUNC, "add", add)
+    cfg = FeynmanConfig(max_brute_nodes=4, time_budget=0.5)
+    with pytest.warns(RuntimeWarning, match="^brute_force truncated by time_budget$"):
+        cands = brute_force(planted_sine, cfg)
+    # size 3 (complexity 5) is the first size with binary skeletons
+    roots = {c.expr.right.op for c in cands if c.complexity == 5}
+    assert roots == {"sin", "cos", "log", "exp", "add"}
+    assert max(c.complexity for c in cands) == 6  # the unary ops of the top size
+
+
 def test_pipeline_never_holds_the_top_size_table():
     """run_pipeline's allocation peak on the cart-pole train set stays below
     what the values of its 30,488 finite size-6 skeletons (the size below
@@ -551,6 +574,144 @@ def test_separability_exact_polynomial_reassembles():
     total = Binary("add", ca.expr, cb.expr)
     pred = evaluate_batch(total, ds_a.times, ds_a.states)
     assert np.max(np.abs(pred - t)) < 1e-8
+
+
+def test_separability_needs_more_samples_than_the_surrogates_monomials():
+    # the degree-4 surrogate in two variables has 15 monomials
+    assert len(monomial_exponents(2, 4)) == 15
+    rng = np.random.default_rng(7)
+    xs = rng.uniform(-2.0, 2.0, size=(16, 2))
+    t = xs[:, 0] ** 2 + xs[:, 1] ** 3
+    assert separability_split(dataset_from(xs[:15], t[:15])) is None
+    assert separability_split(dataset_from(xs, t)) is not None
+
+
+def reference_monomial_exponents(n_vars, degree):
+    """monomial_exponents as first written, through a set."""
+    exps = set()
+    for total in range(degree + 1):
+        for combo in itertools.combinations_with_replacement(range(n_vars), total):
+            e = [0] * n_vars
+            for v in combo:
+                e[v] += 1
+            exps.add(tuple(e))
+    return sorted(exps)
+
+
+def reference_separability_split(data, tolerance=1e-2):
+    """separability_split as first written: its own surrogate fit, and
+    three list scans of the exponents for each bipartition."""
+    states = data.states
+    targets = np.asarray(data.targets, dtype=float)
+    k = states.shape[1]
+    if k < 2:
+        return None
+    exps = reference_monomial_exponents(k, 4)
+    if len(targets) <= len(exps):
+        return None
+    cols = feynman._design_columns(states, tuple(range(k)), exps)
+    w, *_ = np.linalg.lstsq(cols, targets, rcond=None)
+    total = float(np.linalg.norm(w))
+    if total == 0.0:
+        return None
+    best = None
+    for mask in range(1, 2**k - 1):
+        if not mask & 1:
+            continue
+        vars_a = tuple(i for i in range(k) if mask >> i & 1)
+        vars_b = tuple(i for i in range(k) if not mask >> i & 1)
+        mixed = [
+            i
+            for i, e in enumerate(exps)
+            if any(e[j] for j in vars_a) and any(e[j] for j in vars_b)
+        ]
+        ratio = float(np.linalg.norm(w[mixed])) / total
+        if best is None or ratio < best[0]:
+            best = (ratio, vars_a, vars_b)
+    ratio, vars_a, vars_b = best
+    if ratio >= tolerance:
+        return None
+    const_idx = exps.index((0,) * k)
+    pure_a = [
+        i
+        for i, e in enumerate(exps)
+        if i != const_idx and all(e[j] == 0 for j in vars_b)
+    ]
+    pure_b = [
+        i
+        for i, e in enumerate(exps)
+        if i != const_idx and all(e[j] == 0 for j in vars_a)
+    ]
+    part_a = cols[:, pure_a] @ w[pure_a]
+    part_b = cols[:, pure_b] @ w[pure_b]
+    data_a = RegressionDataset(
+        data.times, states, targets - part_b - w[const_idx], data.dt, data.target_dim
+    )
+    data_b = RegressionDataset(
+        data.times, states, targets - part_a, data.dt, data.target_dim
+    )
+    return vars_a, vars_b, data_a, data_b
+
+
+def test_monomial_exponents_match_the_set_construction():
+    for n_vars in range(6):
+        for degree in range(6):
+            want = reference_monomial_exponents(n_vars, degree)
+            assert monomial_exponents(n_vars, degree) == want
+
+
+def test_separability_tie_goes_to_the_first_bipartition():
+    # x2 and x3 are 0 throughout, so every monomial that mixes two blocks
+    # has a coefficient of exactly 0 and all three bipartitions tie at 0
+    rng = np.random.default_rng(6)
+    xs = rng.uniform(-2.0, 2.0, size=(80, 3))
+    xs[:, 1:] = 0.0
+    data = dataset_from(xs, xs[:, 0] ** 2)
+    split = separability_split(data)
+    assert split[:2] == reference_separability_split(data)[:2] == ((0,), (1, 2))
+
+
+def random_split_dataset(seed):
+    """Seeded data in 1 to 4 variables with 5 to 149 samples, of one of
+    four kinds by seed: a sum of functions of two blocks of variables, a
+    weighted sum of squares, a product, or noise; scaled by a power of 10."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 5))
+    n = int(rng.integers(5, 150))
+    xs = rng.uniform(-2.0, 2.0, size=(n, k))
+    kind = seed % 4
+    if kind == 0:
+        in_a = rng.random(k) < 0.5
+        t = np.cos(xs[:, in_a].sum(axis=1)) + 0.3 * (xs[:, ~in_a] ** 3).sum(axis=1)
+    elif kind == 1:
+        t = xs**2 @ rng.normal(size=k) + rng.normal()
+    elif kind == 2:
+        t = np.prod(xs, axis=1)
+    else:
+        t = rng.normal(size=n)
+    return dataset_from(xs, t * 10.0 ** int(rng.integers(-3, 4)))
+
+
+def test_separability_split_matches_the_list_scans():
+    """On 400 seeded datasets the split is the first written one's: the
+    same variables, the same halves' targets bit for bit, and None in the
+    same cases."""
+    found = 0
+    for seed in range(400):
+        data = random_split_dataset(seed)
+        got, want = separability_split(data), reference_separability_split(data)
+        assert (got is None) == (want is None), seed
+        if got is None:
+            continue
+        found += 1
+        assert got[:2] == want[:2], seed
+        assert all(type(v) is int for v in got[0] + got[1])
+        for half, ref in zip(got[2:], want[2:]):
+            assert half.targets.tobytes() == ref.targets.tobytes(), seed
+            assert half.states is data.states and half.times is data.times
+            assert (half.dt, half.target_dim) == (data.dt, data.target_dim)
+    # both outcomes are well represented
+    assert 50 < found < 350
 
 
 # ------------------------------------------------------------- pareto front

@@ -153,6 +153,21 @@ def test_nan_rhs_truncates():
     assert err.value.last_time <= 0.6
 
 
+def test_dynamics_not_finite_at_the_initial_state_stop_at_the_span_start():
+    message = r"^dynamics not finite at initial state \(integrated up to t=0.5\)$"
+    with pytest.raises(IntegrationError, match=message) as err:
+        integrate(lambda t, x: np.array([1.0, math.inf]), [1.0, 2.0], (0.5, 1.5), 0.1)
+    assert err.value.last_time == 0.5
+    assert err.value.partial.times.tolist() == [0.5]
+    assert err.value.partial.states.tolist() == [[1.0, 2.0]]
+
+
+@pytest.mark.parametrize("span", [(1.0, 1.0), (1.0, 0.0), (0.0, math.nan)])
+def test_span_that_does_not_increase_is_rejected(span):
+    with pytest.raises(ValueError, match=r"^span must increase, got \(.*\)$"):
+        integrate(lambda t, x: -x, [1.0], span, 0.1)
+
+
 def test_rejected_attempts_restart_from_the_slope_at_the_accepted_state():
     # a rejected attempt overwrites the last stage; the next attempt must
     # still start from f(t, x). The slope switches on at t = 1, so large
@@ -277,6 +292,16 @@ def test_finite_differences_constant_and_linear():
     assert ds.targets == pytest.approx(np.ones(10), abs=1e-12)
     assert ds.times.shape == (10,)
     assert ds.states.shape == (10, 1)
+
+
+def test_finite_differences_need_two_samples_and_a_target_in_range():
+    one = Trajectory(np.array([0.0]), np.array([[1.0, 2.0]]))
+    with pytest.raises(ValueError, match="^need at least two samples$"):
+        finite_differences(one, 0)
+    two = Trajectory(np.array([0.0, 0.1]), np.array([[1.0, 2.0], [1.5, 2.5]]))
+    for target_dim in (-1, 2):
+        with pytest.raises(ValueError, match=f"^target_dim {target_dim} out of range$"):
+            finite_differences(two, target_dim)
 
 
 def test_finite_difference_error_bound_on_pendulum():

@@ -286,6 +286,28 @@ def test_fit_lasso_sweep_on_lv():
     assert np.count_nonzero(result.weights) <= 4
 
 
+def test_fit_lasso_with_a_fixed_lambda_solves_once():
+    data = exact_dataset(lotka_volterra())
+    basis = preset_basis("lotka_volterra")
+    config = LassoConfig(lam=0.01)
+    result = fit(basis, data, config)
+    a = build_design_matrix(basis, data)
+    want = lasso_cd(a, data.targets, 0.01, config.max_iterations, config.tolerance)
+    assert result.weights.tobytes() == want.weights.tobytes()
+    assert result.warnings == want.warnings
+
+
+def test_fit_lasso_sweep_on_zero_targets_is_the_zero_fit():
+    # every lambda of the sweep is a multiple of lambda_max, here 0
+    data = exact_dataset(lotka_volterra())
+    data = RegressionDataset(data.times, data.states, np.zeros(len(data.targets)), 0.1, 1)
+    result = fit(preset_basis("lotka_volterra"), data, LassoConfig())
+    assert np.all(result.weights == 0.0)
+    assert result.candidate.expr == Const(0.0)
+    assert result.candidate.train_rmse == 0.0
+    assert result.warnings == ()
+
+
 def test_fit_finite_differences_close_to_truth():
     data = make_dataset(simple_pendulum(), 0.1, "train")
     result = fit(preset_basis("pendulum"), data, STLSQConfig())
