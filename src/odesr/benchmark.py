@@ -27,9 +27,9 @@ from .expressions import (  # noqa: F401
     evaluate_batch,
     print_expr,
 )
-# integrate is not called here either (rollouts go through
-# shared_trajectory); it stays importable because perfbench/spans.py names
-# this binding
+# integrate is not called here either (rollouts go through make_trajectory
+# and shared_trajectory); it stays importable because perfbench/spans.py
+# names this binding
 from .integrate import (  # noqa: F401
     IntegrationError,
     IntegratorConfig,
@@ -159,20 +159,53 @@ def rollout_with_estimate(
 ) -> RolloutResult:
     """Integrate the hybrid system where the target dimension follows the
     estimate and every other dimension keeps the true dynamics. A divergent
-    estimate yields a truncated hybrid trajectory, not an exception. Truth
-    and hybrid both come from shared_trajectory, so they are read-only."""
-    if span is None:
-        span = (system.train_span[0], system.test_span[1])
-    x0 = system.initial_state
-    truth = shared_trajectory(system.rhs, x0, span, sample_dt, config)
-    hybrid_rhs = _hybrid_rhs(system, expr)
+    estimate yields a truncated hybrid trajectory, not an exception.
+
+    Without a span, truth and hybrid are each their system's train split
+    followed by its test split (make_trajectory), which starts from that
+    system's own train end state; the truth is thus the trajectory that
+    test_error scores. An explicit span is integrated in one piece each.
+    Either way they come from shared_trajectory and are read-only, except
+    the partial trajectory of a hybrid that fails before its test split."""
+
+    def trajectory(of: SystemSpec) -> Trajectory:
+        if span is None:
+            return _joined_splits(of, sample_dt, config)
+        return shared_trajectory(of.rhs, of.initial_state, span, sample_dt, config)
+
+    truth = trajectory(system)
     try:
-        hybrid = shared_trajectory(hybrid_rhs, x0, span, sample_dt, config)
+        hybrid = trajectory(replace(system, rhs=_hybrid_rhs(system, expr)))
         divergence = None
     except IntegrationError as err:
         hybrid = err.partial
         divergence = err.last_time
     return RolloutResult(truth, hybrid, divergence)
+
+
+def _joined_splits(
+    system: SystemSpec, sample_dt: float, config: IntegratorConfig | None
+) -> Trajectory:
+    """The train split and then the test split past its first point, the
+    train end state, as one read-only trajectory. A test split that fails
+    raises its IntegrationError with the train split joined to its partial."""
+    train = make_trajectory(system, "train", sample_dt, config)
+    try:
+        test = make_trajectory(system, "test", sample_dt, config)
+    except IntegrationError as err:
+        err.partial = _join(train, err.partial)
+        raise
+    return _join(train, test)
+
+
+def _join(train: Trajectory, test: Trajectory) -> Trajectory:
+    arrays = (
+        np.concatenate((train.times, test.times[1:])),
+        np.concatenate((train.states, test.states[1:])),
+    )
+    for a in arrays:
+        a.flags.writeable = False
+    return Trajectory(*arrays)
 
 
 def write_rollout_csv(result: RolloutResult, variable_names, path) -> None:

@@ -7,9 +7,9 @@ depend on the grid, so trajectory files never depend on it either, and
 one integration can be sampled at any sample_dt. Failures (blowup, nan
 dynamics, step underflow, step budget) raise IntegrationError carrying the
 portion of the grid that was reached. shared_trajectory integrates each
-trajectory once per right-hand-side object, whatever the sample_dt, and a
-longer span continues from the steps of a shorter one with the same
-start; dataset splits, rollout truths and hybrid rollouts are read from it.
+trajectory once per right-hand-side object, whatever the sample_dt;
+make_trajectory reads the train and test splits from it, and rollouts
+join those splits (an explicit rollout span is read from it whole).
 """
 
 from __future__ import annotations
@@ -116,9 +116,6 @@ class Trajectory:
     # integrate's accepted steps, one row each (see _accepted_steps), from
     # which _dense_output samples any grid of the span; None elsewhere
     steps: np.ndarray | None = field(default=None, compare=False, repr=False)
-    # integrate's loop state before its first step clipped to the span's
-    # end, from which a longer span continues (see _accepted_steps)
-    resume: tuple | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -213,8 +210,6 @@ def integrate(
     span: tuple[float, float],
     sample_dt: float,
     config: IntegratorConfig | None = None,
-    *,
-    start: tuple[np.ndarray, tuple] | None = None,
 ) -> Trajectory:
     """Integrate rhs over span and sample on a uniform grid.
 
@@ -222,12 +217,7 @@ def integrate(
     ndarray of the state's length, and returns the derivative as a
     sequence of the same length. The returned Trajectory also holds the
     accepted steps, from which shared_trajectory samples the span's other
-    grids, and the loop state from which a longer span continues.
-
-    start, which shared_trajectory passes, is the (steps, resume) of an
-    earlier integration of rhs with the same x0, span start and config over
-    a shorter span: the loop then resumes from that state, after those
-    steps, and takes the same steps as a fresh integration would.
+    grids.
     """
     cfg = config if config is not None else IntegratorConfig()
     t0, t1 = float(span[0]), float(span[1])
@@ -237,61 +227,35 @@ def integrate(
     x = np.array(x0, dtype=float)
     if x.ndim != 1 or not x.size or not np.all(np.isfinite(x)):
         raise ValueError("initial state must be a non-empty finite vector")
-    if start is None:
-        steps, failure, resume = _accepted_steps(rhs, x, t0, t1, cfg)
-    else:
-        earlier, state = start
-        steps, failure, resume = _accepted_steps(rhs, x, t0, t1, cfg, state)
-        steps = np.concatenate((earlier[: state[0]], steps))
+    steps, failure = _accepted_steps(rhs, x, t0, t1, cfg)
     states = _dense_output(steps, grid, x)
     if failure is not None:
         message, t = failure
         partial = Trajectory(grid[: len(states)].copy(), states)
         raise IntegrationError(message, t, partial)
-    return Trajectory(grid, states, steps, resume)
+    return Trajectory(grid, states, steps)
 
 
 def _accepted_steps(
-    rhs: RHS,
-    x: np.ndarray,
-    t0: float,
-    t1: float,
-    cfg: IntegratorConfig,
-    state: tuple | None = None,
-) -> tuple[np.ndarray, tuple[str, float] | None, tuple | None]:
-    """Step from (t0, x) to t1, or from a resume state of an integration
-    over a shorter span. Returns one row per accepted step, holding what
-    its dense output reads: t, h, t_new, the state x at t, and
-    q = k.T @ _P flattened; the (message, time) of the failure that
-    stopped the loop, or None when it reached t1; and the resume state.
-
-    Every attempt before the first one whose step is clipped to t1 is the
-    same for any later t1, so the resume state is the loop state at that
-    attempt: (rows before it, counting any a resumed loop was given, t, x,
-    f, the unclipped h, err_old, attempts before it). It is None when the
-    initial step was already clipped, since a longer span starts from a
-    larger one."""
+    rhs: RHS, x: np.ndarray, t0: float, t1: float, cfg: IntegratorConfig
+) -> tuple[np.ndarray, tuple[str, float] | None]:
+    """Step from (t0, x) to t1. Returns one row per accepted step, holding
+    what its dense output reads: t, h, t_new, the state x at t, and
+    q = k.T @ _P flattened; and the (message, time) of the failure that
+    stopped the loop, or None when it reached t1."""
     n = len(x)
     rows = array.array("d")
-    resume = None
 
     def record(failure=None):
-        return np.array(rows).reshape(-1, 3 + 5 * n), failure, resume
+        return np.array(rows).reshape(-1, 3 + 5 * n), failure
 
-    if state is None:
-        t = t0
-        f = np.asarray(rhs(t, x), dtype=float)
-        if not np.all(np.isfinite(f)):
-            return record(("dynamics not finite at initial state", t))
-        h = _initial_step(rhs, t, x, f, cfg)
-        # a longer span would not clip this step
-        resumable = not h > t1 - t0
-        h = min(h, t1 - t0)
-        err_old = 1.0
-        done = steps = 0
-    else:
-        done, t, x, f, h, err_old, steps = state
-        resumable = True
+    t = t0
+    f = np.asarray(rhs(t, x), dtype=float)
+    if not np.all(np.isfinite(f)):
+        return record(("dynamics not finite at initial state", t))
+    h = min(_initial_step(rhs, t, x, f, cfg), t1 - t0)
+    err_old = 1.0
+    steps = 0
     k = np.empty((7, n))
     # stage i: (its row of k, its node, its weights, the rows they weigh)
     stages = [(i, c, _A[i], k[:i]) for i, c in enumerate(_C.tolist()) if i]
@@ -307,10 +271,6 @@ def _accepted_steps(
             return record((f"step size underflow (h={h:.3g})", t))
         reached_end = h >= t1 - t
         if reached_end:
-            if resumable:
-                count = done + len(rows) // (3 + 5 * n)
-                resume = (count, t, x, f.copy(), h, err_old, steps - 1)
-                resumable = False
             h = t1 - t
         k[0] = f
         for i, c, a, ki in stages:
@@ -370,8 +330,7 @@ def _dense_output(steps: np.ndarray, grid: np.ndarray, x0: np.ndarray) -> np.nda
     return states
 
 
-# rhs object -> {inputs but the span's end and sample_dt: {bits of the span's
-# end: (span end, steps, resume state, {grid length: (times, states)})}};
+# rhs object -> {inputs but sample_dt: (steps, {grid length: (times, states)})};
 # entries die with the rhs
 _TRAJECTORIES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
@@ -388,12 +347,11 @@ def shared_trajectory(
 
     The accepted steps do not depend on the sample grid, so they are kept
     as long as rhs lives and each new sample_dt is read from their dense
-    output; rhs must therefore be a pure function of (t, x). A span that
-    extends a kept one (the same x0, span start and config, a later end)
-    continues from the longest such: integrate resumes from its loop state
-    and takes only the steps past its end, the same steps a fresh
-    integration would take. Each call returns a new Trajectory over the
-    same read-only arrays. A failed integration is not kept and fails
+    output; rhs must therefore be a pure function of (t, x). Each span is
+    its own integration: one that ends later than a kept span with the
+    same start is integrated from that start (rollouts join the train and
+    test splits, so none asks for a span over both). Each call returns a
+    new Trajectory over the same read-only arrays. A failed integration is not kept and fails
     again on the next call, at any sample_dt. An rhs that cannot be weakly
     referenced, and inputs that give no key (integrate then raises its own
     error), go to integrate on every call.
@@ -404,32 +362,25 @@ def shared_trajectory(
         cfg = config if config is not None else IntegratorConfig()
         x = np.array(x0, dtype=float)
         t0, t1, rtol, atol = (float(v) for v in (span[0], span[1], cfg.rtol, cfg.atol))
-        key = (x.shape, x.tobytes(), struct.pack("<3d", t0, rtol, atol), cfg.max_steps)
-        end = struct.pack("<d", t1)
+        key = (x.shape, x.tobytes(), struct.pack("<4d", t0, t1, rtol, atol), cfg.max_steps)
     except (TypeError, ValueError):
         return integrate(rhs, x0, span, sample_dt, config)
-    spans = memo.setdefault(key, {})
-    entry = spans.get(end)
+    entry = memo.get(key)
     if entry is None:
-        shorter = [e for e in spans.values() if e[0] < t1 and e[2] is not None]
         # the module global, looked up now, so a wrapper sees each integration
-        if shorter:
-            _, steps, resume, _ = max(shorter, key=lambda e: e[0])
-            traj = integrate(rhs, x0, span, sample_dt, config, start=(steps, resume))
-        else:
-            traj = integrate(rhs, x0, span, sample_dt, config)
-        entry = spans[end] = (t1, traj.steps, traj.resume, {})
+        traj = integrate(rhs, x0, span, sample_dt, config)
+        entry = memo[key] = (traj.steps, {})
         arrays = (traj.times, traj.states)
     else:
         # an entry means span and x0 were valid, so only the grid can fail
         grid = sample_grid(t0, t1, sample_dt)
-        arrays = entry[3].get(len(grid))
+        arrays = entry[1].get(len(grid))
         if arrays is not None:
             return Trajectory(*arrays)
-        arrays = (grid, _dense_output(entry[1], grid, x))
+        arrays = (grid, _dense_output(entry[0], grid, x))
     for a in arrays:
         a.flags.writeable = False
-    entry[3][len(arrays[0])] = arrays
+    entry[1][len(arrays[0])] = arrays
     return Trajectory(*arrays)
 
 

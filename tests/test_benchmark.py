@@ -8,10 +8,12 @@ import weakref
 import numpy as np
 import pytest
 
+from odesr import integrate as integrate_module
 from odesr.benchmark import (
     GROUND_TRUTH_EXPRESSIONS,
     BenchmarkResult,
     RolloutResult,
+    _hybrid_rhs,
     rollout_with_estimate,
     run_benchmark,
     run_fit,
@@ -21,7 +23,7 @@ from odesr.benchmark import test_error as held_out_error
 from odesr.expressions import Const, Unary, evaluate_batch, parse_expr, print_expr
 from odesr.feynman import FeynmanConfig
 from odesr.ga import GAConfig
-from odesr.integrate import IntegrationError, integrate, make_trajectory
+from odesr.integrate import IntegrationError, Trajectory, integrate, make_trajectory
 from odesr.sindy import basis_from_strings, preset_basis
 from odesr.systems import expression_system, get_system, lotka_volterra, simple_pendulum
 
@@ -92,29 +94,43 @@ def test_rollout_divergent_estimate_truncates():
 
 
 def reference_rollout(expr, system, sample_dt):
-    """The hybrid rollout as it was before the estimate was compiled: one
-    1-row evaluate_batch call per right-hand-side evaluation."""
-    span = (system.train_span[0], system.test_span[1])
-    truth = integrate(system.rhs, system.initial_state, span, sample_dt)
+    """The hybrid rollout with the estimate evaluated by one 1-row
+    evaluate_batch call per right-hand-side evaluation, and truth and
+    hybrid each integrated over the train span and then over the test span
+    from their own train end state, joined at the train end."""
 
     def hybrid_rhs(t, state):
         out = np.array(system.rhs(t, state), dtype=float)
         out[system.target_dim] = evaluate_batch(expr, [t], [state])[0]
         return out
 
+    def splits(rhs):
+        train = integrate(rhs, system.initial_state, system.train_span, sample_dt)
+        try:
+            test = integrate(rhs, train.states[-1], system.test_span, sample_dt)
+            divergence = None
+        except IntegrationError as err:
+            test, divergence = err.partial, err.last_time
+        times = np.concatenate((train.times, test.times[1:]))
+        return Trajectory(times, np.concatenate((train.states, test.states[1:]))), divergence
+
+    truth, _ = splits(system.rhs)
     try:
-        hybrid = integrate(hybrid_rhs, system.initial_state, span, sample_dt)
-        divergence = None
+        hybrid, divergence = splits(hybrid_rhs)
     except IntegrationError as err:
-        hybrid = err.partial
-        divergence = err.last_time
+        hybrid, divergence = err.partial, err.last_time
     return RolloutResult(truth, hybrid, divergence)
 
 
 ROLLOUT_CASES = {
     **{name: (name, text) for name, text in GROUND_TRUTH_EXPRESSIONS.items()},
+    # diverges in the train span
     "diverging": ("lotka_volterra", "exp(exp(y))"),
+    # diverges in the test span, at t = 11.51
+    "diverging_late": ("lotka_volterra", "exp(t) * y ^ 2.0 / 100000.0"),
 }
+# the integrate calls of a rollout's truth, and of a hybrid that reaches the end
+SPLITS = [(0.0, 10.0), (10.0, 15.0)]
 
 
 @pytest.mark.parametrize("sample_dt", [0.1, 0.025])
@@ -126,7 +142,7 @@ def test_rollout_matches_per_call_reference(case, sample_dt):
     got = rollout_with_estimate(expr, system, sample_dt=sample_dt)
     want = reference_rollout(expr, system, sample_dt)
     assert got.divergence_time == want.divergence_time
-    assert (got.divergence_time is not None) == (case == "diverging")
+    assert (got.divergence_time is not None) == case.startswith("diverging")
     for a, b in ((got.truth, want.truth), (got.hybrid, want.hybrid)):
         assert a.times.tobytes() == b.times.tobytes()
         assert a.states.tobytes() == b.states.tobytes()
@@ -136,10 +152,11 @@ def test_rollouts_share_the_truth_trajectory(integrate_calls):
     system = lotka_volterra()
     first = rollout_with_estimate(truth_expr(system), system)
     second = rollout_with_estimate(parse_expr("-y", system.variable_names), system)
-    # the truth, then each hybrid, once each, all through the integrate module
-    assert integrate_calls == [(0.0, 15.0)] * 3
+    # the truth's splits, then each hybrid's, once each, all through the
+    # integrate module
+    assert integrate_calls == SPLITS * 3
     rollout_with_estimate(parse_expr("-y", system.variable_names), system)
-    assert integrate_calls == [(0.0, 15.0)] * 3
+    assert integrate_calls == SPLITS * 3
     assert second.truth.states.tobytes() == first.truth.states.tobytes()
 
 
@@ -155,9 +172,13 @@ def test_rollouts_at_two_dts_on_one_system_match_reference(integrate_calls, case
         for a, b in ((got.truth, want.truth), (got.hybrid, want.hybrid)):
             assert a.times.tobytes() == b.times.tobytes()
             assert a.states.tobytes() == b.states.tobytes()
-    # truth and hybrid are integrated once; a divergent hybrid is not kept
-    hybrids = 2 if case == "diverging" else 1
-    assert integrate_calls == [(0.0, 15.0)] * (1 + hybrids)
+    # truth and hybrid splits are integrated once; a split that fails is
+    # not kept
+    hybrid = {
+        "diverging": [SPLITS[0]] * 2,
+        "diverging_late": [SPLITS[0]] + [SPLITS[1]] * 2,
+    }.get(case, SPLITS)
+    assert integrate_calls == SPLITS + hybrid
 
 
 def test_hybrids_key_on_the_printed_estimate_and_target(integrate_calls):
@@ -173,14 +194,60 @@ def test_hybrids_key_on_the_printed_estimate_and_target(integrate_calls):
     assert np.all(frozen.hybrid.states[:, 0] == 1.0)
 
 
-def test_hybrid_is_released_with_the_system():
+def test_hybrid_is_released_with_the_system(monkeypatch):
+    # the rollout's arrays are joined afresh on each call; the split
+    # trajectories they are read from are the ones kept
+    kept = []
+    original = integrate_module.integrate
+
+    def watched(*args):
+        traj = original(*args)
+        kept.append(weakref.ref(traj.states))
+        return traj
+
+    monkeypatch.setattr(integrate_module, "integrate", watched)
     system = lotka_volterra()
-    states = weakref.ref(rollout_with_estimate(truth_expr(system), system).hybrid.states)
+    rollout_with_estimate(truth_expr(system), system)
+    rollout_with_estimate(truth_expr(system), system, sample_dt=0.05)
     gc.collect()
-    assert states() is not None
+    # the truth's splits and the hybrid's, kept for the second rollout
+    assert len(kept) == 4
+    assert all(states() is not None for states in kept)
     del system
     gc.collect()
-    assert states() is None
+    assert all(states() is None for states in kept)
+
+
+@pytest.mark.parametrize("sample_dt", [0.1, 0.05, 0.025])
+@pytest.mark.parametrize("name", ["lotka_volterra", "simple_pendulum", "cart_pole"])
+def test_ground_truth_hybrid_equals_the_truth(name, sample_dt):
+    system = get_system(name)
+    result = rollout_with_estimate(truth_expr(system), system, sample_dt=sample_dt)
+    assert result.divergence_time is None
+    assert result.hybrid.times.tobytes() == result.truth.times.tobytes()
+    if name == "cart_pole":
+        # the estimate groups the true rhs's operations another way
+        assert np.max(np.abs(result.hybrid.states - result.truth.states)) < 1e-12
+    else:
+        assert result.hybrid.states.tobytes() == result.truth.states.tobytes()
+
+
+def test_hybrid_diverging_in_the_test_split_keeps_the_train_split():
+    system = lotka_volterra()
+    estimate = parse_expr("exp(t) * y ^ 2.0 / 100000.0", system.variable_names)
+    result = rollout_with_estimate(estimate, system)
+    assert 10.0 < result.divergence_time < 15.0
+    hybrid_system = dataclasses.replace(system, rhs=_hybrid_rhs(system, estimate))
+    train = make_trajectory(hybrid_system, "train", 0.1)
+    with pytest.raises(IntegrationError) as error:
+        make_trajectory(hybrid_system, "test", 0.1)
+    assert result.divergence_time == error.value.last_time
+    test = error.value.partial
+    assert 1 < len(test.times) < len(result.truth.times) - len(train.times) + 1
+    assert result.hybrid.times.tobytes() == np.concatenate((train.times, test.times[1:])).tobytes()
+    assert result.hybrid.states.tobytes() == np.concatenate((train.states, test.states[1:])).tobytes()
+    assert result.hybrid.times.tobytes() == result.truth.times[: len(test.times) + 100].tobytes()
+    assert not result.hybrid.states.flags.writeable
 
 
 class _SlotRhs:

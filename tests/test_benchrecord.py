@@ -229,9 +229,9 @@ def test_bench_ga_counts_reach_the_functions_run_ga_calls(monkeypatch):
     assert counts["fitness_evaluations"] == counts["distinct_keys"]
 
 
-def test_bench_trajectories_counts_continued_integrations(monkeypatch):
-    # the counting wrapper forwards integrate's start keyword, and counts
-    # the integrations that continue a shorter span
+def test_bench_trajectories_counts_integrations(monkeypatch):
+    # the counting wrapper sees every integration through the integrate
+    # module, and evaluates the right-hand side through its own
     monkeypatch.setitem(sys.modules, "benchrecord", benchrecord)
     spec = importlib.util.spec_from_file_location(
         "bench_trajectories", SCRIPTS / "bench_trajectories.py"
@@ -247,10 +247,11 @@ def test_bench_trajectories_counts_continued_integrations(monkeypatch):
         system = get_system("lotka_volterra")
         truth = parse_expr(GROUND_TRUTH_EXPRESSIONS[system.name], system.variable_names)
         make_trajectory(system, "train", 0.1)
-        # the truth over (0, 15) continues the train span; the hybrid cannot
+        # the truth's test split, then the hybrid's train and test splits
         rollout_with_estimate(truth, system, sample_dt=0.1)
+        rollout_with_estimate(truth, system, sample_dt=0.05)
 
     counts = bench_trajectories.count_integrations(sequence)
-    assert counts["total"] == counts["distinct"] == 3
-    assert counts["continued"] == 1
+    assert counts["total"] == counts["distinct"] == 4
+    assert "continued" not in counts
     assert counts["rhs_evaluations"] > 0 and counts["step_record_bytes"] > 0

@@ -408,6 +408,22 @@ def test_rollout_of_a_divergent_estimate_warns_and_exits_zero(tmp_path, capsys):
     assert len(lines) == len(result.hybrid.times) + 1 < 152
 
 
+def test_rollout_diverging_in_the_test_window_warns_and_exits_zero(tmp_path, capsys):
+    # finite over the train span (0, 10), divergent in the test span
+    text = "exp(t) * y ^ 2.0 / 100000.0"
+    out = tmp_path / "roll.csv"
+    assert main(["rollout", "--system", "lotka_volterra", "--expr", text, "--out", str(out)]) == 0
+    system = lotka_volterra()
+    result = rollout_with_estimate(parse_expr(text, system.variable_names), system)
+    assert 10.0 < result.divergence_time < 15.0
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"estimate diverged at t={result.divergence_time:.6g}; trajectory truncated\n"
+    )
+    lines = out.read_text().splitlines()
+    assert 102 < len(lines) == len(result.hybrid.times) + 1 < 152
+
+
 def test_bench_writes_table(tmp_path):
     out = tmp_path / "bench"
     assert main(["bench", "--methods", "sindy", "--systems", "lotka_volterra",

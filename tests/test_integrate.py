@@ -13,7 +13,7 @@ from scipy.integrate import solve_ivp
 from odesr import integrate as integrate_module
 from odesr.benchmark import GROUND_TRUTH_EXPRESSIONS, rollout_with_estimate, run_fit
 from odesr.benchmark import test_error as held_out_error
-from odesr.expressions import parse_expr
+from odesr.expressions import Const, parse_expr
 from odesr.integrate import (
     _A,
     _C,
@@ -38,6 +38,7 @@ from odesr.integrate import (
     write_trajectory_csv,
 )
 from odesr.systems import (
+    SystemSpec,
     cart_pole,
     expression_system,
     get_system,
@@ -699,11 +700,11 @@ def test_truth_rollouts_match_reference(monkeypatch, name, sample_dt):
         spans.append(span)
         return checked_integrate(rhs, x0, span, *args)
 
-    # truth and hybrid both reach the integrate module's binding
+    # the splits of truth and hybrid both reach the integrate module's binding
     monkeypatch.setattr(integrate_module, "integrate", checked)
     result = rollout_with_estimate(truth, sys, sample_dt=sample_dt)
     assert result.divergence_time is None
-    assert spans == [(sys.train_span[0], sys.test_span[1])] * 2
+    assert spans == [sys.train_span, sys.test_span] * 2
 
 
 def test_expression_system_matches_reference():
@@ -774,24 +775,38 @@ def test_small_linear_systems_match_reference(n, data, rtol, atol):
 # ------------------------------------------ one integration, every sample_dt
 
 
-def _full_span_inputs(case):
-    """rhs, x0 and span of a benchmark system's train and test windows, of
-    the pendulum written as expressions, or of a 9-component linear system
-    (which takes the numpy norm)."""
+def _case_system(case):
+    """A benchmark system, the pendulum written as expressions, or a
+    9-component linear system (which takes the numpy norm) with train span
+    (0, 3) and test span (3, 5)."""
     if case == "linear-9":
         rng = np.random.default_rng(9)
         a = rng.standard_normal((9, 9)) - 2.0 * np.eye(9)
-        return (lambda t, x: a @ x + math.sin(t)), rng.standard_normal(9), (0.0, 5.0)
+        return SystemSpec(
+            name=case,
+            dim=9,
+            params={},
+            rhs=lambda t, x: a @ x + math.sin(t),
+            initial_state=tuple(rng.standard_normal(9).tolist()),
+            train_span=(0.0, 3.0),
+            test_span=(3.0, 5.0),
+            target_dim=0,
+            variable_names=tuple(f"x{i}" for i in range(9)),
+        )
     if case == "pendulum_expr":
         pendulum = simple_pendulum()
-        sys = expression_system(
+        return expression_system(
             "pendulum_expr",
             ("theta2", "-0.1 * theta2 - 9.81 * sin(theta1)"),
             pendulum.initial_state,
             variable_names=pendulum.variable_names,
         )
-    else:
-        sys = get_system(case)
+    return get_system(case)
+
+
+def _full_span_inputs(case):
+    """rhs, x0 and the span of the train and test windows of _case_system."""
+    sys = _case_system(case)
     return sys.rhs, sys.initial_state, (sys.train_span[0], sys.test_span[1])
 
 
@@ -970,7 +985,7 @@ def test_dense_output_of_a_one_point_grid_is_the_initial_state():
 def test_dense_output_matches_the_point_loop_on_partial_states(rhs, x0, config, sample_dt):
     cfg = config if config is not None else IntegratorConfig()
     x = np.array(x0, dtype=float)
-    steps, failure, _ = integrate_module._accepted_steps(rhs, x, 0.0, 2.0, cfg)
+    steps, failure = integrate_module._accepted_steps(rhs, x, 0.0, 2.0, cfg)
     assert failure is not None
     grid = sample_grid(0.0, 2.0, sample_dt)
     assert_dense_output_matches_loop(steps, grid, x)
@@ -980,18 +995,18 @@ def test_dense_output_matches_the_point_loop_on_partial_states(rhs, x0, config, 
     assert error.value.partial.states.tobytes() == reference.tobytes()
 
 
-# --------------------------------------- a longer span continues a shorter
+# ------------------------------ rollouts join the splits; spans kept apart
 
 
 @pytest.fixture
 def integrations(monkeypatch):
-    """Every call to the integrate module's integrate: its span, whether it
-    was given a start to continue from, and what it returned."""
+    """Every call to the integrate module's integrate: its span and what it
+    returned."""
     calls = []
     original = integrate_module.integrate
 
     def watched(rhs, x0, span, *args, **kwargs):
-        call = {"span": tuple(span), "continued": "start" in kwargs, "result": None}
+        call = {"span": tuple(span), "result": None}
         calls.append(call)
         call["result"] = original(rhs, x0, span, *args, **kwargs)
         return call["result"]
@@ -1000,45 +1015,15 @@ def integrations(monkeypatch):
     return calls
 
 
-def resume_bits(resume):
-    """A resume state as bits, so that -0.0, 0.0 and nan compare as bits."""
-    if resume is None:
-        return None
-    count, t, x, f, h, err_old, steps = resume
-    return (count, t.hex(), x.tobytes(), f.tobytes(), h.hex(), err_old.hex(), steps)
-
-
-def assert_same_integration(got, expected):
-    """Same grid, states, step rows and resume state, bit for bit."""
-    assert_same_bits(got, expected)
-    assert got.steps.tobytes() == expected.steps.tobytes()
-    assert resume_bits(got.resume) == resume_bits(expected.resume)
-
-
-def check_continues(integrations, rhs, x0, spans, sample_dt, config=None):
-    """shared_trajectory over each span in turn, on one rhs object: every
-    span after the first continues the one before it, is the fresh
-    integration of its span (step rows and resume state included) and
-    evaluates rhs only at the points the fresh one evaluates after the
-    shorter span's resume state."""
-    calls = []
-    shared_rhs = recording(rhs, calls)
-    for i, span in enumerate(spans):
-        before = len(calls)
-        got = shared_trajectory(shared_rhs, x0, span, sample_dt, config)
-        call = integrations[-1]
-        assert call["span"] == span
-        assert call["continued"] == (i > 0)
-        fresh_calls = []
-        fresh = integrate(recording(rhs, fresh_calls), x0, span, sample_dt, config)
-        assert_same_bits(got, fresh)
-        assert_same_integration(call["result"], fresh)
-        if i:
-            continued = calls[before:]
-            assert 0 < len(continued) < len(fresh_calls)
-            assert continued == fresh_calls[-len(continued) :]
-    assert len(integrations) == len(spans)
-    return shared_rhs
+def fresh_splits(rhs, x0, train_span, test_span, sample_dt):
+    """The train span integrated from x0 and the test span from its end
+    state, joined at the train end."""
+    train = integrate(rhs, x0, train_span, sample_dt)
+    test = integrate(rhs, train.states[-1], test_span, sample_dt)
+    return Trajectory(
+        np.concatenate((train.times, test.times[1:])),
+        np.concatenate((train.states, test.states[1:])),
+    )
 
 
 @pytest.mark.parametrize("sample_dt", [0.1, 0.05, 0.025])
@@ -1046,10 +1031,23 @@ def check_continues(integrations, rhs, x0, spans, sample_dt, config=None):
     "case", ["lotka_volterra", "simple_pendulum", "cart_pole", "pendulum_expr", "linear-9"]
 )
 def test_full_span_continues_the_train_span(integrations, case, sample_dt):
-    rhs, x0, span = _full_span_inputs(case)
-    # the train span (0, 10) of the full (0, 15), and (0, 3) of (0, 5)
-    shorter = (span[0], span[0] + round((span[1] - span[0]) * 2 / 3))
-    check_continues(integrations, rhs, x0, [shorter, span], sample_dt)
+    # the default rollout's truth is the train split followed by the test
+    # split, which starts from the train end state
+    sys = _case_system(case)
+    truth = rollout_with_estimate(Const(0.0), sys, sample_dt=sample_dt).truth
+    train = make_trajectory(sys, "train", sample_dt)
+    test = make_trajectory(sys, "test", sample_dt)
+    assert truth.times.tobytes() == np.concatenate((train.times, test.times[1:])).tobytes()
+    assert truth.states.tobytes() == np.concatenate((train.states, test.states[1:])).tobytes()
+    assert_same_bits(
+        truth, fresh_splits(sys.rhs, sys.initial_state, sys.train_span, sys.test_span, sample_dt)
+    )
+    assert not truth.times.flags.writeable
+    assert not truth.states.flags.writeable
+    # no integration covers the full span
+    assert [c["span"] for c in integrations[:2]] == [sys.train_span, sys.test_span]
+    full = (sys.train_span[0], sys.test_span[1])
+    assert full not in [c["span"] for c in integrations]
 
 
 def test_rollout_truth_continues_the_train_split(integrations):
@@ -1057,27 +1055,31 @@ def test_rollout_truth_continues_the_train_split(integrations):
     truth = parse_expr(GROUND_TRUTH_EXPRESSIONS["lotka_volterra"], sys.variable_names)
     held_out_error(truth, sys, 0.05)
     result = rollout_with_estimate(truth, sys, sample_dt=0.05)
-    full = (sys.train_span[0], sys.test_span[1])
-    assert [(c["span"], c["continued"]) for c in integrations] == [
-        (sys.train_span, False),
-        (sys.test_span, False),
-        (full, True),
-        (full, False),
-    ]
-    fresh = integrate(sys.rhs, sys.initial_state, full, 0.05)
+    # the truth reads the splits test_error integrated; only the hybrid's
+    # splits are integrated
+    assert [c["span"] for c in integrations] == [sys.train_span, sys.test_span] * 2
+    fresh = fresh_splits(sys.rhs, sys.initial_state, sys.train_span, sys.test_span, 0.05)
     assert_same_bits(result.truth, fresh)
 
 
-def test_continuation_chain(integrations):
-    sys = cart_pole()
-    spans = [(0.0, 2.0), (0.0, 3.0), (0.0, 5.0)]
-    rhs = check_continues(integrations, sys.rhs, sys.initial_state, spans, 0.1)
-    # a span between kept ones continues from the longest shorter one
-    shared_trajectory(rhs, sys.initial_state, (0.0, 4.0), 0.1)
-    assert integrations[-1]["continued"]
-    assert_same_integration(
-        integrations[-1]["result"], integrate(sys.rhs, sys.initial_state, (0.0, 4.0), 0.1)
-    )
+def check_integrates_afresh(integrations, rhs, x0, spans, sample_dt, config=None):
+    """shared_trajectory over each span in turn, on one rhs object: every
+    span is integrated from its start, with the fresh integration's step
+    rows and rhs evaluations, and gives its bits."""
+    calls = []
+    shared_rhs = recording(rhs, calls)
+    for span in spans:
+        before = len(calls)
+        got = shared_trajectory(shared_rhs, x0, span, sample_dt, config)
+        call = integrations[-1]
+        assert call["span"] == span
+        fresh_calls = []
+        fresh = integrate(recording(rhs, fresh_calls), x0, span, sample_dt, config)
+        assert_same_bits(got, fresh)
+        assert call["result"].steps.tobytes() == fresh.steps.tobytes()
+        assert calls[before:] == fresh_calls
+    assert len(integrations) == len(spans)
+    return shared_rhs
 
 
 def _decay(t, x):
@@ -1086,26 +1088,10 @@ def _decay(t, x):
 
 def test_no_continuation_after_a_clipped_initial_step(integrations):
     short = shared_trajectory(_decay, [1.0], (0, 1e-6), 1e-6)
-    assert integrations[-1]["result"].resume is None
     long = shared_trajectory(_decay, [1.0], (0, 1), 0.1)
-    assert [c["continued"] for c in integrations] == [False, False]
+    assert [c["span"] for c in integrations] == [(0, 1e-6), (0, 1)]
     assert_same_bits(short, integrate(_decay, [1.0], (0, 1e-6), 1e-6))
     assert_same_bits(long, integrate(_decay, [1.0], (0, 1), 0.1))
-    assert_same_integration(integrations[-1]["result"], integrate(_decay, [1.0], (0, 1), 0.1))
-
-
-def _quiet_then_rough(t, x):
-    # large steps until t = 1, after which the first step is rejected
-    return np.array([0.0 if t < 1.0 else 40.0 * math.cos(40.0 * t)])
-
-
-@pytest.mark.parametrize("t1", [1.0, 1.5, 2.25])
-def test_continuation_after_a_rejected_attempt_at_the_clip(integrations, t1):
-    short = integrate(_quiet_then_rough, [1.0], (0.0, t1), 0.25)
-    # the first attempt clipped to t1 was rejected: more than one step
-    # follows the resume state
-    assert len(short.steps) > short.resume[0] + 1
-    check_continues(integrations, _quiet_then_rough, [1.0], [(0.0, t1), (0.0, 3.0)], 0.25)
 
 
 def _continued_failure(rhs, x0, short, long, sample_dt, config):
@@ -1122,19 +1108,27 @@ def _continued_failure(rhs, x0, short, long, sample_dt, config):
     return got.value
 
 
+def _attempts(rhs, x0, span):
+    """The step attempts integrate makes over span: the initial slope and
+    the initial step estimate take one rhs evaluation each, an attempt six."""
+    calls = []
+    integrate(recording(rhs, calls), x0, span, 0.1)
+    return (len(calls) - 2) // 6
+
+
 @pytest.mark.parametrize("before_end", [0, 1, 5, 60])
 def test_max_steps_exceeded_in_the_continued_part(integrations, before_end):
+    # a budget the shorter span keeps to and the longer one runs out of in
+    # its part past the shorter one's end
     sys = lotka_volterra()
     x0 = sys.initial_state
-    short = integrate(sys.rhs, x0, (0.0, 10.0), 0.1)
-    long = integrate(sys.rhs, x0, (0.0, 15.0), 0.1)
-    # the attempts the short span makes are fewer than any budget below
-    budget = long.resume[6] - before_end
-    assert budget > short.resume[6] + 1
+    budget = _attempts(sys.rhs, x0, (0.0, 15.0)) - 1 - before_end
+    assert budget > _attempts(sys.rhs, x0, (0.0, 10.0)) + 1
     config = IntegratorConfig(max_steps=budget)
     error = _continued_failure(sys.rhs, x0, (0.0, 10.0), (0.0, 15.0), 0.1, config)
     assert str(error).startswith(f"exceeded max_steps={budget} ")
-    assert [c["continued"] for c in integrations] == [False, True]
+    assert error.last_time > 10.0
+    assert [c["span"] for c in integrations] == [(0.0, 10.0), (0.0, 15.0)]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -1150,18 +1144,15 @@ def test_failed_short_span_then_a_longer_one(integrations):
         integrate(blowup, [0.5], (0.0, 4.0), 0.1)
     assert str(got.value) == str(fresh.value)
     assert_same_bits(got.value.partial, fresh.value.partial)
-    # a span that fails is not kept, and one that succeeds starts afresh
+    # a span that fails is not kept, and one that succeeds is integrated
     shared_trajectory(blowup, [0.5], (0.0, 1.0), 0.1)
-    assert [c["continued"] for c in integrations] == [False, False, False]
+    shared_trajectory(blowup, [0.5], (0.0, 1.0), 0.1)
+    assert [c["span"] for c in integrations] == [(0.0, 3.0), (0.0, 4.0), (0.0, 1.0)]
 
 
 def test_longer_span_first_does_not_continue(integrations):
     sys = simple_pendulum()
-    x0 = sys.initial_state
-    shared_trajectory(sys.rhs, x0, (0.0, 15.0), 0.1)
-    shorter = shared_trajectory(sys.rhs, x0, (0.0, 10.0), 0.1)
-    assert [c["continued"] for c in integrations] == [False, False]
-    assert_same_bits(shorter, integrate(sys.rhs, x0, (0.0, 10.0), 0.1))
+    check_integrates_afresh(integrations, sys.rhs, sys.initial_state, [(0.0, 15.0), (0.0, 10.0)], 0.1)
 
 
 def test_other_inputs_never_continue(integrations):
@@ -1178,7 +1169,6 @@ def test_other_inputs_never_continue(integrations):
     trajectory(config=IntegratorConfig(rtol=1e-9))
     trajectory(config=IntegratorConfig(atol=1e-11))
     trajectory(config=IntegratorConfig(max_steps=999_999))
-    assert not any(c["continued"] for c in integrations)
-    # the inputs of the first span, with a later end, do continue
+    # the inputs of the first span, with a later end, are integrated afresh
     trajectory()
-    assert integrations[-1]["continued"]
+    assert len(integrations) == 8

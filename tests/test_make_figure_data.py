@@ -28,17 +28,17 @@ def test_systems_must_name_known_systems(systems, tmp_path):
 # declared as one and re-records them.
 FIGURE_DIGESTS = {
     "cart_pole_feynman_rollout.csv": "9111f12aa0b7df6d7dd067f5931d4f86265faf9ab07d6d6159a6a9034a2255de",
-    "cart_pole_ga_rollout.csv": "0490473c1a26b4df975f9c38f347ade2776a20beb27019facd4a424b4f51815f",
+    "cart_pole_ga_rollout.csv": "bf5da73b8a132506de570ca1b00feb1c2ecabc022a49eebd97e612c31922c84c",
     "cart_pole_pareto.csv": "8c4bb4884abace7b6c6080586f901c168692e62173fb4c36fbdfa71d914bc0b4",
-    "cart_pole_sindy_rollout.csv": "0596bba92c479b3c64b66679fa955f5124fc5c7f3a508ecee43ccf9f33b110b7",
-    "lotka_volterra_feynman_rollout.csv": "3ee592487b3034bff7c918b688046578686e0f505cbe85dfea30d8be8d6dbebd",
-    "lotka_volterra_ga_rollout.csv": "b9996dcf7c87ca2be774101791804e9350c7273d6e78cc540c56b352fd034c7d",
+    "cart_pole_sindy_rollout.csv": "aa518dab0d15615080bed66b983b01311a1f5ea6bc920601ac51ba5006daea8f",
+    "lotka_volterra_feynman_rollout.csv": "aa42eaec5de8db7df11e2111ddd4dfce19be86062169df8a8900d75f50b5002d",
+    "lotka_volterra_ga_rollout.csv": "e5109eff785a9693d068c84fdc3e1b5eaee6820dcc091a133dfde80f9bd78394",
     "lotka_volterra_pareto.csv": "6d759c3956b7bb60cf621ec4805bdb495826a78f74ba31bb8679e2ceaa0472a6",
-    "lotka_volterra_sindy_rollout.csv": "0cb2352793fb93937debf88a1626eb00c6779a67715e582c88523fe59c2a6305",
-    "simple_pendulum_feynman_rollout.csv": "077e6e8df7d0de6b020b9d370eadc1c66e661aa59f0fbd0d2e678e07b4b42063",
-    "simple_pendulum_ga_rollout.csv": "b2eab5b99216e7c274fbf9b6027c85de1c464b80c2a03602e497c17125aa9cbb",
+    "lotka_volterra_sindy_rollout.csv": "aaac266821371408cb504fac08d38d1d4f80eee1fbfd6126372945044e1cf3fe",
+    "simple_pendulum_feynman_rollout.csv": "ceb3637365dacee822e959da1ca294095f69ffaf593044a37f496afeb8ea6d33",
+    "simple_pendulum_ga_rollout.csv": "770ff02b2628400d78c411aa59b201ce85d60a91562bc713829ed955f4df56b5",
     "simple_pendulum_pareto.csv": "10153fc6584bbf6e490190b2b470badaeb25b5201e8a7ecd8e618fb698c8540c",
-    "simple_pendulum_sindy_rollout.csv": "e1768ee0febbdd5e9339add1260f8e69ebd410b1fedcbb426c16443835e25d4d",
+    "simple_pendulum_sindy_rollout.csv": "21a3d36df7db5bad6e7ad4604092adc6df2212dca555104f708c2e44106524ae",
 }
 
 
