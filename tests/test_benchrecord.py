@@ -253,5 +253,4 @@ def test_bench_trajectories_counts_integrations(monkeypatch):
 
     counts = bench_trajectories.count_integrations(sequence)
     assert counts["total"] == counts["distinct"] == 4
-    assert "continued" not in counts
     assert counts["rhs_evaluations"] > 0 and counts["step_record_bytes"] > 0

@@ -1094,7 +1094,7 @@ def test_no_continuation_after_a_clipped_initial_step(integrations):
     assert_same_bits(long, integrate(_decay, [1.0], (0, 1), 0.1))
 
 
-def _continued_failure(rhs, x0, short, long, sample_dt, config):
+def _longer_span_failure(rhs, x0, short, long, sample_dt, config):
     """shared_trajectory over short, then the IntegrationError of long,
     checked against a fresh integration's."""
     shared_trajectory(rhs, x0, short, sample_dt, config)
@@ -1125,7 +1125,7 @@ def test_max_steps_exceeded_in_the_continued_part(integrations, before_end):
     budget = _attempts(sys.rhs, x0, (0.0, 15.0)) - 1 - before_end
     assert budget > _attempts(sys.rhs, x0, (0.0, 10.0)) + 1
     config = IntegratorConfig(max_steps=budget)
-    error = _continued_failure(sys.rhs, x0, (0.0, 10.0), (0.0, 15.0), 0.1, config)
+    error = _longer_span_failure(sys.rhs, x0, (0.0, 10.0), (0.0, 15.0), 0.1, config)
     assert str(error).startswith(f"exceeded max_steps={budget} ")
     assert error.last_time > 10.0
     assert [c["span"] for c in integrations] == [(0.0, 10.0), (0.0, 15.0)]
