@@ -12,18 +12,18 @@ fresh systems, so that no trajectory carries over from the run before.
 
 Every call to `integrate` is counted at the integrate module, where
 shared_trajectory calls it, together with the right-hand-side evaluations
-it makes and the bytes of the step record it returns (null where
-integrate keeps none). A call is distinct when no
-earlier call of the same run had equal inputs: the same initial state,
-span, sample_dt and integrator config, and a right-hand side with the same
-code and captured values (so two systems built by one factory share
-theirs). Calls that differ only in sample_dt take the same steps, so the
-distinct count without sample_dt is the number of step sequences a run
-needs. Each sequence runs once untimed for the counts, then RUNS passes of
-both are timed with `time.perf_counter`, which records each run's seconds,
-the part of them spent inside `integrate` and the minor page faults:
-raw figures on the host as it ran. Each run's seconds calibrated against
-host speed (see benchrecord.timed_passes) are recorded with them.
+it makes and the bytes of the step record it returns (null where integrate
+keeps none). A call is distinct when no earlier call of the same run had
+equal inputs: the same initial state, span, sample_dt and integrator
+config, and a right-hand side with the same code and captured values (so
+two systems built by one factory share theirs). Calls that differ only in
+sample_dt take the same steps, so the distinct count without sample_dt is
+the number of step sequences a run needs. Each sequence runs once untimed
+for the counts, then RUNS passes of both are timed with
+`time.perf_counter`, which records each run's seconds, the part of them
+spent inside `integrate` and the minor page faults: raw figures on the
+host as it ran. Each run's seconds calibrated against host speed (see
+benchrecord.timed_passes) are recorded with them.
 
 The right-hand sides of hybrid rollouts are timed on their own: for each
 benchmark system, the compiled ground-truth expression (`compile_scalar`)

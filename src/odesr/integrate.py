@@ -351,10 +351,10 @@ def shared_trajectory(
     its own integration: one that ends later than a kept span with the
     same start is integrated from that start (rollouts join the train and
     test splits, so none asks for a span over both). Each call returns a
-    new Trajectory over the same read-only arrays. A failed integration is not kept and fails
-    again on the next call, at any sample_dt. An rhs that cannot be weakly
-    referenced, and inputs that give no key (integrate then raises its own
-    error), go to integrate on every call.
+    new Trajectory over the same read-only arrays. A failed integration is
+    not kept and fails again on the next call, at any sample_dt. An rhs
+    that cannot be weakly referenced, and inputs that give no key
+    (integrate then raises its own error), go to integrate on every call.
     """
     try:
         memo = _TRAJECTORIES.setdefault(rhs, {})
