@@ -27,9 +27,8 @@ from .expressions import (  # noqa: F401
     evaluate_batch,
     print_expr,
 )
-# integrate is not called here either (rollouts go through make_trajectory
-# and shared_trajectory); it stays importable because perfbench/spans.py
-# names this binding
+# integrate is not called here either (rollouts go through make_trajectory);
+# it stays importable because perfbench/spans.py names this binding
 from .integrate import (  # noqa: F401
     IntegrationError,
     IntegratorConfig,
@@ -37,7 +36,6 @@ from .integrate import (  # noqa: F401
     integrate,
     make_dataset,
     make_trajectory,
-    shared_trajectory,
 )
 from .systems import SYSTEM_NAMES, SystemSpec, get_system
 
@@ -153,7 +151,6 @@ def _hybrid_rhs(system: SystemSpec, expr: Expr):
 def rollout_with_estimate(
     expr: Expr,
     system: SystemSpec,
-    span: tuple[float, float] | None = None,
     sample_dt: float = 0.1,
     config: IntegratorConfig | None = None,
 ) -> RolloutResult:
@@ -161,21 +158,14 @@ def rollout_with_estimate(
     estimate and every other dimension keeps the true dynamics. A divergent
     estimate yields a truncated hybrid trajectory, not an exception.
 
-    Without a span, truth and hybrid are each their system's train split
-    followed by its test split (make_trajectory), which starts from that
-    system's own train end state; the truth is thus the trajectory that
-    test_error scores. An explicit span is integrated in one piece each.
-    Either way they come from shared_trajectory and are read-only, except
-    the partial trajectory of a hybrid that fails before its test split."""
-
-    def trajectory(of: SystemSpec) -> Trajectory:
-        if span is None:
-            return _joined_splits(of, sample_dt, config)
-        return shared_trajectory(of.rhs, of.initial_state, span, sample_dt, config)
-
-    truth = trajectory(system)
+    Truth and hybrid are each their system's train split followed by its
+    test split (make_trajectory), which starts from that system's own train
+    end state; the truth is thus the trajectory that test_error scores. Both
+    are read-only, the partial trajectory of a failed hybrid included."""
+    truth = _joined_splits(system, sample_dt, config)
+    hybrid_system = replace(system, rhs=_hybrid_rhs(system, expr))
     try:
-        hybrid = trajectory(replace(system, rhs=_hybrid_rhs(system, expr)))
+        hybrid = _joined_splits(hybrid_system, sample_dt, config)
         divergence = None
     except IntegrationError as err:
         hybrid = err.partial

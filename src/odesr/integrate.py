@@ -5,11 +5,11 @@ step; a uniform sample grid is then filled from the steps' fifth-order
 dense interpolants, every grid point at once. The step sequence does not
 depend on the grid, so trajectory files never depend on it either, and
 one integration can be sampled at any sample_dt. Failures (blowup, nan
-dynamics, step underflow, step budget) raise IntegrationError carrying the
-portion of the grid that was reached. shared_trajectory integrates each
-trajectory once per right-hand-side object, whatever the sample_dt;
-make_trajectory reads the train and test splits from it, and rollouts
-join those splits (an explicit rollout span is read from it whole).
+dynamics, step underflow, step budget) raise IntegrationError carrying
+the read-only portion of the grid that was reached. shared_trajectory
+integrates each trajectory once per right-hand-side object, whatever the
+sample_dt; make_trajectory reads the train and test splits from it, and
+rollouts join those splits.
 """
 
 from __future__ import annotations
@@ -232,6 +232,8 @@ def integrate(
     if failure is not None:
         message, t = failure
         partial = Trajectory(grid[: len(states)].copy(), states)
+        for a in (partial.times, partial.states):
+            a.flags.writeable = False
         raise IntegrationError(message, t, partial)
     return Trajectory(grid, states, steps)
 
@@ -348,13 +350,11 @@ def shared_trajectory(
     The accepted steps do not depend on the sample grid, so they are kept
     as long as rhs lives and each new sample_dt is read from their dense
     output; rhs must therefore be a pure function of (t, x). Each span is
-    its own integration: one that ends later than a kept span with the
-    same start is integrated from that start (rollouts join the train and
-    test splits, so none asks for a span over both). Each call returns a
-    new Trajectory over the same read-only arrays. A failed integration is
-    not kept and fails again on the next call, at any sample_dt. An rhs
-    that cannot be weakly referenced, and inputs that give no key
-    (integrate then raises its own error), go to integrate on every call.
+    its own integration. Each call returns a new Trajectory over the same
+    read-only arrays. A failed integration is not kept and fails again on
+    the next call, at any sample_dt. An rhs that cannot be weakly
+    referenced, and inputs that give no key (integrate then raises its own
+    error), go to integrate on every call.
     """
     try:
         memo = _TRAJECTORIES.setdefault(rhs, {})

@@ -79,15 +79,17 @@ def test_rollout_ground_truth_matches():
 
 def test_rollout_zero_estimate_freezes_dimension():
     system = lotka_volterra()
-    result = rollout_with_estimate(Const(0.0), system, span=(0.0, 5.0))
+    result = rollout_with_estimate(Const(0.0), system)
     assert result.divergence_time is None
+    # frozen through the train split and the test split that continues it
+    assert result.hybrid.times[-1] == 15.0
     assert np.all(result.hybrid.states[:, 1] == 1.0)
 
 
 def test_rollout_divergent_estimate_truncates():
     system = lotka_volterra()
     blowup = parse_expr("1000.0 * y ^ 2.0", system.variable_names)
-    result = rollout_with_estimate(blowup, system, span=(0.0, 5.0))
+    result = rollout_with_estimate(blowup, system)
     assert result.divergence_time is not None
     assert result.hybrid.times[-1] < 1.0
     assert len(result.hybrid.times) < len(result.truth.times)
@@ -184,13 +186,14 @@ def test_rollouts_at_two_dts_on_one_system_match_reference(integrate_calls, case
 def test_hybrids_key_on_the_printed_estimate_and_target(integrate_calls):
     system = lotka_volterra()
     for value in (0.0, -0.0, 0.0):
-        rollout_with_estimate(Const(value), system, span=(0.0, 1.0))
-    # Const(0.0) == Const(-0.0), yet they are two estimates
-    assert integrate_calls == [(0.0, 1.0)] * 3
+        rollout_with_estimate(Const(value), system)
+    # the truth's splits, then the hybrids'; Const(0.0) == Const(-0.0), yet
+    # they are two estimates
+    assert integrate_calls == SPLITS * 3
     # the same rhs and estimate on another target dimension is another hybrid
     other = dataclasses.replace(system, target_dim=0)
-    frozen = rollout_with_estimate(Const(0.0), other, span=(0.0, 1.0))
-    assert integrate_calls == [(0.0, 1.0)] * 4
+    frozen = rollout_with_estimate(Const(0.0), other)
+    assert integrate_calls == SPLITS * 4
     assert np.all(frozen.hybrid.states[:, 0] == 1.0)
 
 
@@ -250,6 +253,15 @@ def test_hybrid_diverging_in_the_test_split_keeps_the_train_split():
     assert not result.hybrid.states.flags.writeable
 
 
+def test_hybrid_diverging_in_the_train_split_is_read_only():
+    system = lotka_volterra()
+    estimate = parse_expr("-(y * (3.0 - x)) + exp(t - 10.0) * y ^ 2.0", system.variable_names)
+    result = rollout_with_estimate(estimate, system)
+    assert 9.0 < result.divergence_time < 10.0
+    assert not result.hybrid.times.flags.writeable
+    assert not result.hybrid.states.flags.writeable
+
+
 class _SlotRhs:
     """A right-hand side that cannot be weakly referenced."""
 
@@ -266,18 +278,22 @@ def test_rollout_of_an_rhs_without_weak_reference(integrate_calls):
     system = lotka_volterra()
     slotted = dataclasses.replace(system, rhs=_SlotRhs(system.rhs))
     expr = truth_expr(system)
-    want = rollout_with_estimate(expr, system, span=(0.0, 2.0))
+    want = rollout_with_estimate(expr, system)
+    assert integrate_calls == SPLITS * 2
     for _ in range(2):
-        got = rollout_with_estimate(expr, slotted, span=(0.0, 2.0))
+        got = rollout_with_estimate(expr, slotted)
         for a, b in ((got.truth, want.truth), (got.hybrid, want.hybrid)):
             assert a.states.tobytes() == b.states.tobytes()
-    # nothing can be kept for it: each rollout integrates truth and hybrid
-    assert integrate_calls == [(0.0, 2.0)] * 6
+    # nothing can be kept for its truth: each rollout integrates the train
+    # split, the train split again under the test split, and the test split;
+    # each rollout also builds a new hybrid, whose splits are integrated once
+    truth_splits = [SPLITS[0], *SPLITS]
+    assert integrate_calls == SPLITS * 2 + (truth_splits + SPLITS) * 2
 
 
 def test_rollout_csv(tmp_path):
     system = lotka_volterra()
-    result = rollout_with_estimate(truth_expr(system), system, span=(0.0, 2.0))
+    result = rollout_with_estimate(truth_expr(system), system)
     path = tmp_path / "rollout.csv"
     write_rollout_csv(result, system.variable_names, path)
     lines = path.read_text().splitlines()

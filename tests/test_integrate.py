@@ -141,6 +141,8 @@ def test_blowup_truncates_with_partial_trajectory():
     assert e.partial.times.shape[0] == e.partial.states.shape[0]
     assert np.all(e.partial.times <= 1.0 + 1e-6)
     assert np.all(np.isfinite(e.partial.states))
+    assert not e.partial.times.flags.writeable
+    assert not e.partial.states.flags.writeable
 
 
 def test_nan_rhs_truncates():
