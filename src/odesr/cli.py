@@ -167,12 +167,10 @@ def load_config(path) -> dict:
 
 
 def resolve_system(name: str, config: dict) -> SystemSpec:
-    """The config's system of that name (built by load_config, or an entry
-    still to build), else the built-in one."""
-    entry = config.get("systems", {}).get(name)
-    if entry is None:
-        return get_system(name)
-    return entry if isinstance(entry, SystemSpec) else _system(name, entry)
+    """The config's system of that name, as load_config built it, else the
+    built-in one."""
+    system = config.get("systems", {}).get(name)
+    return get_system(name) if system is None else system
 
 
 def fit_kwargs(method: str, system, config: dict) -> dict:

@@ -31,6 +31,8 @@ _BRUTE_UNARY = ("sin", "cos", "log", "exp")
 _BRUTE_BINARY = ("add", "sub", "mul", "div")
 _COMMUTATIVE = ("add", "mul")
 
+_SEPARABILITY_TOLERANCE = 1e-2
+
 # skeletons evaluated and fitted per numpy call: enough to spread the
 # per-call cost, few enough that each block temporary (_CHUNK_ROWS x n
 # floats) stays small next to the skeleton tables; 4096 raised the peak RSS
@@ -463,10 +465,11 @@ def _printed_ranks(table, max_size: int) -> dict[int, np.ndarray]:
     }
 
 
-def separability_split(data: RegressionDataset, tolerance: float = 1e-2):
+def separability_split(data: RegressionDataset):
     """Look for an additive split of the variables using a degree-4
     polynomial surrogate: a bipartition is accepted when the mixed-monomial
-    coefficients carry less than `tolerance` of the total coefficient norm.
+    coefficients carry less than _SEPARABILITY_TOLERANCE of the total
+    coefficient norm.
 
     Returns (vars_a, vars_b, data_a, data_b) for the cleanest split, or
     None. The surrogate's constant stays with the second block, so the
@@ -491,7 +494,7 @@ def separability_split(data: RegressionDataset, tolerance: float = 1e-2):
         if best is None or ratio < best[0]:
             best = (ratio, in_a, uses_a & ~uses_b, uses_b & ~uses_a)
     ratio, in_a, pure_a, pure_b = best
-    if ratio >= tolerance:
+    if ratio >= _SEPARABILITY_TOLERANCE:
         return None
     part_a = cols[:, pure_a] @ w[pure_a]
     part_b = cols[:, pure_b] @ w[pure_b]

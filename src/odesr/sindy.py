@@ -73,7 +73,6 @@ SparseConfig = STLSQConfig | LassoConfig
 class SparseResult:
     weights: np.ndarray
     warnings: tuple[str, ...] = ()
-    converged: bool = True
 
 
 @dataclass
@@ -83,17 +82,12 @@ class SindyResult:
     warnings: tuple[str, ...]
 
 
-def basis_from_strings(
-    strings: Sequence[str],
-    variable_names: Sequence[str],
-    names: Sequence[str] | None = None,
-) -> BasisSet:
-    if names is None:
-        names = [f"f{i}" for i in range(1, len(strings) + 1)]
+def basis_from_strings(strings: Sequence[str], variable_names: Sequence[str]) -> BasisSet:
+    """The basis of the parsed strings, named f1, f2, ... in order."""
     return BasisSet(
         tuple(
-            BasisFunction(name, parse_expr(s, variable_names))
-            for name, s in zip(names, strings)
+            BasisFunction(f"f{i}", parse_expr(s, variable_names))
+            for i, s in enumerate(strings, 1)
         )
     )
 
@@ -284,7 +278,7 @@ def lasso_cd(
             break
     w = np.where(ok, wt / scaled, 0.0)
     warnings = () if converged else ("lasso_no_convergence",)
-    return SparseResult(w, warnings, converged)
+    return SparseResult(w, warnings)
 
 
 def _lambda_sweep(

@@ -345,8 +345,8 @@ def test_ga_entries_are_built_over_their_system_defaults(tmp_path):
     ids=["null lam", "null time_budget", "null target_dim", "ints for floats"],
 )
 def test_config_accepts_null_where_optional_and_ints_for_floats(tmp_path, payload):
-    config = load_config(write_config(tmp_path, payload))
-    system = resolve_system("decay", {"systems": {"decay": DECAY}, **config})
+    config = load_config(write_config(tmp_path, {"systems": {"decay": DECAY}, **payload}))
+    system = resolve_system("decay", config)
     for method in METHODS:
         fit_kwargs(method, system, config)
 
