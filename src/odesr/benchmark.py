@@ -27,15 +27,17 @@ from .expressions import (  # noqa: F401
     evaluate_batch,
     print_expr,
 )
-# integrate is not called here either (rollouts go through make_trajectory);
+# integrate is not called here either (rollouts go through joined_splits);
 # it stays importable because perfbench/spans.py names this binding
 from .integrate import (  # noqa: F401
     IntegrationError,
     IntegratorConfig,
     Trajectory,
     integrate,
+    joined_splits,
     make_dataset,
     make_trajectory,
+    write_csv,
 )
 from .systems import SYSTEM_NAMES, SystemSpec, get_system
 
@@ -158,14 +160,14 @@ def rollout_with_estimate(
     estimate and every other dimension keeps the true dynamics. A divergent
     estimate yields a truncated hybrid trajectory, not an exception.
 
-    Truth and hybrid are each their system's train split followed by its
-    test split (make_trajectory), which starts from that system's own train
+    Truth and hybrid are each their system's joined_splits: the train split
+    followed by the test split, which starts from that system's own train
     end state; the truth is thus the trajectory that test_error scores. Both
     are read-only, the partial trajectory of a failed hybrid included."""
-    truth = _joined_splits(system, sample_dt, config)
+    truth = joined_splits(system, sample_dt, config)
     hybrid_system = replace(system, rhs=_hybrid_rhs(system, expr))
     try:
-        hybrid = _joined_splits(hybrid_system, sample_dt, config)
+        hybrid = joined_splits(hybrid_system, sample_dt, config)
         divergence = None
     except IntegrationError as err:
         hybrid = err.partial
@@ -173,38 +175,11 @@ def rollout_with_estimate(
     return RolloutResult(truth, hybrid, divergence)
 
 
-def _joined_splits(
-    system: SystemSpec, sample_dt: float, config: IntegratorConfig | None
-) -> Trajectory:
-    """The train split and then the test split past its first point, the
-    train end state, as one read-only trajectory. A test split that fails
-    raises its IntegrationError with the train split joined to its partial."""
-    train = make_trajectory(system, "train", sample_dt, config)
-    try:
-        test = make_trajectory(system, "test", sample_dt, config)
-    except IntegrationError as err:
-        err.partial = _join(train, err.partial)
-        raise
-    return _join(train, test)
-
-
-def _join(train: Trajectory, test: Trajectory) -> Trajectory:
-    arrays = (
-        np.concatenate((train.times, test.times[1:])),
-        np.concatenate((train.states, test.states[1:])),
-    )
-    for a in arrays:
-        a.flags.writeable = False
-    return Trajectory(*arrays)
-
-
 def write_rollout_csv(result: RolloutResult, variable_names, path) -> None:
-    n = min(len(result.truth.times), len(result.hybrid.times))
-    header = ",".join(("t", *variable_names, *(f"{v}_est" for v in variable_names)))
     truth, hybrid = result.truth, result.hybrid
-    rows = np.column_stack((truth.times[:n], truth.states[:n], hybrid.states[:n]))
-    with open(path, "w") as fh:
-        np.savetxt(fh, rows, fmt="%.17g", delimiter=",", header=header, comments="")
+    n = min(len(truth.times), len(hybrid.times))
+    names = ("t", *variable_names, *(f"{v}_est" for v in variable_names))
+    write_csv(path, names, truth.times[:n], truth.states[:n], hybrid.states[:n])
 
 
 def run_fit(

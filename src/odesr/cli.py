@@ -34,6 +34,7 @@ from .integrate import (
     IntegratorConfig,
     finite_differences,
     make_trajectory,
+    write_csv,
     write_trajectory_csv,
 )
 from .sindy import LassoConfig, STLSQConfig, basis_from_strings, preset_basis
@@ -193,13 +194,6 @@ def fit_kwargs(method: str, system, config: dict) -> dict:
     return kwargs
 
 
-def _write_dataset_csv(data, variable_names, path) -> None:
-    header = ",".join(("t", *variable_names, "target"))
-    rows = np.column_stack((data.times, data.states, data.targets))
-    with open(path, "w") as fh:
-        np.savetxt(fh, rows, fmt="%.17g", delimiter=",", header=header, comments="")
-
-
 def cmd_generate(args) -> int:
     config = load_config(args.config)
     system = resolve_system(args.system, config)
@@ -211,7 +205,8 @@ def cmd_generate(args) -> int:
         write_trajectory_csv(traj, system.variable_names, traj_path)
         data = finite_differences(traj, system.target_dim)
         data_path = f"{base}_{split}_targets.csv"
-        _write_dataset_csv(data, system.variable_names, data_path)
+        names = ("t", *system.variable_names, "target")
+        write_csv(data_path, names, data.times, data.states, data.targets)
         print(f"wrote {traj_path} and {data_path}")
     return 0
 

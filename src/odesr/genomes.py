@@ -39,15 +39,18 @@ def _codon_width(n_rules: int) -> int:
     return max(1, (n_rules - 1).bit_length())
 
 
+# the codon widths that do not depend on the grammar
+EXPR_WIDTH = _codon_width(3)
+OP_WIDTH = _codon_width(len(BINARY_OPS))
+UNARY_WIDTH = _codon_width(len(UNARY_OPS))
+
+
 @dataclass(frozen=True)
 class Grammar:
     variable_count: int
     constant_pool: tuple[float, ...]
-    # codon widths, derived once here rather than on every codon read; they
-    # take no part in equality, hashing or repr
-    expr_width: int = field(init=False, repr=False, compare=False)
-    op_width: int = field(init=False, repr=False, compare=False)
-    unary_width: int = field(init=False, repr=False, compare=False)
+    # the leaf codon width, derived once here rather than on every codon
+    # read; it takes no part in equality, hashing or repr
     var_width: int = field(init=False, repr=False, compare=False)
     # the leaf of each leaf codon value after the modulo; every tree decoded
     # with this grammar shares these objects
@@ -58,9 +61,6 @@ class Grammar:
             raise ValueError("need at least one variable")
         pool = tuple(self.constant_pool)
         object.__setattr__(self, "constant_pool", pool)
-        object.__setattr__(self, "expr_width", _codon_width(3))
-        object.__setattr__(self, "op_width", _codon_width(len(BINARY_OPS)))
-        object.__setattr__(self, "unary_width", _codon_width(len(UNARY_OPS)))
         object.__setattr__(self, "var_width", _codon_width(self.variable_count + len(pool)))
         leaves = tuple(map(Var, range(self.variable_count))) + tuple(map(Const, pool))
         object.__setattr__(self, "leaves", leaves)
@@ -105,7 +105,7 @@ def _consumed(g: int, length: int, grammar: Grammar) -> int | None:
     operand. shift is the bits left after the next expr codon.
     The expr codon is 2 bits for 3 rules: 00 and 11 binary, 01 unary, 10 leaf."""
     # each width with the expr codon read after it
-    unary_step, op_step = grammar.unary_width + 2, grammar.op_width + 2
+    unary_step, op_step = UNARY_WIDTH + EXPR_WIDTH, OP_WIDTH + EXPR_WIDTH
     var_width = grammar.var_width
     shift = length - 2
     pending = 0
@@ -167,7 +167,7 @@ def _build(prefix: int, grammar: Grammar) -> tuple[Expr, int, int]:
     grammar's own objects."""
     leaves = grammar.leaves
     n_leaves = len(leaves)
-    op_width, unary_width, leaf_width = grammar.op_width, grammar.unary_width, grammar.var_width
+    op_width, unary_width, leaf_width = OP_WIDTH, UNARY_WIDTH, grammar.var_width
     op_mask, unary_mask = (1 << op_width) - 1, (1 << unary_width) - 1
     leaf_mask = (1 << leaf_width) - 1
     shift = prefix.bit_length() - 1

@@ -9,7 +9,7 @@ dynamics, step underflow, step budget) raise IntegrationError carrying
 the read-only portion of the grid that was reached. shared_trajectory
 integrates each trajectory once per right-hand-side object, whatever the
 sample_dt; make_trajectory reads the train and test splits from it, and
-rollouts join those splits.
+joined_splits joins them for rollouts, integrating each split once.
 """
 
 from __future__ import annotations
@@ -231,11 +231,15 @@ def integrate(
     states = _dense_output(steps, grid, x)
     if failure is not None:
         message, t = failure
-        partial = Trajectory(grid[: len(states)].copy(), states)
-        for a in (partial.times, partial.states):
-            a.flags.writeable = False
-        raise IntegrationError(message, t, partial)
+        raise IntegrationError(message, t, _read_only(grid[: len(states)].copy(), states))
     return Trajectory(grid, states, steps)
+
+
+def _read_only(times: np.ndarray, states: np.ndarray) -> Trajectory:
+    """A Trajectory over times and states, both made read-only."""
+    for a in (times, states):
+        a.flags.writeable = False
+    return Trajectory(times, states)
 
 
 def _accepted_steps(
@@ -378,10 +382,8 @@ def shared_trajectory(
         if arrays is not None:
             return Trajectory(*arrays)
         arrays = (grid, _dense_output(entry[0], grid, x))
-    for a in arrays:
-        a.flags.writeable = False
     entry[1][len(arrays[0])] = arrays
-    return Trajectory(*arrays)
+    return _read_only(*arrays)
 
 
 def integrate_fixed_step(
@@ -435,11 +437,37 @@ def make_trajectory(
     traj = shared_trajectory(
         system.rhs, system.initial_state, system.train_span, sample_dt, config
     )
-    if split == "test":
-        traj = shared_trajectory(
-            system.rhs, traj.states[-1], system.test_span, sample_dt, config
-        )
-    return traj
+    return _test_split(system, traj, sample_dt, config) if split == "test" else traj
+
+
+def _test_split(
+    system: SystemSpec, train: Trajectory, sample_dt: float, config: IntegratorConfig | None
+) -> Trajectory:
+    """The test split, started from the end state of the train split in hand."""
+    return shared_trajectory(system.rhs, train.states[-1], system.test_span, sample_dt, config)
+
+
+def joined_splits(
+    system: SystemSpec, sample_dt: float, config: IntegratorConfig | None
+) -> Trajectory:
+    """The train split and then the test split past its first point, the
+    train end state, as one read-only trajectory. Each split is integrated
+    once. A test split that fails raises its IntegrationError with the train
+    split joined to its partial."""
+    train = make_trajectory(system, "train", sample_dt, config)
+    try:
+        test = _test_split(system, train, sample_dt, config)
+    except IntegrationError as err:
+        err.partial = _joined(train, err.partial)
+        raise
+    return _joined(train, test)
+
+
+def _joined(train: Trajectory, test: Trajectory) -> Trajectory:
+    return _read_only(
+        np.concatenate((train.times, test.times[1:])),
+        np.concatenate((train.states, test.states[1:])),
+    )
 
 
 def make_dataset(
@@ -455,11 +483,16 @@ def make_dataset(
 # ----------------------------------------------------------------- file I/O
 
 
-def write_trajectory_csv(traj: Trajectory, variable_names: Sequence[str], path) -> None:
-    header = ",".join(("t", *variable_names))
-    rows = np.column_stack((traj.times, traj.states))
+def write_csv(path, names: Sequence[str], *columns: np.ndarray) -> None:
+    """One row per sample: the columns side by side under a header of names,
+    every value with 17 significant digits so that it reads back exactly."""
+    rows, header = np.column_stack(columns), ",".join(names)
     with open(path, "w") as fh:
         np.savetxt(fh, rows, fmt="%.17g", delimiter=",", header=header, comments="")
+
+
+def write_trajectory_csv(traj: Trajectory, variable_names: Sequence[str], path) -> None:
+    write_csv(path, ("t", *variable_names), traj.times, traj.states)
 
 
 def read_trajectory_csv(path) -> tuple[tuple[str, ...], Trajectory]:

@@ -35,9 +35,6 @@ class BasisSet:
         if len(set(names)) != len(names):
             raise ValueError("basis function names must be unique")
 
-    def __len__(self) -> int:
-        return len(self.functions)
-
 
 @dataclass
 class STLSQConfig:

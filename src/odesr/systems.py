@@ -21,14 +21,16 @@ class SystemSpec:
     ndarray of length dim."""
 
     name: str
-    dim: int
-    params: dict
     rhs: Callable[[float, np.ndarray], np.ndarray]
     initial_state: tuple[float, ...]
     train_span: tuple[float, float]
     test_span: tuple[float, float]
     target_dim: int
     variable_names: tuple[str, ...]
+
+    @property
+    def dim(self) -> int:
+        return len(self.initial_state)
 
 
 def lotka_volterra() -> SystemSpec:
@@ -41,8 +43,6 @@ def lotka_volterra() -> SystemSpec:
 
     return SystemSpec(
         name="lotka_volterra",
-        dim=2,
-        params={"alpha": alpha, "beta": beta, "gamma": gamma, "delta": delta},
         rhs=rhs,
         initial_state=(1.0, 1.0),
         train_span=(0.0, 10.0),
@@ -62,8 +62,6 @@ def simple_pendulum() -> SystemSpec:
 
     return SystemSpec(
         name="simple_pendulum",
-        dim=2,
-        params={"g": g, "damping": b},
         rhs=rhs,
         initial_state=(0.4 * math.pi, 1.0),
         train_span=(0.0, 10.0),
@@ -98,8 +96,6 @@ def cart_pole() -> SystemSpec:
 
     return SystemSpec(
         name="cart_pole",
-        dim=4,
-        params={"m_cart": 1.0, "m_pole": 1.0, "length": 1.0, "g": g},
         rhs=rhs,
         initial_state=(0.3, 0.0, 1.0, 0.0),
         train_span=(0.0, 10.0),
@@ -175,8 +171,6 @@ def expression_system(
 
     return SystemSpec(
         name=name,
-        dim=k,
-        params={},
         rhs=compile_components(exprs),
         initial_state=initial_state,
         train_span=train_span,

@@ -284,11 +284,10 @@ def test_rollout_of_an_rhs_without_weak_reference(integrate_calls):
         got = rollout_with_estimate(expr, slotted)
         for a, b in ((got.truth, want.truth), (got.hybrid, want.hybrid)):
             assert a.states.tobytes() == b.states.tobytes()
-    # nothing can be kept for its truth: each rollout integrates the train
-    # split, the train split again under the test split, and the test split;
-    # each rollout also builds a new hybrid, whose splits are integrated once
-    truth_splits = [SPLITS[0], *SPLITS]
-    assert integrate_calls == SPLITS * 2 + (truth_splits + SPLITS) * 2
+    # nothing can be kept for its truth, so each rollout integrates its train
+    # and test splits once each; each rollout also builds a new hybrid,
+    # whose splits are integrated once
+    assert integrate_calls == SPLITS * 2 + (SPLITS + SPLITS) * 2
 
 
 def test_rollout_csv(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 
 from odesr import cli
 from odesr.benchmark import METHODS, rollout_with_estimate, run_fit
-from odesr.cli import _write_dataset_csv, fit_kwargs, load_config, main, resolve_system
+from odesr.cli import fit_kwargs, load_config, main, resolve_system
 from odesr.expressions import parse_expr
 from odesr.feynman import FeynmanConfig
 from odesr.ga import GAConfig
@@ -52,7 +52,11 @@ def test_generate_integrates_each_trajectory_once(
     monkeypatch.undo()
     for split in ("train", "test"):
         expected = tmp_path / f"expected_{split}.csv"
-        _write_dataset_csv(make_dataset(lotka_volterra(), 0.1, split), ("x", "y"), expected)
+        data = make_dataset(lotka_volterra(), 0.1, split)
+        rows = np.column_stack((data.times, data.states, data.targets))
+        # written without integrate.write_csv, so this pins the file format
+        with open(expected, "w") as fh:
+            np.savetxt(fh, rows, fmt="%.17g", delimiter=",", header="t,x,y,target", comments="")
         written = tmp_path / f"lv_{split}_targets.csv"
         assert written.read_bytes() == expected.read_bytes()
 
@@ -286,9 +290,11 @@ def test_config_range_error_names_the_section(tmp_path, capsys, monkeypatch, pay
         ({**DECAY, "target_dim": 1}, "config section 'systems.decay': target_dim out of range"),
         ({**DECAY, "variable_names": ["a", "b"]},
          "config section 'systems.decay': one variable name per dimension"),
+        ({"rhs": [], "initial_state": []},
+         "config section 'systems.decay': need at least one dimension"),
     ],
     ids=["decreasing train span", "empty test span", "no rhs", "no initial state",
-         "unknown variable", "state length", "target_dim", "variable names"],
+         "unknown variable", "state length", "target_dim", "variable names", "no dimension"],
 )
 def test_systems_entries_are_checked_whichever_system_runs(tmp_path, capsys, monkeypatch,
                                                           entry, message):

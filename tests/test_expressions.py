@@ -120,6 +120,21 @@ def test_time_node_reads_t():
     assert evaluate(e, 0.0, [0.0]) == pytest.approx(-0.2)
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Var(-1), "variable index must be >= 0, got -1"),
+        (lambda: Unary("tan", Var(0)), "unknown unary op 'tan'"),
+        (lambda: Binary("mod", Var(0), Var(1)), "unknown binary op 'mod'"),
+    ],
+    ids=["negative variable", "unary op", "binary op"],
+)
+def test_nodes_reject_invalid_fields(make, message):
+    with pytest.raises(ValueError) as err:
+        make()
+    assert str(err.value) == message
+
+
 def test_var_index_out_of_range_raises():
     with pytest.raises(ValueError):
         evaluate(Var(2), 0.0, [1.0, 2.0])
@@ -559,6 +574,11 @@ def test_parse_unknown_identifier_names_token():
         parse_expr("foo + 1.0")
     with pytest.raises(ParseError, match="tan"):
         parse_expr("tan(x1)")
+
+
+def test_parse_ignores_trailing_whitespace():
+    assert parse_expr("x1 ") == Var(0)
+    assert parse_expr(" x1 * 2.0\t\n") == Binary("mul", Var(0), Const(2.0))
 
 
 def test_parse_trailing_garbage():

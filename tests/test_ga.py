@@ -71,6 +71,8 @@ def test_config_invariants():
         GAConfig(selection_fraction=1.0)
     with pytest.raises(ValueError):
         GAConfig(mutation_rate=1.5)
+    with pytest.raises(ValueError, match="^bitstring_length must be >= 1$"):
+        GAConfig(bitstring_length=0)
 
 
 def test_default_configs_match_benchmark_settings():

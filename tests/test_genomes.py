@@ -19,6 +19,9 @@ from odesr.expressions import (
 )
 from odesr.genomes import (
     CONSTANT_POOLS,
+    EXPR_WIDTH,
+    OP_WIDTH,
+    UNARY_WIDTH,
     Genome,
     Grammar,
     SamplingError,
@@ -63,12 +66,17 @@ def test_constant_pools():
 
 def test_codon_widths():
     # 3 expr rules -> 2 bits; 5 ops -> 3 bits; 2 vars + 4 constants -> 3 bits
-    assert LV.expr_width == 2
-    assert LV.op_width == 3
-    assert LV.unary_width == 3
+    assert EXPR_WIDTH == 2
+    assert OP_WIDTH == 3
+    assert UNARY_WIDTH == 3
     assert LV.var_width == 3
     cp = grammar_for_system("cart_pole")
     assert cp.var_width == 4  # 4 vars + 7 constants = 11 rules
+
+
+def test_grammar_needs_a_variable():
+    with pytest.raises(ValueError, match="^need at least one variable$"):
+        Grammar(0, (1.0,))
 
 
 def test_stored_widths_leave_equality_hash_and_repr_alone():
@@ -172,13 +180,13 @@ def reference_decode(bits, grammar):
         return value
 
     def expr():
-        rule = take(grammar.expr_width) % 3
+        rule = take(EXPR_WIDTH) % 3
         if rule == 0:
             left = expr()
-            op = BINARY_OPS[take(grammar.op_width) % len(BINARY_OPS)]
+            op = BINARY_OPS[take(OP_WIDTH) % len(BINARY_OPS)]
             return Binary(op, left, expr())
         if rule == 1:
-            return Unary(UNARY_OPS[take(grammar.unary_width) % len(UNARY_OPS)], expr())
+            return Unary(UNARY_OPS[take(UNARY_WIDTH) % len(UNARY_OPS)], expr())
         index = take(grammar.var_width) % (grammar.variable_count + len(grammar.constant_pool))
         if index < grammar.variable_count:
             return Var(index)
@@ -242,13 +250,13 @@ def closure_tree(bits, grammar):
         return value
 
     def expr():
-        rule = take(grammar.expr_width) % 3
+        rule = take(EXPR_WIDTH) % 3
         if rule == 0:
             left = expr()
-            op = BINARY_OPS[take(grammar.op_width) % len(BINARY_OPS)]
+            op = BINARY_OPS[take(OP_WIDTH) % len(BINARY_OPS)]
             return Binary(op, left, expr())
         if rule == 1:
-            return Unary(UNARY_OPS[take(grammar.unary_width) % len(UNARY_OPS)], expr())
+            return Unary(UNARY_OPS[take(UNARY_WIDTH) % len(UNARY_OPS)], expr())
         index = take(grammar.var_width) % n_leaves
         if index < grammar.variable_count:
             return Var(index)

@@ -786,8 +786,6 @@ def _case_system(case):
         a = rng.standard_normal((9, 9)) - 2.0 * np.eye(9)
         return SystemSpec(
             name=case,
-            dim=9,
-            params={},
             rhs=lambda t, x: a @ x + math.sin(t),
             initial_state=tuple(rng.standard_normal(9).tolist()),
             train_span=(0.0, 3.0),

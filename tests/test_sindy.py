@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -77,8 +78,16 @@ def test_cartpole_f27_is_transcribed():
         (lambda v: STLSQConfig(threshold=v), "threshold", (0.0, -1.0, math.nan)),
         (lambda v: LassoConfig(lam=v), "lam", (-1.0, math.nan)),
         (lambda v: LassoConfig(tolerance=v), "tolerance", (0.0, -1.0, math.nan)),
+        (lambda v: STLSQConfig(max_iterations=v), "max_iterations", (0, -1)),
+        (lambda v: LassoConfig(max_iterations=v), "max_iterations", (0, -1)),
     ],
-    ids=["stlsq threshold", "lasso lam", "lasso tolerance"],
+    ids=[
+        "stlsq threshold",
+        "lasso lam",
+        "lasso tolerance",
+        "stlsq max_iterations",
+        "lasso max_iterations",
+    ],
 )
 def test_config_validation(make, field, values):
     # NaN compares false both ways: a NaN threshold used to fit the model 0.0,
@@ -240,6 +249,17 @@ def test_lasso_non_convergence_flag():
     a = np.hstack([base + 1e-6 * rng.normal(size=(40, 1)) for _ in range(4)])
     res = lasso_cd(a, rng.normal(size=40), 1e-8, max_iterations=1, tolerance=1e-14)
     assert "lasso_no_convergence" in res.warnings
+
+
+def test_lasso_skips_an_all_zero_column():
+    t = np.linspace(0.0, 1.0, 11)
+    a = np.column_stack((t, np.zeros_like(t)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no division by the zero column's norm
+        res = lasso_cd(a, 2.0 * t, 0.0)
+    assert res.weights[0] == pytest.approx(2.0, rel=1e-12)
+    assert res.weights[1] == 0.0
+    assert res.warnings == ()
 
 
 # ----------------------------------------------------------------------- fit
