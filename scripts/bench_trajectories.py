@@ -31,6 +31,15 @@ and the hybrid right-hand side that `rollout_with_estimate` integrates, at
 the system's initial state and t = 0.5. Each pass makes CALLS calls of
 each, and the record holds the raw and calibrated microseconds per call.
 
+The step loop is timed on its own too: for each benchmark system's train
+split, with the system's right-hand side and with the ground-truth hybrid,
+one `integrate` call per pass, made directly rather than through
+shared_trajectory's memo. The record holds its step attempts and the raw
+and calibrated microseconds per attempt, right-hand side included. Each
+attempt makes six rhs evaluations, and integrate makes two more (the
+initial slope and the initial step's probe), so the attempts are the rhs
+evaluations less two, over six.
+
 The result is appended to BENCH_trajectories.json in the working directory
 under `--label` (see benchrecord.py): run the script once with PYTHONPATH
 pointing at each commit's `src/`.
@@ -105,6 +114,44 @@ def call_repeatedly(rhs, x, system) -> None:
     hybrid holds its true right-hand side only by a weak reference."""
     for _ in range(CALLS):
         rhs(0.5, x)
+
+
+def step_loop() -> tuple[dict, dict]:
+    """For each benchmark system's train split, with its rhs and with the
+    ground-truth hybrid: the rhs evaluations and attempts of one integrate
+    call, and a work item that makes that call."""
+    counts, work = {}, {}
+    for name in SYSTEM_NAMES:
+        system = get_system(name)
+        truth = parse_expr(GROUND_TRUTH_EXPRESSIONS[name], system.variable_names)
+        for kind, rhs in (("truth", system.rhs), ("hybrid", benchmark._hybrid_rhs(system, truth))):
+            evaluations = train_evaluations(rhs, system)
+            counts[f"{name}/{kind}"] = {
+                "rhs_evaluations": evaluations,
+                "attempts": (evaluations - 2) // 6,
+            }
+            work[f"{name}/{kind}"] = partial(integrate_train, rhs, system)
+    return counts, work
+
+
+def train_evaluations(rhs, system) -> int:
+    """The rhs evaluations of one integrate call over the system's train split."""
+    evaluations = 0
+
+    def counted(t, x):
+        nonlocal evaluations
+        evaluations += 1
+        return rhs(t, x)
+
+    integrate_train(counted, system)
+    return evaluations
+
+
+def integrate_train(rhs, system) -> None:
+    """integrate rhs over the system's train split. The system is passed
+    along because a hybrid holds its true right-hand side only by a weak
+    reference."""
+    integrate.integrate(rhs, system.initial_state, system.train_span, SCORE_DTS[0])
 
 
 def rhs_key(rhs) -> tuple:
@@ -227,6 +274,23 @@ def main() -> None:
         }
         print(f"{label} {name}: median {statistics.median(raw_us):.2f} us per call")
     results["rhs_calls"] = per_call
+
+    counts, work = step_loop()
+    seconds, _, _, calibrated = timed_passes(work)
+    loop = {}
+    for name, c in counts.items():
+        per_attempt = [s / c["attempts"] * 1e6 for s in seconds[name]]
+        loop[name] = {
+            **c,
+            "us_per_attempt": summary(per_attempt),
+            "calibrated_us_per_attempt": calibrated
+            and summary([s / c["attempts"] * 1e6 for s in calibrated[name]]),
+        }
+        print(
+            f"{label} step loop {name}: {c['attempts']} attempts, "
+            f"median {statistics.median(per_attempt):.2f} us per attempt"
+        )
+    results["step_loop"] = loop
 
     save(OUT, label, results)
 

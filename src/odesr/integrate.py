@@ -215,9 +215,10 @@ def integrate(
 
     rhs is called as rhs(t, x) with t a Python float and x a float64
     ndarray of the state's length, and returns the derivative as a
-    sequence of the same length. The returned Trajectory also holds the
-    accepted steps, from which shared_trajectory samples the span's other
-    grids.
+    sequence of the same length. rhs may return one array that it
+    overwrites on every call, and may keep each x, which is never written
+    after the call. The returned Trajectory also holds the accepted steps,
+    from which shared_trajectory samples the span's other grids.
     """
     cfg = config if config is not None else IntegratorConfig()
     t0, t1 = float(span[0]), float(span[1])
@@ -247,8 +248,15 @@ def _accepted_steps(
 ) -> tuple[np.ndarray, tuple[str, float] | None]:
     """Step from (t0, x) to t1. Returns one row per accepted step, holding
     what its dense output reads: t, h, t_new, the state x at t, and
-    q = k.T @ _P flattened; and the (message, time) of the failure that
-    stopped the loop, or None when it reached t1."""
+    q = k.T.dot(_P) flattened; and the (message, time) of the failure that
+    stopped the loop, or None when it reached t1.
+
+    Row 0 of k holds the slope at the accepted state: it is set once, and
+    copied from the last stage at each acceptance. A rejected attempt
+    writes rows 1 to 6 only, so the next attempt restarts from that slope.
+    The products use ndarray.dot and h as a numpy scalar: the same BLAS
+    kernels and multiplications as @ and the Python float h, at a lower
+    call cost (see _stages)."""
     n = len(x)
     rows = array.array("d")
 
@@ -256,15 +264,16 @@ def _accepted_steps(
         return np.array(rows).reshape(-1, 3 + 5 * n), failure
 
     t = t0
-    f = np.asarray(rhs(t, x), dtype=float)
+    # a copy, as rhs may return one array that it overwrites on every call
+    f = np.array(rhs(t, x), dtype=float)
     if not np.all(np.isfinite(f)):
         return record(("dynamics not finite at initial state", t))
     h = min(_initial_step(rhs, t, x, f, cfg), t1 - t0)
     err_old = 1.0
     steps = 0
     k = np.empty((7, n))
-    # stage i: (its row of k, its node, its weights, the rows they weigh)
-    stages = [(i, c, _A[i], k[:i]) for i, c in enumerate(_C.tolist()) if i]
+    k[0] = f
+    stages = _stages(k)
     k6 = k[:6]
     xs = x.tolist()
     # the last grid point is t1 itself, so the grid is filled once t reaches it
@@ -278,11 +287,11 @@ def _accepted_steps(
         reached_end = h >= t1 - t
         if reached_end:
             h = t1 - t
-        k[0] = f
-        for i, c, a, ki in stages:
-            k[i] = rhs(t + c * h, x + h * (a @ ki))
-        x_new = x + h * (_A[6] @ k6)
-        err = h * (_E @ k)
+        hf = np.float64(h)
+        for i, c, product, ki in stages:
+            k[i] = rhs(t + c * h, x + hf * product(ki))
+        x_new = x + hf * _A[6].dot(k6)
+        err = hf * _E.dot(k)
         xs_new = x_new.tolist()
         err_norm = _error_norm(xs, xs_new, err.tolist(), cfg.atol, cfg.rtol)
         if not math.isfinite(err_norm):
@@ -293,8 +302,9 @@ def _accepted_steps(
             continue
         t_new = t1 if reached_end else t + h
         rows.extend((t, h, t_new, *xs))
-        rows.frombytes((k.T @ _P).tobytes())
-        t, x, xs, f = t_new, x_new, xs_new, k[6].copy()
+        rows.frombytes(k.T.dot(_P).tobytes())
+        t, x, xs = t_new, x_new, xs_new
+        k[0] = k[6]
         if err_norm == 0.0:
             factor = _MAX_FACTOR
         else:
@@ -302,6 +312,21 @@ def _accepted_steps(
         h *= max(_MIN_FACTOR, min(_MAX_FACTOR, factor))
         err_old = max(err_norm, 1e-14)
     return record()
+
+
+def _stages(k: np.ndarray) -> list:
+    """Stages 1 to 6 of a step whose slopes are k's rows: (its row of k,
+    its node, a function that weighs rows by its weights, the rows k[:i]
+    it weighs). Each weighing gives the bits of _A[i] @ k[:i]. It is
+    ndarray.dot, which takes the same BLAS kernels at a lower call cost,
+    except for one weight and one state component: dot forms that product
+    as one multiplication, which keeps a -0.0 that @'s sum turns into
+    0.0, so it stays @."""
+    return [
+        (i, c, a.__matmul__ if a.size == k.shape[1] == 1 else a.dot, k[:i])
+        for i, (c, a) in enumerate(zip(_C.tolist(), _A))
+        if i
+    ]
 
 
 def _dense_output(steps: np.ndarray, grid: np.ndarray, x0: np.ndarray) -> np.ndarray:

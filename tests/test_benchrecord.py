@@ -207,13 +207,19 @@ def test_passes_without_perfbench_are_not_calibrated(monkeypatch, tmp_path):
     assert len(seconds["a"]) == benchrecord.RUNS and calibrated is None
 
 
+def load_bench_script(monkeypatch, name):
+    """The script scripts/<name>.py as a module, importing this benchrecord."""
+    monkeypatch.setitem(sys.modules, "benchrecord", benchrecord)
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_bench_ga_counts_reach_the_functions_run_ga_calls(monkeypatch):
     # a patch point that run_ga no longer calls would count 0 here instead of
     # recording zeros in BENCH_ga.json
-    monkeypatch.setitem(sys.modules, "benchrecord", benchrecord)
-    spec = importlib.util.spec_from_file_location("bench_ga", SCRIPTS / "bench_ga.py")
-    bench_ga = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench_ga)
+    bench_ga = load_bench_script(monkeypatch, "bench_ga")
     from odesr import ga
     from odesr.genomes import grammar_for_system
     from odesr.integrate import make_dataset
@@ -232,12 +238,7 @@ def test_bench_ga_counts_reach_the_functions_run_ga_calls(monkeypatch):
 def test_bench_trajectories_counts_integrations(monkeypatch):
     # the counting wrapper sees every integration through the integrate
     # module, and evaluates the right-hand side through its own
-    monkeypatch.setitem(sys.modules, "benchrecord", benchrecord)
-    spec = importlib.util.spec_from_file_location(
-        "bench_trajectories", SCRIPTS / "bench_trajectories.py"
-    )
-    bench_trajectories = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench_trajectories)
+    bench_trajectories = load_bench_script(monkeypatch, "bench_trajectories")
     from odesr.benchmark import GROUND_TRUTH_EXPRESSIONS, rollout_with_estimate
     from odesr.expressions import parse_expr
     from odesr.integrate import make_trajectory
@@ -254,3 +255,38 @@ def test_bench_trajectories_counts_integrations(monkeypatch):
     counts = bench_trajectories.count_integrations(sequence)
     assert counts["total"] == counts["distinct"] == 4
     assert counts["rhs_evaluations"] > 0 and counts["step_record_bytes"] > 0
+
+
+def test_bench_trajectories_step_loop_integrates_each_train_split_directly(monkeypatch):
+    # every attempt makes six rhs evaluations, besides the initial slope and
+    # the initial step's probe; each work item is one integrate call, with
+    # no trajectory memo in between
+    bench_trajectories = load_bench_script(monkeypatch, "bench_trajectories")
+    from odesr import integrate
+    from odesr.systems import SYSTEM_NAMES, get_system
+
+    counts, work = bench_trajectories.step_loop()
+    names = [f"{name}/{kind}" for name in SYSTEM_NAMES for kind in ("truth", "hybrid")]
+    assert list(counts) == list(work) == names
+    for name, c in counts.items():
+        assert c["rhs_evaluations"] == 6 * c["attempts"] + 2, name
+    for name in SYSTEM_NAMES:
+        system = get_system(name)
+        accepted = integrate.integrate(system.rhs, system.initial_state, system.train_span, 0.1)
+        assert counts[f"{name}/truth"]["attempts"] >= len(accepted.steps) > 0, name
+
+    spans = []
+    original = integrate.integrate
+
+    def counting(rhs, x0, span, *args):
+        spans.append(span)
+        return original(rhs, x0, span, *args)
+
+    def memo(*args):
+        raise AssertionError("the step loop record went through shared_trajectory")
+
+    monkeypatch.setattr(integrate, "integrate", counting)
+    monkeypatch.setattr(integrate, "shared_trajectory", memo)
+    for call in work.values():
+        call()
+    assert spans == [get_system(name).train_span for name in SYSTEM_NAMES for _ in range(2)]

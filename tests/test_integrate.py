@@ -27,6 +27,7 @@ from odesr.integrate import (
     RegressionDataset,
     Trajectory,
     _error_norm,
+    _stages,
     finite_differences,
     integrate,
     integrate_fixed_step,
@@ -38,6 +39,7 @@ from odesr.integrate import (
     write_trajectory_csv,
 )
 from odesr.systems import (
+    SYSTEM_NAMES,
     SystemSpec,
     cart_pole,
     expression_system,
@@ -881,6 +883,82 @@ def test_rhs_gets_a_float_time_and_a_float64_state():
     integrate(checking(lambda t, x: -x), [1, 2, 3], (0, 1), 0.5)
     integrate_fixed_step(checking(lambda t, x: -x), [1, 2, 3], (0, 1), 4)
     assert set(seen) == {(float, np.ndarray, np.dtype(np.float64), (3,))}
+
+
+def reusing(rhs, n):
+    """rhs that returns one array of length n, overwritten on every call."""
+    out = np.empty(n)
+
+    def reused(t, x):
+        out[:] = rhs(t, x)
+        return out
+
+    return reused
+
+
+@pytest.mark.parametrize("name", SYSTEM_NAMES)
+def test_rhs_may_reuse_its_returned_array(name):
+    sys = get_system(name)
+    span = (sys.train_span[0], sys.test_span[1])
+    expected = integrate(sys.rhs, sys.initial_state, span, 0.1)
+    got = integrate(reusing(sys.rhs, sys.dim), sys.initial_state, span, 0.1)
+    assert_same_bits(got, expected)
+    assert got.steps.tobytes() == expected.steps.tobytes()
+
+
+@pytest.mark.parametrize("name", SYSTEM_NAMES)
+def test_rhs_may_keep_the_states_it_is_passed(name):
+    # each state rhs gets is its own array, never written after the call
+    sys = get_system(name)
+    kept = []
+
+    def keeping(t, x):
+        kept.append((x, x.tobytes()))
+        return sys.rhs(t, x)
+
+    integrate(keeping, sys.initial_state, (sys.train_span[0], sys.test_span[1]), 0.1)
+    assert len({id(x) for x, _ in kept}) == len(kept)
+    assert all(x.tobytes() == at_call for x, at_call in kept)
+
+
+# ------------------------------------------ the products of the step loop
+
+_SPECIAL = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])
+# signed magnitudes from 1e-300 to 1e300, with zeros, infinities and nan
+_ENTRIES = st.one_of(
+    _SPECIAL, st.builds(lambda m, e: m * 10.0**e, st.floats(-10.0, 10.0), st.integers(-300, 299))
+)
+
+
+@given(n=st.integers(1, 9), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_step_loop_products_match_matmul_bit_for_bit(n, data):
+    """The step loop forms its products with ndarray.dot and h as a numpy
+    scalar, reference_integrate with @ and a Python float h. A numpy or
+    BLAS release that separates the two forms fails here, naming the
+    product."""
+    k = np.array(data.draw(st.lists(_ENTRIES, min_size=7 * n, max_size=7 * n))).reshape(7, n)
+    h = data.draw(_ENTRIES)
+    with np.errstate(all="ignore"):
+        stages = _stages(k)
+        assert [(i, c) for i, c, _, _ in stages] == list(enumerate(_C.tolist()))[1:]
+        for i, _, product, rows in stages:
+            assert product(rows).tobytes() == (_A[i] @ k[:i]).tobytes(), f"stage {i}"
+        assert _A[6].dot(k[:6]).tobytes() == (_A[6] @ k[:6]).tobytes(), "solution"
+        assert _E.dot(k).tobytes() == (_E @ k).tobytes(), "error"
+        assert k.T.dot(_P).tobytes() == (k.T @ _P).tobytes(), "dense-output row"
+        for v in k:
+            assert (np.float64(h) * v).tobytes() == (h * v).tobytes(), "h times a vector"
+
+
+def test_stage_one_of_a_scalar_state_keeps_matmul():
+    # dot multiplies a one-by-one product without summing, so -0.0 stays
+    # signed; @ adds it to 0.0. Only that product needs @
+    k = np.full((7, 1), -0.0)
+    assert _A[1].dot(k[:1]).tobytes() != (_A[1] @ k[:1]).tobytes()
+    assert [product(rows).tobytes() for _, _, product, rows in _stages(k)] == [
+        (_A[i] @ k[:i]).tobytes() for i in range(1, 7)
+    ]
 
 
 # ------------------------------------------------- one-pass dense output
