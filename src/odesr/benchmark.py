@@ -129,7 +129,11 @@ _HYBRIDS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 def _hybrid_rhs(system: SystemSpec, expr: Expr):
     """system.rhs with the target dimension's derivative taken from expr,
     one function per (system.rhs, target_dim, expr), so that
-    shared_trajectory integrates each hybrid once per set of inputs."""
+    shared_trajectory integrates each hybrid once per set of inputs.
+
+    The hybrid returns a new list: system.rhs's array as Python floats,
+    with the estimate written in. It never writes the array system.rhs
+    returns, which system.rhs may reuse."""
     rhs, dim = system.rhs, system.target_dim
     try:
         hybrids = _HYBRIDS.setdefault(rhs, {})
@@ -142,7 +146,7 @@ def _hybrid_rhs(system: SystemSpec, expr: Expr):
         estimate = compile_scalar(expr)
 
         def hybrid(t, state):
-            out = np.array(true_rhs()(t, state), dtype=float)
+            out = true_rhs()(t, state).tolist()
             out[dim] = estimate(t, state)
             return out
 

@@ -217,8 +217,10 @@ def integrate(
     ndarray of the state's length, and returns the derivative as a
     sequence of the same length. rhs may return one array that it
     overwrites on every call, and may keep each x, which is never written
-    after the call. The returned Trajectory also holds the accepted steps,
-    from which shared_trajectory samples the span's other grids.
+    after the call. rhs must not write x itself: the x of a step's last
+    stage becomes the accepted state. The returned Trajectory also holds
+    the accepted steps, from which shared_trajectory samples the span's
+    other grids.
     """
     cfg = config if config is not None else IntegratorConfig()
     t0, t1 = float(span[0]), float(span[1])
@@ -254,9 +256,13 @@ def _accepted_steps(
     Row 0 of k holds the slope at the accepted state: it is set once, and
     copied from the last stage at each acceptance. A rejected attempt
     writes rows 1 to 6 only, so the next attempt restarts from that slope.
-    The products use ndarray.dot and h as a numpy scalar: the same BLAS
-    kernels and multiplications as @ and the Python float h, at a lower
-    call cost (see _stages)."""
+    The method is first same as last: stage 6's state, x + h *
+    _A[6].dot(k[:6]), is the fifth-order solution, so the state of the
+    last stage is kept as x_new, and stage 6's slope is the next step's
+    first. The products use ndarray.dot, and h is a 0-d float64
+    array filled once per attempt: the same BLAS kernels and
+    multiplications as @ and the Python float h, at a lower call cost
+    (see _stages)."""
     n = len(x)
     rows = array.array("d")
 
@@ -274,7 +280,7 @@ def _accepted_steps(
     k = np.empty((7, n))
     k[0] = f
     stages = _stages(k)
-    k6 = k[:6]
+    hf = np.empty(())
     xs = x.tolist()
     # the last grid point is t1 itself, so the grid is filled once t reaches it
     while t < t1:
@@ -287,10 +293,11 @@ def _accepted_steps(
         reached_end = h >= t1 - t
         if reached_end:
             h = t1 - t
-        hf = np.float64(h)
+        hf[()] = h
+        # the state of stage 6, the last, is the fifth-order solution x_new
         for i, c, product, ki in stages:
-            k[i] = rhs(t + c * h, x + hf * product(ki))
-        x_new = x + hf * _A[6].dot(k6)
+            x_new = x + hf * product(ki)
+            k[i] = rhs(t + c * h, x_new)
         err = hf * _E.dot(k)
         xs_new = x_new.tolist()
         err_norm = _error_norm(xs, xs_new, err.tolist(), cfg.atol, cfg.rtol)

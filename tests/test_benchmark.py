@@ -235,6 +235,51 @@ def test_ground_truth_hybrid_equals_the_truth(name, sample_dt):
         assert result.hybrid.states.tobytes() == result.truth.states.tobytes()
 
 
+def read_only_output(rhs):
+    """rhs, returning its array made read-only."""
+
+    def frozen(t, x):
+        out = rhs(t, x)
+        out.flags.writeable = False
+        return out
+
+    return frozen
+
+
+def one_output_buffer(rhs, n):
+    """rhs, returning one array of length n that it overwrites on every
+    call, after checking that no one wrote it since the last call."""
+    out, written = np.empty(n), []
+
+    def reused(t, x):
+        if written:
+            assert out.tobytes() == written.pop()
+        out[:] = rhs(t, x)
+        written.append(out.tobytes())
+        return out
+
+    return reused
+
+
+@pytest.mark.parametrize("output", ["read_only", "one_buffer"])
+@pytest.mark.parametrize("case", list(ROLLOUT_CASES))
+def test_hybrid_never_writes_the_true_rhs_output(case, output):
+    name, text = ROLLOUT_CASES[case]
+    system = get_system(name)
+    wrap = {
+        "read_only": read_only_output,
+        "one_buffer": lambda rhs: one_output_buffer(rhs, system.dim),
+    }[output]
+    wrapped = dataclasses.replace(system, rhs=wrap(system.rhs))
+    expr = parse_expr(text, system.variable_names)
+    got = rollout_with_estimate(expr, wrapped)
+    for want in (rollout_with_estimate(expr, system), reference_rollout(expr, system, 0.1)):
+        assert got.divergence_time == want.divergence_time
+        for a, b in ((got.truth, want.truth), (got.hybrid, want.hybrid)):
+            assert a.times.tobytes() == b.times.tobytes()
+            assert a.states.tobytes() == b.states.tobytes()
+
+
 def test_hybrid_diverging_in_the_test_split_keeps_the_train_split():
     system = lotka_volterra()
     estimate = parse_expr("exp(t) * y ^ 2.0 / 100000.0", system.variable_names)

@@ -595,7 +595,8 @@ def reference_integrate(rhs, x0, span, sample_dt, config=None):
         )
 
     t = t0
-    f = np.asarray(rhs(t, x), dtype=float)
+    # a copy, as rhs may return one array that it overwrites on every call
+    f = np.array(rhs(t, x), dtype=float)
     if not np.all(np.isfinite(f)):
         raise fail("dynamics not finite at initial state", t)
     h = min(reference_initial_step(rhs, t, x, f, cfg), t1 - t0)
@@ -901,7 +902,7 @@ def test_rhs_may_reuse_its_returned_array(name):
     sys = get_system(name)
     span = (sys.train_span[0], sys.test_span[1])
     expected = integrate(sys.rhs, sys.initial_state, span, 0.1)
-    got = integrate(reusing(sys.rhs, sys.dim), sys.initial_state, span, 0.1)
+    got = checked_integrate(reusing(sys.rhs, sys.dim), sys.initial_state, span, 0.1)
     assert_same_bits(got, expected)
     assert got.steps.tobytes() == expected.steps.tobytes()
 
@@ -921,6 +922,39 @@ def test_rhs_may_keep_the_states_it_is_passed(name):
     assert all(x.tobytes() == at_call for x, at_call in kept)
 
 
+@pytest.mark.parametrize("case", [*SYSTEM_NAMES, "switched"])
+def test_the_last_stage_state_is_the_accepted_state(case):
+    # first same as last: the state of each accepted attempt's last stage is
+    # the state at which the next step starts, bit for bit
+    if case == "switched":
+        rhs, x0, span, _ = ACCURACY_CASES[case]
+    else:
+        sys = get_system(case)
+        rhs, x0, span = sys.rhs, sys.initial_state, sys.train_span
+    calls = []
+
+    def recorded(t, x):
+        calls.append((t, x.tobytes()))
+        return rhs(t, x)
+
+    steps = integrate(recorded, x0, span, 0.25).steps
+    n = len(x0)
+    # after the initial slope and the initial step's probe, six calls an
+    # attempt; an attempt is accepted when its stage times are the next
+    # step's t + c * h
+    attempts = [calls[i : i + 6] for i in range(2, len(calls), 6)]
+    accepted = 0
+    for attempt in attempts:
+        t, h = steps[accepted, :2].tolist()
+        if [s for s, _ in attempt] != [t + c * h for c in _C[1:].tolist()]:
+            continue
+        accepted += 1
+        if accepted < len(steps):
+            assert attempt[-1][1] == steps[accepted, 3 : 3 + n].tobytes()
+    assert accepted == len(steps)
+    assert (len(attempts) > accepted) == (case == "switched")
+
+
 # ------------------------------------------ the products of the step loop
 
 _SPECIAL = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])
@@ -933,9 +967,9 @@ _ENTRIES = st.one_of(
 @given(n=st.integers(1, 9), data=st.data())
 @settings(max_examples=300, deadline=None)
 def test_step_loop_products_match_matmul_bit_for_bit(n, data):
-    """The step loop forms its products with ndarray.dot and h as a numpy
-    scalar, reference_integrate with @ and a Python float h. A numpy or
-    BLAS release that separates the two forms fails here, naming the
+    """The step loop forms its products with ndarray.dot and h as a 0-d
+    float64 array, reference_integrate with @ and a Python float h. A numpy
+    or BLAS release that separates the two forms fails here, naming the
     product."""
     k = np.array(data.draw(st.lists(_ENTRIES, min_size=7 * n, max_size=7 * n))).reshape(7, n)
     h = data.draw(_ENTRIES)
@@ -944,11 +978,12 @@ def test_step_loop_products_match_matmul_bit_for_bit(n, data):
         assert [(i, c) for i, c, _, _ in stages] == list(enumerate(_C.tolist()))[1:]
         for i, _, product, rows in stages:
             assert product(rows).tobytes() == (_A[i] @ k[:i]).tobytes(), f"stage {i}"
-        assert _A[6].dot(k[:6]).tobytes() == (_A[6] @ k[:6]).tobytes(), "solution"
         assert _E.dot(k).tobytes() == (_E @ k).tobytes(), "error"
         assert k.T.dot(_P).tobytes() == (k.T @ _P).tobytes(), "dense-output row"
+        hf = np.empty(())
+        hf[()] = h
         for v in k:
-            assert (np.float64(h) * v).tobytes() == (h * v).tobytes(), "h times a vector"
+            assert (hf * v).tobytes() == (h * v).tobytes(), "h times a vector"
 
 
 def test_stage_one_of_a_scalar_state_keeps_matmul():
