@@ -9,14 +9,15 @@ call's raw seconds are recorded with its seconds calibrated against host
 speed (see benchrecord.timed_passes) and its minor page faults.
 One more call per system runs under `tracemalloc` for the peak of Python
 allocations, and one more counts the brute-force rows that
-`run_pipeline` fits and those it computes an exact residual for (every
-row, on commits whose fit computed the residual of every row).
+`run_pipeline` fits and those it computes an exact residual for.
 `brute_force` is called once per system, outside the timed calls, to
 count the skeletons that get a fit.
 
 The result is appended to BENCH_feynman.json in the working directory
 under `--label` (see benchrecord.py): run the script once with PYTHONPATH
-pointing at each commit's `src/`.
+pointing at each commit's `src/`. A commit whose brute force passes
+`_BestPerComplexity.block` an array of residuals, not a function of the
+rows, is recorded with that commit's own copy of this script.
 """
 
 import statistics
@@ -42,9 +43,6 @@ def residual_counts(data) -> dict:
 
     def counting(self, comp, c, rmse, *rest):
         counts["rows_fitted"] += len(c)
-        if not callable(rmse):  # an array: every row's residual was computed
-            counts["rows_with_exact_residual"] += len(c)
-            return block(self, comp, c, rmse, *rest)
 
         def exact(rows):
             counts["rows_with_exact_residual"] += len(rows)

@@ -184,10 +184,14 @@ def fit_kwargs(method: str, system, config: dict) -> dict:
             kwargs["constant_pool"] = tuple(float(c) for c in pool)
     elif method == "sindy":
         basis = config.get("sindy", {}).get("basis", {}).get(system.name)
-        if _matches(basis, str):
-            kwargs["basis"] = preset_basis(basis)
-        elif basis is not None:
-            kwargs["basis"] = basis_from_strings(basis, system.variable_names)
+        try:
+            if _matches(basis, str):
+                kwargs["basis"] = preset_basis(basis)
+            elif basis is not None:
+                kwargs["basis"] = basis_from_strings(basis, system.variable_names)
+        except (ValueError, KeyError) as err:
+            message = err.args[0] if isinstance(err, KeyError) else err
+            raise ValueError(f"config key 'sindy.basis.{system.name}': {message}") from None
         kwargs["sparse"] = config.get("sindy", {}).get("solver")
     elif method == "feynman":
         kwargs["feynman"] = config.get("feynman")

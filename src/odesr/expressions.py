@@ -515,10 +515,22 @@ def print_expr(expr: Expr, variable_names: Sequence[str] | None = None) -> str:
     if isinstance(expr, Time):
         return "t"
     if isinstance(expr, Unary):
-        return f"{expr.op}({print_expr(expr.arg, variable_names)})"
+        return _unary_form(expr.op, print_expr(expr.arg, variable_names))
     left = print_expr(expr.left, variable_names)
     right = print_expr(expr.right, variable_names)
-    return f"({left} {_BINARY_SYMBOL[expr.op]} {right})"
+    return _binary_form(expr.op, left, right)
+
+
+def _unary_form(op: str, arg: str) -> str:
+    """print_expr's form of a unary node over its argument's printed form;
+    feynman's brute-force table prints its skeletons through it."""
+    return f"{op}({arg})"
+
+
+def _binary_form(op: str, left: str, right: str) -> str:
+    """print_expr's form of a binary node over its operands' printed forms;
+    feynman's brute-force table prints its skeletons through it."""
+    return f"({left} {_BINARY_SYMBOL[op]} {right})"
 
 
 class ParseError(ValueError):
@@ -535,138 +547,106 @@ _TOKEN_RE = re.compile(
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, position) of each token, then ("eof", "", len(text))."""
     tokens = []
     pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.lastgroup is None:
-            at = pos + len(text[pos:]) - len(text[pos:].lstrip())
-            if at >= len(text):
-                break
-            raise ParseError(f"unexpected character {text[at]!r}", at)
+    while m := _TOKEN_RE.match(text, pos):
         kind = m.lastgroup
-        tokens.append((kind, m.group(kind), m.start(kind)))
+        tokens.append((kind, m[kind], m.start(kind)))
         pos = m.end()
+    at = len(text) - len(text[pos:].lstrip())
+    if at < len(text):
+        raise ParseError(f"unexpected character {text[at]!r}", at)
     tokens.append(("eof", "", len(text)))
     return tokens
 
 
+def _negated(e: Expr) -> Expr:
+    """A leading minus: a Const folds its sign, anything else is (-1.0) * e."""
+    return Const(-e.value) if isinstance(e, Const) else Binary("mul", Const(-1.0), e)
+
+
 class _Parser:
-    """Recursive descent.  Precedence, tightest first: ^ (left-assoc),
-    unary minus, * /, + - (all left-assoc)."""
+    """Recursive descent.  The grammar, loosest level first:
+
+        sum      = term {("+" | "-") term}
+        term     = signed {("*" | "/") signed}
+        signed   = "-" signed | power
+        power    = atom {"^" exponent}
+        exponent = "-" exponent | atom
+        atom     = number | name | function "(" sum ")" | "(" sum ")"
+
+    Each binary level is left-associative, and unary minus binds looser
+    than ^ (-x^2 is -(x^2)); a signed literal or atom may follow ^ directly
+    (x^-2.0)."""
 
     def __init__(self, text: str, variable_names: Sequence[str] | None):
         self.tokens = _tokenize(text)
         self.i = 0
         self.names = tuple(variable_names) if variable_names is not None else None
 
-    def peek(self):
-        return self.tokens[self.i]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, symbol: str):
-        kind, value, pos = self.peek()
-        if kind != "op" or value != symbol:
-            raise ParseError(f"expected {symbol!r}", pos)
-        self.next()
+    def take(self, symbols: str) -> str | None:
+        """The next token if it is an operator among symbols, consumed."""
+        kind, value, _ = self.tokens[self.i]
+        if kind == "op" and value in symbols:
+            self.i += 1
+            return value
+        return None
 
     def parse(self) -> Expr:
         e = self.sum()
-        kind, value, pos = self.peek()
+        kind, value, pos = self.tokens[self.i]
         if kind != "eof":
             raise ParseError(f"unexpected token {value!r}", pos)
         return e
 
+    def chain(self, e: Expr, symbols: str, operand: Callable[[], Expr]) -> Expr:
+        """e, then each operator among symbols with its operand, left-associative."""
+        while symbol := self.take(symbols):
+            e = Binary(_SYMBOL_BINARY[symbol], e, operand())
+        return e
+
     def sum(self) -> Expr:
-        e = self.term()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in ("+", "-"):
-                self.next()
-                e = Binary(_SYMBOL_BINARY[value], e, self.term())
-            else:
-                return e
+        return self.chain(self.term(), "+-", self.term)
 
     def term(self) -> Expr:
-        e = self.signed()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in ("*", "/"):
-                self.next()
-                e = Binary(_SYMBOL_BINARY[value], e, self.signed())
-            else:
-                return e
-
-    def signed(self) -> Expr:
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "-":
-            self.next()
-            inner = self.signed()
-            if isinstance(inner, Const):
-                return Const(-inner.value)
-            return Binary("mul", Const(-1.0), inner)
-        return self.power()
+        return self.chain(self.signed(), "*/", self.signed)
 
     def power(self) -> Expr:
-        e = self.atom()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value == "^":
-                self.next()
-                e = Binary("pow", e, self.exponent())
-            else:
-                return e
+        return self.chain(self.atom(), "^", self.exponent)
+
+    def signed(self) -> Expr:
+        return _negated(self.signed()) if self.take("-") else self.power()
 
     def exponent(self) -> Expr:
-        # allow a signed literal or atom directly after ^
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "-":
-            self.next()
-            inner = self.exponent()
-            if isinstance(inner, Const):
-                return Const(-inner.value)
-            return Binary("mul", Const(-1.0), inner)
-        return self.atom()
+        return _negated(self.exponent()) if self.take("-") else self.atom()
 
     def atom(self) -> Expr:
-        kind, value, pos = self.next()
+        kind, value, pos = self.tokens[self.i]
+        self.i += 1
         if kind == "num":
             return Const(float(value))
-        if kind == "op" and value == "(":
-            e = self.sum()
-            self.expect_op(")")
-            return e
         if kind == "name":
-            nkind, nvalue, _ = self.peek()
-            if nkind == "op" and nvalue == "(":
-                if value not in UNARY_OPS:
-                    raise ParseError(f"unknown function {value!r}", pos)
-                self.next()
-                arg = self.sum()
-                self.expect_op(")")
-                return Unary(value, arg)
-            return self.variable(value, pos)
-        raise ParseError(
-            f"expected expression, got {value!r}" if value else "expected expression",
-            pos,
-        )
+            if not self.take("("):
+                return self.variable(value, pos)
+            if value not in UNARY_OPS:
+                raise ParseError(f"unknown function {value!r}", pos)
+        elif value != "(":
+            got = f", got {value!r}" if value else ""
+            raise ParseError(f"expected expression{got}", pos)
+        e = self.sum()
+        if not self.take(")"):
+            raise ParseError("expected ')'", self.tokens[self.i][2])
+        return Unary(value, e) if kind == "name" else e
 
     def variable(self, name: str, pos: int) -> Expr:
-        if self.names is not None:
-            if name in self.names:
-                return Var(self.names.index(name))
-            if name == "t":
-                return Time()
-            raise ParseError(f"unknown identifier {name!r}", pos)
+        """A variable name, else t, else (without variable names) x1, x2, ..."""
+        if self.names is not None and name in self.names:
+            return Var(self.names.index(name))
         if name == "t":
             return Time()
-        m = re.fullmatch(r"x(\d+)", name)
-        if m and int(m.group(1)) >= 1:
-            return Var(int(m.group(1)) - 1)
+        if self.names is None and re.fullmatch(r"x0*[1-9]\d*", name):
+            return Var(int(name[1:]) - 1)
         raise ParseError(f"unknown identifier {name!r}", pos)
 
 

@@ -15,7 +15,6 @@ import numpy as np
 
 from .candidates import CandidateSolution, make_candidate
 from .expressions import (
-    _BINARY_SYMBOL,
     BINARY_UFUNC,
     UNARY_UFUNC,
     Binary,
@@ -23,12 +22,12 @@ from .expressions import (
     Expr,
     Unary,
     Var,
+    _binary_form,
+    _unary_form,
     print_expr,
 )
 from .integrate import RegressionDataset
 
-_BRUTE_UNARY = ("sin", "cos", "log", "exp")
-_BRUTE_BINARY = ("add", "sub", "mul", "div")
 _COMMUTATIVE = ("add", "mul")
 
 _SEPARABILITY_TOLERANCE = 1e-2
@@ -43,8 +42,8 @@ _CHUNK_ROWS = 1024
 class FeynmanConfig:
     max_poly_degree: int = 4
     max_brute_nodes: int = 7
-    unary_set: tuple[str, ...] = _BRUTE_UNARY
-    binary_set: tuple[str, ...] = _BRUTE_BINARY
+    unary_set: tuple[str, ...] = tuple(UNARY_UFUNC)
+    binary_set: tuple[str, ...] = tuple(BINARY_UFUNC)
     time_budget: float | None = None
 
     def __post_init__(self):
@@ -372,12 +371,11 @@ def _enumerate_sizes(data, cfg: FeynmanConfig, variables, consume, trees: dict) 
                     kept += len(rows)
                     if keep:
                         grown_strs.extend(
-                            f"{op}({child_strs[i]})" for i in rows.tolist()
+                            _unary_form(op, child_strs[i]) for i in rows.tolist()
                         )
             ranks = _printed_ranks(table, size - 2)
             for op in cfg.binary_set:
                 fn = BINARY_UFUNC[op]
-                symbol = _BINARY_SYMBOL[op]
                 for left_size in range(1, size - 1):
                     if deadline is not None and time.monotonic() > deadline:
                         return True
@@ -407,7 +405,7 @@ def _enumerate_sizes(data, cfg: FeynmanConfig, variables, consume, trees: dict) 
                         kept += len(nodes)
                         if keep:
                             grown_strs.extend(
-                                f"({left_strs[a]} {symbol} {right_strs[b]})"
+                                _binary_form(op, left_strs[a], right_strs[b])
                                 for a, b in nodes[:, 2:].tolist()
                             )
             if keep:

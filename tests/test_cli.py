@@ -193,8 +193,8 @@ DECAY = {"rhs": ["-0.5 * x1"], "initial_state": [1.0]}
 
 
 @pytest.mark.parametrize(
-    "payload, message",
-    [
+    "method, payload, message",
+    [("ga", *row) for row in [
         ({"constant_pools": {"lotka_volterra": 3}},
          "config key 'constant_pools.lotka_volterra' must be list of float"),
         ({"sample_dt": "0.1"}, "config key 'sample_dt' must be float"),
@@ -220,14 +220,22 @@ DECAY = {"rhs": ["-0.5 * x1"], "initial_state": [1.0]}
          "config key 'ga.lotka_volterra.population_size' must be int"),
         ({"sindy": {"basis": {"lotka_volterra": 3}}},
          "config key 'sindy.basis.lotka_volterra' must be str or list of str"),
+    ]] + [
+        # --method ga builds no basis, so these two need a sindy run
+        ("sindy", {"sindy": {"basis": {"lotka_volterra": ["sin(", "x"]}}},
+         "config key 'sindy.basis.lotka_volterra': expected expression at position 4"),
+        ("sindy", {"sindy": {"basis": {"lotka_volterra": "no_such_preset"}}},
+         "config key 'sindy.basis.lotka_volterra': unknown basis preset 'no_such_preset'; "
+         "expected one of pendulum, lotka_volterra, cartpole"),
     ],
     ids=["pool not a list", "sample_dt string", "unknown top-level key", "unknown ga key",
          "unknown systems key", "unknown solver key", "unknown solver kind", "ga seed",
          "bool for int", "float for int", "string for list", "3-element span",
-         "null population", "number for basis"],
+         "null population", "number for basis", "unparsable basis string",
+         "unknown basis preset"],
 )
 def test_malformed_config_exits_one_naming_the_key(tmp_path, capsys, monkeypatch,
-                                                   payload, message):
+                                                   method, payload, message):
     # each used to exit 0 with the value ignored or replaced, or exit 1 with
     # a message that named no key
     def no_fit(*args, **kwargs):
@@ -236,7 +244,7 @@ def test_malformed_config_exits_one_naming_the_key(tmp_path, capsys, monkeypatch
     monkeypatch.setattr(cli, "run_fit", no_fit)
     cfg = write_config(tmp_path, payload)
     out = tmp_path / "x.json"
-    assert main(["fit", "--method", "ga", "--system", "lotka_volterra", "--config", cfg,
+    assert main(["fit", "--method", method, "--system", "lotka_volterra", "--config", cfg,
                  "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {message.format(path=cfg)}\n"
     assert not out.exists()

@@ -599,6 +599,66 @@ def test_parse_error_names_the_problem_and_its_position(text, message):
     assert err.value.position == 3
 
 
+XY = ("x", "y")
+NEG = Const(-1.0)
+
+# (text, variable names, the tree, or the ParseError's message and position):
+# every error branch of the tokenizer and parser, and every identifier rule
+# ("x1 $" and "(x1" are pinned above)
+PARSE_TABLE = [
+    ("x1 #", XY, ("unexpected character '#'", 3)),
+    ("1.0 2.0", None, ("unexpected token '2.0'", 4)),
+    ("x1)", None, ("unexpected token ')'", 2)),
+    ("1e", None, ("unexpected token 'e'", 1)),
+    ("sin(x1 x2)", None, ("expected ')'", 7)),
+    ("tan(x1)", None, ("unknown function 'tan'", 0)),
+    ("x(y)", XY, ("unknown function 'x'", 0)),
+    ("2.0 * t(x1)", None, ("unknown function 't'", 6)),
+    ("foo + 1.0", None, ("unknown identifier 'foo'", 0)),
+    ("x1 * x", None, ("unknown identifier 'x'", 5)),
+    ("x + x1", XY, ("unknown identifier 'x1'", 4)),
+    ("x0", None, ("unknown identifier 'x0'", 0)),
+    ("x00", None, ("unknown identifier 'x00'", 0)),
+    ("", None, ("expected expression", 0)),
+    ("x1 +", None, ("expected expression", 4)),
+    ("sin(", None, ("expected expression", 4)),
+    ("-", XY, ("expected expression", 1)),
+    ("x ^ -", XY, ("expected expression", 5)),
+    ("x1 + )", None, ("expected expression, got ')'", 5)),
+    ("()", None, ("expected expression, got ')'", 1)),
+    ("x ^ *", XY, ("expected expression, got '*'", 4)),
+    ("   ", None, ("expected expression", 3)),
+    (" \n\t ", XY, ("expected expression", 4)),
+    ("t", None, Time()),
+    ("t", XY, Time()),
+    ("t * y", ("t", "y"), Binary("mul", Var(0), Var(1))),
+    ("x01 + x12", None, Binary("add", Var(0), Var(11))),
+    ("identity(x)", XY, Unary("identity", Var(0))),
+    ("x1\n* 2.0 ", None, Binary("mul", Var(0), Const(2.0))),
+    ("x\r\n-\u3000y", XY, Binary("sub", Var(0), Var(1))),
+    ("1. + .5e1 - 2E-1", None, Binary("sub", Binary("add", Const(1.0), Const(5.0)), Const(0.2))),
+    ("--1.0", None, Const(1.0)),
+    ("-(x)", XY, Binary("mul", NEG, Var(0))),
+    ("x ^ - - 2.0", XY, Binary("pow", Var(0), Const(2.0))),
+    ("x ^ -sin(y)", XY, Binary("pow", Var(0), Binary("mul", NEG, Unary("sin", Var(1))))),
+    ("-x ^ 2.0 ^ y", XY, Binary("mul", NEG, Binary("pow", Binary("pow", Var(0), Const(2.0)), Var(1)))),
+    ("x / -y * 2.0", XY, Binary("mul", Binary("div", Var(0), Binary("mul", NEG, Var(1))), Const(2.0))),
+]
+
+
+@pytest.mark.parametrize("text, names, want", PARSE_TABLE)
+def test_parse_table(text, names, want):
+    if isinstance(want, tuple):
+        message, position = want
+        with pytest.raises(ParseError) as err:
+            parse_expr(text, names)
+        assert (str(err.value), err.value.position) == (
+            f"{message} at position {position}", position
+        )
+    else:
+        assert parse_expr(text, names) == want
+
+
 def test_pow_with_a_negated_exponent_parses_and_round_trips():
     e = parse_expr("x1^-x2")
     assert e == Binary("pow", Var(0), Binary("mul", Const(-1.0), Var(1)))
