@@ -46,7 +46,7 @@ from .systems import SYSTEM_NAMES, SystemSpec, get_system
 if TYPE_CHECKING:
     from .feynman import FeynmanConfig
     from .ga import GAConfig
-    from .sindy import BasisSet, SparseConfig
+    from .sindy import BasisSet, STLSQConfig
 
 # the searches as perfbench/spans.py reaches them here, served from their
 # modules on first access
@@ -195,7 +195,7 @@ def run_fit(
     ga_config: GAConfig | None = None,
     constant_pool: tuple[float, ...] | None = None,
     basis: BasisSet | None = None,
-    sparse: SparseConfig | None = None,
+    sparse: STLSQConfig | None = None,
     feynman: FeynmanConfig | None = None,
 ) -> dict:
     """Fit one method on one system and evaluate it on the test span.

@@ -37,7 +37,7 @@ from .integrate import (
     write_csv,
     write_trajectory_csv,
 )
-from .sindy import LassoConfig, STLSQConfig, basis_from_strings, preset_basis
+from .sindy import STLSQConfig, basis_from_strings, preset_basis
 from .systems import SYSTEM_NAMES, SystemSpec, expression_system, get_system
 
 
@@ -50,7 +50,6 @@ _SYSTEM = {
     "target_dim": int | None,
     "variable_names": tuple[str, ...] | None,
 }
-_SOLVERS = {"stlsq": STLSQConfig, "lasso": LassoConfig}  # sindy.solver.kind, stlsq default
 
 # The config file's JSON shape: a dict is an object of those keys, a dataclass
 # an object of its fields (read as an instance), dict[str, X] an object of X keyed
@@ -62,7 +61,7 @@ CONFIG_SHAPE = {
     # without "seed": every run takes its seed from --seed
     "ga": dict[str, {k: v for k, v in get_type_hints(GAConfig).items() if k != "seed"}],
     "constant_pools": dict[str, tuple[float, ...]],
-    "sindy": {"basis": dict[str, str | tuple[str, ...]], "solver": _SOLVERS},
+    "sindy": {"basis": dict[str, str | tuple[str, ...]], "solver": STLSQConfig},
     "feynman": FeynmanConfig,
 }
 
@@ -106,14 +105,7 @@ def _checked(value, shape, path: str, top: str):
     build, fields = dict, shape
     if get_origin(shape) is dict:
         fields = dict.fromkeys(value, get_args(shape)[1])
-    elif shape is _SOLVERS:
-        value = dict(value)
-        kind = value.pop("kind", "stlsq")
-        if kind not in tuple(_SOLVERS):
-            names = " or ".join(map(repr, _SOLVERS))
-            raise ValueError(f"config key '{path}.kind' must be {names}")
-        shape = _SOLVERS[kind]
-    if is_dataclass(shape):
+    elif is_dataclass(shape):
         build, fields = shape, get_type_hints(shape)
     for key in value:
         if key not in fields:

@@ -594,7 +594,12 @@ class _Parser:
         return None
 
     def parse(self) -> Expr:
-        e = self.sum()
+        try:
+            e = self.sum()
+        except RecursionError:
+            # each nesting level costs several frames of this descent
+            at = self.tokens[min(self.i, len(self.tokens) - 1)][2]
+            raise ParseError("expression nested too deeply", at) from None
         kind, value, pos = self.tokens[self.i]
         if kind != "eof":
             raise ParseError(f"unexpected token {value!r}", pos)

@@ -1,18 +1,19 @@
 """Sparse regression over a fixed basis library.
 
-Two solvers produce the weight vector: sequentially thresholded least
-squares and coordinate-descent LASSO on (1/2N)||Aw - b||^2 + lambda*||w||_1.
-The nonzero weights are assembled back into a single expression tree.
+Sequentially thresholded least squares (STLSQ; Brunton, Proctor & Kutz,
+PNAS 113(15), 2016) produces the weight vector, and the nonzero weights
+are assembled back into a single expression tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence
 
 import numpy as np
 
-from .candidates import CandidateSolution, make_candidate, rmse
+from .candidates import CandidateSolution, make_candidate
 from .expressions import Binary, Const, Expr, evaluate_batch, parse_expr
 from .integrate import RegressionDataset
 
@@ -46,24 +47,6 @@ class STLSQConfig:
             raise ValueError("threshold must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-
-
-@dataclass
-class LassoConfig:
-    lam: float | None = None  # None selects lambda by logarithmic sweep
-    max_iterations: int = 10_000
-    tolerance: float = 1e-8
-
-    def __post_init__(self):
-        if self.lam is not None and not (self.lam >= 0):  # NaN fails too
-            raise ValueError("lam must be >= 0")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if not (self.tolerance > 0):
-            raise ValueError("tolerance must be positive")
-
-
-SparseConfig = STLSQConfig | LassoConfig
 
 
 @dataclass
@@ -153,6 +136,7 @@ _PRESETS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
 }
 
 
+@cache  # a BasisSet is immutable, so each preset is parsed once a process
 def preset_basis(name: str) -> BasisSet:
     if name not in _PRESETS:
         raise KeyError(
@@ -207,7 +191,8 @@ def stlsq(
     order: each column that is a combination of earlier active columns
     gets weight 0, so a library's simpler functions, listed first, are
     kept ahead of composite ones. Such a solve adds the warning
-    "rank_deficient".
+    "rank_deficient". Running out of max_iterations while the active set
+    still changes adds "stlsq_no_convergence".
     """
     p = a.shape[1]
     warnings: list[str] = []
@@ -226,73 +211,9 @@ def stlsq(
         if np.array_equal(keep, active):
             break
         active = keep
+    else:
+        warnings.append("stlsq_no_convergence")
     return SparseResult(w, tuple(warnings))
-
-
-def _soft(x: float, t: float) -> float:
-    if x > t:
-        return x - t
-    if x < -t:
-        return x + t
-    return 0.0
-
-
-def lasso_cd(
-    a: np.ndarray,
-    b: np.ndarray,
-    lam: float,
-    max_iterations: int = 10_000,
-    tolerance: float = 1e-8,
-) -> SparseResult:
-    """Cyclic coordinate descent for (1/2N)||Aw-b||^2 + lam*||w||_1.
-
-    Columns are scaled to unit l2 norm internally; the penalty stays in
-    original coordinates, so lam >= max|A^T b|/N zeroes every weight.
-    Convergence is max original-coordinate change per sweep < tolerance.
-    """
-    n, p = a.shape
-    norms = np.sqrt(np.einsum("ij,ij->j", a, a))
-    ok = norms > 0
-    scaled = np.where(ok, norms, 1.0)
-    a_unit = a / scaled
-    wt = np.zeros(p)  # scaled-space weights, w = wt / norms
-    r = b.astype(float).copy()
-    converged = False
-    for _ in range(max_iterations):
-        max_delta = 0.0
-        for j in range(p):
-            if not ok[j]:
-                continue
-            old = wt[j]
-            rho = float(a_unit[:, j] @ r) + old
-            new = _soft(rho, n * lam / scaled[j])
-            if new != old:
-                r -= a_unit[:, j] * (new - old)
-                wt[j] = new
-                max_delta = max(max_delta, abs(new - old) / scaled[j])
-        if max_delta < tolerance:
-            converged = True
-            break
-    w = np.where(ok, wt / scaled, 0.0)
-    warnings = () if converged else ("lasso_no_convergence",)
-    return SparseResult(w, warnings)
-
-
-def _lambda_sweep(
-    a: np.ndarray, b: np.ndarray, config: LassoConfig
-) -> SparseResult:
-    """10-point logarithmic sweep from lambda_max down; pick the lambda
-    with the best training RMSE, ties toward fewer nonzeros."""
-    lam_max = float(np.max(np.abs(a.T @ b))) / a.shape[0]
-    if lam_max == 0.0:
-        return lasso_cd(a, b, 0.0, config.max_iterations, config.tolerance)
-    best_key, best = None, None
-    for lam in lam_max * np.logspace(0.0, -5.0, 10):
-        res = lasso_cd(a, b, float(lam), config.max_iterations, config.tolerance)
-        key = (rmse(a @ res.weights, b), int(np.count_nonzero(res.weights)))
-        if best_key is None or key < best_key:
-            best_key, best = key, res
-    return best
 
 
 def _assemble(weights: np.ndarray, basis: BasisSet) -> Expr:
@@ -306,7 +227,7 @@ def _assemble(weights: np.ndarray, basis: BasisSet) -> Expr:
 
 
 def fit(
-    basis: BasisSet, data: RegressionDataset, config: SparseConfig | None = None
+    basis: BasisSet, data: RegressionDataset, config: STLSQConfig | None = None
 ) -> SindyResult:
     """Design matrix, sparse solve, and expression assembly in one call."""
     if not isinstance(basis, BasisSet):
@@ -314,12 +235,6 @@ def fit(
     if config is None:
         config = STLSQConfig()
     a = build_design_matrix(basis, data)
-    b = data.targets
-    if isinstance(config, STLSQConfig):
-        res = stlsq(a, b, config.threshold, config.max_iterations)
-    elif config.lam is None:
-        res = _lambda_sweep(a, b, config)
-    else:
-        res = lasso_cd(a, b, config.lam, config.max_iterations, config.tolerance)
+    res = stlsq(a, data.targets, config.threshold, config.max_iterations)
     candidate = make_candidate(_assemble(res.weights, basis), data)
     return SindyResult(candidate=candidate, weights=res.weights, warnings=res.warnings)

@@ -12,7 +12,7 @@ from odesr.expressions import parse_expr
 from odesr.feynman import FeynmanConfig
 from odesr.ga import GAConfig
 from odesr.integrate import IntegratorConfig, make_dataset, read_trajectory_csv
-from odesr.sindy import BasisSet, LassoConfig, preset_basis
+from odesr.sindy import BasisSet, STLSQConfig, preset_basis
 from odesr.systems import lotka_volterra
 
 
@@ -138,6 +138,15 @@ def test_eval_parse_error_exits_one(tmp_path):
                  "--out", str(out)]) == 1
 
 
+def test_eval_of_too_deeply_nested_text_exits_one(tmp_path, capsys):
+    out = tmp_path / "eval.json"
+    text = "(" * 300 + "x" + ")" * 300
+    assert main(["eval", "--system", "lotka_volterra", "--expr", text,
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: expression nested too deeply at position")
+    assert not out.exists()
+
+
 def test_unknown_system_exits_one(tmp_path):
     out = tmp_path / "x.json"
     assert main(["eval", "--system", "lorenz", "--expr", "x1",
@@ -170,7 +179,7 @@ def test_custom_system_without_rhs_names_the_field(tmp_path, capsys):
         ("ga", {"constant_pools": [1.0]}, "config section 'constant_pools'"),
         ("sindy", {"sindy": "stlsq"}, "config section 'sindy'"),
         ("sindy", {"sindy": {"basis": []}}, "config section 'sindy.basis'"),
-        ("sindy", {"sindy": {"solver": "lasso"}}, "config section 'sindy.solver'"),
+        ("sindy", {"sindy": {"solver": "stlsq"}}, "config section 'sindy.solver'"),
         ("feynman", {"feynman": [3]}, "config section 'feynman'"),
         ("sindy", {"systems": {"lotka_volterra": [1]}}, "config section 'systems.lotka_volterra'"),
         ("ga", {"ga": {"lotka_volterra": [1]}}, "config section 'ga.lotka_volterra'"),
@@ -203,10 +212,10 @@ DECAY = {"rhs": ["-0.5 * x1"], "initial_state": [1.0]}
          "config section 'ga.lotka_volterra' has unknown key 'populaton_size'"),
         ({"systems": {"decay": {**DECAY, "train_spam": [0.0, 4.0]}}},
          "config section 'systems.decay' has unknown key 'train_spam'"),
-        ({"sindy": {"solver": {"kind": "lasso", "lamda": 0.01}}},
-         "config section 'sindy.solver' has unknown key 'lamda'"),
-        ({"sindy": {"solver": {"kind": "ridge"}}},
-         "config key 'sindy.solver.kind' must be 'stlsq' or 'lasso'"),
+        ({"sindy": {"solver": {"lam": 0.01}}},
+         "config section 'sindy.solver' has unknown key 'lam'"),
+        ({"sindy": {"solver": {"kind": "stlsq"}}},
+         "config section 'sindy.solver' has unknown key 'kind'"),
         ({"ga": {"lotka_volterra": {"seed": 5}}},
          "config section 'ga.lotka_volterra' has unknown key 'seed'; "
          "the seed comes from --seed"),
@@ -257,8 +266,8 @@ def test_malformed_config_exits_one_naming_the_key(tmp_path, capsys, monkeypatch
          "config section 'feynman': max_brute_nodes must be >= 1"),
         ({"integrator": {"max_steps": 0}},
          "config section 'integrator': max_steps must be >= 1, got 0"),
-        ({"sindy": {"solver": {"kind": "lasso", "lam": -1}}},
-         "config section 'sindy.solver': lam must be >= 0"),
+        ({"sindy": {"solver": {"threshold": 0}}},
+         "config section 'sindy.solver': threshold must be positive"),
         ({"ga": {"cart_pole": {"population_size": 3}}},
          "config section 'ga.cart_pole': population_size must be even and >= 2"),
         ({"ga": {"decay": {"iterations": 0}}},
@@ -343,7 +352,6 @@ def test_ga_entries_are_built_over_their_system_defaults(tmp_path):
 @pytest.mark.parametrize(
     "payload",
     [
-        {"sindy": {"solver": {"kind": "lasso", "lam": None}}},
         {"feynman": {"time_budget": None}},
         {"systems": {"decay": {**DECAY, "target_dim": None}}},
         {
@@ -356,7 +364,7 @@ def test_ga_entries_are_built_over_their_system_defaults(tmp_path):
             "feynman": {"time_budget": 5},
         },
     ],
-    ids=["null lam", "null time_budget", "null target_dim", "ints for floats"],
+    ids=["null time_budget", "null target_dim", "ints for floats"],
 )
 def test_config_accepts_null_where_optional_and_ints_for_floats(tmp_path, payload):
     config = load_config(write_config(tmp_path, {"systems": {"decay": DECAY}, **payload}))
@@ -377,7 +385,7 @@ def test_readme_config_example_loads(tmp_path):
     assert isinstance(kwargs["ga"]["ga_config"], GAConfig)
     assert kwargs["ga"]["constant_pool"] == (0.5, 1.0, 2.0)
     assert isinstance(kwargs["sindy"]["basis"], BasisSet)
-    assert isinstance(kwargs["sindy"]["sparse"], LassoConfig)
+    assert isinstance(kwargs["sindy"]["sparse"], STLSQConfig)
     assert isinstance(kwargs["feynman"]["feynman"], FeynmanConfig)
 
 

@@ -659,6 +659,15 @@ def test_parse_table(text, names, want):
         assert parse_expr(text, names) == want
 
 
+def test_nesting_past_the_recursion_limit_is_a_parse_error():
+    # it used to escape as a RecursionError; the position is where the
+    # descent gave up, inside the opening parentheses
+    with pytest.raises(ParseError, match="nested too deeply") as err:
+        parse_expr("(" * 300 + "x1" + ")" * 300)
+    assert 0 < err.value.position < 300
+    assert parse_expr("(" * 150 + "x1" + ")" * 150) == Var(0)
+
+
 def test_pow_with_a_negated_exponent_parses_and_round_trips():
     e = parse_expr("x1^-x2")
     assert e == Binary("pow", Var(0), Binary("mul", Const(-1.0), Var(1)))
