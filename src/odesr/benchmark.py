@@ -11,7 +11,7 @@ import time
 import weakref
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -274,15 +274,18 @@ def run_benchmark(
     base_seed: int = 0,
     out_dir=None,
     sample_dt: float = 0.1,
-    overrides: dict | None = None,
+    overrides: Callable[[str, SystemSpec], dict] | None = None,
     resolver=get_system,
 ) -> list[BenchmarkResult]:
-    """Sweep methods over systems. Seeded methods run with seeds
-    base_seed..base_seed+repetitions-1; deterministic ones run once with a
-    std of 0. Each system is resolved once, so every method reads the same
-    trajectories. A run that fails numerically (IntegrationError,
-    SamplingError, LinAlgError) or on its configuration (ValueError) is
-    recorded and the sweep continues; any other exception propagates."""
+    """Sweep methods over systems, each named at most once (default: all
+    of them). Seeded methods run with seeds base_seed..base_seed+repetitions-1;
+    deterministic ones run once with a std of 0. Each system is resolved
+    once, so every method reads the same trajectories. overrides(method,
+    system) gives a pair's extra run_fit keyword arguments (None: none); it
+    is called for every pair before the first fit. A run that fails
+    numerically (IntegrationError, SamplingError, LinAlgError) or on its
+    configuration (ValueError) is recorded and the sweep continues; any
+    other exception propagates."""
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     methods = tuple(methods) if methods else METHODS
@@ -290,54 +293,60 @@ def run_benchmark(
     for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}")
+    for kind, names in (("method", methods), ("system", systems)):
+        twice = [name for name in names if names.count(name) > 1]
+        if twice:
+            raise ValueError(f"{kind} {twice[0]!r} is named twice")
     resolved = {name: resolver(name) for name in systems}
+    pairs = {
+        (method, name): {} if overrides is None else overrides(method, resolved[name])
+        for method in methods
+        for name in systems
+    }
     results = []
-    for method in methods:
-        for system_name in systems:
-            system = resolved[system_name]
-            if method in DETERMINISTIC_METHODS:
-                seeds = [base_seed]
-            else:
-                seeds = [base_seed + i for i in range(repetitions)]
-            runs = []
-            for seed in seeds:
-                kwargs = (overrides or {}).get((method, system_name), {})
-                start = time.perf_counter()
-                try:
-                    record = run_fit(
-                        method, system, seed=seed, sample_dt=sample_dt, **kwargs
-                    )
-                except (
-                    IntegrationError,
-                    SamplingError,
-                    np.linalg.LinAlgError,
-                    ValueError,
-                ) as err:  # one divergent run must not kill the sweep
-                    record = {
-                        "method": method,
-                        "system": system_name,
-                        "seed": seed,
-                        "expression": "",
-                        "train_rmse": math.inf,
-                        "test_error": math.inf,
-                        "complexity": 0,
-                        "warnings": [f"run failed: {err}"],
-                    }
-                record["wall_time"] = time.perf_counter() - start
-                runs.append(record)
-            errors = [r["test_error"] for r in runs]
-            with np.errstate(invalid="ignore"):
-                mean = float(np.mean(errors))
-                std = float(np.std(errors))
-            results.append(
-                BenchmarkResult(
-                    method=method,
-                    system=system_name,
-                    runs=runs,
-                    mean_test_error=mean,
-                    std_test_error=std,
+    for (method, system_name), kwargs in pairs.items():
+        if method in DETERMINISTIC_METHODS:
+            seeds = [base_seed]
+        else:
+            seeds = [base_seed + i for i in range(repetitions)]
+        runs = []
+        for seed in seeds:
+            start = time.perf_counter()
+            try:
+                record = run_fit(
+                    method, resolved[system_name], seed=seed, sample_dt=sample_dt, **kwargs
                 )
+            except (
+                IntegrationError,
+                SamplingError,
+                np.linalg.LinAlgError,
+                ValueError,
+            ) as err:  # one divergent run must not kill the sweep
+                record = {
+                    "method": method,
+                    "system": system_name,
+                    "seed": seed,
+                    "expression": "",
+                    "train_rmse": math.inf,
+                    "test_error": math.inf,
+                    "complexity": 0,
+                    "warnings": [f"run failed: {err}"],
+                }
+            record["wall_time"] = time.perf_counter() - start
+            runs.append(record)
+        errors = [r["test_error"] for r in runs]
+        with np.errstate(invalid="ignore"):
+            mean = float(np.mean(errors))
+            std = float(np.std(errors))
+        results.append(
+            BenchmarkResult(
+                method=method,
+                system=system_name,
+                runs=runs,
+                mean_test_error=mean,
+                std_test_error=std,
             )
+        )
     if out_dir is not None:
         write_benchmark(results, out_dir)
     return results

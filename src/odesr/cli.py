@@ -25,7 +25,7 @@ from .benchmark import (
     test_error,
     write_rollout_csv,
 )
-from .expressions import parse_expr, print_expr
+from .expressions import evaluate, parse_expr, print_expr
 from .feynman import FeynmanConfig
 from .ga import GA_DEFAULTS, GAConfig
 from .genomes import SamplingError
@@ -37,7 +37,7 @@ from .integrate import (
     write_csv,
     write_trajectory_csv,
 )
-from .sindy import STLSQConfig, basis_from_strings, preset_basis
+from .sindy import BasisSet, STLSQConfig, basis_from_strings, preset_basis
 from .systems import SYSTEM_NAMES, SystemSpec, expression_system, get_system
 
 
@@ -117,13 +117,15 @@ def _checked(value, shape, path: str, top: str):
 
 
 def _built(build, where: str, fields: dict):
-    """build(**fields), with a ValueError of the build (a range error from
-    a dataclass's __post_init__, or expression_system's) prefixed by where
-    the section is."""
+    """build(**fields), with a ValueError or KeyError of the build (a range
+    error from a dataclass's __post_init__, expression_system's, or an
+    unknown basis preset) turned into a ValueError prefixed by where the
+    entry is."""
     try:
         return build(**fields)
-    except ValueError as err:
-        raise ValueError(f"{where}: {err}") from None
+    except (ValueError, KeyError) as err:
+        message = err.args[0] if isinstance(err, KeyError) else err
+        raise ValueError(f"{where}: {message}") from None
 
 
 def _system(name: str, entry: dict) -> SystemSpec:
@@ -137,25 +139,48 @@ def _system(name: str, entry: dict) -> SystemSpec:
     return _built(build, f"config section 'systems.{name}'", options)
 
 
+def _basis(entry, system: SystemSpec) -> BasisSet:
+    """A sindy.basis entry (a preset name or expression strings) built into
+    a BasisSet, each function evaluated once at system's initial state, so
+    that a preset reading a variable the system lacks raises."""
+    if isinstance(entry, str):
+        basis = preset_basis(entry)
+    else:
+        basis = basis_from_strings(entry, system.variable_names)
+    for function in basis.functions:
+        evaluate(function.expr, system.train_span[0], system.initial_state)
+    return basis
+
+
 def load_config(path) -> dict:
     """The JSON config at path (None for no file) checked against
-    CONFIG_SHAPE, with sample_dt and integrator filled in. Each systems.<name>
-    entry is built into a SystemSpec, and each ga.<name> entry into a
-    GAConfig over that name's GA_DEFAULTS, so both are checked whichever
-    system runs."""
+    CONFIG_SHAPE, with sample_dt and integrator filled in. Every per-system
+    entry is built whichever system runs: each systems.<name> into a
+    SystemSpec, each ga.<name> into a GAConfig over that name's GA_DEFAULTS,
+    each constant_pools.<name> into a tuple of floats and each
+    sindy.basis.<name> into a BasisSet. The names of those last three must
+    be built-in systems or systems entries."""
     config = {}
     if path is not None:
         with open(path) as fh:
             config = _checked(json.load(fh), CONFIG_SHAPE, "", f"config {path}")
-    if "systems" in config:
-        config["systems"] = {name: _system(name, e) for name, e in config["systems"].items()}
-    if "ga" in config:
-        config["ga"] = {
-            name: _built(
-                GAConfig, f"config section 'ga.{name}'", {**GA_DEFAULTS.get(name, {}), **entry}
-            )
-            for name, entry in config["ga"].items()
-        }
+    config["systems"] = {name: _system(name, e) for name, e in config.get("systems", {}).items()}
+    for section, entries in (
+        ("ga", config.get("ga", {})),
+        ("constant_pools", config.get("constant_pools", {})),
+        ("sindy.basis", config.get("sindy", {}).get("basis", {})),
+    ):
+        for name, entry in entries.items():
+            if name not in SYSTEM_NAMES and name not in config["systems"]:
+                raise ValueError(f"config key '{section}.{name}' names no system")
+            if section == "ga":
+                fields = {**GA_DEFAULTS.get(name, {}), **entry}
+                entries[name] = _built(GAConfig, f"config section 'ga.{name}'", fields)
+            elif section == "constant_pools":
+                entries[name] = tuple(map(float, entry))
+            else:
+                fields = {"entry": entry, "system": resolve_system(name, config)}
+                entries[name] = _built(_basis, f"config key '{section}.{name}'", fields)
     return {"sample_dt": 0.1, "integrator": None, **config}
 
 
@@ -167,23 +192,14 @@ def resolve_system(name: str, config: dict) -> SystemSpec:
 
 
 def fit_kwargs(method: str, system, config: dict) -> dict:
-    """Translate the checked JSON config into run_fit keyword arguments."""
+    """The run_fit keyword arguments that the loaded config sets for method
+    on system."""
     kwargs: dict = {"integrator": config["integrator"]}
     if method == "ga":
         kwargs["ga_config"] = config.get("ga", {}).get(system.name)
-        pool = config.get("constant_pools", {}).get(system.name)
-        if pool is not None:
-            kwargs["constant_pool"] = tuple(float(c) for c in pool)
+        kwargs["constant_pool"] = config.get("constant_pools", {}).get(system.name)
     elif method == "sindy":
-        basis = config.get("sindy", {}).get("basis", {}).get(system.name)
-        try:
-            if _matches(basis, str):
-                kwargs["basis"] = preset_basis(basis)
-            elif basis is not None:
-                kwargs["basis"] = basis_from_strings(basis, system.variable_names)
-        except (ValueError, KeyError) as err:
-            message = err.args[0] if isinstance(err, KeyError) else err
-            raise ValueError(f"config key 'sindy.basis.{system.name}': {message}") from None
+        kwargs["basis"] = config.get("sindy", {}).get("basis", {}).get(system.name)
         kwargs["sparse"] = config.get("sindy", {}).get("solver")
     elif method == "feynman":
         kwargs["feynman"] = config.get("feynman")
@@ -254,27 +270,15 @@ def cmd_rollout(args) -> int:
 
 def cmd_bench(args) -> int:
     config = load_config(args.config)
-    systems = tuple(args.systems) if args.systems else SYSTEM_NAMES
-    methods = tuple(args.methods) if args.methods else METHODS
-    for flag, names in (("--methods", methods), ("--systems", systems)):
-        twice = [name for name in names if names.count(name) > 1]
-        if twice:
-            raise ValueError(f"{flag} names {twice[0]!r} twice")
-    resolved = {name: resolve_system(name, config) for name in systems}
-    overrides = {
-        (method, name): fit_kwargs(method, resolved[name], config)
-        for method in methods
-        for name in systems
-    }
     results = run_benchmark(
-        methods,
-        systems,
+        args.methods,
+        args.systems,
         repetitions=args.reps,
         base_seed=args.seed,
         out_dir=args.out,
         sample_dt=config["sample_dt"],
-        overrides=overrides,
-        resolver=resolved.__getitem__,
+        overrides=partial(fit_kwargs, config=config),
+        resolver=partial(resolve_system, config=config),
     )
     for res in results:
         print(

@@ -539,9 +539,10 @@ class ParseError(ValueError):
         self.position = position
 
 
+NAME = r"[A-Za-z_][A-Za-z_0-9]*"
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+    rf"|(?P<name>{NAME})"
     r"|(?P<op>[-+*/^()]))"
 )
 

@@ -42,6 +42,8 @@ class GAConfig:
             raise ValueError("selection_fraction must lie in (0, 1)")
         if not 0.0 <= self.mutation_rate <= 1.0:
             raise ValueError("mutation_rate must lie in [0, 1]")
+        if _n_survivors(self) == self.population_size:
+            raise ValueError("selection_fraction must leave at least one mutant")
 
 
 # settings used in the benchmark sweeps

@@ -8,6 +8,7 @@ the search strategies try to recover (target_dim).
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Callable
 
@@ -137,7 +138,7 @@ def expression_system(
     The test split is integrated on from the last train state, so
     test_span must start where train_span ends; without one it lasts half
     as long as the train span, as for the built-in systems."""
-    from .expressions import compile_components, parse_expr
+    from .expressions import NAME, compile_components, parse_expr
 
     rhs_strings = tuple(rhs_strings)
     k = len(rhs_strings)
@@ -149,6 +150,8 @@ def expression_system(
         variable_names = tuple(variable_names)
     if len(variable_names) != k:
         raise ValueError("one variable name per dimension")
+    if len(set(variable_names)) < k or not all(re.fullmatch(NAME, v) for v in variable_names):
+        raise ValueError(f"variable names must be distinct identifiers, got {variable_names}")
     exprs = tuple(parse_expr(s, variable_names) for s in rhs_strings)
     initial_state = tuple(float(v) for v in initial_state)
     if len(initial_state) != k:

@@ -20,6 +20,7 @@ from odesr.benchmark import (
     write_rollout_csv,
 )
 from odesr.benchmark import test_error as held_out_error
+from odesr.cli import main as cli_main
 from odesr.expressions import Const, Unary, evaluate_batch, parse_expr, print_expr
 from odesr.feynman import FeynmanConfig
 from odesr.ga import GAConfig
@@ -434,9 +435,12 @@ def test_benchmark_deterministic_method_runs_once():
 
 
 def test_benchmark_seeded_method_repeats():
-    overrides = {("ga", "lotka_volterra"): {"ga_config": FAST_GA}}
     results = run_benchmark(
-        ["ga"], ["lotka_volterra"], repetitions=3, base_seed=7, overrides=overrides
+        ["ga"],
+        ["lotka_volterra"],
+        repetitions=3,
+        base_seed=7,
+        overrides=lambda method, system: {"ga_config": FAST_GA},
     )
     runs = results[0].runs
     assert [r["seed"] for r in runs] == [7, 8, 9]
@@ -452,9 +456,51 @@ def test_benchmark_rejects_bad_arguments():
         run_benchmark(["gradient"], ["lotka_volterra"])
 
 
+def no_fit(*args, **kwargs):
+    raise AssertionError("a fit started")
+
+
+@pytest.mark.parametrize(
+    "methods, systems, message",
+    [
+        (["sindy", "sindy"], ["lotka_volterra"], "method 'sindy' is named twice"),
+        (["sindy"], ["cart_pole", "lotka_volterra", "cart_pole"],
+         "system 'cart_pole' is named twice"),
+    ],
+    ids=["method", "system"],
+)
+def test_benchmark_refuses_a_name_given_twice(tmp_path, monkeypatch, methods, systems, message):
+    # the duplicate used to fit again and write a second identical table row
+    monkeypatch.setattr("odesr.benchmark.run_fit", no_fit)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_benchmark(methods, systems, out_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+def test_benchmark_reads_every_override_before_the_first_fit(monkeypatch):
+    monkeypatch.setattr("odesr.benchmark.run_fit", no_fit)
+    pairs = []
+
+    def overrides(method, system):
+        pairs.append((method, system.name))
+        if len(pairs) == 4:
+            raise ValueError("bad entry")
+        return {}
+
+    with pytest.raises(ValueError, match="^bad entry$"):
+        run_benchmark(["ga", "sindy"], ["lotka_volterra", "cart_pole"], overrides=overrides)
+    assert pairs == [
+        ("ga", "lotka_volterra"),
+        ("ga", "cart_pole"),
+        ("sindy", "lotka_volterra"),
+        ("sindy", "cart_pole"),
+    ]
+
+
 def test_benchmark_contains_run_failures():
-    overrides = {("sindy", "lotka_volterra"): {"basis": object()}}
-    results = run_benchmark(["sindy"], ["lotka_volterra"], overrides=overrides)
+    results = run_benchmark(
+        ["sindy"], ["lotka_volterra"], overrides=lambda method, system: {"basis": object()}
+    )
     run = results[0].runs[0]
     assert run["expression"] == ""
     assert run["test_error"] == math.inf
@@ -463,8 +509,12 @@ def test_benchmark_contains_run_failures():
 
 def test_benchmark_records_ga_sampling_failures():
     # one bit cannot encode an expression, so random_genome runs out of attempts
-    overrides = {("ga", "lotka_volterra"): {"ga_config": GAConfig(bitstring_length=1)}}
-    results = run_benchmark(["ga"], ["lotka_volterra"], repetitions=1, overrides=overrides)
+    results = run_benchmark(
+        ["ga"],
+        ["lotka_volterra"],
+        repetitions=1,
+        overrides=lambda method, system: {"ga_config": GAConfig(bitstring_length=1)},
+    )
     [run] = results[0].runs
     assert run["expression"] == ""
     assert run["test_error"] == math.inf
@@ -477,8 +527,12 @@ def test_benchmark_records_integration_failures():
     def resolver(name):
         return expression_system(name, ["x1 ^ 2.0"], [1.0])
 
-    overrides = {("sindy", "boom"): {"basis": preset_basis("pendulum")}}
-    results = run_benchmark(["sindy"], ["boom"], overrides=overrides, resolver=resolver)
+    results = run_benchmark(
+        ["sindy"],
+        ["boom"],
+        overrides=lambda method, system: {"basis": preset_basis("pendulum")},
+        resolver=resolver,
+    )
     run = results[0].runs[0]
     assert run["expression"] == ""
     assert run["test_error"] == math.inf
@@ -495,12 +549,11 @@ def test_benchmark_propagates_programming_errors(monkeypatch):
 
 
 def test_benchmark_files_reproducible(tmp_path):
-    overrides = {("ga", "lotka_volterra"): {"ga_config": FAST_GA}}
     kwargs = dict(
         methods=["ga", "sindy"],
         systems=["lotka_volterra"],
         repetitions=2,
-        overrides=overrides,
+        overrides=lambda method, system: {"ga_config": FAST_GA} if method == "ga" else {},
     )
     run_benchmark(out_dir=tmp_path / "a", **kwargs)
     run_benchmark(out_dir=tmp_path / "b", **kwargs)
@@ -561,6 +614,17 @@ def test_default_sweep_files_match_recorded_digests(tmp_path):
     assert got == SWEEP_DIGESTS
 
 
+def test_bench_command_writes_the_default_sweep_files(tmp_path, capsys):
+    # `odesr bench --out <dir>` is the command that reproduces the table
+    assert cli_main(["bench", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    got = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(tmp_path.iterdir())
+    }
+    assert got == SWEEP_DIGESTS
+
+
 def test_benchmark_stats_match_stored_runs():
     results = run_benchmark(["sindy"], ["lotka_volterra", "simple_pendulum"])
     for res in results:
@@ -577,14 +641,11 @@ def test_benchmark_resolves_each_system_once(integrate_calls):
         resolved.append(name)
         return get_system(name)
 
-    fast = {"feynman": FeynmanConfig(max_brute_nodes=3)}
+    def fast(method, system):
+        return {"feynman": FeynmanConfig(max_brute_nodes=3)} if method == "feynman" else {}
+
     names = ("lotka_volterra", "simple_pendulum", "cart_pole")
-    results = run_benchmark(
-        ["sindy", "feynman"],
-        names,
-        overrides={("feynman", name): fast for name in names},
-        resolver=resolver,
-    )
+    results = run_benchmark(["sindy", "feynman"], names, overrides=fast, resolver=resolver)
     assert resolved == list(names)
     # train and test once per system, shared by both methods
     assert integrate_calls == [(0.0, 10.0), (10.0, 15.0)] * 3

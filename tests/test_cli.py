@@ -229,24 +229,32 @@ DECAY = {"rhs": ["-0.5 * x1"], "initial_state": [1.0]}
          "config key 'ga.lotka_volterra.population_size' must be int"),
         ({"sindy": {"basis": {"lotka_volterra": 3}}},
          "config key 'sindy.basis.lotka_volterra' must be str or list of str"),
-    ]] + [
-        # --method ga builds no basis, so these two need a sindy run
-        ("sindy", {"sindy": {"basis": {"lotka_volterra": ["sin(", "x"]}}},
+        ({"sindy": {"basis": {"lotka_volterra": ["sin(", "x"]}}},
          "config key 'sindy.basis.lotka_volterra': expected expression at position 4"),
-        ("sindy", {"sindy": {"basis": {"lotka_volterra": "no_such_preset"}}},
+        ({"sindy": {"basis": {"lotka_volterra": "no_such_preset"}}},
          "config key 'sindy.basis.lotka_volterra': unknown basis preset 'no_such_preset'; "
          "expected one of pendulum, lotka_volterra, cartpole"),
-    ],
+        ({"sindy": {"basis": {"lotka_volterra": "cartpole"}}},
+         "config key 'sindy.basis.lotka_volterra': "
+         "variable index 2 out of range for state dimension 2"),
+        ({"ga": {"lotka_voltera": {"iterations": 1}}},
+         "config key 'ga.lotka_voltera' names no system"),
+        ({"constant_pools": {"lotka_voltera": [2.0]}},
+         "config key 'constant_pools.lotka_voltera' names no system"),
+        ({"sindy": {"basis": {"lotka_voltera": "lotka_volterra"}}},
+         "config key 'sindy.basis.lotka_voltera' names no system"),
+    ]],
     ids=["pool not a list", "sample_dt string", "unknown top-level key", "unknown ga key",
          "unknown systems key", "unknown solver key", "unknown solver kind", "ga seed",
          "bool for int", "float for int", "string for list", "3-element span",
          "null population", "number for basis", "unparsable basis string",
-         "unknown basis preset"],
+         "unknown basis preset", "preset reads a variable the system lacks",
+         "ga entry of no system", "constant pool of no system", "basis of no system"],
 )
 def test_malformed_config_exits_one_naming_the_key(tmp_path, capsys, monkeypatch,
                                                    method, payload, message):
     # each used to exit 0 with the value ignored or replaced, or exit 1 with
-    # a message that named no key
+    # a message that named no key; a basis entry was built only by a sindy run
     def no_fit(*args, **kwargs):
         raise AssertionError("a fit started")
 
@@ -270,11 +278,14 @@ def test_malformed_config_exits_one_naming_the_key(tmp_path, capsys, monkeypatch
          "config section 'sindy.solver': threshold must be positive"),
         ({"ga": {"cart_pole": {"population_size": 3}}},
          "config section 'ga.cart_pole': population_size must be even and >= 2"),
-        ({"ga": {"decay": {"iterations": 0}}},
+        ({"systems": {"decay": DECAY}, "ga": {"decay": {"iterations": 0}}},
          "config section 'ga.decay': iterations must be >= 1"),
+        ({"ga": {"lotka_volterra": {"selection_fraction": 0.99}}},
+         "config section 'ga.lotka_volterra': "
+         "selection_fraction must leave at least one mutant"),
     ],
     ids=["feynman", "integrator", "solver", "ga entry of a system not run",
-         "ga entry, no defaults"],
+         "ga entry, no defaults", "no mutant"],
 )
 def test_config_range_error_names_the_section(tmp_path, capsys, monkeypatch, payload, message):
     # a range error used to name no section, and a ga entry was checked only
@@ -309,9 +320,16 @@ def test_config_range_error_names_the_section(tmp_path, capsys, monkeypatch, pay
          "config section 'systems.decay': one variable name per dimension"),
         ({"rhs": [], "initial_state": []},
          "config section 'systems.decay': need at least one dimension"),
+        ({"rhs": ["x", "-x"], "initial_state": [1.0, 0.0], "variable_names": ["x", "x"]},
+         "config section 'systems.decay': "
+         "variable names must be distinct identifiers, got ('x', 'x')"),
+        ({**DECAY, "variable_names": ["a b"]},
+         "config section 'systems.decay': "
+         "variable names must be distinct identifiers, got ('a b',)"),
     ],
     ids=["decreasing train span", "empty test span", "no rhs", "no initial state",
-         "unknown variable", "state length", "target_dim", "variable names", "no dimension"],
+         "unknown variable", "state length", "target_dim", "variable names", "no dimension",
+         "variable name twice", "variable name not an identifier"],
 )
 def test_systems_entries_are_checked_whichever_system_runs(tmp_path, capsys, monkeypatch,
                                                           entry, message):
@@ -340,7 +358,7 @@ def test_systems_entries_are_built_when_the_config_is_read(tmp_path):
 
 
 def test_ga_entries_are_built_over_their_system_defaults(tmp_path):
-    config = load_config(write_config(tmp_path, {"ga": {
+    config = load_config(write_config(tmp_path, {"systems": {"decay": DECAY}, "ga": {
         "cart_pole": {"iterations": 5}, "decay": {"population_size": 8}}}))
     assert config["ga"] == {
         "cart_pole": GAConfig(population_size=100, bitstring_length=60, iterations=5),
@@ -461,9 +479,9 @@ def test_bench_writes_table(tmp_path):
     "args, message",
     [
         (["--methods", "sindy", "sindy", "--systems", "lotka_volterra"],
-         "--methods names 'sindy' twice"),
+         "method 'sindy' is named twice"),
         (["--methods", "sindy", "--systems", "cart_pole", "lotka_volterra", "cart_pole"],
-         "--systems names 'cart_pole' twice"),
+         "system 'cart_pole' is named twice"),
     ],
     ids=["method", "system"],
 )

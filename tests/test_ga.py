@@ -69,6 +69,9 @@ def test_config_invariants():
         GAConfig(iterations=0)
     with pytest.raises(ValueError):
         GAConfig(selection_fraction=1.0)
+    # ceil(70 * 0.99) survivors would leave no room for a mutant
+    with pytest.raises(ValueError, match="^selection_fraction must leave at least one mutant$"):
+        GAConfig(population_size=70, selection_fraction=0.99)
     with pytest.raises(ValueError):
         GAConfig(mutation_rate=1.5)
     with pytest.raises(ValueError, match="^bitstring_length must be >= 1$"):

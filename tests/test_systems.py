@@ -176,6 +176,16 @@ def test_expression_system_refuses_a_test_span_that_does_not_start_at_the_train_
         expression_system("decay", ["-0.5 * x1 + sin(t)"], [1.0], train_span, test_span)
 
 
+@pytest.mark.parametrize(
+    "names", [("x", "x"), ("a b", "y"), ("x", "2x")], ids=["twice", "space", "leading digit"]
+)
+def test_expression_system_refuses_names_that_do_not_read_back(names):
+    # a repeated name parsed to the first variable, so the second could not
+    # be referenced, and a non-identifier printed text parse_expr rejects
+    with pytest.raises(ValueError, match=r"^variable names must be distinct identifiers, got \("):
+        expression_system("s", ["x1", "x2"], [1.0, 0.0], variable_names=names)
+
+
 def test_expression_system_test_span_defaults_to_half_the_train_span_after_it():
     assert expression_system("decay", ["-0.5 * x1"], [1.0]).test_span == (10.0, 15.0)
     system = expression_system("decay", ["-0.5 * x1"], [1.0], train_span=(1, 5))
