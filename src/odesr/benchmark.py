@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .candidates import SamplingError, score
+from .candidates import CandidateSolution, SamplingError, score
 
 # evaluate and evaluate_batch are not called here; they stay importable from
 # this module because perfbench/spans.py traces the scalar and batch paths at
@@ -205,6 +205,7 @@ def run_fit(
     """
     data = make_dataset(system, sample_dt, "train", integrator)
     names = system.variable_names
+    best: CandidateSolution
     warnings: list[str] = []
     pareto = None
     if method == "ga":
@@ -224,7 +225,6 @@ def run_fit(
             )
         grammar = Grammar(variable_count=system.dim, constant_pool=tuple(pool))
         best, _history = run_ga(cfg, data, grammar)
-        expr, train_rmse, comp = best.expr, best.train_rmse, best.complexity
     elif method == "sindy":
         from .sindy import fit as sindy_fit
         from .sindy import preset_basis
@@ -237,15 +237,12 @@ def run_fit(
                 )
             basis = preset_basis(preset)
         res = sindy_fit(basis, data, sparse)
-        expr = res.candidate.expr
-        train_rmse = res.candidate.train_rmse
-        comp = res.candidate.complexity
+        best = res.candidate
         warnings = list(res.warnings)
     elif method == "feynman":
         from .feynman import pareto_rows, run_pipeline
 
         best, front = run_pipeline(data, feynman)
-        expr, train_rmse, comp = best.expr, best.train_rmse, best.complexity
         pareto = pareto_rows(front, names)
         warnings = ["DynAIFeynman-lite"]
         if front.truncated:
@@ -256,10 +253,10 @@ def run_fit(
         "method": method,
         "system": system.name,
         "seed": seed,
-        "expression": print_expr(expr, names),
-        "train_rmse": train_rmse,
-        "test_error": test_error(expr, system, sample_dt, integrator),
-        "complexity": comp,
+        "expression": print_expr(best.expr, names),
+        "train_rmse": best.train_rmse,
+        "test_error": test_error(best.expr, system, sample_dt, integrator),
+        "complexity": best.complexity,
     }
     if pareto is not None:
         record["pareto"] = pareto
@@ -277,23 +274,28 @@ def run_benchmark(
     overrides: Callable[[str, SystemSpec], dict] | None = None,
     resolver=get_system,
 ) -> list[BenchmarkResult]:
-    """Sweep methods over systems, each named at most once (default: all
-    of them). Seeded methods run with seeds base_seed..base_seed+repetitions-1;
-    deterministic ones run once with a std of 0. Each system is resolved
-    once, so every method reads the same trajectories. overrides(method,
-    system) gives a pair's extra run_fit keyword arguments (None: none); it
-    is called for every pair before the first fit. A run that fails
-    numerically (IntegrationError, SamplingError, LinAlgError) or on its
-    configuration (ValueError) is recorded and the sweep continues; any
-    other exception propagates."""
+    """Sweep methods over systems, each named at most once (None: all of
+    them; an empty sequence is refused). Seeded methods run with seeds
+    base_seed..base_seed+repetitions-1, base_seed >= 0; deterministic ones
+    run once with a std of 0. Each system is resolved once, so every
+    method reads the same trajectories. overrides(method, system) gives a
+    pair's extra run_fit keyword arguments (None: none); it is called for
+    every pair before the first fit. A run that fails numerically
+    (IntegrationError, SamplingError, LinAlgError) or on its configuration
+    (ValueError) is recorded and the sweep continues; any other exception
+    propagates."""
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
-    methods = tuple(methods) if methods else METHODS
-    systems = tuple(systems) if systems else SYSTEM_NAMES
+    if base_seed < 0:
+        raise ValueError(f"base_seed must be >= 0, got {base_seed}")
+    methods = METHODS if methods is None else tuple(methods)
+    systems = SYSTEM_NAMES if systems is None else tuple(systems)
     for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}")
     for kind, names in (("method", methods), ("system", systems)):
+        if not names:
+            raise ValueError(f"no {kind} named; None runs them all")
         twice = [name for name in names if names.count(name) > 1]
         if twice:
             raise ValueError(f"{kind} {twice[0]!r} is named twice")

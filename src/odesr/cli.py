@@ -206,8 +206,7 @@ def fit_kwargs(method: str, system, config: dict) -> dict:
     return kwargs
 
 
-def cmd_generate(args) -> int:
-    config = load_config(args.config)
+def cmd_generate(args, config: dict) -> int:
     system = resolve_system(args.system, config)
     dt = config["sample_dt"] if args.dt is None else args.dt
     base = args.out[:-4] if args.out.endswith(".csv") else args.out
@@ -223,8 +222,7 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def cmd_fit(args) -> int:
-    config = load_config(args.config)
+def cmd_fit(args, config: dict) -> int:
     system = resolve_system(args.system, config)
     kwargs = fit_kwargs(args.method, system, config)
     record = run_fit(
@@ -236,8 +234,7 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
-    config = load_config(args.config)
+def cmd_eval(args, config: dict) -> int:
     system = resolve_system(args.system, config)
     expr = parse_expr(args.expr, system.variable_names)
     record = {
@@ -250,8 +247,7 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_rollout(args) -> int:
-    config = load_config(args.config)
+def cmd_rollout(args, config: dict) -> int:
     system = resolve_system(args.system, config)
     expr = parse_expr(args.expr, system.variable_names)
     result = rollout_with_estimate(
@@ -268,8 +264,7 @@ def cmd_rollout(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    config = load_config(args.config)
+def cmd_bench(args, config: dict) -> int:
     results = run_benchmark(
         args.methods,
         args.systems,
@@ -318,8 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_rollout)
 
     p = sub.add_parser("bench", help="benchmark sweep; writes table.csv and run JSONs")
-    p.add_argument("--methods", nargs="*", choices=METHODS)
-    p.add_argument("--systems", nargs="*")
+    p.add_argument("--methods", nargs="+", choices=METHODS)
+    p.add_argument("--systems", nargs="+")
     p.add_argument("--reps", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=cmd_bench)
@@ -338,7 +333,7 @@ def main(argv=None) -> int:
         # argparse exits 2 on bad arguments; remap to our convention
         return 0 if exc.code == 0 else 1
     try:
-        return args.handler(args)
+        return args.handler(args, load_config(args.config))
     except (IntegrationError, SamplingError, np.linalg.LinAlgError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 2

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial, reduce
 from math import isfinite, nan
 from typing import Callable, Sequence, Union
 
@@ -85,6 +86,12 @@ class Binary:
 
 
 Expr = Union[Const, Var, Time, Unary, Binary]
+
+
+def left_fold(op: str, operands: Sequence[Expr]) -> Expr:
+    """The operands joined by op, left-nested: ((a op b) op c) ...; one
+    operand is itself, and none is Const(0.0), the empty sum."""
+    return reduce(partial(Binary, op), operands) if operands else Const(0.0)
 
 
 # ------------------------------------------------------------------ evaluate

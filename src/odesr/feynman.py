@@ -24,6 +24,7 @@ from .expressions import (
     Var,
     _binary_form,
     _unary_form,
+    left_fold,
     print_expr,
 )
 from .integrate import RegressionDataset
@@ -120,25 +121,14 @@ def _poly_expr(coeffs, exponents, variables) -> Expr:
     for c, e in zip(coeffs, exponents):
         if scale == 0.0 or abs(c) <= 1e-12 * scale:
             continue
-        factors = []
-        for v, p in zip(variables, e):
-            if p == 0:
-                continue
-            factors.append(Var(v) if p == 1 else Binary("pow", Var(v), Const(p)))
-        if not factors:
-            term: Expr = Const(float(c))
-        else:
-            mono = factors[0]
-            for f in factors[1:]:
-                mono = Binary("mul", mono, f)
-            term = Binary("mul", Const(float(c)), mono)
-        terms.append(term)
-    if not terms:
-        return Const(0.0)
-    expr = terms[0]
-    for term in terms[1:]:
-        expr = Binary("add", expr, term)
-    return expr
+        factors = [
+            Var(v) if p == 1 else Binary("pow", Var(v), Const(p))
+            for v, p in zip(variables, e)
+            if p
+        ]
+        term = Const(float(c))
+        terms.append(Binary("mul", term, left_fold("mul", factors)) if factors else term)
+    return left_fold("add", terms)
 
 
 def polyfit(

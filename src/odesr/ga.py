@@ -44,6 +44,8 @@ class GAConfig:
             raise ValueError("mutation_rate must lie in [0, 1]")
         if _n_survivors(self) == self.population_size:
             raise ValueError("selection_fraction must leave at least one mutant")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 # settings used in the benchmark sweeps

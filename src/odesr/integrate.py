@@ -35,7 +35,6 @@ _A = (
     np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
     np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
 )
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 # difference between the 5th- and embedded 4th-order weights
 _E = np.array(
     [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
@@ -259,10 +258,9 @@ def _accepted_steps(
     The method is first same as last: stage 6's state, x + h *
     _A[6].dot(k[:6]), is the fifth-order solution, so the state of the
     last stage is kept as x_new, and stage 6's slope is the next step's
-    first. The products use ndarray.dot, and h is a 0-d float64
-    array filled once per attempt: the same BLAS kernels and
-    multiplications as @ and the Python float h, at a lower call cost
-    (see _stages)."""
+    first. The products use ndarray.dot where it gives @'s bits (see
+    _stages), and h is a 0-d float64 array filled once per attempt: the
+    same multiplications as the Python float h, at a lower call cost."""
     n = len(x)
     rows = array.array("d")
 
@@ -326,11 +324,11 @@ def _stages(k: np.ndarray) -> list:
     its node, a function that weighs rows by its weights, the rows k[:i]
     it weighs). Each weighing gives the bits of _A[i] @ k[:i]. It is
     ndarray.dot, which takes the same BLAS kernels at a lower call cost,
-    except for one weight and one state component: dot forms that product
-    as one multiplication, which keeps a -0.0 that @'s sum turns into
-    0.0, so it stays @."""
+    except for stage 1, which stays @ at every state size: with one
+    weight, dot forms each product as a lone multiplication, which keeps
+    the -0.0 of a product that underflows, where @'s sum gives 0.0."""
     return [
-        (i, c, a.__matmul__ if a.size == k.shape[1] == 1 else a.dot, k[:i])
+        (i, c, a.__matmul__ if a.size == 1 else a.dot, k[:i])
         for i, (c, a) in enumerate(zip(_C.tolist(), _A))
         if i
     ]
@@ -421,18 +419,19 @@ def shared_trajectory(
 def integrate_fixed_step(
     rhs: RHS, x0: Sequence[float], span: tuple[float, float], n_steps: int
 ) -> np.ndarray:
-    """Fixed-step variant (no controller); returns the final state."""
+    """Fixed-step variant (no controller) of _accepted_steps' stages: each
+    step ends at stage 6's state, without its slope. Returns the final state."""
     t0, t1 = float(span[0]), float(span[1])
     h = (t1 - t0) / n_steps
     x = np.array(x0, dtype=float)
-    k = np.empty((6, len(x)))
-    nodes = _C.tolist()
+    k = np.empty((7, len(x)))
+    *stages, (_, _, solution, rows) = _stages(k)
     for step in range(n_steps):
         t = t0 + step * h
         k[0] = rhs(t, x)
-        for i in range(1, 6):
-            k[i] = rhs(t + nodes[i] * h, x + h * (_A[i] @ k[:i]))
-        x = x + h * (_A[6] @ k)
+        for i, c, product, ki in stages:
+            k[i] = rhs(t + c * h, x + h * product(ki))
+        x = x + h * solution(rows)
     return x
 
 

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .candidates import CandidateSolution, make_candidate
-from .expressions import Binary, Const, Expr, evaluate_batch, parse_expr
+from .expressions import Binary, Const, Expr, evaluate_batch, left_fold, parse_expr
 from .integrate import RegressionDataset
 
 
@@ -217,13 +217,9 @@ def stlsq(
 
 
 def _assemble(weights: np.ndarray, basis: BasisSet) -> Expr:
-    expr: Expr | None = None
-    for w, f in zip(weights, basis.functions):
-        if w == 0.0:
-            continue
-        term = Binary("mul", Const(float(w)), f.expr)
-        expr = term if expr is None else Binary("add", expr, term)
-    return expr if expr is not None else Const(0.0)
+    pairs = zip(weights, basis.functions)
+    terms = [Binary("mul", Const(float(w)), f.expr) for w, f in pairs if w != 0.0]
+    return left_fold("add", terms)
 
 
 def fit(

@@ -19,7 +19,8 @@ import numpy as np
 class SystemSpec:
     """One benchmark system. rhs(t, x) is called with t a Python float and
     x a float64 ndarray of length dim, and returns the derivative as an
-    ndarray of length dim."""
+    ndarray of length dim. The test split is integrated on from the last
+    train state, so test_span must start where train_span ends."""
 
     name: str
     rhs: Callable[[float, np.ndarray], np.ndarray]
@@ -28,6 +29,19 @@ class SystemSpec:
     test_span: tuple[float, float]
     target_dim: int
     variable_names: tuple[str, ...]
+
+    def __post_init__(self):
+        if not 0 <= self.target_dim < self.dim:
+            raise ValueError("target_dim out of range")
+        for key in ("train_span", "test_span"):
+            span = getattr(self, key)
+            if not span[1] > span[0]:  # NaN fails too
+                raise ValueError(f"{key} must increase, got {span}")
+        if self.test_span[0] != self.train_span[1]:
+            raise ValueError(
+                "test_span must start where train_span ends, "
+                f"at {self.train_span[1]}, got {self.test_span}"
+            )
 
     @property
     def dim(self) -> int:
@@ -135,9 +149,8 @@ def expression_system(
     """Build a system whose right-hand side is given as one expression
     string per dimension, e.g. ("x2", "-9.81 * sin(x1)").
 
-    The test split is integrated on from the last train state, so
-    test_span must start where train_span ends; without one it lasts half
-    as long as the train span, as for the built-in systems."""
+    Without a test_span, the test split starts where train_span ends and
+    lasts half as long, as for the built-in systems."""
     from .expressions import NAME, compile_components, parse_expr
 
     rhs_strings = tuple(rhs_strings)
@@ -158,20 +171,10 @@ def expression_system(
         raise ValueError("initial_state length must match dimension count")
     if target_dim is None:
         target_dim = k - 1
-    if not 0 <= target_dim < k:
-        raise ValueError("target_dim out of range")
     train_span = (float(train_span[0]), float(train_span[1]))
     if test_span is None:
         test_span = (train_span[1], train_span[1] + (train_span[1] - train_span[0]) / 2)
     test_span = (float(test_span[0]), float(test_span[1]))
-    for key, span in (("train_span", train_span), ("test_span", test_span)):
-        if not span[1] > span[0]:  # NaN fails too
-            raise ValueError(f"{key} must increase, got {span}")
-    if test_span[0] != train_span[1]:
-        raise ValueError(
-            f"test_span must start where train_span ends, at {train_span[1]}, got {test_span}"
-        )
-
     return SystemSpec(
         name=name,
         rhs=compile_components(exprs),

@@ -477,6 +477,27 @@ def test_benchmark_refuses_a_name_given_twice(tmp_path, monkeypatch, methods, sy
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"methods": ["ga"], "systems": ["lotka_volterra"], "base_seed": -1},
+         "base_seed must be >= 0, got -1"),
+        ({"methods": [], "systems": ["lotka_volterra"]}, "no method named; None runs them all"),
+        ({"methods": ["sindy"], "systems": ()}, "no system named; None runs them all"),
+    ],
+    ids=["negative seed", "no methods", "no systems"],
+)
+def test_benchmark_refuses_sweep_arguments_before_the_first_fit(
+    tmp_path, monkeypatch, kwargs, message
+):
+    # a negative seed was recorded as a failed run in each GA row; an empty
+    # sequence ran every method or system
+    monkeypatch.setattr("odesr.benchmark.run_fit", no_fit)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_benchmark(out_dir=tmp_path / "out", **kwargs)
+    assert not (tmp_path / "out").exists()
+
+
 def test_benchmark_reads_every_override_before_the_first_fit(monkeypatch):
     monkeypatch.setattr("odesr.benchmark.run_fit", no_fit)
     pairs = []

@@ -409,7 +409,7 @@ def test_readme_config_example_loads(tmp_path):
 
 def test_type_error_in_a_command_is_not_caught(tmp_path, monkeypatch):
     # a TypeError is a bug, not a configuration problem: it keeps its traceback
-    def broken(args):
+    def broken(args, config):
         raise TypeError("a bug")
 
     monkeypatch.setattr(cli, "cmd_eval", broken)
@@ -490,6 +490,38 @@ def test_bench_refuses_a_name_given_twice(tmp_path, capsys, args, message):
     out = tmp_path / "bench"
     assert main(["bench", *args, "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--methods", "ga", "--systems", "lotka_volterra", "--reps", "1", "--seed", "-1"],
+         "error: base_seed must be >= 0, got -1\n"),
+        (["--systems", "--methods", "sindy"], "argument --systems: expected at least one"),
+        (["--methods", "--systems", "lotka_volterra"], "argument --methods: expected at least one"),
+    ],
+    ids=["negative seed", "no systems", "no methods"],
+)
+def test_bench_refuses_arguments_that_named_no_run(tmp_path, capsys, monkeypatch, args, message):
+    # a negative seed wrote failed GA runs and exited 0; an option without
+    # names ran every method or system
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a fit started")
+
+    monkeypatch.setattr("odesr.benchmark.run_fit", no_fit)
+    out = tmp_path / "bench"
+    assert main(["bench", *args, "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fit_ga_refuses_a_negative_seed_naming_it(tmp_path, capsys):
+    # numpy's message named no option
+    out = tmp_path / "ga.json"
+    assert main(["fit", "--method", "ga", "--system", "lotka_volterra",
+                 "--seed", "-1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
     assert not out.exists()
 
 

@@ -76,6 +76,9 @@ def test_config_invariants():
         GAConfig(mutation_rate=1.5)
     with pytest.raises(ValueError, match="^bitstring_length must be >= 1$"):
         GAConfig(bitstring_length=0)
+    # numpy's generator refused it with a message that named no option
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+        GAConfig(seed=-1)
 
 
 def test_default_configs_match_benchmark_settings():

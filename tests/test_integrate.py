@@ -6,7 +6,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
@@ -112,6 +112,42 @@ def test_fixed_step_convergence_order():
         errs.append(abs(final[0] - math.exp(lam)))
     slope = np.polyfit(np.log(steps), np.log(errs), 1)[0]
     assert -slope >= 4.5
+
+
+def tableau_fixed_step(rhs, x0, span, n_steps):
+    """integrate_fixed_step as its own loop over the tableau, with @ and a
+    Python float h: the reference for the version that walks _stages."""
+    t0, t1 = float(span[0]), float(span[1])
+    h = (t1 - t0) / n_steps
+    x = np.array(x0, dtype=float)
+    k = np.empty((6, len(x)))
+    nodes = _C.tolist()
+    for step in range(n_steps):
+        t = t0 + step * h
+        k[0] = rhs(t, x)
+        for i in range(1, 6):
+            k[i] = rhs(t + nodes[i] * h, x + h * (_A[i] @ k[:i]))
+        x = x + h * (_A[6] @ k)
+    return x
+
+
+_FIXED_STEP_CASES = {
+    **{name: (get_system(name).rhs, get_system(name).initial_state) for name in SYSTEM_NAMES},
+    "one component": (lambda t, x: -0.5 * x, [1.0]),
+    "forced one component": (lambda t, x: np.array([-x[0] + math.sin(3.0 * t)]), [0.2]),
+    # a state component that starts at zero and stays there
+    "zero component": (lambda t, x: np.array([-x[0], -2.0 * x[1]]), [0.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize("case", list(_FIXED_STEP_CASES))
+def test_fixed_step_matches_the_tableau_loop_bit_for_bit(case):
+    rhs, x0 = _FIXED_STEP_CASES[case]
+    for n_steps in (20, 25, 32, 50, 64, 100, 200):
+        for span in ((0.0, 1.0), (0.0, 10.0), (2.5, 3.0)):
+            got = integrate_fixed_step(rhs, x0, span, n_steps)
+            want = tableau_fixed_step(rhs, x0, span, n_steps)
+            assert got.tobytes() == want.tobytes(), (n_steps, span)
 
 
 def test_undamped_pendulum_energy_drift():
@@ -964,15 +1000,23 @@ _ENTRIES = st.one_of(
 )
 
 
-@given(n=st.integers(1, 9), data=st.data())
+# k: the seven slopes of one step, over a state of 1 to 9 components
+_SLOPES = st.integers(1, 9).flatmap(
+    lambda n: st.lists(_ENTRIES, min_size=7 * n, max_size=7 * n).map(
+        lambda v: np.array(v).reshape(7, n)
+    )
+)
+
+
+@given(k=_SLOPES, h=_ENTRIES)
+# dot would keep the -0.0 of 1/5 * -5e-324 in stage 1, where @ gives 0.0
+@example(k=np.array([[0.0, -5e-324]] + [[0.0, 0.0]] * 6), h=0.0)
 @settings(max_examples=300, deadline=None)
-def test_step_loop_products_match_matmul_bit_for_bit(n, data):
-    """The step loop forms its products with ndarray.dot and h as a 0-d
-    float64 array, reference_integrate with @ and a Python float h. A numpy
-    or BLAS release that separates the two forms fails here, naming the
-    product."""
-    k = np.array(data.draw(st.lists(_ENTRIES, min_size=7 * n, max_size=7 * n))).reshape(7, n)
-    h = data.draw(_ENTRIES)
+def test_step_loop_products_match_matmul_bit_for_bit(k, h):
+    """The step loop forms its products with _stages' weighings and h as a
+    0-d float64 array, reference_integrate with @ and a Python float h. A
+    numpy or BLAS release that separates the two forms fails here, naming
+    the product."""
     with np.errstate(all="ignore"):
         stages = _stages(k)
         assert [(i, c) for i, c, _, _ in stages] == list(enumerate(_C.tolist()))[1:]
@@ -988,7 +1032,7 @@ def test_step_loop_products_match_matmul_bit_for_bit(n, data):
 
 def test_stage_one_of_a_scalar_state_keeps_matmul():
     # dot multiplies a one-by-one product without summing, so -0.0 stays
-    # signed; @ adds it to 0.0. Only that product needs @
+    # signed; @ adds it to 0.0
     k = np.full((7, 1), -0.0)
     assert _A[1].dot(k[:1]).tobytes() != (_A[1] @ k[:1]).tobytes()
     assert [product(rows).tobytes() for _, _, product, rows in _stages(k)] == [

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -184,6 +185,26 @@ def test_expression_system_refuses_names_that_do_not_read_back(names):
     # be referenced, and a non-identifier printed text parse_expr rejects
     with pytest.raises(ValueError, match=r"^variable names must be distinct identifiers, got \("):
         expression_system("s", ["x1", "x2"], [1.0, 0.0], variable_names=names)
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"test_span": (12.0, 15.0)},
+         r"^test_span must start where train_span ends, at 10\.0, got \(12\.0, 15\.0\)$"),
+        ({"train_span": (10.0, 0.0)}, r"^train_span must increase, got \(10\.0, 0\.0\)$"),
+        ({"test_span": (10.0, 10.0)}, r"^test_span must increase, got \(10\.0, 10\.0\)$"),
+        ({"target_dim": 2}, "^target_dim out of range$"),
+        ({"target_dim": -1}, "^target_dim out of range$"),
+    ],
+    ids=["test span after a gap", "train span reversed", "empty test span",
+         "target past the state", "negative target"],
+)
+def test_system_variants_must_keep_the_trajectory_rules(changes, message):
+    # a test split after a gap started from the train end state, so the
+    # truth's test_error read 0.0; a target past the state raised IndexError
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(lotka_volterra(), **changes)
 
 
 def test_expression_system_test_span_defaults_to_half_the_train_span_after_it():
