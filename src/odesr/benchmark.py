@@ -7,6 +7,8 @@ import csv
 import importlib
 import json
 import math
+import os
+import pickle
 import time
 import weakref
 from dataclasses import dataclass, replace
@@ -66,6 +68,8 @@ def __getattr__(name: str):
 
 METHODS = ("ga", "sindy", "feynman")
 DETERMINISTIC_METHODS = ("sindy", "feynman")
+# the exceptions run_benchmark records as a failed run; any other propagates
+_RUN_FAILURES = (IntegrationError, SamplingError, np.linalg.LinAlgError, ValueError)
 
 # which basis preset serves which benchmark system
 SINDY_PRESET_FOR_SYSTEM = {
@@ -201,8 +205,11 @@ def run_fit(
     """Fit one method on one system and evaluate it on the test span.
 
     The seed argument always wins over ga_config.seed so that benchmark
-    repetitions vary only the seed.
+    repetitions vary only the seed; a negative seed is refused for every
+    method.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     data = make_dataset(system, sample_dt, "train", integrator)
     names = system.variable_names
     best: CandidateSolution
@@ -283,7 +290,13 @@ def run_benchmark(
     every pair before the first fit. A run that fails numerically
     (IntegrationError, SamplingError, LinAlgError) or on its configuration
     (ValueError) is recorded and the sweep continues; any other exception
-    propagates."""
+    propagates, that of the earliest such run in sweep order when several
+    raise.
+
+    The runs spread over the usable cores (see _outcomes). Every
+    trajectory they read is integrated here first, so each integration
+    happens once, in this process; the results and files do not depend on
+    the number of processes."""
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     if base_seed < 0:
@@ -305,37 +318,53 @@ def run_benchmark(
         for method in methods
         for name in systems
     }
+    seeds = {
+        pair: [base_seed]
+        if pair[0] in DETERMINISTIC_METHODS
+        else [base_seed + i for i in range(repetitions)]
+        for pair in pairs
+    }
+    for (_, name), kwargs in pairs.items():
+        # the train split and the test split continued from it: run_fit's
+        # dataset and test_error's trajectory. A failure is not kept, so
+        # each run meets it again and records it
+        try:
+            make_trajectory(resolved[name], "test", sample_dt, kwargs.get("integrator"))
+        except _RUN_FAILURES:
+            pass
+
+    def fit(pair: tuple[str, str], seed: int) -> dict:
+        method, system_name = pair
+        start = time.perf_counter()
+        try:
+            record = run_fit(
+                method, resolved[system_name], seed=seed, sample_dt=sample_dt, **pairs[pair]
+            )
+        except _RUN_FAILURES as err:  # one divergent run must not kill the sweep
+            record = {
+                "method": method,
+                "system": system_name,
+                "seed": seed,
+                "expression": "",
+                "train_rmse": math.inf,
+                "test_error": math.inf,
+                "complexity": 0,
+                "warnings": [f"run failed: {err}"],
+            }
+        record["wall_time"] = time.perf_counter() - start
+        return record
+
+    tasks = [(pair, seed) for pair, pair_seeds in seeds.items() for seed in pair_seeds]
+    # the longest searches (brute force, then cart-pole) come last in
+    # sweep order, so the runs start from the end
+    outcomes = _outcomes(fit, tasks[::-1])[::-1]
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
     results = []
-    for (method, system_name), kwargs in pairs.items():
-        if method in DETERMINISTIC_METHODS:
-            seeds = [base_seed]
-        else:
-            seeds = [base_seed + i for i in range(repetitions)]
-        runs = []
-        for seed in seeds:
-            start = time.perf_counter()
-            try:
-                record = run_fit(
-                    method, resolved[system_name], seed=seed, sample_dt=sample_dt, **kwargs
-                )
-            except (
-                IntegrationError,
-                SamplingError,
-                np.linalg.LinAlgError,
-                ValueError,
-            ) as err:  # one divergent run must not kill the sweep
-                record = {
-                    "method": method,
-                    "system": system_name,
-                    "seed": seed,
-                    "expression": "",
-                    "train_rmse": math.inf,
-                    "test_error": math.inf,
-                    "complexity": 0,
-                    "warnings": [f"run failed: {err}"],
-                }
-            record["wall_time"] = time.perf_counter() - start
-            runs.append(record)
+    records = iter(outcomes)
+    for (method, system_name), pair_seeds in seeds.items():
+        runs = [next(records) for _ in pair_seeds]
         errors = [r["test_error"] for r in runs]
         with np.errstate(invalid="ignore"):
             mean = float(np.mean(errors))
@@ -352,6 +381,104 @@ def run_benchmark(
     if out_dir is not None:
         write_benchmark(results, out_dir)
     return results
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on; 1 where the platform cannot say."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity (macOS, Windows)
+        return 1
+
+
+def _outcomes(call: Callable, items: list) -> list:
+    """call(*item) for each item, in order: its return value or the
+    Exception it raised.
+
+    The items start in order, each in whichever process is free: this one
+    and, where more than one core is usable, up to one forked child per
+    further core, so no more processes compute than there are cores. A
+    pipe holding the index of the next item is the shared counter: a free
+    process reads it and writes back the next. Children inherit this
+    process's state (its trajectory cache included), send their outcomes
+    back by pickle once the items run out, and leave by os._exit, which
+    flushes no inherited stdio buffer and runs no atexit handler. An
+    exception this process raises kills the children, and every child is
+    reaped before return."""
+    counter = os.pipe()
+    pids: list[int] = []
+    reads: list[int] = []  # the read end of each child's outcome pipe
+
+    def work() -> dict:
+        done = {}
+        while True:
+            i = int.from_bytes(os.read(counter[0], 8), "little")
+            os.write(counter[1], (i + 1).to_bytes(8, "little"))
+            if i >= len(items):
+                return done
+            try:
+                done[i] = call(*items[i])
+            except Exception as err:  # raised where the caller reads it
+                done[i] = err
+
+    try:
+        os.write(counter[1], (0).to_bytes(8, "little"))
+        for _ in range(min(_usable_cores(), len(items)) - 1):
+            read, write = os.pipe()
+            reads.append(read)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _child(work, write)
+            finally:
+                os.close(write)
+            pids.append(pid)
+        done = work()
+        for read in reads:
+            with open(read, "rb", closefd=False) as fh:
+                payload = fh.read()
+            if not payload:
+                raise RuntimeError("a sweep process ended without sending its outcomes")
+            done.update(pickle.loads(payload))
+    except BaseException:
+        import signal
+
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid in pids:
+            os.waitpid(pid, 0)
+        for fd in (*reads, *counter):
+            os.close(fd)
+    return [done[i] for i in range(len(items))]
+
+
+def _child(work: Callable[[], dict], write: int):
+    """A forked process's part of _outcomes: work's outcomes, pickled to
+    write. An exception that would not come back whole by pickle is sent
+    as a RuntimeError naming its type and message; each carries this
+    process's traceback as a note."""
+    status = 1
+    try:
+        done = work()
+        for i, outcome in done.items():
+            if isinstance(outcome, Exception):
+                import traceback
+
+                trace = "".join(traceback.format_exception(outcome))
+                try:
+                    pickle.loads(pickle.dumps(outcome))
+                except Exception:
+                    outcome = done[i] = RuntimeError(
+                        f"{type(outcome).__qualname__}: {outcome}"
+                    )
+                outcome.add_note(f"raised in a sweep process:\n{trace}")
+        with open(write, "wb") as fh:
+            fh.write(pickle.dumps(done))
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def write_benchmark(results, out_dir) -> None:

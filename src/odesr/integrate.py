@@ -420,18 +420,33 @@ def integrate_fixed_step(
     rhs: RHS, x0: Sequence[float], span: tuple[float, float], n_steps: int
 ) -> np.ndarray:
     """Fixed-step variant (no controller) of _accepted_steps' stages: each
-    step ends at stage 6's state, without its slope. Returns the final state."""
+    step ends at stage 6's state, without its slope. Returns the final state.
+    A state that is not finite is never passed to rhs: it raises
+    IntegrationError, carrying the states that steps reached."""
     t0, t1 = float(span[0]), float(span[1])
     h = (t1 - t0) / n_steps
     x = np.array(x0, dtype=float)
+    if x.ndim != 1 or not x.size or not np.all(np.isfinite(x)):
+        raise ValueError("initial state must be a non-empty finite vector")
     k = np.empty((7, len(x)))
     *stages, (_, _, solution, rows) = _stages(k)
+    reached = [x]
+
+    def finite(state: np.ndarray) -> np.ndarray:
+        if not np.all(np.isfinite(state)):
+            times = t0 + h * np.arange(len(reached))
+            raise IntegrationError(
+                "state not finite", float(times[-1]), _read_only(times, np.array(reached))
+            )
+        return state
+
     for step in range(n_steps):
         t = t0 + step * h
         k[0] = rhs(t, x)
         for i, c, product, ki in stages:
-            k[i] = rhs(t + c * h, x + h * product(ki))
-        x = x + h * solution(rows)
+            k[i] = rhs(t + c * h, finite(x + h * product(ki)))
+        x = finite(x + h * solution(rows))
+        reached.append(x)
     return x
 
 

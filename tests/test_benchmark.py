@@ -3,6 +3,8 @@ import gc
 import hashlib
 import json
 import math
+import os
+import time
 import weakref
 
 import numpy as np
@@ -671,3 +673,147 @@ def test_benchmark_resolves_each_system_once(integrate_calls):
     # train and test once per system, shared by both methods
     assert integrate_calls == [(0.0, 10.0), (10.0, 15.0)] * 3
     assert all(run["expression"] for res in results for run in res.runs)
+
+
+# ------------------------------------------------------- runs in processes
+
+
+def with_cores(monkeypatch, count):
+    """run_benchmark as it runs on a host with count usable cores."""
+    monkeypatch.setattr("odesr.benchmark._usable_cores", lambda: count)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_sweep_records_and_files_do_not_depend_on_the_process_count(
+    tmp_path, monkeypatch, capfd
+):
+    def fast(method, system):
+        return {
+            "ga": {"ga_config": FAST_GA},
+            "feynman": {"feynman": FeynmanConfig(max_brute_nodes=3)},
+        }.get(method, {})
+
+    swept = {}
+    for count in (1, 2, 3):
+        with_cores(monkeypatch, count)
+        out = tmp_path / str(count)
+        results = run_benchmark(
+            systems=["lotka_volterra", "simple_pendulum"], repetitions=3, out_dir=out,
+            overrides=fast,
+        )
+        assert_no_child_left()
+        for res in results:
+            for run in res.runs:
+                assert run.pop("wall_time") >= 0.0
+        files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+        swept[count] = (results, files)
+    assert [(r.method, r.system, [run["seed"] for run in r.runs]) for r in swept[1][0]] == [
+        (method, system, seeds)
+        for method, seeds in (("ga", [0, 1, 2]), ("sindy", [0]), ("feynman", [0]))
+        for system in ("lotka_volterra", "simple_pendulum")
+    ]
+    assert swept[2] == swept[1]
+    assert swept[3] == swept[1]
+    assert len(swept[1][1]) == 11
+    assert capfd.readouterr() == ("", "")
+
+
+def test_a_sweep_on_one_core_or_of_one_run_forks_nothing(monkeypatch):
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    with_cores(monkeypatch, 1)
+    run_benchmark(["sindy", "feynman"], ["simple_pendulum"],
+                  overrides=lambda m, s: {"feynman": FeynmanConfig(max_brute_nodes=3)})
+    with_cores(monkeypatch, 3)
+    [result] = run_benchmark(["sindy"], ["lotka_volterra"])
+    assert result.runs[0]["expression"]
+
+
+def named_failure(method, system, seed, **kwargs):
+    time.sleep(0.01)
+    raise KeyError(f"{method} {system.name} {seed}")
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_the_earliest_failing_run_in_sweep_order_raises(monkeypatch, capfd, count):
+    with_cores(monkeypatch, count)
+    monkeypatch.setattr("odesr.benchmark.run_fit", named_failure)
+    with pytest.raises(KeyError) as err:
+        run_benchmark(["ga", "sindy"], ["lotka_volterra", "simple_pendulum"], repetitions=3)
+    assert err.value.args == ("ga lotka_volterra 0",)
+    assert_no_child_left()
+    assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("count", [2, 3])
+def test_an_error_raised_in_a_child_reaches_the_caller(monkeypatch, capfd, count):
+    """Runs fail in children only, so the error raised is that of the
+    earliest run a child made, and every earlier run was this process's."""
+    parent, in_parent = os.getpid(), []
+
+    def fit(method, system, seed, **kwargs):
+        time.sleep(0.02)
+        if os.getpid() == parent:
+            in_parent.append(seed)
+            return {"test_error": 0.0}
+        raise KeyError(f"seed {seed}")
+
+    with_cores(monkeypatch, count)
+    monkeypatch.setattr("odesr.benchmark.run_fit", fit)
+    with pytest.raises(KeyError) as err:
+        run_benchmark(["ga"], ["lotka_volterra"], repetitions=8)
+    [message] = err.value.args
+    seed = int(message.removeprefix("seed "))
+    assert seed not in in_parent
+    assert set(range(seed)) <= set(in_parent)
+    [note] = err.value.__notes__
+    assert note.startswith("raised in a sweep process:\nTraceback")
+    assert "KeyError: 'seed" in note
+    assert_no_child_left()
+    assert capfd.readouterr() == ("", "")
+
+
+def test_an_error_that_does_not_pickle_comes_back_named(monkeypatch):
+    class Local(Exception):  # pickle cannot find a class defined in a function
+        pass
+
+    parent = os.getpid()
+
+    def fit(method, system, seed, **kwargs):
+        time.sleep(0.02)
+        if os.getpid() == parent:
+            return {"test_error": 0.0}
+        raise Local("not sent as is")
+
+    with_cores(monkeypatch, 2)
+    monkeypatch.setattr("odesr.benchmark.run_fit", fit)
+    with pytest.raises(RuntimeError) as err:
+        run_benchmark(["ga"], ["lotka_volterra"], repetitions=8)
+    assert err.value.args == (f"{Local.__qualname__}: not sent as is",)
+    assert_no_child_left()
+
+
+def test_an_exception_in_this_process_kills_the_children(monkeypatch):
+    class Stop(BaseException):
+        pass
+
+    parent = os.getpid()
+
+    def fit(method, system, seed, **kwargs):
+        if os.getpid() == parent:
+            raise Stop
+        time.sleep(60)
+
+    with_cores(monkeypatch, 3)
+    monkeypatch.setattr("odesr.benchmark.run_fit", fit)
+    start = time.perf_counter()
+    with pytest.raises(Stop):
+        run_benchmark(["ga"], ["lotka_volterra"], repetitions=5)
+    assert time.perf_counter() - start < 30
+    assert_no_child_left()

@@ -16,6 +16,7 @@ BENCH_SCRIPTS = (
     "bench_feynman.py",
     "bench_ga.py",
     "bench_startup.py",
+    "bench_sweep.py",
     "bench_trajectories.py",
 )
 

@@ -150,6 +150,41 @@ def test_fixed_step_matches_the_tableau_loop_bit_for_bit(case):
             assert got.tobytes() == want.tobytes(), (n_steps, span)
 
 
+@pytest.mark.parametrize("n_steps", [2, 3])
+def test_fixed_step_divergence_raises_integration_error(n_steps):
+    # cart-pole over (0, 10): in 2 steps the final state was inf, and in 3
+    # math.sin raised ValueError on an infinite angle inside the rhs
+    system = get_system("cart_pole")
+    seen = []
+
+    def rhs(t, x):
+        seen.append(x.copy())
+        return system.rhs(t, x)
+
+    with pytest.raises(IntegrationError, match="^state not finite") as err:
+        integrate_fixed_step(rhs, system.initial_state, (0.0, 10.0), n_steps)
+    assert np.all(np.isfinite(seen))
+    partial = err.value.partial
+    h = 10.0 / n_steps
+    assert partial.times.tolist() == [step * h for step in range(len(partial.times))]
+    assert err.value.last_time == partial.times[-1]
+    assert partial.states[0].tolist() == list(system.initial_state)
+    assert np.all(np.isfinite(partial.states))
+    assert not partial.states.flags.writeable
+
+
+@pytest.mark.parametrize("x0", [[math.nan, 0.0], [math.inf], []], ids=["nan", "inf", "empty"])
+def test_fixed_step_refuses_the_initial_states_integrate_refuses(x0):
+    def never(t, x):
+        raise AssertionError("rhs called")
+
+    message = "^initial state must be a non-empty finite vector$"
+    with pytest.raises(ValueError, match=message):
+        integrate(never, x0, (0.0, 1.0), 0.5)
+    with pytest.raises(ValueError, match=message):
+        integrate_fixed_step(never, x0, (0.0, 1.0), 4)
+
+
 def test_undamped_pendulum_energy_drift():
     g = 9.81
 

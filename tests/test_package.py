@@ -25,6 +25,8 @@ import odesr
 assert odesr.__file__.startswith({str(PACKAGE)!r}), odesr.__file__
 searches = loaded("feynman", "ga", "genomes", "sindy", "cli")
 assert not searches, searches
+pools = {{"multiprocessing", "concurrent.futures"}} & set(sys.modules)
+assert not pools, pools
 assert isinstance(odesr.integrate, types.ModuleType), odesr.integrate
 import odesr.sindy, odesr.feynman
 assert not loaded("ga", "genomes"), "sindy or feynman imports the GA"
@@ -53,9 +55,9 @@ def run_fresh(script: str):
 
 
 def test_import_graph():
-    """`import odesr` loads none of the searches or the CLI, the name
-    odesr.integrate is the submodule, and sindy and feynman build
-    candidates without the GA."""
+    """`import odesr` loads none of the searches or the CLI and no process
+    pool module, the name odesr.integrate is the submodule, and sindy and
+    feynman build candidates without the GA."""
     result = run_fresh(IMPORT_GRAPH)
     assert result.returncode == 0, result.stderr
 
