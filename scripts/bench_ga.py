@@ -1,5 +1,5 @@
 """Count the GA's genome draws, tree builds and fitness evaluations, time
-run_ga, and record them.
+run_ga and its parts, and record them.
 
     PYTHONPATH=src python scripts/bench_ga.py --label change
 
@@ -24,6 +24,13 @@ and seed are timed with `time.perf_counter`. Each system's raw seconds
 per pass are recorded with its seconds calibrated against host speed
 (see benchrecord.timed_passes) and its minor page faults.
 
+Last, RUNS more passes time where a pass's time goes, per system, in raw
+seconds summed over the seeds (`parts`): drawing and scanning genomes
+(`ga._mutants` and `ga._random_decoded`), building trees (`ga._build`),
+scoring (the calls of run_ga's `Scorer`), and the rest of run_ga. Each
+timed call also pays for its two clock reads, so these passes run a
+little slower than the untimed ones.
+
 The result is appended to BENCH_ga.json in the working directory under
 `--label` (see benchrecord.py): run the script once with PYTHONPATH
 pointing at each commit's `src/`. A commit whose run_ga lacks a patch
@@ -34,6 +41,7 @@ script.
 
 import math
 import statistics
+import time
 from functools import partial
 from pathlib import Path
 
@@ -114,8 +122,42 @@ def counted_runs(data, grammar, settings: dict, seeds=SEEDS) -> dict:
     return counts
 
 
-def run_seeds(data, grammar, settings: dict) -> None:
-    for seed in SEEDS:
+PARTS = ("draw", "build", "score", "rest")
+
+
+def part_seconds(data, grammar, settings: dict, seeds=SEEDS) -> dict:
+    """Raw seconds of one run_ga per seed, summed over the seeds, spent in
+    each of PARTS."""
+    spent = dict.fromkeys(PARTS, 0.0)
+    clock = time.perf_counter
+
+    def timed(part, call):
+        def timing(*args):
+            start = clock()
+            out = call(*args)
+            spent[part] += clock() - start
+            return out
+
+        return timing
+
+    class TimedScorer(ga.Scorer):
+        __call__ = timed("score", ga.Scorer.__call__)
+
+    with patched(
+        (ga, "_mutants", timed("draw", ga._mutants)),
+        (ga, "_random_decoded", timed("draw", ga._random_decoded)),
+        (ga, "_build", timed("build", ga._build)),
+        (ga, "Scorer", TimedScorer),
+    ):
+        start = clock()
+        run_seeds(data, grammar, settings, seeds)
+        total = clock() - start
+    spent["rest"] = total - sum(spent.values())
+    return spent
+
+
+def run_seeds(data, grammar, settings: dict, seeds=SEEDS) -> None:
+    for seed in seeds:
         ga.run_ga(ga.GAConfig(seed=seed, **settings), data, grammar)
 
 
@@ -132,6 +174,11 @@ def main() -> None:
     seconds, totals, faults, calibrated = timed_passes(
         {name: partial(run_seeds, *a) for name, a in inputs.items()}
     )
+    spent = [{name: part_seconds(*inputs[name]) for name in SYSTEM_NAMES} for _ in range(RUNS)]
+    parts = {
+        name: {part: summary([s[name][part] for s in spent]) for part in PARTS}
+        for name in SYSTEM_NAMES
+    }
 
     results = {"seeds": list(SEEDS), "total_seconds": summary(totals)}
     if calibrated is not None:
@@ -143,6 +190,7 @@ def main() -> None:
             "seconds": summary(seconds[name]),
             "calibrated_seconds": calibrated and summary(calibrated[name]),
             "minor_faults": faults[name],
+            "parts": parts[name],
         }
         c = counts[name]
         print(
@@ -151,7 +199,9 @@ def main() -> None:
             f"({c['distinct_keys']} distinct), "
             f"{c['fitness_evaluations']} fitness ({c['nonfinite_evaluations']} inf), "
             f"{c['rng_calls']} rng calls; median "
-            f"{statistics.median(seconds[name]):.3f} s over {RUNS} runs"
+            f"{statistics.median(seconds[name]):.3f} s over {RUNS} runs; parts "
+            + ", ".join(f"{part} {parts[name][part]['median']:.3f}" for part in PARTS)
+            + " s"
         )
     print(f"{label} total: median {statistics.median(totals):.3f} s")
 

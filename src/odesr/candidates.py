@@ -91,7 +91,8 @@ class Scorer:
         """rmse(evaluate_batch(expr, times, states), targets), bit for bit,
         from one walk of expr that stops at the first node, leaves included,
         that is not finite at some row: the score is then +inf, and no nan
-        is masked."""
+        is masked. Call it under np.errstate(all="ignore"), as run_ga does
+        once for a whole run."""
         return _score(expr, self.leaf, self.targets)
 
 
@@ -106,10 +107,10 @@ def _finite_leaf(ts: np.ndarray, xs: np.ndarray, expr: Expr) -> np.ndarray | Non
 
 
 def _score(expr: Expr, leaf: Callable[[Expr], np.ndarray | None], targets: np.ndarray) -> float:
-    """The score of expr, with its leaves' values from leaf (see finite_values)."""
-    with np.errstate(all="ignore"):
-        pred = finite_values(expr, leaf)
-        return math.inf if pred is None else _finite_rmse(pred, targets)
+    """The score of expr, with its leaves' values from leaf (see
+    finite_values), under its caller's errstate."""
+    pred = finite_values(expr, leaf)
+    return math.inf if pred is None else _finite_rmse(pred, targets)
 
 
 def score(expr: Expr, times: np.ndarray, states: np.ndarray, targets: np.ndarray) -> float:
@@ -117,7 +118,8 @@ def score(expr: Expr, times: np.ndarray, states: np.ndarray, targets: np.ndarray
     expression: its leaves are made where the walk meets them, and not
     bound, made read-only or held."""
     ts, xs = batch_inputs(times, states)
-    return _score(expr, partial(_finite_leaf, ts, xs), targets)
+    with np.errstate(all="ignore"):
+        return _score(expr, partial(_finite_leaf, ts, xs), targets)
 
 
 def fitness(expr: Expr, data: RegressionDataset) -> float:

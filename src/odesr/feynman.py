@@ -35,8 +35,12 @@ _SEPARABILITY_TOLERANCE = 1e-2
 
 # skeletons evaluated and fitted per numpy call: enough to spread the
 # per-call cost, few enough that each block temporary (_CHUNK_ROWS x n
-# floats) stays small next to the skeleton tables; 4096 raised the peak RSS
-_CHUNK_ROWS = 1024
+# floats) stays small next to the skeleton tables; 4096 raised the peak RSS.
+# Against 1024, a process running the three default pipelines peaks at
+# 43.9 MB, not 45.1, in the same CPU time (0.262 s, not 0.261; medians of
+# 11), and perfbench's sweep at 44.0 MB, not 45.6, in 0.349 s, not 0.361
+# (medians of 10 alternating pairs)
+_CHUNK_ROWS = 512
 
 
 @dataclass

@@ -104,8 +104,10 @@ def run_ga(
     consumed prefix and, behind that, by the canonical key of its tree
     (genomes._build), since distinct prefixes can decode alike. Trees are
     built for new prefixes and the returned candidate only, and scored on
-    one Scorer of data. Results and RNG draws are those of step and of
-    evaluating every candidate.
+    one Scorer of data, under one np.errstate for the run. The population
+    is sorted once a generation, stably, so its first entry is min's first
+    minimum. Results and RNG draws are those of step and of evaluating every
+    candidate.
     """
     rng = np.random.default_rng(config.seed)
     score = Scorer(data.times, data.states, data.targets)
@@ -127,17 +129,19 @@ def run_ga(
                 by_prefix[prefix] = scored
             pop.append((*scored, g, prefix))
 
-    add([_random_decoded(length, grammar, rng) for _ in range(n)])
-    best = min(pop, key=_RANK)
-    history: list[float] = []
-    for _ in range(config.iterations):
+    with np.errstate(all="ignore"):
+        add([_random_decoded(length, grammar, rng) for _ in range(n)])
         pop.sort(key=_RANK)
-        del pop[n_survivors:]
-        add(_mutants([e[2] for e in pop], length, grammar, rng, rate, n - n_survivors))
-        gen_best = min(pop, key=_RANK)
-        if _RANK(gen_best) < _RANK(best):
-            best = gen_best
-        history.append(gen_best[0])
+        best = pop[0]
+        history: list[float] = []
+        for _ in range(config.iterations):
+            del pop[n_survivors:]
+            add(_mutants([e[2] for e in pop], length, grammar, rng, rate, n - n_survivors))
+            pop.sort(key=_RANK)
+            gen_best = pop[0]
+            if _RANK(gen_best) < _RANK(best):
+                best = gen_best
+            history.append(gen_best[0])
     rmse, comp, g, prefix = best
     genome = Genome(_unpacked(g, length))
     return CandidateSolution(_build(prefix, grammar)[0], rmse, comp, genome), history

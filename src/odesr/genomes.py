@@ -103,10 +103,14 @@ def _consumed(g: int, length: int, grammar: Grammar) -> int | None:
     The loop reads an expr codon and descends into its leftmost child; a
     binary rule leaves one op codon pending, skipped before the right
     operand. shift is the bits left after the next expr codon.
-    The expr codon is 2 bits for 3 rules: 00 and 11 binary, 01 unary, 10 leaf."""
+    The expr codon is 2 bits for 3 rules: 00 and 11 binary, 01 unary, 10 leaf.
+    A leaf is the cheapest expr, so after a binary rule the tree needs at
+    least a leaf codon, then an op codon and a leaf expr per pending op: with
+    fewer bits left the decode must run out, and the scan stops there."""
     # each width with the expr codon read after it
     unary_step, op_step = UNARY_WIDTH + EXPR_WIDTH, OP_WIDTH + EXPR_WIDTH
     var_width = grammar.var_width
+    close_step = op_step + var_width  # the fewest bits that close one pending op
     shift = length - 2
     pending = 0
     while shift >= 0:
@@ -122,6 +126,8 @@ def _consumed(g: int, length: int, grammar: Grammar) -> int | None:
         else:
             pending += 1
             shift -= 2
+            if shift < var_width + pending * close_step:
+                return None
     return None
 
 
@@ -129,12 +135,22 @@ _N_UNARY, _N_BINARY = len(UNARY_OPS), len(BINARY_OPS)
 _IDENTITY = UNARY_OPS.index("identity")
 
 
+# the place values of a group of up to 63 bits, MSB first: a group's sum
+# stays inside int64
+_WEIGHTS = np.int64(1) << np.arange(62, -1, -1, dtype=np.int64)
+
+
 def _rows(bits: np.ndarray) -> list[int]:
-    """Each row of a 2-D array of 0/1 as one int, MSB first."""
-    n, length = bits.shape
-    width, pad = -(-length // 8), -length % 8  # bytes per row, and the zeros packbits adds
-    packed = np.packbits(bits, axis=1).tobytes()
-    return [int.from_bytes(packed[j * width : (j + 1) * width], "big") >> pad for j in range(n)]
+    """Each row of a 2-D array of 0/1 (bool or integer) as one int, MSB
+    first: one integer product per group of columns, the first group
+    holding the columns left over from whole groups of 63."""
+    length = bits.shape[1]
+    first = length % 63 or min(length, 63)
+    rows = (bits[:, :first] @ _WEIGHTS[63 - first :]).tolist()
+    for lo in range(first, length, 63):
+        words = (bits[:, lo : lo + 63] @ _WEIGHTS).tolist()
+        rows = [row << 63 | word for row, word in zip(rows, words)]
+    return rows
 
 
 def _packed(bits: Sequence[int]) -> int:
@@ -233,6 +249,10 @@ def random_genome(
     max_attempts: int = 10_000,
 ) -> Genome:
     """Sample uniform bitstrings until one decodes; invalid draws are discarded."""
+    if length < 1:
+        raise ValueError("length must be >= 1")
+    if max_attempts < 1:
+        raise ValueError("max_attempts must be >= 1")
     return Genome(_unpacked(_random_decoded(length, grammar, rng, max_attempts)[0], length))
 
 
@@ -268,6 +288,10 @@ def mutate(
     Each attempt draws rng.random(len(genome.bits)), in order, and flips the
     bits whose uniform is below rate; the generator is left where those draws
     leave it, on every bit generator."""
+    if not 0.0 <= rate <= 1.0:
+        raise ValueError("rate must lie in [0, 1]")
+    if max_attempts < 1:
+        raise ValueError("max_attempts must be >= 1")
     length = len(genome.bits)
     [(g, _)] = _mutants([_packed(genome.bits)], length, grammar, rng, rate, 1, max_attempts)
     return Genome(_unpacked(g, length))

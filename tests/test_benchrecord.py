@@ -234,6 +234,13 @@ def test_bench_ga_counts_reach_the_functions_run_ga_calls(monkeypatch):
     assert counts["valid"] <= counts["draws"]
     assert counts["distinct_keys"] < counts["trees_built"] <= counts["valid"]
     assert counts["fitness_evaluations"] == counts["distinct_keys"]
+    # and so would a part's timer read 0 seconds
+    patch_points = (ga._mutants, ga._random_decoded, ga._build, ga.Scorer)
+    grammar = grammar_for_system("cart_pole")
+    parts = bench_ga.part_seconds(data, grammar, settings, seeds=[1000])
+    assert list(parts) == ["draw", "build", "score", "rest"]
+    assert all(seconds > 0.0 for seconds in parts.values()), parts
+    assert (ga._mutants, ga._random_decoded, ga._build, ga.Scorer) == patch_points
 
 
 def test_bench_trajectories_counts_integrations(monkeypatch):

@@ -140,12 +140,13 @@ def test_fitness_matches_reference_on_every_small_grammar_tree(name):
 
 
 def checked_scores(scorer, trees, times, states, targets) -> list[float]:
-    """scorer(tree) for each tree, once each is found equal to the reference
+    """scorer(tree) for each tree, called as run_ga calls it (under
+    np.errstate(all="ignore")), once each is found equal to the reference
     bit for bit and to raise no RuntimeWarning."""
     out = []
     for tree in trees:
         expected = reference_fitness(tree, times, states, targets)
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
             warnings.simplefilter("error", RuntimeWarning)
             got = scorer(tree)
         assert got.hex() == expected.hex(), print_expr(tree)

@@ -256,21 +256,32 @@ def run_ga_observed(monkeypatch, config, data, grammar):
 
 
 @pytest.mark.parametrize(
-    "system_name, pool",
+    "system_name, pool, length",
     [
-        ("lotka_volterra", None),
-        ("simple_pendulum", None),
-        ("cart_pole", None),
+        ("lotka_volterra", None, None),
+        ("simple_pendulum", None, None),
+        ("cart_pole", None, None),
         # equal as trees, distinct in print
-        ("lotka_volterra", (0.0, -0.0, 1.0, 1.5)),
+        ("lotka_volterra", (0.0, -0.0, 1.0, 1.5), None),
+        # genomes of more than 64 bits, packed in two groups of columns
+        ("cart_pole", None, 70),
+    ],
+    ids=[
+        "lotka_volterra-None",
+        "simple_pendulum-None",
+        "cart_pole-None",
+        "lotka_volterra-pool3",
+        "cart_pole-70_bits",
     ],
 )
-def test_run_ga_matches_unmemoised_reference(monkeypatch, system_name, pool):
+def test_run_ga_matches_unmemoised_reference(monkeypatch, system_name, pool, length):
     data = make_dataset(get_system(system_name), 0.1, "train")
     grammar = grammar_for_system(system_name, pool)
     config = dataclasses.replace(
         default_ga_config(system_name, seed=7), population_size=16, iterations=12
     )
+    if length is not None:
+        config = dataclasses.replace(config, bitstring_length=length)
     ref_rng = np.random.default_rng(config.seed)
     ref_best, ref_history = reference_run_ga(config, data, grammar, ref_rng)
 

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from odesr.genomes import (
     _decode,
     _mutants,
     _prefix,
+    _rows,
     decode,
     grammar_for_system,
     mutate,
@@ -232,6 +234,77 @@ def test_scan_matches_reference_decode_on_long_bitstrings(grammar, length, data)
     check_scan_against_reference(bits, grammar)
 
 
+def full_walk_consumed(g, length, grammar):
+    """_consumed without its early exit: a genome whose bits run out is
+    walked to its last codon."""
+    unary_step, op_step = UNARY_WIDTH + EXPR_WIDTH, OP_WIDTH + EXPR_WIDTH
+    shift = length - 2
+    pending = 0
+    while shift >= 0:
+        rule = g >> shift & 3
+        if rule == 1:
+            shift -= unary_step
+        elif rule == 2:
+            shift -= grammar.var_width
+            if not pending:
+                return length - shift if shift >= 0 else None
+            pending -= 1
+            shift -= op_step
+        else:
+            pending += 1
+            shift -= 2
+    return None
+
+
+# leaf codons of 1 to 5 bits; the first grammar has a single leaf
+WIDTH_GRAMMARS = [
+    Grammar(variable_count=1, constant_pool=()),
+    Grammar(variable_count=2, constant_pool=(1.0, 2.0)),
+    LV,
+    Grammar(variable_count=3, constant_pool=tuple(map(float, range(10)))),
+    Grammar(variable_count=4, constant_pool=tuple(map(float, range(20)))),
+]
+
+
+@pytest.mark.parametrize("grammar", WIDTH_GRAMMARS, ids=lambda g: f"width{g.var_width}")
+def test_early_exit_scan_matches_a_full_walk(grammar):
+    assert [g.var_width for g in WIDTH_GRAMMARS] == [1, 2, 3, 4, 5]
+    rng = np.random.default_rng(grammar.var_width)
+    valid = invalid = 0
+    for length in range(1, 131):
+        # uniform bits, and bits mostly 0 or mostly 1, whose expr codons are
+        # mostly binary rules (00 and 11)
+        for p_one in (0.5, 0.05, 0.2, 0.8, 0.95):
+            for row in (rng.random((30, length)) < p_one).astype(int):
+                g = packed(row)
+                used = _consumed(g, length, grammar)
+                assert used == full_walk_consumed(g, length, grammar), (length, g)
+                valid += used is not None
+                invalid += used is None
+    assert valid > 1000 and invalid > 1000
+
+
+def packbits_rows(bits):
+    """_rows as np.packbits and int.from_bytes read them: each row packed into
+    whole bytes, its pad of zeros then shifted away."""
+    n, length = bits.shape
+    width, pad = -(-length // 8), -length % 8
+    packed = np.packbits(bits, axis=1).tobytes()
+    return [int.from_bytes(packed[j * width : (j + 1) * width], "big") >> pad for j in range(n)]
+
+
+@pytest.mark.parametrize("dtype", [bool, np.int64])
+def test_rows_match_the_packbits_reading(dtype):
+    rng = np.random.default_rng(0)
+    for length in range(1, 131):  # 63, 64 and 65 among them
+        bits = (rng.random((6, length)) < 0.5).astype(dtype)
+        bits[0], bits[1] = 1, 0  # every place value, and none
+        rows = _rows(bits)
+        assert rows == packbits_rows(bits), length
+        assert rows[0] == 2**length - 1 and rows[1] == 0
+        assert all(type(row) is int for row in rows)
+
+
 # ------------------------------------------------- the one-pass tree builder
 
 
@@ -347,6 +420,32 @@ def test_random_genome_is_valid_and_seeded():
 def test_random_genome_impossible_length_raises():
     with pytest.raises(SamplingError, match="length 1"):
         random_genome(1, LV, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("length", [0, -3])
+def test_random_genome_refuses_a_length_below_one(length):
+    with pytest.raises(ValueError, match=r"^length must be >= 1$"):
+        random_genome(length, LV, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("max_attempts", [0, -1])
+@pytest.mark.parametrize("draw", ["random_genome", "mutate"])
+def test_draws_refuse_max_attempts_below_one(draw, max_attempts):
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match=r"^max_attempts must be >= 1$"):
+        if draw == "random_genome":
+            random_genome(20, LV, rng, max_attempts=max_attempts)
+        else:
+            mutate(bits("10 000" + "0" * 15), LV, rng, max_attempts=max_attempts)
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+
+@pytest.mark.parametrize("rate", [float("nan"), -0.5, 1.5, -math.inf])
+def test_mutate_refuses_a_rate_outside_zero_to_one(rate):
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match=r"^rate must lie in \[0, 1\]$"):
+        mutate(bits("10 000" + "0" * 15), LV, rng, rate=rate)
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
 def test_valid_fraction_is_substantial():
@@ -539,7 +638,8 @@ def per_draw_random_genome(length, grammar, rng):
 @pytest.mark.parametrize("kind", BIT_GENERATORS)
 @pytest.mark.parametrize("length", [65, 130])
 def test_draws_across_the_packing_pad_match_per_attempt_draws(kind, length):
-    # 65 and 130 bits cross 64 and end in a part byte, which packing pads
+    # 65 and 130 bits cross 63, the widest group of columns that _rows packs
+    # in one product, and 64, and end in a part byte
     grammar = grammar_for_system("cart_pole")
     rng, ref = twin_generators(kind, length)
     g = random_genome(length, grammar, rng)
