@@ -42,6 +42,7 @@ script.
 import math
 import statistics
 import time
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -58,7 +59,7 @@ OUT = Path("BENCH_ga.json")
 SEEDS = range(1000, 1005)
 
 
-def counted_runs(data, grammar, settings: dict, seeds=SEEDS) -> dict:
+def counted_runs(data, grammar, config: ga.GAConfig, seeds=SEEDS) -> dict:
     """Counts of one run_ga per seed, summed over the seeds."""
     counts = dict.fromkeys(
         (
@@ -116,7 +117,7 @@ def counted_runs(data, grammar, settings: dict, seeds=SEEDS) -> dict:
         for seed in seeds:
             prefixes.clear()
             keys.clear()
-            ga.run_ga(ga.GAConfig(seed=seed, **settings), data, grammar)
+            ga.run_ga(replace(config, seed=seed), data, grammar)
             counts["distinct_prefixes"] += len(prefixes)
             counts["distinct_keys"] += len(keys)
     return counts
@@ -125,7 +126,7 @@ def counted_runs(data, grammar, settings: dict, seeds=SEEDS) -> dict:
 PARTS = ("draw", "build", "score", "rest")
 
 
-def part_seconds(data, grammar, settings: dict, seeds=SEEDS) -> dict:
+def part_seconds(data, grammar, config: ga.GAConfig, seeds=SEEDS) -> dict:
     """Raw seconds of one run_ga per seed, summed over the seeds, spent in
     each of PARTS."""
     spent = dict.fromkeys(PARTS, 0.0)
@@ -150,15 +151,15 @@ def part_seconds(data, grammar, settings: dict, seeds=SEEDS) -> dict:
         (ga, "Scorer", TimedScorer),
     ):
         start = clock()
-        run_seeds(data, grammar, settings, seeds)
+        run_seeds(data, grammar, config, seeds)
         total = clock() - start
     spent["rest"] = total - sum(spent.values())
     return spent
 
 
-def run_seeds(data, grammar, settings: dict, seeds=SEEDS) -> None:
+def run_seeds(data, grammar, config: ga.GAConfig, seeds=SEEDS) -> None:
     for seed in seeds:
-        ga.run_ga(ga.GAConfig(seed=seed, **settings), data, grammar)
+        ga.run_ga(replace(config, seed=seed), data, grammar)
 
 
 def main() -> None:
@@ -168,7 +169,7 @@ def main() -> None:
     for name in SYSTEM_NAMES:
         system = get_system(name)
         grammar = Grammar(variable_count=system.dim, constant_pool=CONSTANT_POOLS[name])
-        inputs[name] = (make_dataset(system, 0.1, "train"), grammar, ga.GA_DEFAULTS[name])
+        inputs[name] = (make_dataset(system, 0.1, "train"), grammar, ga.default_ga_config(name))
     counts = {name: counted_runs(*inputs[name]) for name in SYSTEM_NAMES}
 
     seconds, totals, faults, calibrated = timed_passes(

@@ -216,13 +216,10 @@ def run_fit(
     warnings: list[str] = []
     pareto = None
     if method == "ga":
-        from .ga import GA_DEFAULTS, GAConfig, run_ga
+        from .ga import default_ga_config, run_ga
         from .genomes import CONSTANT_POOLS, Grammar
 
-        if ga_config is None:
-            cfg = GAConfig(seed=seed, **GA_DEFAULTS.get(system.name, {}))
-        else:
-            cfg = replace(ga_config, seed=seed)
+        cfg = replace(ga_config or default_ga_config(system.name), seed=seed)
         pool = constant_pool
         if pool is None:
             pool = CONSTANT_POOLS.get(system.name)

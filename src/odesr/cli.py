@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import is_dataclass
+from dataclasses import is_dataclass, replace
 from functools import partial
 from pathlib import Path
 from types import NoneType, UnionType
@@ -27,7 +27,7 @@ from .benchmark import (
 )
 from .expressions import evaluate, parse_expr, print_expr
 from .feynman import FeynmanConfig
-from .ga import GA_DEFAULTS, GAConfig
+from .ga import GAConfig, default_ga_config
 from .genomes import SamplingError
 from .integrate import (
     IntegrationError,
@@ -156,7 +156,7 @@ def load_config(path) -> dict:
     """The JSON config at path (None for no file) checked against
     CONFIG_SHAPE, with sample_dt and integrator filled in. Every per-system
     entry is built whichever system runs: each systems.<name> into a
-    SystemSpec, each ga.<name> into a GAConfig over that name's GA_DEFAULTS,
+    SystemSpec, each ga.<name> into a GAConfig over default_ga_config(name),
     each constant_pools.<name> into a tuple of floats and each
     sindy.basis.<name> into a BasisSet. The names of those last three must
     be built-in systems or systems entries."""
@@ -174,8 +174,8 @@ def load_config(path) -> dict:
             if name not in SYSTEM_NAMES and name not in config["systems"]:
                 raise ValueError(f"config key '{section}.{name}' names no system")
             if section == "ga":
-                fields = {**GA_DEFAULTS.get(name, {}), **entry}
-                entries[name] = _built(GAConfig, f"config section 'ga.{name}'", fields)
+                build = partial(replace, default_ga_config(name))
+                entries[name] = _built(build, f"config section 'ga.{name}'", entry)
             elif section == "constant_pools":
                 entries[name] = tuple(map(float, entry))
             else:

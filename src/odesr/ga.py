@@ -57,7 +57,9 @@ GA_DEFAULTS: dict[str, dict] = {
 
 
 def default_ga_config(system_name: str, seed: int = 0) -> GAConfig:
-    return GAConfig(seed=seed, **GA_DEFAULTS[system_name])
+    """The benchmark settings of system_name, GAConfig's own for a system
+    GA_DEFAULTS does not list."""
+    return GAConfig(seed=seed, **GA_DEFAULTS.get(system_name, {}))
 
 
 # run_ga's population entries are (train_rmse, complexity, genome int, its _prefix)

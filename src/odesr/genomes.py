@@ -288,11 +288,13 @@ def mutate(
     Each attempt draws rng.random(len(genome.bits)), in order, and flips the
     bits whose uniform is below rate; the generator is left where those draws
     leave it, on every bit generator."""
+    length = len(genome.bits)
+    if length < 1:
+        raise ValueError("length must be >= 1")
     if not 0.0 <= rate <= 1.0:
         raise ValueError("rate must lie in [0, 1]")
     if max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
-    length = len(genome.bits)
     [(g, _)] = _mutants([_packed(genome.bits)], length, grammar, rng, rate, 1, max_attempts)
     return Genome(_unpacked(g, length))
 

@@ -40,19 +40,10 @@ class BasisSet:
 @dataclass
 class STLSQConfig:
     threshold: float = 0.05
-    max_iterations: int = 50
 
     def __post_init__(self):
         if not (self.threshold > 0):  # NaN fails too
             raise ValueError("threshold must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-
-
-@dataclass
-class SparseResult:
-    weights: np.ndarray
-    warnings: tuple[str, ...] = ()
 
 
 @dataclass
@@ -180,9 +171,14 @@ def _lstsq_independent(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, bool]:
 
 
 def stlsq(
-    a: np.ndarray, b: np.ndarray, threshold: float = 0.05, max_iterations: int = 50
-) -> SparseResult:
-    """Alternate least squares on the active set with hard thresholding.
+    a: np.ndarray, b: np.ndarray, threshold: float
+) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Alternate least squares on the active set with hard thresholding;
+    returns the weights and the warnings.
+
+    Inactive weights are 0 and the threshold is positive, so each new
+    support is a subset of the last: the loop stops when a solve keeps
+    the active set, or empties it, after at most one solve per column.
 
     When the active columns are linearly dependent (a library function
     that is a combination of others, or fewer samples than active
@@ -191,16 +187,13 @@ def stlsq(
     order: each column that is a combination of earlier active columns
     gets weight 0, so a library's simpler functions, listed first, are
     kept ahead of composite ones. Such a solve adds the warning
-    "rank_deficient". Running out of max_iterations while the active set
-    still changes adds "stlsq_no_convergence".
+    "rank_deficient".
     """
     p = a.shape[1]
     warnings: list[str] = []
     active = np.ones(p, dtype=bool)
     w = np.zeros(p)
-    for _ in range(max_iterations):
-        if not active.any():
-            break
+    while active.any():
         sol, deficient = _lstsq_independent(a[:, active], b)
         if deficient and "rank_deficient" not in warnings:
             warnings.append("rank_deficient")
@@ -211,9 +204,7 @@ def stlsq(
         if np.array_equal(keep, active):
             break
         active = keep
-    else:
-        warnings.append("stlsq_no_convergence")
-    return SparseResult(w, tuple(warnings))
+    return w, tuple(warnings)
 
 
 def _assemble(weights: np.ndarray, basis: BasisSet) -> Expr:
@@ -231,6 +222,6 @@ def fit(
     if config is None:
         config = STLSQConfig()
     a = build_design_matrix(basis, data)
-    res = stlsq(a, data.targets, config.threshold, config.max_iterations)
-    candidate = make_candidate(_assemble(res.weights, basis), data)
-    return SindyResult(candidate=candidate, weights=res.weights, warnings=res.warnings)
+    weights, warnings = stlsq(a, data.targets, config.threshold)
+    candidate = make_candidate(_assemble(weights, basis), data)
+    return SindyResult(candidate=candidate, weights=weights, warnings=warnings)

@@ -14,13 +14,16 @@ from typing import Callable
 
 import numpy as np
 
+from .expressions import NAME, compile_components, parse_expr
+
 
 @dataclass(frozen=True)
 class SystemSpec:
     """One benchmark system. rhs(t, x) is called with t a Python float and
     x a float64 ndarray of length dim, and returns the derivative as an
     ndarray of length dim. The test split is integrated on from the last
-    train state, so test_span must start where train_span ends."""
+    train state, so test_span must start where train_span ends. The name
+    is an identifier, as it is part of the run files' names."""
 
     name: str
     rhs: Callable[[float, np.ndarray], np.ndarray]
@@ -31,6 +34,8 @@ class SystemSpec:
     variable_names: tuple[str, ...]
 
     def __post_init__(self):
+        if not re.fullmatch(NAME, self.name):
+            raise ValueError(f"name must be an identifier, got {self.name!r}")
         if not 0 <= self.target_dim < self.dim:
             raise ValueError("target_dim out of range")
         for key in ("train_span", "test_span"):
@@ -151,8 +156,6 @@ def expression_system(
 
     Without a test_span, the test split starts where train_span ends and
     lasts half as long, as for the built-in systems."""
-    from .expressions import NAME, compile_components, parse_expr
-
     rhs_strings = tuple(rhs_strings)
     k = len(rhs_strings)
     if k == 0:

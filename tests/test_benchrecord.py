@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import types
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -226,9 +227,9 @@ def test_bench_ga_counts_reach_the_functions_run_ga_calls(monkeypatch):
     from odesr.integrate import make_dataset
     from odesr.systems import get_system
 
-    settings = {**ga.GA_DEFAULTS["cart_pole"], "population_size": 16, "iterations": 5}
+    config = replace(ga.default_ga_config("cart_pole"), population_size=16, iterations=5)
     data = make_dataset(get_system("cart_pole"), 0.1, "train")
-    counts = bench_ga.counted_runs(data, grammar_for_system("cart_pole"), settings, seeds=[1000])
+    counts = bench_ga.counted_runs(data, grammar_for_system("cart_pole"), config, seeds=[1000])
     for name in ("draws", "valid", "trees_built", "distinct_keys", "fitness_evaluations"):
         assert counts[name] > 0, name
     assert counts["valid"] <= counts["draws"]
@@ -237,7 +238,7 @@ def test_bench_ga_counts_reach_the_functions_run_ga_calls(monkeypatch):
     # and so would a part's timer read 0 seconds
     patch_points = (ga._mutants, ga._random_decoded, ga._build, ga.Scorer)
     grammar = grammar_for_system("cart_pole")
-    parts = bench_ga.part_seconds(data, grammar, settings, seeds=[1000])
+    parts = bench_ga.part_seconds(data, grammar, config, seeds=[1000])
     assert list(parts) == ["draw", "build", "score", "rest"]
     assert all(seconds > 0.0 for seconds in parts.values()), parts
     assert (ga._mutants, ga._random_decoded, ga._build, ga.Scorer) == patch_points

@@ -243,13 +243,19 @@ DECAY = {"rhs": ["-0.5 * x1"], "initial_state": [1.0]}
          "config key 'constant_pools.lotka_voltera' names no system"),
         ({"sindy": {"basis": {"lotka_voltera": "lotka_volterra"}}},
          "config key 'sindy.basis.lotka_voltera' names no system"),
+        ({"sindy": {"solver": {"max_iterations": 50}}},
+         "config section 'sindy.solver' has unknown key 'max_iterations'"),
+        ({"systems": {"a/b": {"rhs": ["x2", "-x1"], "initial_state": [1.0, 0.0]}},
+          "sindy": {"basis": {"a/b": ["x1", "x2"]}}},
+         "config section 'systems.a/b': name must be an identifier, got 'a/b'"),
     ]],
     ids=["pool not a list", "sample_dt string", "unknown top-level key", "unknown ga key",
          "unknown systems key", "unknown solver key", "unknown solver kind", "ga seed",
          "bool for int", "float for int", "string for list", "3-element span",
          "null population", "number for basis", "unparsable basis string",
          "unknown basis preset", "preset reads a variable the system lacks",
-         "ga entry of no system", "constant pool of no system", "basis of no system"],
+         "ga entry of no system", "constant pool of no system", "basis of no system",
+         "solver iteration cap", "system name with a slash"],
 )
 def test_malformed_config_exits_one_naming_the_key(tmp_path, capsys, monkeypatch,
                                                    method, payload, message):

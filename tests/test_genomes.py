@@ -428,6 +428,14 @@ def test_random_genome_refuses_a_length_below_one(length):
         random_genome(length, LV, np.random.default_rng(0))
 
 
+def test_mutate_refuses_a_genome_of_no_bits():
+    # it used to draw max_attempts empty flips and raise SamplingError
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match=r"^length must be >= 1$"):
+        mutate(Genome(()), LV, rng)
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+
 @pytest.mark.parametrize("max_attempts", [0, -1])
 @pytest.mark.parametrize("draw", ["random_genome", "mutate"])
 def test_draws_refuse_max_attempts_below_one(draw, max_attempts):

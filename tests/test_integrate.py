@@ -859,7 +859,7 @@ def _case_system(case):
         rng = np.random.default_rng(9)
         a = rng.standard_normal((9, 9)) - 2.0 * np.eye(9)
         return SystemSpec(
-            name=case,
+            name="linear_9",
             rhs=lambda t, x: a @ x + math.sin(t),
             initial_state=tuple(rng.standard_normal(9).tolist()),
             train_span=(0.0, 3.0),

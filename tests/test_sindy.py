@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from odesr import sindy
 from odesr.candidates import fitness
 from odesr.expressions import Const, evaluate_batch, parse_expr, print_expr
 from odesr.integrate import RegressionDataset, make_dataset, make_trajectory
@@ -16,7 +19,7 @@ from odesr.sindy import (
     preset_basis,
     stlsq,
 )
-from odesr.systems import lotka_volterra, simple_pendulum
+from odesr.systems import simple_pendulum
 
 
 def exact_dataset(system, split="train"):
@@ -79,9 +82,8 @@ def test_cartpole_f27_is_transcribed():
     "make, field, values",
     [
         (lambda v: STLSQConfig(threshold=v), "threshold", (0.0, -1.0, math.nan)),
-        (lambda v: STLSQConfig(max_iterations=v), "max_iterations", (0, -1)),
     ],
-    ids=["stlsq threshold", "stlsq max_iterations"],
+    ids=["stlsq threshold"],
 )
 def test_config_validation(make, field, values):
     # NaN compares false both ways: a NaN threshold used to fit the model 0.0
@@ -136,63 +138,156 @@ def synthetic_system(seed=0, n=100):
 
 def test_stlsq_recovers_planted_support():
     a, b = synthetic_system()
-    res = stlsq(a, b, threshold=0.1)
-    assert res.weights == pytest.approx([-3.0, 1.0, 0, 0, 0], abs=1e-8)
-    assert res.warnings == ()
+    weights, warnings = stlsq(a, b, 0.1)
+    assert weights == pytest.approx([-3.0, 1.0, 0, 0, 0], abs=1e-8)
+    assert warnings == ()
 
 
 def test_stlsq_zero_target():
     a, _ = synthetic_system()
-    res = stlsq(a, np.zeros(a.shape[0]))
-    assert np.all(res.weights == 0.0)
+    weights, _ = stlsq(a, np.zeros(a.shape[0]), 0.05)
+    assert np.all(weights == 0.0)
 
 
 def test_stlsq_threshold_kills_everything():
     a, b = synthetic_system()
-    res = stlsq(a, b, threshold=10.0)
-    assert np.all(res.weights == 0.0)
+    weights, _ = stlsq(a, b, 10.0)
+    assert np.all(weights == 0.0)
 
 
 def test_stlsq_support_is_fixed_point():
     a, b = synthetic_system(3)
-    res = stlsq(a, b, threshold=0.1)
-    support = res.weights != 0
+    weights, _ = stlsq(a, b, 0.1)
+    support = weights != 0
     again, _ = np.linalg.lstsq(a[:, support], b, rcond=None)[:2]
     assert np.all(np.abs(again) >= 0.1)
-    assert again == pytest.approx(res.weights[support], abs=1e-10)
+    assert again == pytest.approx(weights[support], abs=1e-10)
 
 
 def test_stlsq_rank_deficient_uses_ridge():
     a, b = synthetic_system()
     dup = np.hstack([a, a[:, :1]])  # exact duplicate column
-    res = stlsq(dup, b, threshold=0.1)
-    assert "rank_deficient" in res.warnings
-    pred = dup @ res.weights
+    weights, warnings = stlsq(dup, b, 0.1)
+    assert "rank_deficient" in warnings
+    pred = dup @ weights
     assert pred == pytest.approx(b, abs=1e-6)
-    assert res.weights[-1] == 0.0  # the later copy is the dependent one
+    assert weights[-1] == 0.0  # the later copy is the dependent one
 
 
 def test_stlsq_fewer_samples_than_columns_fits_first_columns():
     rng = np.random.default_rng(8)
     a = rng.normal(size=(4, 6))
     b = rng.normal(size=4)
-    res = stlsq(a, b, threshold=1e-6)
+    weights, warnings = stlsq(a, b, 1e-6)
     expected = np.linalg.solve(a[:, :4], b)
-    assert "rank_deficient" in res.warnings
-    assert res.weights[:4] == pytest.approx(expected, abs=1e-10)
-    assert np.all(res.weights[4:] == 0.0)
-    assert a @ res.weights == pytest.approx(b, abs=1e-10)
+    assert "rank_deficient" in warnings
+    assert weights[:4] == pytest.approx(expected, abs=1e-10)
+    assert np.all(weights[4:] == 0.0)
+    assert a @ weights == pytest.approx(b, abs=1e-10)
 
 
-def test_stlsq_reports_running_out_of_iterations():
-    # the forward-difference Lotka-Volterra fit settles in its second solve
-    data = make_dataset(lotka_volterra(), 0.1, "train")
-    basis = preset_basis("lotka_volterra")
-    cut = fit(basis, data, STLSQConfig(max_iterations=1))
-    settled = fit(basis, data, STLSQConfig(max_iterations=2))
-    assert cut.warnings == ("rank_deficient", "stlsq_no_convergence")
-    assert settled.warnings == ("rank_deficient",)
-    assert settled.weights.tobytes() == fit(basis, data).weights.tobytes()
+def capped_stlsq(a, b, threshold, max_iterations):
+    """STLSQ as it was with an iteration cap, kept as the reference for
+    the loop that runs until its active set stops shrinking."""
+    p = a.shape[1]
+    warnings: list[str] = []
+    active = np.ones(p, dtype=bool)
+    w = np.zeros(p)
+    for _ in range(max_iterations):
+        if not active.any():
+            break
+        sol, deficient = sindy._lstsq_independent(a[:, active], b)
+        if deficient and "rank_deficient" not in warnings:
+            warnings.append("rank_deficient")
+        w = np.zeros(p)
+        w[active] = sol
+        keep = np.abs(w) >= threshold
+        w[~keep] = 0.0
+        if np.array_equal(keep, active):
+            break
+        active = keep
+    else:
+        warnings.append("stlsq_no_convergence")
+    return w, tuple(warnings)
+
+
+def shrinking_chain(p, threshold, q):
+    """A design on which each STLSQ solve drops only its last column, so
+    the loop takes p solves. Column j (from 1) is (e_j + e_{j+1}) / (q
+    threshold (j + 1)) and b = e_1. On the first m columns least squares
+    gives column j a weight of magnitude q threshold (m - j + 1)(j + 1) /
+    (m + 1): q threshold, below the threshold, for j = m, and at least the
+    threshold for every j < m when 3/4 <= q < 1."""
+    scale = 1.0 / (q * threshold * np.arange(2, p + 2))
+    a = np.zeros((p + 1, p))
+    a[np.arange(p), np.arange(p)] = scale
+    a[np.arange(1, p + 1), np.arange(p)] = scale
+    b = np.zeros(p + 1)
+    b[0] = 1.0
+    return a, b
+
+
+@st.composite
+def stlsq_designs(draw):
+    """(a, b, threshold) of 1 to 80 columns: random (with fewer samples than
+    columns, correlated or duplicated columns among them) or a shrinking
+    chain."""
+    p = draw(st.integers(1, 80))
+    threshold = draw(st.floats(1e-3, 10.0))
+    kind = draw(st.sampled_from(["random", "correlated", "duplicated", "chain"]))
+    if kind == "chain":
+        a, b = shrinking_chain(p, threshold, draw(st.floats(0.8, 0.95)))
+        return a, b, threshold
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 120))
+    a = rng.standard_normal((n, p))
+    if kind == "correlated":
+        a = a @ (np.eye(p) + rng.random() * rng.standard_normal((p, p)))
+    elif kind == "duplicated":
+        a[:, p // 2:] = 2.0 * a[:, : p - p // 2]
+    magnitudes = np.exp(rng.uniform(-6.0, 2.0, size=p)) * rng.choice([-1.0, 1.0], size=p)
+    b = a @ magnitudes + rng.uniform(0.0, 1.0) * rng.standard_normal(n)
+    return a, b, threshold
+
+
+@settings(max_examples=300, deadline=None)
+@given(stlsq_designs())
+def test_stlsq_stops_when_its_active_set_does(design):
+    # the old 50-solve cap was reachable: a chain of more columns needs a
+    # solve per column, and the uncapped loop matches the capped one given
+    # a cap it cannot reach
+    a, b, threshold = design
+    p = a.shape[1]
+    supports: list[list[int]] = []
+
+    def recording(sub, target):
+        # a[:, active] keeps the order of a, so each column is the next
+        # equal one of a
+        left = iter(range(p))
+        supports.append([next(j for j in left if np.array_equal(a[:, j], col)) for col in sub.T])
+        return solve(sub, target)
+
+    solve = sindy._lstsq_independent
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sindy, "_lstsq_independent", recording)
+        weights, warnings = stlsq(a, b, threshold)
+    assert 1 <= len(supports) <= p
+    assert supports[0] == list(range(p))
+    for before, after in zip(supports, supports[1:]):
+        assert set(after) < set(before)
+    expected_weights, expected_warnings = capped_stlsq(a, b, threshold, p + 1)
+    assert weights.tobytes() == expected_weights.tobytes()
+    assert warnings == expected_warnings
+
+
+@pytest.mark.parametrize("p", [51, 80])
+def test_stlsq_outlasts_the_old_cap(p):
+    # the chain drops one column a solve until none is left
+    a, b = shrinking_chain(p, 0.05, 0.9)
+    weights, warnings = stlsq(a, b, 0.05)
+    assert not weights.any()
+    assert warnings == ()
+    assert capped_stlsq(a, b, 0.05, 50)[1] == ("stlsq_no_convergence",)
 
 
 # ----------------------------------------------------------------------- fit

@@ -196,13 +196,17 @@ def test_expression_system_refuses_names_that_do_not_read_back(names):
         ({"test_span": (10.0, 10.0)}, r"^test_span must increase, got \(10\.0, 10\.0\)$"),
         ({"target_dim": 2}, "^target_dim out of range$"),
         ({"target_dim": -1}, "^target_dim out of range$"),
+        ({"name": "a/b"}, r"^name must be an identifier, got 'a/b'$"),
+        ({"name": "lotka volterra"}, r"^name must be an identifier, got 'lotka volterra'$"),
     ],
     ids=["test span after a gap", "train span reversed", "empty test span",
-         "target past the state", "negative target"],
+         "target past the state", "negative target", "slash in the name",
+         "space in the name"],
 )
 def test_system_variants_must_keep_the_trajectory_rules(changes, message):
     # a test split after a gap started from the train end state, so the
-    # truth's test_error read 0.0; a target past the state raised IndexError
+    # truth's test_error read 0.0; a target past the state raised IndexError;
+    # a name with a slash wrote table.csv, then failed opening its run files
     with pytest.raises(ValueError, match=message):
         dataclasses.replace(lotka_volterra(), **changes)
 
