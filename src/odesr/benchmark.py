@@ -249,8 +249,6 @@ def run_fit(
         best, front = run_pipeline(data, feynman)
         pareto = pareto_rows(front, names)
         warnings = ["DynAIFeynman-lite"]
-        if front.truncated:
-            warnings.append("brute_force truncated by time_budget")
     else:
         raise ValueError(f"unknown method {method!r}")
     record = {

@@ -29,20 +29,9 @@ class CandidateSolution:
     genome: Genome | None = None
 
 
-def rmse(pred: np.ndarray, targets: np.ndarray) -> float:
-    """Root mean squared error of pred against targets; +inf if any
-    prediction is not finite, the error overflows or pred is empty."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        # a finite sum proves every prediction finite, as in
-        # expressions._contain; an inf - inf in that sum stays silent
-        total = float(np.add.reduce(pred, axis=None))
-        if not math.isfinite(total) and not np.isfinite(pred).all():
-            return math.inf
-        return _finite_rmse(pred, targets)
-
-
 def _finite_rmse(pred: np.ndarray, targets: np.ndarray) -> float:
-    # rmse once pred is known finite; call under errstate(over, invalid)
+    # the RMSE of pred, known finite, against targets; +inf if the error
+    # overflows or pred is empty; call under errstate(over, invalid)
     err = pred - targets
     sq = err * err
     # np.mean's pairwise sum and division, bit for bit
@@ -88,11 +77,12 @@ class Scorer:
         return values
 
     def __call__(self, expr: Expr) -> float:
-        """rmse(evaluate_batch(expr, times, states), targets), bit for bit,
-        from one walk of expr that stops at the first node, leaves included,
-        that is not finite at some row: the score is then +inf, and no nan
-        is masked. Call it under np.errstate(all="ignore"), as run_ga does
-        once for a whole run."""
+        """The RMSE of evaluate_batch(expr, times, states) against the
+        targets, bit for bit as np.sqrt(np.mean(err * err)), or +inf when
+        the error overflows; from one walk of expr that stops at the first
+        node, leaves included, that is not finite at some row: the score is
+        then +inf, and no nan is masked. Call it under
+        np.errstate(all="ignore"), as run_ga does once for a whole run."""
         return _score(expr, self.leaf, self.targets)
 
 

@@ -7,8 +7,6 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-import time
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -49,7 +47,6 @@ class FeynmanConfig:
     max_brute_nodes: int = 7
     unary_set: tuple[str, ...] = tuple(UNARY_UFUNC)
     binary_set: tuple[str, ...] = tuple(BINARY_UFUNC)
-    time_budget: float | None = None
 
     def __post_init__(self):
         self.unary_set = tuple(self.unary_set)
@@ -67,18 +64,13 @@ class FeynmanConfig:
         ops = self.unary_set + self.binary_set
         if len(set(ops)) < len(ops):
             raise ValueError(f"an op is listed twice: {ops}")
-        if self.time_budget is not None and not (self.time_budget >= 0):  # NaN fails too
-            raise ValueError("time_budget must be non-negative")
 
 
 @dataclass(frozen=True)
 class ParetoFront:
-    """Candidates sorted by complexity with strictly decreasing RMSE.
-    `truncated` records that time_budget cut the brute force short, so
-    the front may miss candidates a full search would find."""
+    """Candidates sorted by complexity with strictly decreasing RMSE."""
 
     candidates: tuple[CandidateSolution, ...]
-    truncated: bool = False
 
     def __post_init__(self):
         comps = [c.complexity for c in self.candidates]
@@ -173,9 +165,7 @@ def brute_force(
     Returns every fitted candidate size by size (unary ops, then binary),
     with constants and RMSEs bit-identical to a per-skeleton fit. A search
     that only needs the best fit at each complexity (run_pipeline) reads
-    the same enumeration without building the full list. When time_budget
-    cuts the enumeration short, the candidates fitted so far are returned
-    with a RuntimeWarning.
+    the same enumeration without building the full list.
     """
     cfg = config if config is not None else FeynmanConfig()
     candidates: list[CandidateSolution] = []
@@ -187,8 +177,7 @@ def brute_force(
             for skel, ci, ri in zip(skeletons(rows), c[rows].tolist(), r.tolist())
         )
 
-    if _enumerate(data, cfg, variables, collect):
-        warnings.warn("brute_force truncated by time_budget", RuntimeWarning, stacklevel=2)
+    _enumerate(data, cfg, variables, collect)
     # the top size's unary skeletons come with the blocks of the size below;
     # a stable sort by (complexity, unary root op) puts them back in order
     rank = {op: i for i, op in enumerate(cfg.unary_set)}
@@ -201,7 +190,7 @@ def brute_force(
     return candidates
 
 
-def _enumerate(data, cfg: FeynmanConfig, variables, consume) -> bool:
+def _enumerate(data, cfg: FeynmanConfig, variables, consume) -> None:
     """Evaluate and fit every skeleton of brute_force's search in blocks of
     rows, and pass each fitted block to
     `consume(complexity, c, rmse, ok, contenders, skeletons)`: the fitted
@@ -210,7 +199,6 @@ def _enumerate(data, cfg: FeynmanConfig, variables, consume) -> bool:
     gives those of the rows whose exact RMSE is finite and those RMSEs,
     `contenders(best)` the rows in the mask that may have the block's
     lowest RMSE, if at most `best`, and `skeletons(rows)` the rows' trees.
-    Returns whether time_budget cut the enumeration short.
 
     Sizes come in turn, unary ops before binary ones, but each block of
     the size below the top is followed by its unary ops at the top size,
@@ -224,7 +212,7 @@ def _enumerate(data, cfg: FeynmanConfig, variables, consume) -> bool:
     # size -> the entries' trees, below top; a block's `at` is its first entry
     trees: dict[int, _Trees] = {}
     try:
-        return _enumerate_sizes(data, cfg, variables, consume, trees)
+        _enumerate_sizes(data, cfg, variables, consume, trees)
     finally:
         # each _Trees holds grow, which reads trees: cleared, the node tables
         # and block buffers go on return rather than at the next cyclic
@@ -232,16 +220,13 @@ def _enumerate(data, cfg: FeynmanConfig, variables, consume) -> bool:
         trees.clear()
 
 
-def _enumerate_sizes(data, cfg: FeynmanConfig, variables, consume, trees: dict) -> bool:
+def _enumerate_sizes(data, cfg: FeynmanConfig, variables, consume, trees: dict) -> None:
     """_enumerate, with `trees` to fill."""
     states = data.states
     targets = np.asarray(data.targets, dtype=float)
     n = len(targets)
     k = states.shape[1]
     vars_ = tuple(range(k)) if variables is None else tuple(variables)
-    deadline = None
-    if cfg.time_budget is not None:
-        deadline = time.monotonic() + cfg.time_budget
     ops = cfg.unary_set + cfg.binary_set
     top = cfg.max_brute_nodes
 
@@ -350,8 +335,6 @@ def _enumerate_sizes(data, cfg: FeynmanConfig, variables, consume, trees: dict) 
             kept = 0
             # the top size's unary skeletons were fitted with the size below
             for op in cfg.unary_set if size < top else ():
-                if deadline is not None and time.monotonic() > deadline:
-                    return True
                 fn = UNARY_UFUNC[op]
                 child_strs, child_values = table[size - 1]
                 for lo in range(0, len(child_strs), _CHUNK_ROWS):
@@ -371,8 +354,6 @@ def _enumerate_sizes(data, cfg: FeynmanConfig, variables, consume, trees: dict) 
             for op in cfg.binary_set:
                 fn = BINARY_UFUNC[op]
                 for left_size in range(1, size - 1):
-                    if deadline is not None and time.monotonic() > deadline:
-                        return True
                     right_size = size - 1 - left_size
                     left_strs, left_values = table[left_size]
                     right_strs, right_values = table[right_size]
@@ -404,7 +385,6 @@ def _enumerate_sizes(data, cfg: FeynmanConfig, variables, consume, trees: dict) 
                             )
             if keep:
                 table[size] = (grown_strs, grown_values[:kept])
-    return False
 
 
 class _Trees(dict):
@@ -553,12 +533,11 @@ def pareto_front(candidates) -> ParetoFront:
     return ParetoFront(tuple(kept))
 
 
-def _search(data, cfg: FeynmanConfig, variables, bests: _BestPerComplexity) -> bool:
-    """Offer every polynomial fit and brute-force fit of data to bests;
-    returns whether time_budget cut the brute force short."""
+def _search(data, cfg: FeynmanConfig, variables, bests: _BestPerComplexity) -> None:
+    """Offer every polynomial fit and brute-force fit of data to bests."""
     for degree in range(1, cfg.max_poly_degree + 1):
         bests.offer(polyfit(data, degree, variables=variables))
-    return _enumerate(data, cfg, variables, bests.block)
+    _enumerate(data, cfg, variables, bests.block)
 
 
 def run_pipeline(data: RegressionDataset, config: FeynmanConfig | None = None):
@@ -570,19 +549,18 @@ def run_pipeline(data: RegressionDataset, config: FeynmanConfig | None = None):
     the front are the same as over the full brute_force list."""
     cfg = config if config is not None else FeynmanConfig()
     bests = _BestPerComplexity()
-    truncated = _search(data, cfg, None, bests)
+    _search(data, cfg, None, bests)
     split = separability_split(data)
     if split is not None:
         vars_a, vars_b, data_a, data_b = split
         parts = []
         for vars_x, data_x in ((vars_a, data_a), (vars_b, data_b)):
             part = _BestPerComplexity()
-            truncated |= _search(data_x, cfg, vars_x, part)
+            _search(data_x, cfg, vars_x, part)
             parts.append(part.best())
         combined = Binary("add", parts[0].expr, parts[1].expr)
         bests.offer(make_candidate(combined, data))
-    front = pareto_front(bests.at.values())
-    return bests.best(), replace(front, truncated=truncated)
+    return bests.best(), pareto_front(bests.at.values())
 
 
 def pareto_rows(front: ParetoFront, variable_names=None) -> list[dict]:

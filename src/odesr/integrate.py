@@ -138,6 +138,8 @@ class IntegrationError(RuntimeError):
 def sample_grid(t0: float, t1: float, sample_dt: float) -> np.ndarray:
     if not (0 < sample_dt < math.inf):  # NaN fails too
         raise ValueError("sample_dt must be positive and finite")
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError(f"span {(t0, t1)} must have finite ends")
     n_float = (t1 - t0) / sample_dt
     n = round(n_float)
     if n < 1 or abs(n_float - n) > 1e-9:

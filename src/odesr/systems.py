@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -23,7 +23,9 @@ class SystemSpec:
     x a float64 ndarray of length dim, and returns the derivative as an
     ndarray of length dim. The test split is integrated on from the last
     train state, so test_span must start where train_span ends. The name
-    is an identifier, as it is part of the run files' names."""
+    is an identifier, as it is part of the run files' names, and so is each
+    variable name, one per dimension, as printed expressions must parse
+    back."""
 
     name: str
     rhs: Callable[[float, np.ndarray], np.ndarray]
@@ -38,10 +40,17 @@ class SystemSpec:
             raise ValueError(f"name must be an identifier, got {self.name!r}")
         if not 0 <= self.target_dim < self.dim:
             raise ValueError("target_dim out of range")
+        names = self.variable_names
+        if len(names) != self.dim:
+            raise ValueError("one variable name per dimension")
+        if len(set(names)) < len(names) or not all(re.fullmatch(NAME, v) for v in names):
+            raise ValueError(f"variable names must be distinct identifiers, got {names}")
         for key in ("train_span", "test_span"):
             span = getattr(self, key)
             if not span[1] > span[0]:  # NaN fails too
                 raise ValueError(f"{key} must increase, got {span}")
+            if not (math.isfinite(span[0]) and math.isfinite(span[1])):
+                raise ValueError(f"{key} must have finite ends, got {span}")
         if self.test_span[0] != self.train_span[1]:
             raise ValueError(
                 "test_span must start where train_span ends, "
@@ -160,30 +169,27 @@ def expression_system(
     k = len(rhs_strings)
     if k == 0:
         raise ValueError("need at least one dimension")
-    if variable_names is None:
-        variable_names = tuple(f"x{i + 1}" for i in range(k))
-    else:
-        variable_names = tuple(variable_names)
-    if len(variable_names) != k:
-        raise ValueError("one variable name per dimension")
-    if len(set(variable_names)) < k or not all(re.fullmatch(NAME, v) for v in variable_names):
-        raise ValueError(f"variable names must be distinct identifiers, got {variable_names}")
-    exprs = tuple(parse_expr(s, variable_names) for s in rhs_strings)
     initial_state = tuple(float(v) for v in initial_state)
     if len(initial_state) != k:
         raise ValueError("initial_state length must match dimension count")
+    if variable_names is None:
+        variable_names = tuple(f"x{i + 1}" for i in range(k))
     if target_dim is None:
         target_dim = k - 1
     train_span = (float(train_span[0]), float(train_span[1]))
     if test_span is None:
         test_span = (train_span[1], train_span[1] + (train_span[1] - train_span[0]) / 2)
     test_span = (float(test_span[0]), float(test_span[1]))
-    return SystemSpec(
+    system = SystemSpec(
         name=name,
-        rhs=compile_components(exprs),
+        rhs=None,
         initial_state=initial_state,
         train_span=train_span,
         test_span=test_span,
         target_dim=int(target_dim),
-        variable_names=variable_names,
+        variable_names=tuple(variable_names),
     )
+    # parsed once the names are checked, so that a bad name is refused as
+    # such and not as an unknown identifier in the strings
+    exprs = tuple(parse_expr(s, system.variable_names) for s in rhs_strings)
+    return replace(system, rhs=compile_components(exprs))

@@ -1,6 +1,9 @@
 import json
+import math
 import re
+from dataclasses import is_dataclass
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
@@ -248,6 +251,10 @@ DECAY = {"rhs": ["-0.5 * x1"], "initial_state": [1.0]}
         ({"systems": {"a/b": {"rhs": ["x2", "-x1"], "initial_state": [1.0, 0.0]}},
           "sindy": {"basis": {"a/b": ["x1", "x2"]}}},
          "config section 'systems.a/b': name must be an identifier, got 'a/b'"),
+        ({"feynman": {"time_budget": 1}},
+         "config section 'feynman' has unknown key 'time_budget'"),
+        ({"systems": {"decay": {**DECAY, "test_span": [10, math.inf]}}},
+         "config section 'systems.decay': test_span must have finite ends, got (10.0, inf)"),
     ]],
     ids=["pool not a list", "sample_dt string", "unknown top-level key", "unknown ga key",
          "unknown systems key", "unknown solver key", "unknown solver kind", "ga seed",
@@ -255,12 +262,14 @@ DECAY = {"rhs": ["-0.5 * x1"], "initial_state": [1.0]}
          "null population", "number for basis", "unparsable basis string",
          "unknown basis preset", "preset reads a variable the system lacks",
          "ga entry of no system", "constant pool of no system", "basis of no system",
-         "solver iteration cap", "system name with a slash"],
+         "solver iteration cap", "system name with a slash", "brute-force time budget",
+         "infinite test span end"],
 )
 def test_malformed_config_exits_one_naming_the_key(tmp_path, capsys, monkeypatch,
                                                    method, payload, message):
     # each used to exit 0 with the value ignored or replaced, or exit 1 with
-    # a message that named no key; a basis entry was built only by a sindy run
+    # a message that named no key; a basis entry was built only by a sindy run;
+    # an infinite span end passed, then made `odesr eval` crash in sample_grid
     def no_fit(*args, **kwargs):
         raise AssertionError("a fit started")
 
@@ -376,7 +385,7 @@ def test_ga_entries_are_built_over_their_system_defaults(tmp_path):
 @pytest.mark.parametrize(
     "payload",
     [
-        {"feynman": {"time_budget": None}},
+        {"systems": {"decay": {**DECAY, "variable_names": None}}},
         {"systems": {"decay": {**DECAY, "target_dim": None}}},
         {
             "sample_dt": 1,
@@ -385,16 +394,60 @@ def test_ga_entries_are_built_over_their_system_defaults(tmp_path):
             "ga": {"decay": {"mutation_rate": 0, "selection_fraction": 0.25}},
             "constant_pools": {"decay": [1, 2]},
             "sindy": {"solver": {"threshold": 1}},
-            "feynman": {"time_budget": 5},
         },
     ],
-    ids=["null time_budget", "null target_dim", "ints for floats"],
+    ids=["null variable_names", "null target_dim", "ints for floats"],
 )
 def test_config_accepts_null_where_optional_and_ints_for_floats(tmp_path, payload):
     config = load_config(write_config(tmp_path, {"systems": {"decay": DECAY}, **payload}))
     system = resolve_system("decay", config)
     for method in METHODS:
         fit_kwargs(method, system, config)
+
+
+def config_leaf_paths(shape, path=""):
+    """The dotted key paths of CONFIG_SHAPE's settable values, a section
+    keyed by system name written as <name>."""
+    if get_origin(shape) is dict:
+        return config_leaf_paths(get_args(shape)[1], f"{path}.<name>")
+    if is_dataclass(shape):
+        shape = get_type_hints(shape)
+    if not isinstance(shape, dict):
+        return [path]
+    return [
+        leaf
+        for key, value in shape.items()
+        for leaf in config_leaf_paths(value, f"{path}.{key}" if path else key)
+    ]
+
+
+def test_config_file_settable_values_are_these():
+    # a knob added to or dropped from the config file must be added to or
+    # dropped from this list
+    assert config_leaf_paths(cli.CONFIG_SHAPE) == [
+        "sample_dt",
+        "integrator.rtol",
+        "integrator.atol",
+        "integrator.max_steps",
+        "systems.<name>.rhs",
+        "systems.<name>.initial_state",
+        "systems.<name>.train_span",
+        "systems.<name>.test_span",
+        "systems.<name>.target_dim",
+        "systems.<name>.variable_names",
+        "ga.<name>.population_size",
+        "ga.<name>.bitstring_length",
+        "ga.<name>.iterations",
+        "ga.<name>.mutation_rate",
+        "ga.<name>.selection_fraction",
+        "constant_pools.<name>",
+        "sindy.basis.<name>",
+        "sindy.solver.threshold",
+        "feynman.max_poly_degree",
+        "feynman.max_brute_nodes",
+        "feynman.unary_set",
+        "feynman.binary_set",
+    ]
 
 
 def test_readme_config_example_loads(tmp_path):

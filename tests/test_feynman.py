@@ -2,8 +2,6 @@ import gc
 import itertools
 import math
 import tracemalloc
-import types
-import warnings
 
 import numpy as np
 import pytest
@@ -377,7 +375,7 @@ def test_brute_force_matches_reference_at_top_size_edges(case):
     assert [c.expr.left.value.hex() for c in got] == [e.left.value.hex() for e, _ in want]
 
     bests = feynman._BestPerComplexity()
-    assert feynman._enumerate(data, cfg, None, bests.block) is False
+    feynman._enumerate(data, cfg, None, bests.block)
     full = [CandidateSolution(e, rmse, complexity(e)) for e, rmse in want]
     assert {
         comp: (c.train_rmse.hex(), print_expr(c.expr)) for comp, c in bests.at.items()
@@ -437,74 +435,6 @@ def test_brute_force_deterministic(planted_sine):
     b = brute_force(planted_sine, cfg)
     assert [print_expr(c.expr) for c in a] == [print_expr(c.expr) for c in b]
     assert [c.train_rmse for c in a] == [c.train_rmse for c in b]
-
-
-def test_brute_force_time_budget_truncates(planted_sine):
-    cfg = FeynmanConfig(max_brute_nodes=6, time_budget=0.0)
-    with pytest.warns(RuntimeWarning, match="^brute_force truncated by time_budget$"):
-        cands = brute_force(planted_sine, cfg)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # a full search does not warn
-        full = brute_force(planted_sine, FeynmanConfig(max_brute_nodes=6))
-    assert len(cands) < len(full)
-
-
-def test_time_budget_expiring_below_the_top_size_truncates(monkeypatch, planted_sine):
-    """A budget that runs out while the size below the top is enumerated
-    (and the top size's unary skeletons with it) stops the search and
-    reports the cut."""
-    top = 5
-    clock = [0.0]
-    monkeypatch.setattr(feynman, "time", types.SimpleNamespace(monotonic=lambda: clock[0]))
-    roots = {}
-
-    def consume(comp, c, rmse, ok, contenders, skeletons):
-        made = skeletons(np.flatnonzero(ok))
-        roots.setdefault(comp, set()).update(type(t).__name__ for t in made)
-        if comp == top + 1:
-            clock[0] = 1.0
-
-    cfg = FeynmanConfig(max_brute_nodes=top, time_budget=0.5)
-    assert feynman._enumerate(planted_sine, cfg, None, consume) is True
-    # cut after the first unary op of the size below: the top size got
-    # unary skeletons only
-    assert roots[top + 1] == {"Unary"}
-    assert roots[top + 2] == {"Unary"}
-
-    block = feynman._BestPerComplexity.block
-
-    def advancing(self, comp, *fitted):
-        if comp == top + 1:
-            clock[0] = 1.0
-        block(self, comp, *fitted)
-
-    clock[0] = 0.0
-    monkeypatch.setattr(feynman._BestPerComplexity, "block", advancing)
-    _, front = run_pipeline(planted_sine, cfg)
-    assert front.truncated
-
-
-def test_time_budget_expiring_between_binary_ops_truncates(monkeypatch, planted_sine):
-    """A budget that runs out while a size's first binary op is enumerated
-    stops the search before the next binary op: the first op's skeletons
-    of that size are fitted, the second op's are not."""
-    expired = False
-
-    def add(*args, **kwargs):
-        nonlocal expired
-        expired = True
-        return np.add(*args, **kwargs)
-
-    clock = types.SimpleNamespace(monotonic=lambda: 1.0 if expired else 0.0)
-    monkeypatch.setattr(feynman, "time", clock)
-    monkeypatch.setitem(feynman.BINARY_UFUNC, "add", add)
-    cfg = FeynmanConfig(max_brute_nodes=4, time_budget=0.5)
-    with pytest.warns(RuntimeWarning, match="^brute_force truncated by time_budget$"):
-        cands = brute_force(planted_sine, cfg)
-    # size 3 (complexity 5) is the first size with binary skeletons
-    roots = {c.expr.right.op for c in cands if c.complexity == 5}
-    assert roots == {"sin", "cos", "log", "exp", "add"}
-    assert max(c.complexity for c in cands) == 6  # the unary ops of the top size
 
 
 def test_pipeline_never_holds_the_top_size_table():
@@ -978,7 +908,6 @@ def test_run_pipeline_matches_full_list_reference(case, monkeypatch):
     assert [
         (c.complexity, c.train_rmse.hex(), print_expr(c.expr)) for c in front.candidates
     ] == [(c.complexity, c.train_rmse.hex(), print_expr(c.expr)) for c in want_front]
-    assert not front.truncated
     assert 0 < built <= records
 
 
@@ -1073,10 +1002,6 @@ def test_config_validation():
         FeynmanConfig(unary_set=("sin", "cos", "sin"))
     with pytest.raises(ValueError, match="listed twice"):
         FeynmanConfig(binary_set=("add", "add"))
-    # NaN compares false both ways, so it used to pass and never cut the search
-    for budget in (-1.0, math.nan):
-        with pytest.raises(ValueError, match="time_budget"):
-            FeynmanConfig(time_budget=budget)
 
 
 def test_pareto_csv_round_trip(tmp_path, planted_sine):
@@ -1093,19 +1018,17 @@ def test_pareto_csv_round_trip(tmp_path, planted_sine):
     assert text.strip('"') == print_expr(first.expr, ("x1", "x2"))
 
 
-@pytest.mark.parametrize("time_budget", [None, 0.0], ids=["complete", "cut by the budget"])
-def test_enumeration_leaves_no_reference_cycle(time_budget):
+@pytest.mark.parametrize("max_brute_nodes", [4], ids=["complete"])
+def test_enumeration_leaves_no_reference_cycle(max_brute_nodes):
     # a cycle would keep the block buffers and node tables of each
     # enumeration until the next cyclic collection, so the allocations made
     # before a fit would set its peak memory
     data = make_dataset(get_system("cart_pole"), 0.1, "train")
-    cfg = FeynmanConfig(max_brute_nodes=4, time_budget=time_budget)
+    cfg = FeynmanConfig(max_brute_nodes=max_brute_nodes)
     gc.collect()
     gc.disable()
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # the budget's warning
-            run_pipeline(data, cfg)
+        run_pipeline(data, cfg)
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -79,6 +79,19 @@ def test_sample_grid_rejects_a_step_that_is_not_positive_and_finite(sample_dt):
         sample_grid(0.0, 10.0, sample_dt)
 
 
+@pytest.mark.parametrize(
+    "span", [(0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan)], ids=["inf", "-inf", "nan"]
+)
+def test_sample_grid_rejects_a_span_end_that_is_not_finite(span):
+    # an infinite end used to reach round() and fail with an OverflowError
+    message = r"^span \(.*\) must have finite ends$"
+    with pytest.raises(ValueError, match=message):
+        sample_grid(*span, 0.1)
+    if span[1] > span[0]:
+        with pytest.raises(ValueError, match=message):
+            integrate(lambda t, x: -x, [1.0], span, 0.1)
+
+
 def test_lotka_volterra_conserves_invariant():
     sys = lotka_volterra()
     traj = integrate(sys.rhs, sys.initial_state, sys.train_span, 0.1)

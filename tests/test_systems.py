@@ -198,15 +198,23 @@ def test_expression_system_refuses_names_that_do_not_read_back(names):
         ({"target_dim": -1}, "^target_dim out of range$"),
         ({"name": "a/b"}, r"^name must be an identifier, got 'a/b'$"),
         ({"name": "lotka volterra"}, r"^name must be an identifier, got 'lotka volterra'$"),
+        ({"variable_names": ("x",)}, "^one variable name per dimension$"),
+        ({"variable_names": ("x", "y", "z")}, "^one variable name per dimension$"),
+        ({"variable_names": ("x", "x")},
+         r"^variable names must be distinct identifiers, got \('x', 'x'\)$"),
+        ({"test_span": (10.0, math.inf)}, r"^test_span must have finite ends, got \(10\.0, inf\)$"),
     ],
     ids=["test span after a gap", "train span reversed", "empty test span",
          "target past the state", "negative target", "slash in the name",
-         "space in the name"],
+         "space in the name", "too few variable names", "too many variable names",
+         "variable name twice", "infinite test span end"],
 )
 def test_system_variants_must_keep_the_trajectory_rules(changes, message):
     # a test split after a gap started from the train end state, so the
     # truth's test_error read 0.0; a target past the state raised IndexError;
-    # a name with a slash wrote table.csv, then failed opening its run files
+    # a name with a slash wrote table.csv, then failed opening its run files;
+    # a short names tuple failed in print_expr after the fit, and an infinite
+    # span end in sample_grid with an OverflowError
     with pytest.raises(ValueError, match=message):
         dataclasses.replace(lotka_volterra(), **changes)
 
