@@ -39,6 +39,7 @@ from .integrate import (  # noqa: F401
     joined_splits,
     make_dataset,
     make_trajectory,
+    sample_grid,
     write_csv,
 )
 from .systems import SYSTEM_NAMES, SystemSpec, get_system
@@ -273,20 +274,22 @@ def run_benchmark(
     base_seed: int = 0,
     out_dir=None,
     sample_dt: float = 0.1,
+    integrator: IntegratorConfig | None = None,
     overrides: Callable[[str, SystemSpec], dict] | None = None,
     resolver=get_system,
 ) -> list[BenchmarkResult]:
     """Sweep methods over systems, each named at most once (None: all of
     them; an empty sequence is refused). Seeded methods run with seeds
     base_seed..base_seed+repetitions-1, base_seed >= 0; deterministic ones
-    run once with a std of 0. Each system is resolved once, so every
-    method reads the same trajectories. overrides(method, system) gives a
-    pair's extra run_fit keyword arguments (None: none); it is called for
-    every pair before the first fit. A run that fails numerically
-    (IntegrationError, SamplingError, LinAlgError) or on its configuration
-    (ValueError) is recorded and the sweep continues; any other exception
-    propagates, that of the earliest such run in sweep order when several
-    raise.
+    run once with a std of 0. Each system is resolved once and read at
+    sample_dt with integrator, so every method reads the same trajectories;
+    a sample_dt that cannot sample each span is refused before any fit.
+    overrides(method, system) gives a pair's search settings as run_fit
+    keyword arguments (None: none), called for every pair before the first
+    fit. A run that fails numerically (IntegrationError, SamplingError,
+    LinAlgError) or on its configuration (ValueError) is recorded and the
+    sweep continues; any other exception propagates, that of the earliest
+    such run in sweep order when several raise.
 
     The runs spread over the usable cores (see _outcomes). Every
     trajectory they read is integrated here first, so each integration
@@ -319,12 +322,15 @@ def run_benchmark(
         else [base_seed + i for i in range(repetitions)]
         for pair in pairs
     }
-    for (_, name), kwargs in pairs.items():
+    sampling = {"sample_dt": sample_dt, "integrator": integrator}  # one for every run
+    for system in resolved.values():
+        for span in (system.train_span, system.test_span):
+            sample_grid(*span, sample_dt)
         # the train split and the test split continued from it: run_fit's
         # dataset and test_error's trajectory. A failure is not kept, so
         # each run meets it again and records it
         try:
-            make_trajectory(resolved[name], "test", sample_dt, kwargs.get("integrator"))
+            make_trajectory(system, "test", sample_dt, integrator)
         except _RUN_FAILURES:
             pass
 
@@ -332,9 +338,7 @@ def run_benchmark(
         method, system_name = pair
         start = time.perf_counter()
         try:
-            record = run_fit(
-                method, resolved[system_name], seed=seed, sample_dt=sample_dt, **pairs[pair]
-            )
+            record = run_fit(method, resolved[system_name], seed=seed, **sampling, **pairs[pair])
         except _RUN_FAILURES as err:  # one divergent run must not kill the sweep
             record = {
                 "method": method,

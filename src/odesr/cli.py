@@ -11,6 +11,7 @@ import json
 import sys
 from dataclasses import is_dataclass, replace
 from functools import partial
+from inspect import Parameter, signature
 from pathlib import Path
 from types import NoneType, UnionType
 from typing import get_args, get_origin, get_type_hints
@@ -41,15 +42,9 @@ from .sindy import BasisSet, STLSQConfig, basis_from_strings, preset_basis
 from .systems import SYSTEM_NAMES, SystemSpec, expression_system, get_system
 
 
-# a systems.<name> entry: expression_system's arguments; needs rhs and initial_state
-_SYSTEM = {
-    "rhs": tuple[str, ...],
-    "initial_state": tuple[float, ...],
-    "train_span": tuple[float, float],
-    "test_span": tuple[float, float],
-    "target_dim": int | None,
-    "variable_names": tuple[str, ...] | None,
-}
+# a systems.<name> entry: expression_system's parameters after the name
+_SYSTEM = get_type_hints(expression_system)
+del _SYSTEM["name"], _SYSTEM["return"]
 
 # The config file's JSON shape: a dict is an object of those keys, a dataclass
 # an object of its fields (read as an instance), dict[str, X] an object of X keyed
@@ -129,14 +124,13 @@ def _built(build, where: str, fields: dict):
 
 
 def _system(name: str, entry: dict) -> SystemSpec:
-    """expression_system built from a systems.<name> entry."""
-    options = dict(entry)
-    try:
-        rhs, initial_state = options.pop("rhs"), options.pop("initial_state")
-    except KeyError as err:
-        raise ValueError(f"config section 'systems.{name}' has no key {err}") from None
-    build = partial(expression_system, name, rhs, initial_state)
-    return _built(build, f"config section 'systems.{name}'", options)
+    """expression_system built from a systems.<name> entry, which must set
+    each of its parameters that has no default."""
+    where = f"config section 'systems.{name}'"
+    for key, parameter in signature(expression_system).parameters.items():
+        if parameter.default is Parameter.empty and key != "name" and key not in entry:
+            raise ValueError(f"{where} has no key {key!r}")
+    return _built(partial(expression_system, name), where, entry)
 
 
 def _basis(entry, system: SystemSpec) -> BasisSet:
@@ -192,9 +186,9 @@ def resolve_system(name: str, config: dict) -> SystemSpec:
 
 
 def fit_kwargs(method: str, system, config: dict) -> dict:
-    """The run_fit keyword arguments that the loaded config sets for method
-    on system."""
-    kwargs: dict = {"integrator": config["integrator"]}
+    """The search settings, as run_fit keyword arguments, that the loaded
+    config sets for method on system."""
+    kwargs: dict = {}
     if method == "ga":
         kwargs["ga_config"] = config.get("ga", {}).get(system.name)
         kwargs["constant_pool"] = config.get("constant_pools", {}).get(system.name)
@@ -226,7 +220,7 @@ def cmd_fit(args, config: dict) -> int:
     system = resolve_system(args.system, config)
     kwargs = fit_kwargs(args.method, system, config)
     record = run_fit(
-        args.method, system, seed=args.seed, sample_dt=config["sample_dt"], **kwargs
+        args.method, system, args.seed, config["sample_dt"], config["integrator"], **kwargs
     )
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
     print(f"{record['expression']}  (test error {record['test_error']:.6g})")
@@ -272,6 +266,7 @@ def cmd_bench(args, config: dict) -> int:
         base_seed=args.seed,
         out_dir=args.out,
         sample_dt=config["sample_dt"],
+        integrator=config["integrator"],
         overrides=partial(fit_kwargs, config=config),
         resolver=partial(resolve_system, config=config),
     )

@@ -141,6 +141,8 @@ def sample_grid(t0: float, t1: float, sample_dt: float) -> np.ndarray:
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise ValueError(f"span {(t0, t1)} must have finite ends")
     n_float = (t1 - t0) / sample_dt
+    if not math.isfinite(n_float):
+        raise ValueError(f"span {(t0, t1)} holds too many steps of sample_dt={sample_dt}")
     n = round(n_float)
     if n < 1 or abs(n_float - n) > 1e-9:
         raise ValueError(

@@ -153,20 +153,20 @@ def get_system(name: str) -> SystemSpec:
 
 def expression_system(
     name: str,
-    rhs_strings,
-    initial_state,
-    train_span=(0.0, 10.0),
-    test_span=None,
+    rhs: tuple[str, ...],
+    initial_state: tuple[float, ...],
+    train_span: tuple[float, float] = (0.0, 10.0),
+    test_span: tuple[float, float] | None = None,
     target_dim: int | None = None,
-    variable_names=None,
+    variable_names: tuple[str, ...] | None = None,
 ) -> SystemSpec:
     """Build a system whose right-hand side is given as one expression
-    string per dimension, e.g. ("x2", "-9.81 * sin(x1)").
-
-    Without a test_span, the test split starts where train_span ends and
-    lasts half as long, as for the built-in systems."""
-    rhs_strings = tuple(rhs_strings)
-    k = len(rhs_strings)
+    string per dimension, e.g. ("x2", "-9.81 * sin(x1)"). Without a
+    test_span, the test split starts where train_span ends and lasts half
+    as long, as for the built-in systems. The parameters after name are
+    the keys of a config file's systems.<name> entry."""
+    rhs = tuple(rhs)
+    k = len(rhs)
     if k == 0:
         raise ValueError("need at least one dimension")
     initial_state = tuple(float(v) for v in initial_state)
@@ -191,5 +191,5 @@ def expression_system(
     )
     # parsed once the names are checked, so that a bad name is refused as
     # such and not as an unknown identifier in the strings
-    exprs = tuple(parse_expr(s, system.variable_names) for s in rhs_strings)
+    exprs = tuple(parse_expr(s, system.variable_names) for s in rhs)
     return replace(system, rhs=compile_components(exprs))

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import time
 import weakref
 
@@ -26,7 +27,13 @@ from odesr.cli import main as cli_main
 from odesr.expressions import Const, Unary, evaluate_batch, parse_expr, print_expr
 from odesr.feynman import FeynmanConfig
 from odesr.ga import GAConfig
-from odesr.integrate import IntegrationError, Trajectory, integrate, make_trajectory
+from odesr.integrate import (
+    IntegrationError,
+    IntegratorConfig,
+    Trajectory,
+    integrate,
+    make_trajectory,
+)
 from odesr.sindy import basis_from_strings, preset_basis
 from odesr.systems import expression_system, get_system, lotka_volterra, simple_pendulum
 
@@ -495,6 +502,31 @@ def test_benchmark_refuses_sweep_arguments_before_the_first_fit(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "sample_dt, train_span, message",
+    [
+        (0.0, (0.0, 10.0), "sample_dt must be positive and finite"),
+        (math.nan, (0.0, 10.0), "sample_dt must be positive and finite"),
+        (-0.1, (0.0, 10.0), "sample_dt must be positive and finite"),
+        (0.1, (0.0, 1.05), "span (0.0, 1.05) is not an integer multiple of sample_dt=0.1"),
+    ],
+    ids=["zero", "nan", "negative", "span not a multiple"],
+)
+def test_benchmark_refuses_a_sample_dt_it_cannot_sample_at_before_the_first_fit(
+    tmp_path, monkeypatch, sample_dt, train_span, message
+):
+    # each used to be recorded as a failed run in every row of the table
+    def resolver(name):
+        return expression_system(name, ["-0.5 * x1"], [1.0], train_span=train_span)
+
+    monkeypatch.setattr("odesr.benchmark.run_fit", no_fit)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_benchmark(
+            ["sindy"], ["decay"], out_dir=tmp_path / "out", sample_dt=sample_dt, resolver=resolver
+        )
+    assert not (tmp_path / "out").exists()
+
+
 def test_benchmark_reads_every_override_before_the_first_fit(monkeypatch):
     monkeypatch.setattr("odesr.benchmark.run_fit", no_fit)
     pairs = []
@@ -668,6 +700,33 @@ def test_benchmark_resolves_each_system_once(integrate_calls):
     # train and test once per system, shared by both methods
     assert integrate_calls == [(0.0, 10.0), (10.0, 15.0)] * 3
     assert all(run["expression"] for res in results for run in res.runs)
+
+
+def test_benchmark_reads_each_system_once_with_the_integrator_it_is_given(integrate_calls):
+    cfg = IntegratorConfig(rtol=1e-6, atol=1e-8)
+
+    def fast(method, system):
+        return {"feynman": FeynmanConfig(max_brute_nodes=3)} if method == "feynman" else {}
+
+    names = ("lotka_volterra", "simple_pendulum", "cart_pole")
+    results = run_benchmark(["sindy", "feynman"], names, integrator=cfg, overrides=fast)
+    # train and test once per system, shared by both methods
+    assert integrate_calls == [(0.0, 10.0), (10.0, 15.0)] * 3
+    # and the runs are those of that integrator, not of the default one
+    for res in results[:3]:
+        [run] = res.runs
+        del run["wall_time"]
+        system = get_system(res.system)
+        assert run == run_fit("sindy", system, integrator=cfg)
+        assert run != run_fit("sindy", system)
+
+
+def test_an_override_that_sets_the_integrator_raises():
+    # the integrator is the sweep's argument; a pair's override gives search settings only
+    with pytest.raises(TypeError, match="got multiple values for keyword argument 'integrator'"):
+        run_benchmark(
+            ["sindy"], ["lotka_volterra"], overrides=lambda m, s: {"integrator": IntegratorConfig()}
+        )
 
 
 # ------------------------------------------------------- runs in processes

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import re
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from odesr import cli
-from odesr.benchmark import METHODS, rollout_with_estimate, run_fit
+from odesr.benchmark import METHODS, rollout_with_estimate, run_benchmark, run_fit
 from odesr.cli import fit_kwargs, load_config, main, resolve_system
 from odesr.expressions import parse_expr
 from odesr.feynman import FeynmanConfig
@@ -387,6 +388,7 @@ def test_ga_entries_are_built_over_their_system_defaults(tmp_path):
     [
         {"systems": {"decay": {**DECAY, "variable_names": None}}},
         {"systems": {"decay": {**DECAY, "target_dim": None}}},
+        {"systems": {"decay": {**DECAY, "test_span": None}}},
         {
             "sample_dt": 1,
             "integrator": {"rtol": 0, "atol": 1},
@@ -396,7 +398,7 @@ def test_ga_entries_are_built_over_their_system_defaults(tmp_path):
             "sindy": {"solver": {"threshold": 1}},
         },
     ],
-    ids=["null variable_names", "null target_dim", "ints for floats"],
+    ids=["null variable_names", "null target_dim", "null test_span", "ints for floats"],
 )
 def test_config_accepts_null_where_optional_and_ints_for_floats(tmp_path, payload):
     config = load_config(write_config(tmp_path, {"systems": {"decay": DECAY}, **payload}))
@@ -447,6 +449,34 @@ def test_config_file_settable_values_are_these():
         "feynman.max_brute_nodes",
         "feynman.unary_set",
         "feynman.binary_set",
+    ]
+
+
+def test_run_path_parameters_are_these():
+    # a run knob added to or dropped from run_fit or run_benchmark must be
+    # added to or dropped from these lists
+    assert list(inspect.signature(run_fit).parameters) == [
+        "method",
+        "system",
+        "seed",
+        "sample_dt",
+        "integrator",
+        "ga_config",
+        "constant_pool",
+        "basis",
+        "sparse",
+        "feynman",
+    ]
+    assert list(inspect.signature(run_benchmark).parameters) == [
+        "methods",
+        "systems",
+        "repetitions",
+        "base_seed",
+        "out_dir",
+        "sample_dt",
+        "integrator",
+        "overrides",
+        "resolver",
     ]
 
 
@@ -532,6 +562,49 @@ def test_bench_writes_table(tmp_path):
     assert len(table) == 2
     record = json.loads((out / "sindy_lotka_volterra_0.json").read_text())
     assert record["method"] == "sindy"
+
+
+def test_bench_reads_the_config_integrator_as_fit_does(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"integrator": {"rtol": 1e-6, "atol": 1e-8}})
+    runs = {}
+    for name, config in (("default", []), ("config", ["--config", cfg])):
+        out = tmp_path / f"fit_{name}.json"
+        fit = ["fit", "--method", "sindy", "--system", "lotka_volterra", "--out", str(out)]
+        assert main(fit + config) == 0
+        runs[name] = out.read_bytes()
+    out = tmp_path / "bench"
+    bench = ["bench", "--methods", "sindy", "--systems", "lotka_volterra", "--out", str(out)]
+    assert main(bench + ["--config", cfg]) == 0
+    capsys.readouterr()
+    assert (out / "sindy_lotka_volterra_0.json").read_bytes() == runs["config"]
+    assert runs["config"] != runs["default"]
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"sample_dt": 0}, "sample_dt must be positive and finite"),
+        ({"sample_dt": -0.1}, "sample_dt must be positive and finite"),
+        ({"systems": {"decay": {**DECAY, "train_span": [0, 1.05]}}},
+         "span (0.0, 1.05) is not an integer multiple of sample_dt=0.1"),
+    ],
+    ids=["zero sample_dt", "negative sample_dt", "span not a multiple"],
+)
+def test_bench_refuses_a_sample_dt_it_cannot_sample_at(
+    tmp_path, capsys, monkeypatch, payload, message
+):
+    # each used to exit 0 and write a table of failed runs
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a fit started")
+
+    monkeypatch.setattr("odesr.benchmark.run_fit", no_fit)
+    system = next(iter(payload.get("systems", {"lotka_volterra": None})))
+    out = tmp_path / "bench"
+    cfg = write_config(tmp_path, payload)
+    bench = ["bench", "--methods", "sindy", "--systems", system, "--out", str(out)]
+    assert main(bench + ["--config", cfg]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import re
 import time
 import weakref
 
@@ -90,6 +91,18 @@ def test_sample_grid_rejects_a_span_end_that_is_not_finite(span):
     if span[1] > span[0]:
         with pytest.raises(ValueError, match=message):
             integrate(lambda t, x: -x, [1.0], span, 0.1)
+
+
+@pytest.mark.parametrize(
+    "t0, t1, sample_dt",
+    [(0.0, 1e300, 1e-300), (-1e308, 1e308, 1.0)],
+    ids=["step count overflows", "span length overflows"],
+)
+def test_sample_grid_rejects_a_step_count_that_is_not_finite(t0, t1, sample_dt):
+    # the count used to reach round() and fail with an OverflowError
+    message = f"span {(t0, t1)} holds too many steps of sample_dt={sample_dt}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sample_grid(t0, t1, sample_dt)
 
 
 def test_lotka_volterra_conserves_invariant():
