@@ -10,7 +10,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .expressions import Const, Expr, _leaf, batch_inputs, complexity, finite_values
+from .expressions import Const, Expr, _all_finite, _leaf, batch_inputs, complexity, finite_values
 from .integrate import RegressionDataset
 
 if TYPE_CHECKING:  # the GA's modules load only when a GA runs
@@ -92,8 +92,7 @@ def _finite_leaf(ts: np.ndarray, xs: np.ndarray, expr: Expr) -> np.ndarray | Non
     if type(expr) is Const:
         return _leaf(expr, ts, xs) if math.isfinite(expr.value) else None
     values = _leaf(expr, ts, xs)
-    finite = math.isfinite(values.dot(values)) or np.isfinite(values).all()
-    return values if finite else None
+    return values if _all_finite(values) else None
 
 
 def _score(expr: Expr, leaf: Callable[[Expr], np.ndarray | None], targets: np.ndarray) -> float:

@@ -172,6 +172,8 @@ def load_config(path) -> dict:
                 entries[name] = _built(build, f"config section 'ga.{name}'", entry)
             elif section == "constant_pools":
                 entries[name] = tuple(map(float, entry))
+                if not np.isfinite(entries[name]).all():
+                    raise ValueError(f"config key '{section}.{name}' must be finite, got {entry}")
             else:
                 fields = {"entry": entry, "system": resolve_system(name, config)}
                 entries[name] = _built(_basis, f"config key '{section}.{name}'", fields)

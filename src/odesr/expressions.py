@@ -126,17 +126,18 @@ def evaluate(expr: Expr, t: float, x: Sequence[float]) -> float:
     return float(evaluate_batch(expr, [t], [x])[0])
 
 
+def _all_finite(values: np.ndarray) -> bool:
+    # the sum of squares has an inf or nan term, and so is inf or nan, if
+    # any value is not finite; one of finite values that overflows takes the
+    # exact check. A dot product is one reduction, and cheaper than add.reduce.
+    # Callers hold np.errstate, so that overflow does not warn
+    return isfinite(values.dot(values)) or bool(np.isfinite(values).all())
+
+
 def _contain(out: np.ndarray, *parents: np.ndarray) -> np.ndarray:
     # overflow and domain errors both collapse to nan, and nan inputs
     # always poison the output (np.power(1, nan) would otherwise be 1).
-    # A float sum with an inf or nan term is inf or nan, so a finite sum of
-    # every element proves there is nothing to mask. A sum of finite values
-    # that overflows is inf too, and takes the exact path below (under
-    # evaluate_batch's errstate, so the overflow does not warn).
-    total = float(np.add.reduce(out))
-    for p in parents:
-        total += float(np.add.reduce(p))
-    if isfinite(total):
+    if _all_finite(out) and all(map(_all_finite, parents)):
         return out
     bad = ~np.isfinite(out)
     for p in parents:
@@ -245,10 +246,7 @@ def _finite(expr: Expr, leaf: Callable[[Expr], np.ndarray | None]) -> np.ndarray
         if out is None:
             raise _NotFinite
         return out
-    # the sum of squares has an inf or nan term, and so is inf or nan, if
-    # any value is not finite; one of finite values that overflows takes the
-    # exact check. A dot product is one reduction, and cheaper than add.reduce
-    if isfinite(out.dot(out)) or np.isfinite(out).all():
+    if _all_finite(out):
         return out
     raise _NotFinite
 

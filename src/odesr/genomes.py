@@ -60,6 +60,8 @@ class Grammar:
         if self.variable_count < 1:
             raise ValueError("need at least one variable")
         pool = tuple(self.constant_pool)
+        if not np.isfinite(pool).all():
+            raise ValueError(f"constant_pool must be finite, got {pool}")
         object.__setattr__(self, "constant_pool", pool)
         object.__setattr__(self, "var_width", _codon_width(self.variable_count + len(pool)))
         leaves = tuple(map(Var, range(self.variable_count))) + tuple(map(Const, pool))

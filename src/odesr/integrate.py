@@ -140,15 +140,19 @@ def sample_grid(t0: float, t1: float, sample_dt: float) -> np.ndarray:
         raise ValueError("sample_dt must be positive and finite")
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise ValueError(f"span {(t0, t1)} must have finite ends")
+    too_many = f"span {(t0, t1)} holds too many steps of sample_dt={sample_dt}"
     n_float = (t1 - t0) / sample_dt
     if not math.isfinite(n_float):
-        raise ValueError(f"span {(t0, t1)} holds too many steps of sample_dt={sample_dt}")
+        raise ValueError(too_many)
     n = round(n_float)
     if n < 1 or abs(n_float - n) > 1e-9:
         raise ValueError(
             f"span {(t0, t1)} is not an integer multiple of sample_dt={sample_dt}"
         )
-    return np.linspace(t0, t1, n + 1)
+    try:
+        return np.linspace(t0, t1, n + 1)
+    except (ValueError, MemoryError):  # numpy refuses the size before allocating
+        raise ValueError(too_many) from None
 
 
 def _error_norm(

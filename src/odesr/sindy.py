@@ -44,6 +44,8 @@ class STLSQConfig:
     def __post_init__(self):
         if not (self.threshold > 0):  # NaN fails too
             raise ValueError("threshold must be positive")
+        if not np.isfinite(self.threshold):
+            raise ValueError(f"threshold must be finite, got {self.threshold!r}")
 
 
 @dataclass

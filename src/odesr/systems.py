@@ -45,6 +45,8 @@ class SystemSpec:
             raise ValueError("one variable name per dimension")
         if len(set(names)) < len(names) or not all(re.fullmatch(NAME, v) for v in names):
             raise ValueError(f"variable names must be distinct identifiers, got {names}")
+        if not all(map(math.isfinite, self.initial_state)):
+            raise ValueError(f"initial_state must be finite, got {self.initial_state}")
         for key in ("train_span", "test_span"):
             span = getattr(self, key)
             if not span[1] > span[0]:  # NaN fails too

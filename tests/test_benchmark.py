@@ -387,7 +387,7 @@ def test_run_fit_feynman_has_pareto():
     assert "DynAIFeynman-lite" in record["warnings"]
 
 
-def test_run_fit_feynman_reports_a_truncated_search():
+def test_run_fit_feynman_default_run_warns_only_that_it_is_the_lite_pipeline():
     # max_brute_nodes is the search's only bound: no run is cut short
     assert run_fit("feynman", lotka_volterra())["warnings"] == ["DynAIFeynman-lite"]
 

@@ -24,7 +24,7 @@ from odesr.expressions import (
     parse_expr,
     print_expr,
 )
-from odesr.genomes import Grammar, grammar_for_system
+from odesr.genomes import grammar_for_system
 from odesr.integrate import make_dataset, make_trajectory
 from odesr.systems import get_system
 
@@ -182,15 +182,17 @@ def test_one_scorer_matches_reference_on_every_small_grammar_tree(name):
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_scorer_gives_inf_for_every_tree_over_a_nonfinite_pool_constant(bad):
-    grammar = Grammar(variable_count=2, constant_pool=(1.5, bad))
+    # a Grammar refuses such a constant, so its leaves are built here as a
+    # Grammar of pool (1.5, bad) would build them
+    leaves = (Var(0), Var(1), Const(1.5), Const(bad))
     scorer = Scorer(LV_TRAIN.times, LV_TRAIN.states, LV_TRAIN.targets)
-    trees = small_grammar_trees(grammar, max_size=3)
+    trees = [tree for size in range(1, 4) for tree in grammar_trees(leaves, size)]
     scores = checked_scores(scorer, trees, LV_TRAIN.times, LV_TRAIN.states, LV_TRAIN.targets)
     for tree, value in zip(trees, scores):
         if repr(bad) in print_expr(tree):
             assert value == math.inf, print_expr(tree)
     assert any(s < math.inf for s in scores)
-    assert scorer.leaf(grammar.leaves[3]) is None
+    assert scorer.leaf(leaves[3]) is None
 
 
 def test_scorer_reads_time_leaves_and_leaves_the_callers_arrays_writeable():

@@ -4,6 +4,7 @@ import math
 import re
 from dataclasses import is_dataclass
 from pathlib import Path
+from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -256,6 +257,12 @@ DECAY = {"rhs": ["-0.5 * x1"], "initial_state": [1.0]}
          "config section 'feynman' has unknown key 'time_budget'"),
         ({"systems": {"decay": {**DECAY, "test_span": [10, math.inf]}}},
          "config section 'systems.decay': test_span must have finite ends, got (10.0, inf)"),
+        ({"sindy": {"solver": {"threshold": math.inf}}},
+         "config section 'sindy.solver': threshold must be finite, got inf"),
+        ({"systems": {"decay": DECAY}, "constant_pools": {"decay": [math.inf]}},
+         "config key 'constant_pools.decay' must be finite, got [inf]"),
+        ({"systems": {"decay": {**DECAY, "initial_state": [math.nan]}}},
+         "config section 'systems.decay': initial_state must be finite, got (nan,)"),
     ]],
     ids=["pool not a list", "sample_dt string", "unknown top-level key", "unknown ga key",
          "unknown systems key", "unknown solver key", "unknown solver kind", "ga seed",
@@ -264,13 +271,16 @@ DECAY = {"rhs": ["-0.5 * x1"], "initial_state": [1.0]}
          "unknown basis preset", "preset reads a variable the system lacks",
          "ga entry of no system", "constant pool of no system", "basis of no system",
          "solver iteration cap", "system name with a slash", "brute-force time budget",
-         "infinite test span end"],
+         "infinite test span end", "infinite solver threshold", "infinite pool constant",
+         "nan initial state"],
 )
 def test_malformed_config_exits_one_naming_the_key(tmp_path, capsys, monkeypatch,
                                                    method, payload, message):
     # each used to exit 0 with the value ignored or replaced, or exit 1 with
     # a message that named no key; a basis entry was built only by a sindy run;
-    # an infinite span end passed, then made `odesr eval` crash in sample_grid
+    # an infinite span end passed, then made `odesr eval` crash in sample_grid;
+    # an infinite threshold fitted 0.0, an infinite pool constant was a leaf no
+    # tree could use, and a nan initial state was refused only by integrate
     def no_fit(*args, **kwargs):
         raise AssertionError("a fit started")
 
@@ -407,20 +417,24 @@ def test_config_accepts_null_where_optional_and_ints_for_floats(tmp_path, payloa
         fit_kwargs(method, system, config)
 
 
-def config_leaf_paths(shape, path=""):
-    """The dotted key paths of CONFIG_SHAPE's settable values, a section
-    keyed by system name written as <name>."""
+def config_leaves(shape, path=""):
+    """(dotted key path, shape) of each of CONFIG_SHAPE's settable values, a
+    section keyed by system name written as <name>."""
     if get_origin(shape) is dict:
-        return config_leaf_paths(get_args(shape)[1], f"{path}.<name>")
+        return config_leaves(get_args(shape)[1], f"{path}.<name>")
     if is_dataclass(shape):
         shape = get_type_hints(shape)
     if not isinstance(shape, dict):
-        return [path]
+        return [(path, shape)]
     return [
         leaf
         for key, value in shape.items()
-        for leaf in config_leaf_paths(value, f"{path}.{key}" if path else key)
+        for leaf in config_leaves(value, f"{path}.{key}" if path else key)
     ]
+
+
+def config_leaf_paths(shape):
+    return [path for path, _ in config_leaves(shape)]
 
 
 def test_config_file_settable_values_are_these():
@@ -450,6 +464,51 @@ def test_config_file_settable_values_are_these():
         "feynman.unary_set",
         "feynman.binary_set",
     ]
+
+
+def holds_floats(shape) -> bool:
+    """Whether a config value of this shape is a float or a list of floats
+    (or null)."""
+    if get_origin(shape) is UnionType:
+        return any(map(holds_floats, get_args(shape)))
+    return float in get_args(shape) if get_origin(shape) is tuple else shape is float
+
+
+def every_float(shape, value: float):
+    """A config value of this shape whose every float is value."""
+    if get_origin(shape) is UnionType:
+        return every_float(next(filter(holds_floats, get_args(shape))), value)
+    if get_origin(shape) is tuple:
+        args = get_args(shape)
+        return [value] * (1 if args[-1] is Ellipsis else len(args))
+    return value
+
+
+FLOAT_LEAVES = [leaf for leaf in config_leaves(cli.CONFIG_SHAPE) if holds_floats(leaf[1])]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["NaN", "Infinity"])
+@pytest.mark.parametrize("path, shape", FLOAT_LEAVES, ids=[path for path, _ in FLOAT_LEAVES])
+def test_every_float_config_key_refuses_nan_and_infinity(tmp_path, capsys, path, shape, value):
+    # json reads NaN and Infinity as floats, and an int or float passes the
+    # shape check; a float key added without a finiteness rule fails here.
+    # sample_dt is refused where the grid is made, so the command reads one
+    key = path.replace("<name>", "decay" if path.startswith("systems.") else "lotka_volterra")
+    *sections, field = key.split(".")
+    payload = {"systems": {"decay": dict(DECAY)}}
+    entry = payload
+    for section in sections:
+        entry = entry.setdefault(section, {})
+    entry[field] = every_float(shape, value)
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "x.json"
+    assert main(["eval", "--system", "lotka_volterra", "--expr", "x", "--config", cfg,
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    where = f"'{'.'.join(sections)}': {field} " if sections else f"error: {field} "
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"'{key}'" in err or where in err, err
+    assert not out.exists()
 
 
 def test_run_path_parameters_are_these():
@@ -587,13 +646,18 @@ def test_bench_reads_the_config_integrator_as_fit_does(tmp_path, capsys):
         ({"sample_dt": -0.1}, "sample_dt must be positive and finite"),
         ({"systems": {"decay": {**DECAY, "train_span": [0, 1.05]}}},
          "span (0.0, 1.05) is not an integer multiple of sample_dt=0.1"),
+        ({"sample_dt": 1e-300}, "span (0.0, 10.0) holds too many steps of sample_dt=1e-300"),
+        ({"sample_dt": 1e-17}, "span (0.0, 10.0) holds too many steps of sample_dt=1e-17"),
     ],
-    ids=["zero sample_dt", "negative sample_dt", "span not a multiple"],
+    ids=["zero sample_dt", "negative sample_dt", "span not a multiple",
+         "grid past numpy's size", "grid of 7 EiB"],
 )
 def test_bench_refuses_a_sample_dt_it_cannot_sample_at(
     tmp_path, capsys, monkeypatch, payload, message
 ):
-    # each used to exit 0 and write a table of failed runs
+    # each used to exit 0 and write a table of failed runs, but the grids too
+    # large for numpy, which named no setting or ended in a MemoryError's
+    # traceback; numpy refuses both sizes before it allocates anything
     def no_fit(*args, **kwargs):
         raise AssertionError("a fit started")
 

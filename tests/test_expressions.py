@@ -16,6 +16,7 @@ from odesr.expressions import (
     Time,
     Unary,
     Var,
+    _all_finite,
     _contain,
     _int_exponent,
     _int_pow,
@@ -761,3 +762,26 @@ def test_contain_passes_finite_values_with_an_overflowing_sum():
         assert _contain(out, np.full(4, -BIG)) is out
         masked = _contain(out, np.array([1.0, 2.0, np.inf, 4.0]))
     assert [math.isnan(v) for v in masked] == [False, False, True, False]
+
+
+@pytest.mark.parametrize(
+    "values",
+    [np.array([]), np.array([math.inf]), np.array([1.0, -math.inf]), np.array([math.nan]),
+     np.array([1e200, -1e200]), np.array([1.7e308, 1.0]), np.array([1e200, math.nan]),
+     np.array([5e-324, -5e-324]),
+     # column views, as a state leaf is xs[:, i]
+     np.arange(12.0).reshape(4, 3)[:, 1], np.array([[0.0, 1.0], [2.0, math.inf]])[:, 1]],
+    ids=["empty", "inf", "-inf", "nan", "squares overflow", "near the float maximum",
+         "squares overflow beside nan", "subnormal", "strided column", "strided column with inf"],
+)
+def test_all_finite_is_the_exact_test(values):
+    with np.errstate(all="ignore"):  # as its callers hold it
+        assert _all_finite(values) is bool(np.isfinite(values).all())
+
+
+@given(st.lists(st.one_of(EDGE_FLOATS, st.sampled_from([1e200, -1e200, 1.7e308])), max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_all_finite_is_the_exact_test_on_drawn_arrays(values):
+    values = np.array(values, dtype=float)
+    with np.errstate(all="ignore"):
+        assert _all_finite(values) is bool(np.isfinite(values).all())

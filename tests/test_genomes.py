@@ -81,6 +81,13 @@ def test_grammar_needs_a_variable():
         Grammar(0, (1.0,))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_grammar_refuses_a_constant_that_is_not_finite(value):
+    # the constant used to become a leaf that no tree could use
+    with pytest.raises(ValueError, match=r"^constant_pool must be finite, got \(1\.0, "):
+        Grammar(2, (1.0, value))
+
+
 def test_stored_widths_leave_equality_hash_and_repr_alone():
     same = Grammar(variable_count=2, constant_pool=[1.0, 1.5, -3.0, -1.0])
     assert same == LV and hash(same) == hash(LV)

@@ -95,11 +95,14 @@ def test_sample_grid_rejects_a_span_end_that_is_not_finite(span):
 
 @pytest.mark.parametrize(
     "t0, t1, sample_dt",
-    [(0.0, 1e300, 1e-300), (-1e308, 1e308, 1.0)],
-    ids=["step count overflows", "span length overflows"],
+    [(0.0, 1e300, 1e-300), (-1e308, 1e308, 1.0), (0.0, 10.0, 1e-300), (0.0, 10.0, 1e-17)],
+    ids=["step count overflows", "span length overflows", "grid past numpy's size",
+         "grid of 7 EiB"],
 )
 def test_sample_grid_rejects_a_step_count_that_is_not_finite(t0, t1, sample_dt):
-    # the count used to reach round() and fail with an OverflowError
+    # the count used to reach round() and fail with an OverflowError; a count
+    # numpy cannot make a grid of passed numpy's ValueError or MemoryError
+    # through (numpy refuses both sizes before it allocates anything)
     message = f"span {(t0, t1)} holds too many steps of sample_dt={sample_dt}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         sample_grid(t0, t1, sample_dt)

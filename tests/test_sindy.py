@@ -81,12 +81,13 @@ def test_cartpole_f27_is_transcribed():
 @pytest.mark.parametrize(
     "make, field, values",
     [
-        (lambda v: STLSQConfig(threshold=v), "threshold", (0.0, -1.0, math.nan)),
+        (lambda v: STLSQConfig(threshold=v), "threshold", (0.0, -1.0, math.nan, math.inf)),
     ],
     ids=["stlsq threshold"],
 )
 def test_config_validation(make, field, values):
-    # NaN compares false both ways: a NaN threshold used to fit the model 0.0
+    # NaN compares false both ways: a NaN threshold used to fit the model 0.0,
+    # and an infinite one thresholded every weight away
     for bad in values:
         with pytest.raises(ValueError, match=field):
             make(bad)

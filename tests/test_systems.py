@@ -203,18 +203,22 @@ def test_expression_system_refuses_names_that_do_not_read_back(names):
         ({"variable_names": ("x", "x")},
          r"^variable names must be distinct identifiers, got \('x', 'x'\)$"),
         ({"test_span": (10.0, math.inf)}, r"^test_span must have finite ends, got \(10\.0, inf\)$"),
+        ({"initial_state": (math.nan, 1.0)}, r"^initial_state must be finite, got \(nan, 1\.0\)$"),
+        ({"initial_state": (1.0, -math.inf)}, r"^initial_state must be finite, got \(1\.0, -inf\)$"),
     ],
     ids=["test span after a gap", "train span reversed", "empty test span",
          "target past the state", "negative target", "slash in the name",
          "space in the name", "too few variable names", "too many variable names",
-         "variable name twice", "infinite test span end"],
+         "variable name twice", "infinite test span end", "nan initial state",
+         "infinite initial state"],
 )
 def test_system_variants_must_keep_the_trajectory_rules(changes, message):
     # a test split after a gap started from the train end state, so the
     # truth's test_error read 0.0; a target past the state raised IndexError;
     # a name with a slash wrote table.csv, then failed opening its run files;
     # a short names tuple failed in print_expr after the fit, and an infinite
-    # span end in sample_grid with an OverflowError
+    # span end in sample_grid with an OverflowError; a state that is not
+    # finite was refused only by integrate, in a message that named no key
     with pytest.raises(ValueError, match=message):
         dataclasses.replace(lotka_volterra(), **changes)
 
